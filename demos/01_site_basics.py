@@ -7,7 +7,7 @@ monotone components up to and including its first constant one.
 """
 
 from precats import (compose, enumerate_morphisms, identity,
-                     normalize_morphism, object_of, segal_face_family)
+                     normalize_morphism, object_of, segal_faces)
 
 # Objects normalize themselves: a zero truncates everything after it.
 print("object (2,1) in dimension 2:  ", object_of(2, [2, 1]))
@@ -43,5 +43,5 @@ h = enumerate_morphisms(s, t)[1]
 print("compose with identity:", compose(h, identity(s)) == h)
 
 # The spine family: the p maps picking out consecutive edges of a chain.
-for face in segal_face_family(3, object_of(0, [])):
+for face in segal_faces(object_of(1, [3])):
     print("spine map into (3):", face)

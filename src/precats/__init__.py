@@ -6,22 +6,22 @@ verification of their structural identities."""
 from .theta import (CompositionError, InvalidMorphismError, InvalidObjectError,
                     ThetaError, ThetaMorphism, ThetaObject, compose,
                     enumerate_morphisms, identity, normalize_morphism,
-                    object_of, segal_face_family, window_objects, zero_object)
+                    object_of, segal_faces, window_objects, zero_object)
 from .presheaf import (ActionDomainError, Precat, PrecatMap, PresheafError,
                        PushoutData, Window, cell_label, check_functoriality,
                        coproduct, discrete, dump_json, dump_window, empty,
                        enumerate_natural_maps, hom_precat, identity_map,
                        is_cofibration, iso_windowed, point, point_map,
-                       precat_from_dump, product, product_map, pushout,
-                       pushout_map, slice_precat, sub_precat, terminal_map)
+                       precat_from_dump, product, pushout, slice_precat,
+                       sub_precat, terminal_map)
 from .constructions import (CellData, ConstructionError, CornerData,
                             FiniteCategory, InvalidArgumentError, MonoidObject,
                             PointedPrecat, cell, ck_monoidal, claim_fold,
                             delooping, monoid_from_table, nerve,
-                            nerve_functor_map, pushout_product, q_gluing,
-                            sigma_free, square_decomposition, suspension,
-                            suspension_interval, upsilon, upsilon_face,
-                            upsilon_map, wedge01, whitehead, z2_monoid)
+                            pushout_product, q_gluing, sigma_free,
+                            square_decomposition, suspension, upsilon,
+                            upsilon_face, upsilon_map, wedge01, whitehead,
+                            z2_monoid)
 from .analysis import (AnalysisError, MinDim0, NotStrictError, SegalReport,
                        TruncationUndefinedError, category_from_nerve,
                        equivalent_to_point, is_k_connected, min_dim_map0,

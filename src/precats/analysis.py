@@ -37,24 +37,6 @@ class TruncationUndefinedError(AnalysisError):
 # comparison maps
 # ---------------------------------------------------------------------------
 
-def _direction_faces(M: ThetaObject, d: int) -> list[ThetaMorphism]:
-    """The p spine maps (entry 1 at position d) -> M, identity elsewhere."""
-    p = M.entries[d]
-    src = object_of(M.n, M.entries[:d] + (1,) + M.entries[d + 1:])
-    faces = []
-    for i in range(p):
-        lift = []
-        for j in range(M.n):
-            if j == d:
-                lift.append((i, i + 1))
-            else:
-                lift.append(tuple(range(src.padded(j) + 1)))
-        lift = [tuple(min(v, M.padded(j)) for v in comp)
-                for j, comp in enumerate(lift)]
-        faces.append(normalize_morphism(src, M, lift))
-    return faces
-
-
 def _direction_vertices(M: ThetaObject, d: int) -> list[ThetaMorphism]:
     """The two endpoint maps prefix -> (prefix, 1, ...) in direction d."""
     src = object_of(M.n, M.entries[:d])
@@ -101,7 +83,7 @@ def segal_map(A: Precat, M: ThetaObject, d: int):
     Returns (mapping dict cell -> tuple, target set of compatible tuples).
     """
     p = M.entries[d]
-    faces = _direction_faces(M, d)
+    faces = theta.segal_faces(M, d)
     v0, v1 = _direction_vertices(M, d)
     one_level = faces[0].source
     ones = A.cells(one_level)
@@ -147,6 +129,14 @@ def _strict_at(A: Precat, entries: tuple[int, ...], d: int = 0) -> None:
             f"{len(target)} compatible tuples")
 
 
+def _triangle_faces(n: int) -> tuple[ThetaMorphism, ...]:
+    """The faces (1) -> (2) onto the edges 01, 12 and the long edge 02."""
+    one, two = object_of(n, (1,)), object_of(n, (2,))
+    f01, f12 = theta.segal_faces(two)
+    long_face = normalize_morphism(one, two, [(0, 2)] + [(0,)] * (n - 1))
+    return f01, f12, long_face
+
+
 def category_from_nerve(A: Precat, window: Window, name="C(A)") -> FiniteCategory:
     """Recover objects, arrows and the composition table from levels <= 3.
 
@@ -164,9 +154,7 @@ def category_from_nerve(A: Precat, window: Window, name="C(A)") -> FiniteCategor
     tgt = {a: A.act(vtgt, a) for a in arrows}
     degen = theta.collapse_to_zero(one)
     ident = {x: A.act(degen, x) for x in objects}
-    f01, f12 = _direction_faces(two, 0)
-    long_face = normalize_morphism(one, two, [(0, 2)] + [
-        (0,) * (one.padded(j) + 1) for j in range(1, A.n)])
+    f01, f12, long_face = _triangle_faces(A.n)
     fillers = {}
     for c in A.cells(two):
         fillers[(A.act(f01, c), A.act(f12, c))] = c
@@ -206,9 +194,7 @@ def _tau_zero_classes(A: Precat, window: Window) -> dict:
     for p in (2, 3):
         _strict_at_or_undefined(A, (p,))
     two = object_of(A.n, (2,))
-    f01, f12 = _direction_faces(two, 0)
-    long_face = normalize_morphism(one, two, [(0, 2)] + [
-        (0,) * (one.padded(j) + 1) for j in range(1, A.n)])
+    f01, f12, long_face = _triangle_faces(A.n)
     comp: dict = {}
     for c in A.cells(two):
         a, b = A.act(f01, c), A.act(f12, c)

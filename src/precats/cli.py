@@ -248,9 +248,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # contract: report and exit 2, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -204,19 +204,6 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     return Precat(n, eval_fn, act_fn, name=f"N({C.name})@{n}")
 
 
-def nerve_functor_map(Cs: FiniteCategory, Ct: FiniteCategory, ob_map, ar_map,
-                      n: int = 1, name="N(F)") -> PrecatMap:
-    """Nerve of a functor given by its object and arrow assignments."""
-    dom, cod = nerve(Cs, n), nerve(Ct, n)
-
-    def apply(M, cell):
-        if M.length == 0:
-            return ob_map[cell]
-        return tuple(ar_map[a] for a in cell)
-
-    return PrecatMap(dom, cod, apply, name=name)
-
-
 # ---------------------------------------------------------------------------
 # the edge complex on a simplex of morphism objects
 # ---------------------------------------------------------------------------
@@ -433,33 +420,6 @@ def suspension(A: PointedPrecat) -> SuspensionData:
 
     loops = PrecatMap(A.space, homs, loops_apply, name="A->hom")
     return SuspensionData(sigma_precat, po, loops)
-
-
-def suspension_interval(A: PointedPrecat) -> Precat:
-    """Variant of the suspension gluing in the contractible interval instead
-    of the point (no identification between the two is asserted here)."""
-    n = A.space.n
-    incl = point_map(A.space, A.base)
-    ua = upsilon_map([incl], name="U(base)")
-    ibar = nerve(FiniteCategory.iso_interval(), n + 1)
-    iota = PrecatMap(ua.domain, ibar, _interval_into_iso_interval(ua.domain, ibar),
-                     name="I->Ibar")
-    return pushout(ua, iota, name=f"S'({A.space.name})").precat
-
-
-def _interval_into_iso_interval(ups_pt: Precat, ibar: Precat):
-    C = FiniteCategory.iso_interval()
-
-    def apply(M, cell):
-        if M.length == 0:
-            return cell
-        y, _ = cell
-        arrows = []
-        for a, b in zip(y, y[1:]):
-            arrows.append(C.ident[a] if a == b else "u")
-        return tuple(arrows)
-
-    return apply
 
 
 def _only_object(P: Precat):
@@ -777,9 +737,7 @@ def claim_fold(i: PrecatMap) -> FoldData:
                       name="fold")
     ibar = nerve(FiniteCategory.iso_interval(), n)
     ends = discrete(n, (0, 1))
-    j = PrecatMap(ends, ibar, lambda M, c: c if M.length == 0
-                  else (FiniteCategory.iso_interval().ident[c],) * M.entries[0],
-                  name="ends")
+    j = PrecatMap(ends, ibar, ibar.degeneracy, name="ends")
     corner = pushout_product(i, j)
 
     e_cyl = product(E, ibar)

@@ -3,13 +3,14 @@
 A presheaf is a pair of functions: ``eval`` sending a site object to a
 finite set of cells, and ``act`` sending a morphism ``f: M -> M'`` and a
 cell over ``M'`` to its restriction over ``M``.  Both are memoized, so any
-level is computed at most once; all values are immutable and the caches are
-read-through, so concurrent readers are safe.
+level is computed at most once.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels.  Naturality is verified against the face/degeneracy
 generators of the window; every window morphism factors through these inside
-the window, so nothing is lost.
+the window, so nothing is lost.  One level-by-level solver finds the levelwise
+maps commuting with those generators; it serves both the isomorphism search
+and the enumeration of natural maps.
 """
 
 from __future__ import annotations
@@ -79,11 +80,20 @@ class Window:
 
 def _act_cache_limit() -> int:
     """Restriction-cache bound; 0 means unbounded.  The environment variable
-    is the only runtime knob."""
+    is the only runtime knob; a value that is not a non-negative integer is
+    rejected."""
+    raw = os.environ.get("PRECATS_CACHE_SIZE", "0")
     try:
-        return max(0, int(os.environ.get("PRECATS_CACHE_SIZE", "0")))
+        limit = int(raw)
+        if limit >= 0:
+            return limit
     except ValueError:
-        return 0
+        pass
+    raise PresheafError(
+        f"PRECATS_CACHE_SIZE must be a non-negative integer, got {raw!r}")
+
+
+_MISS = object()
 
 
 class Precat:
@@ -91,14 +101,13 @@ class Precat:
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
-                 name: str = "precat", validate_actions: bool = True):
+                 name: str = "precat"):
         self.n = n
         self.name = name
         self._eval_fn = eval_fn
         self._act_fn = act_fn
         self._levels: dict[ThetaObject, frozenset] = {}
         self._acts: dict[tuple[ThetaMorphism, object], object] = {}
-        self._validate = validate_actions
         self._act_limit = _act_cache_limit()
 
     def cells(self, M: ThetaObject) -> frozenset:
@@ -112,14 +121,14 @@ class Precat:
 
     def act(self, f: ThetaMorphism, cell):
         key = (f, cell)
-        got = self._acts.get(key)
-        if got is not None:
+        got = self._acts.get(key, _MISS)
+        if got is not _MISS:
             return got
         if cell not in self.cells(f.target):
             raise ActionDomainError(
                 f"cell {cell!r} is not at level {f.target} of {self.name}")
         result = self._act_fn(f, cell)
-        if self._validate and result not in self.cells(f.source):
+        if result not in self.cells(f.source):
             raise ActionDomainError(
                 f"action of {f} on {cell!r} left level {f.source} of {self.name}")
         if self._act_limit and len(self._acts) >= self._act_limit:
@@ -176,9 +185,6 @@ class PrecatMap:
                     out.append((f, c, lhs, rhs))
         return out
 
-    def is_natural(self, window: Window) -> bool:
-        return not self.naturality_violations(window)
-
     def __repr__(self):
         return f"<map {self.name}: {self.domain.name} -> {self.codomain.name}>"
 
@@ -230,10 +236,6 @@ def terminal_map(P: Precat) -> PrecatMap:
     return PrecatMap(P, point(P.n), lambda M, c: "pt", name="!")
 
 
-def empty_map(P: Precat) -> PrecatMap:
-    return PrecatMap(empty(P.n), P, lambda M, c: c, name="0->")
-
-
 def point_map(P: Precat, cell0) -> PrecatMap:
     """The map from the point picking a level-0 cell (and its degeneracies)."""
     if cell0 not in P.cells(zero_object(P.n)):
@@ -259,22 +261,9 @@ def product(P: Precat, Q: Precat) -> Precat:
     return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})")
 
 
-def product_map(f: PrecatMap, g: PrecatMap) -> PrecatMap:
-    dom = product(f.domain, g.domain)
-    cod = product(f.codomain, g.codomain)
-    return PrecatMap(dom, cod,
-                     lambda M, c: (f.apply(M, c[0]), g.apply(M, c[1])),
-                     name=f"({f.name}x{g.name})")
-
-
 def swap_map(P: Precat, Q: Precat) -> PrecatMap:
     return PrecatMap(product(P, Q), product(Q, P),
                      lambda M, c: (c[1], c[0]), name="swap")
-
-
-def projection_map(P: Precat, Q: Precat, which: int) -> PrecatMap:
-    return PrecatMap(product(P, Q), P if which == 0 else Q,
-                     lambda M, c: c[which], name=f"pr{which}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +340,6 @@ class PushoutData:
 
 def pushout(f: PrecatMap, g: PrecatMap, name: str = "po") -> PushoutData:
     return PushoutData(f, g, name=name)
-
-
-def pushout_map(src: PushoutData, tgt: PushoutData,
-                pmap: PrecatMap, qmap: PrecatMap, name: str = "po-map") -> PrecatMap:
-    """Map of pushouts induced by leg maps commuting with the glue."""
-    ind = src.induced(pmap.then(tgt.inl), qmap.then(tgt.inr), name=name)
-    return PrecatMap(src.precat, tgt.precat, ind.apply, name=name)
 
 
 def coproduct(P: Precat, Q: Precat) -> PushoutData:
@@ -467,56 +449,45 @@ def check_functoriality(P: Precat, window: Window) -> FunctorialityReport:
 
 
 # ---------------------------------------------------------------------------
-# windowed isomorphism search
+# natural maps on a window: isomorphism search and enumeration
 # ---------------------------------------------------------------------------
 
-def _grouped_elementary(n: int, window: Window):
+def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
+    """Every levelwise map ``P -> Q`` commuting with the window's generators,
+    as ``{level: {cell: image}}`` with levels in window order.
+
+    Backtracking over levels ordered by (length, entry sum).  A level's cells
+    are forced along the generators out of it into already-matched levels;
+    the rest are matched within groups of equal restriction signature along
+    the generators into it.  With ``bijective`` only levelwise bijections are
+    produced: each group is permuted onto an equal-sized group of ``Q``.
+    """
+    objs = window.objects(P.n)
     into: dict[ThetaObject, list] = {}
     outof: dict[ThetaObject, list] = {}
-    for e in window.elementary(n):
+    for e in window.elementary(P.n):
         into.setdefault(e.target, []).append(e)
         outof.setdefault(e.source, []).append(e)
-    return into, outof
-
-
-def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
-    """A levelwise bijection commuting with all window morphisms, if any.
-
-    Backtracking over levels ordered by (length, entry sum); candidates are
-    pruned by cell counts, forced along degeneracies from already-matched
-    levels, and grouped by restriction signatures.
-    """
-    if P.n != Q.n:
-        return None
-    objs = window.objects(P.n)
-    for M in objs:
-        if len(P.cells(M)) != len(Q.cells(M)):
-            return None
-    into, outof = _grouped_elementary(P.n, window)
     assigned: dict[ThetaObject, dict] = {}
 
-    def level_candidates(M: ThetaObject):
-        pcells = sorted(P.cells(M), key=cell_label)
-        qcells = set(Q.cells(M))
+    def candidates(M: ThetaObject):
         cons_in = [e for e in into.get(M, ()) if e.source in assigned]
         cons_out = [e for e in outof.get(M, ()) if e.target in assigned]
         forced: dict = {}
-        ok = True
         for e in cons_out:
             phi_t = assigned[e.target]
             for t in P.cells(e.target):
                 src_cell = P.act(e, t)
                 want = Q.act(e, phi_t[t])
                 if forced.get(src_cell, want) != want:
-                    ok = False
-                    break
+                    return
                 forced[src_cell] = want
-            if not ok:
-                break
-        if not ok:
-            return
-        if len(set(forced.values())) != len(forced):
-            return
+        free = Q.cells(M)
+        if bijective:
+            used = set(forced.values())
+            if len(used) != len(forced):
+                return
+            free = free - used
 
         def sig_p(c):
             return tuple(assigned[e.source][P.act(e, c)] for e in cons_in)
@@ -525,109 +496,70 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
             return tuple(Q.act(e, d) for e in cons_in)
 
         groups: dict = {}
-        for c in pcells:
+        for c in sorted(P.cells(M), key=cell_label):
             if c in forced:
                 if sig_q(forced[c]) != sig_p(c):
                     return
                 continue
             groups.setdefault(sig_p(c), []).append(c)
         qgroups: dict = {}
-        used = set(forced.values())
-        for d in qcells:
-            if d in used:
-                continue
+        for d in free:
             qgroups.setdefault(sig_q(d), []).append(d)
-        if set(groups) != set(qgroups):
+        if bijective and (set(groups) != set(qgroups) or any(
+                len(qgroups[k]) != len(g) for k, g in groups.items())):
             return
         keys = sorted(groups, key=cell_label)
-        if any(len(groups[k]) != len(qgroups[k]) for k in keys):
-            return
-        pools = [list(itertools.permutations(sorted(qgroups[k], key=cell_label)))
-                 for k in keys]
+        pools = []
+        for k in keys:
+            images = sorted(qgroups.get(k, ()), key=cell_label)
+            pools.append(itertools.permutations(images) if bijective else
+                         itertools.product(images, repeat=len(groups[k])))
         for choice in itertools.product(*pools):
             phi = dict(forced)
-            for k, perm in zip(keys, choice):
-                phi.update(zip(groups[k], perm))
+            for k, chosen in zip(keys, choice):
+                phi.update(zip(groups[k], chosen))
             yield phi
 
-    def solve(idx: int) -> bool:
+    def solve(idx: int):
         if idx == len(objs):
-            return True
+            yield dict(assigned)
+            return
         M = objs[idx]
-        for phi in level_candidates(M):
+        for phi in candidates(M):
             assigned[M] = phi
-            if solve(idx + 1):
-                return True
-            del assigned[M]
-        return False
+            yield from solve(idx + 1)
+        assigned.pop(M, None)
 
-    if not solve(0):
+    yield from solve(0)
+
+
+def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
+    """A levelwise bijection commuting with all window morphisms, if any.
+
+    Cell counts are compared level by level first; the bijection is the first
+    solution of the natural-map solver, re-checked against the generators.
+    """
+    if P.n != Q.n:
         return None
-    components = {M: dict(phi) for M, phi in assigned.items()}
+    for M in window.objects(P.n):
+        if len(P.cells(M)) != len(Q.cells(M)):
+            return None
+    components = next(_natural_components(P, Q, window, bijective=True), None)
+    if components is None:
+        return None
     iso = PrecatMap(P, Q, lambda M, c: components[M][c], name=f"iso[{window.B}]")
     if iso.naturality_violations(window):
         return None
     return iso
 
 
-def enumerate_natural_maps(P: Precat, Q: Precat, window: Window,
-                           limit: int | None = None) -> list[PrecatMap]:
+def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatMap]:
     """All levelwise functions commuting with the window's morphisms.
 
     Exponential in level sizes; meant for tiny universal-property checks.
     """
-    objs = window.objects(P.n)
-    into, outof = _grouped_elementary(P.n, window)
-    results: list[dict] = []
-    assigned: dict[ThetaObject, dict] = {}
-
-    def candidates(M):
-        pcells = sorted(P.cells(M), key=cell_label)
-        cons_in = [e for e in into.get(M, ()) if e.source in assigned]
-        cons_out = [e for e in outof.get(M, ()) if e.target in assigned]
-        forced: dict = {}
-        for e in cons_out:
-            phi_t = assigned[e.target]
-            for t in P.cells(e.target):
-                src_cell = P.act(e, t)
-                want = Q.act(e, phi_t[t])
-                if forced.get(src_cell, want) != want:
-                    return
-                forced[src_cell] = want
-
-        def consistent(c, d):
-            return all(assigned[e.source][P.act(e, c)] == Q.act(e, d)
-                       for e in cons_in)
-
-        pools = []
-        for c in pcells:
-            if c in forced:
-                pools.append([forced[c]] if consistent(c, forced[c]) else [])
-            else:
-                pools.append([d for d in sorted(Q.cells(M), key=cell_label)
-                              if consistent(c, d)])
-        for choice in itertools.product(*pools):
-            yield dict(zip(pcells, choice))
-
-    def solve(idx):
-        if limit is not None and len(results) >= limit:
-            return
-        if idx == len(objs):
-            results.append({M: dict(phi) for M, phi in assigned.items()})
-            return
-        M = objs[idx]
-        for phi in candidates(M):
-            assigned[M] = phi
-            solve(idx + 1)
-            del assigned[M]
-            if limit is not None and len(results) >= limit:
-                return
-
-    solve(0)
-    out = []
-    for comp in results:
-        out.append(PrecatMap(P, Q, lambda M, c, comp=comp: comp[M][c], name="nat"))
-    return out
+    return [PrecatMap(P, Q, lambda M, c, comp=comp: comp[M][c], name="nat")
+            for comp in _natural_components(P, Q, window, bijective=False)]
 
 
 # ---------------------------------------------------------------------------

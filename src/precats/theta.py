@@ -285,22 +285,19 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
     return tuple(out)
 
 
-def segal_face_family(p: int, tail: ThetaObject) -> list[ThetaMorphism]:
-    """The ``p`` comparison maps ``(1,tail) -> (p,tail)``.
+def segal_faces(M: ThetaObject, d: int = 0) -> list[ThetaMorphism]:
+    """The ``p = M.entries[d]`` spine maps into ``M`` in direction ``d``.
 
-    The i-th map sends 0 to i and 1 to i+1 in the first direction and is the
-    identity on the tail directions.
+    Each map's source is ``M`` with entry ``d`` replaced by 1; the i-th map
+    sends 0 to i and 1 to i+1 in direction ``d`` and is the identity on every
+    other direction.
     """
-    if p < 1:
-        raise InvalidMorphismError("need p >= 1")
-    n = tail.n + 1
-    source = object_of(n, (1,) + tail.entries)
-    target = object_of(n, (p,) + tail.entries)
-    faces = []
-    for i in range(p):
-        lift = [(i, i + 1)] + [tuple(range(tail.padded(j) + 1)) for j in range(n - 1)]
-        faces.append(normalize_morphism(source, target, lift))
-    return faces
+    if not 0 <= d < M.length:
+        raise InvalidMorphismError(f"direction {d} is outside {M}")
+    source = object_of(M.n, M.entries[:d] + (1,) + M.entries[d + 1:])
+    ident = [tuple(range(M.padded(j) + 1)) for j in range(M.n)]
+    return [normalize_morphism(source, M, ident[:d] + [(i, i + 1)] + ident[d + 1:])
+            for i in range(M.entries[d])]
 
 
 # ---------------------------------------------------------------------------

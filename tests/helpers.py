@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from precats import FiniteCategory
+from precats import FiniteCategory, cell_label
 
 
 def monotone_tuples(a: int, b: int):
@@ -260,3 +260,65 @@ def grouped_upsilon(inputs):
         return (new_y, new_groups)
 
     return Precat(m + 1, eval_fn, act_fn, name="grouped-edge-complex")
+
+
+# ---------------------------------------------------------------------------
+# per-cell-pool natural-map enumeration (dual route for the solver)
+# ---------------------------------------------------------------------------
+
+def enumerate_natural_components(P, Q, window):
+    """Every levelwise map ``P -> Q`` commuting with the window's generators,
+    as a list of ``{level: {cell: image}}``.
+
+    Backtracks over levels like the package's solver, but gives each unforced
+    cell its own pool of consistent images instead of grouping cells by
+    restriction signature.
+    """
+    objs = window.objects(P.n)
+    into, outof = {}, {}
+    for e in window.elementary(P.n):
+        into.setdefault(e.target, []).append(e)
+        outof.setdefault(e.source, []).append(e)
+    results = []
+    assigned = {}
+
+    def candidates(M):
+        pcells = sorted(P.cells(M), key=cell_label)
+        cons_in = [e for e in into.get(M, ()) if e.source in assigned]
+        cons_out = [e for e in outof.get(M, ()) if e.target in assigned]
+        forced = {}
+        for e in cons_out:
+            phi_t = assigned[e.target]
+            for t in P.cells(e.target):
+                src_cell = P.act(e, t)
+                want = Q.act(e, phi_t[t])
+                if forced.get(src_cell, want) != want:
+                    return
+                forced[src_cell] = want
+
+        def consistent(c, d):
+            return all(assigned[e.source][P.act(e, c)] == Q.act(e, d)
+                       for e in cons_in)
+
+        pools = []
+        for c in pcells:
+            if c in forced:
+                pools.append([forced[c]] if consistent(c, forced[c]) else [])
+            else:
+                pools.append([d for d in sorted(Q.cells(M), key=cell_label)
+                              if consistent(c, d)])
+        for choice in itertools.product(*pools):
+            yield dict(zip(pcells, choice))
+
+    def solve(idx):
+        if idx == len(objs):
+            results.append({M: dict(phi) for M, phi in assigned.items()})
+            return
+        M = objs[idx]
+        for phi in candidates(M):
+            assigned[M] = phi
+            solve(idx + 1)
+            del assigned[M]
+
+    solve(0)
+    return results

@@ -9,9 +9,9 @@ from precats import (FiniteCategory, PointedPrecat, PrecatMap, Window, cell,
                      discrete, empty, enumerate_natural_maps, hom_precat,
                      is_cofibration, iso_windowed, monoid_from_table, nerve,
                      object_of, point, pushout_product, sigma_free,
-                     slice_precat, square_decomposition, suspension,
-                     suspension_interval, upsilon, upsilon_face, upsilon_map,
-                     whitehead, z2_monoid, zero_object)
+                     slice_precat, square_decomposition, suspension, upsilon,
+                     upsilon_face, upsilon_map, whitehead, z2_monoid,
+                     zero_object)
 from precats.constructions import ConstructionError, InvalidArgumentError
 from precats.theta import normalize_morphism
 
@@ -231,15 +231,6 @@ def test_sigma_mapping_property():
                          (normalize_morphism(zero_object(1), one, [(0,)]),
                           normalize_morphism(zero_object(1), one, [(1,)]))}) == 1]
         assert len(maps) == len(loops)
-
-
-def test_suspension_interval_variant_builds():
-    """The interval-glued variant keeps two (isomorphic) objects; no
-    identification with the point-glued form is asserted."""
-    A = PointedPrecat(discrete(1, (0, 1)), 0)
-    V = suspension_interval(A)
-    assert check_functoriality(V, W2).ok
-    assert V.size(o(2, [])) == 2
 
 
 def test_delooping_levels_and_faces():

@@ -12,8 +12,11 @@ from precats import (FiniteCategory, Precat, PrecatMap, Window, cell_label,
                      identity_map, is_cofibration, iso_windowed, nerve,
                      object_of, point, precat_from_dump, product, pushout,
                      upsilon, zero_object)
-from precats.presheaf import ActionDomainError, constant_table_precat
+from precats.presheaf import (ActionDomainError, PresheafError,
+                              _natural_components, constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
+
+import helpers
 
 o = object_of
 W2, W3 = Window(2), Window(3)
@@ -171,10 +174,8 @@ def _cocones(po, Z, window):
     return out
 
 
-@pytest.mark.parametrize("diagram", ["span", "fold", "vertex"])
-def test_pushout_universal_property_exhaustive(diagram):
-    """Every commuting cocone factors uniquely through the pushout."""
-    n = 1
+def _pushout_diagram(diagram, n=1):
+    """A small pushout and the targets (point, two points, N(I)) to map it to."""
     two = discrete(n, (0, 1))
     NI = nerve(FiniteCategory.interval(), n)
     if diagram == "span":
@@ -189,9 +190,16 @@ def test_pushout_universal_property_exhaustive(diagram):
         R = point(n)
         f = PrecatMap(R, NI, lambda M, c: NI.degeneracy(M, 0), name="v0")
         g = PrecatMap(R, point(n), lambda M, c: "pt", name="!")
-    po = pushout(f, g)
+    return pushout(f, g), (point(n), two, NI)
+
+
+@pytest.mark.parametrize("diagram", ["span", "fold", "vertex"])
+def test_pushout_universal_property_exhaustive(diagram):
+    """Every commuting cocone factors uniquely through the pushout."""
+    n = 1
+    po, targets = _pushout_diagram(diagram, n)
     window = W2
-    for Z in (point(n), two, NI):
+    for Z in targets:
         cocones = _cocones(po, Z, window)
         all_maps = enumerate_natural_maps(po.precat, Z, window)
         for u, v in cocones:
@@ -203,6 +211,46 @@ def test_pushout_universal_property_exhaustive(diagram):
                 H.apply(M, po.inr.apply(M, c)) == v.apply(M, c)
                 for M in window.objects(n) for c in po.g.codomain.cells(M))]
             assert len(matches) == 1
+
+
+def _component_set(components):
+    return {frozenset((M, frozenset(phi.items())) for M, phi in comp.items())
+            for comp in components}
+
+
+@pytest.mark.parametrize("diagram", ["span", "fold", "vertex"])
+def test_natural_map_solver_matches_per_cell_oracle(diagram):
+    po, targets = _pushout_diagram(diagram)
+    for Z in targets:
+        got = list(_natural_components(po.precat, Z, W2, bijective=False))
+        want = helpers.enumerate_natural_components(po.precat, Z, W2)
+        assert got and len(got) == len(want)
+        assert _component_set(got) == _component_set(want)
+
+
+def _poset_nerve(less):
+    """Nerve of the poset on 0..3 with the given strict relations."""
+    objs = (0, 1, 2, 3)
+    arrows = tuple(sorted({(x, x) for x in objs} | set(less)))
+    C = FiniteCategory(objs, arrows, {a: a[0] for a in arrows},
+                       {a: a[1] for a in arrows}, {x: (x, x) for x in objs},
+                       {(a, b): (a[0], b[1]) for a in arrows for b in arrows
+                        if a[1] == b[0]})
+    return nerve(C, 1)
+
+
+@pytest.mark.parametrize("other, iso", [
+    ({(2, 0), (2, 1), (2, 3)}, True),      # relabelled: bottom moved to 2
+    ({(1, 0), (2, 0), (3, 0)}, False),     # opposite: a top, no bottom
+])
+def test_iso_search_finds_exactly_the_oracle_bijections(other, iso):
+    P = _poset_nerve({(0, 1), (0, 2), (0, 3)})
+    Q = _poset_nerve(other)
+    bijective = [comp for comp in helpers.enumerate_natural_components(P, Q, W2)
+                 if all(len(set(phi.values())) == len(phi) == Q.size(M)
+                        for M, phi in comp.items())]
+    assert bool(bijective) is iso
+    assert (iso_windowed(P, Q, W2) is not None) is iso
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +464,27 @@ def test_act_cache_respects_environment_bound(monkeypatch):
             for c in NIb.cells(M):
                 NIb.act(f, c)
     assert len(NIb._acts) <= 8
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_act_cache_bound_rejects_invalid_environment(monkeypatch, value):
+    monkeypatch.setenv("PRECATS_CACHE_SIZE", value)
+    with pytest.raises(PresheafError, match="PRECATS_CACHE_SIZE"):
+        point(1)
+
+
+def test_act_caches_none_results():
+    P = discrete(1, (None, 1))
+    act_fn, calls = P._act_fn, {}
+
+    def counting(f, c):
+        calls[(f, c)] = calls.get((f, c), 0) + 1
+        return act_fn(f, c)
+
+    P._act_fn = counting
+    for _ in range(3):
+        for f in W2.elementary(1):
+            for c in P.cells(f.target):
+                P.act(f, c)
+    assert any(c is None for _, c in calls)
+    assert set(calls.values()) == {1}

@@ -8,7 +8,7 @@ from precats import theta as th
 from precats.theta import (InvalidMorphismError, InvalidObjectError,
                            ThetaMorphism, compose, enumerate_morphisms,
                            identity, normalize_morphism, object_of,
-                           segal_face_family, window_objects)
+                           segal_faces, window_objects)
 
 import helpers
 
@@ -263,21 +263,23 @@ def test_congruence_of_composition():
 # spine families and generators
 # ---------------------------------------------------------------------------
 
-def test_segal_face_family_small():
-    fam = segal_face_family(2, o(0, []))
+def test_segal_faces_small():
+    fam = segal_faces(o(1, [2]))
     assert [f.components[0] for f in fam] == [(0, 1), (1, 2)]
-    single = segal_face_family(1, o(1, [2]))
+    single = segal_faces(o(2, [1, 2]))
     assert len(single) == 1 and single[0].is_identity()
-    three = segal_face_family(3, o(1, [1]))
+    three = segal_faces(o(2, [3, 1]))
     assert len(three) == 3
     for f in three:
         assert f.source.entries == (1, 1) and f.target.entries == (3, 1)
         assert f.components[1] == (0, 1)
 
 
-def test_segal_face_family_rejects_bad_p():
+def test_segal_faces_rejects_direction_outside_object():
     with pytest.raises(InvalidMorphismError):
-        segal_face_family(0, o(0, []))
+        segal_faces(o(1, []))
+    with pytest.raises(InvalidMorphismError):
+        segal_faces(o(2, [2]), 1)
 
 
 def test_elementary_morphisms_generate_window():
