@@ -8,7 +8,8 @@ Three subcommands:
   on a named build or an imported dump; exit 0 pass, 1 fail;
 * ``verify`` — run the exact-identity suite, one line per identity.
 
-Exit codes: 0 pass, 1 verified failure, 2 usage or parse error.
+Exit codes: 0 pass, 1 verified failure, 2 usage, input or domain error
+(``error: <msg>``), 3 internal error (``internal error: <type>: <msg>``).
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require(args.only is None or args.only in suite_mod.IDENTITIES,
+             f"unknown identity {args.only!r}; known: "
+             f"{', '.join(sorted(suite_mod.IDENTITIES))}")
     result = suite_mod.run_suite(args.window, only=args.only)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True))
@@ -248,9 +252,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except Exception as exc:  # contract: report and exit 2, never a traceback
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of precats itself, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,7 +10,13 @@ window of levels.  Naturality is verified against the face/degeneracy
 generators of the window; every window morphism factors through these inside
 the window, so nothing is lost.  One level-by-level solver finds the levelwise
 maps commuting with those generators; it serves both the isomorphism search
-and the enumeration of natural maps.
+and the enumeration of natural maps.  Each search compiles the levels it
+reaches into tables local to that search (cells in label order, each
+generator as a list of cell indices) and backtracks on integers; the tables
+are freed when the search ends.
+
+The restriction cache of a presheaf may be bounded by ``PRECATS_CACHE_SIZE``;
+a full cache evicts its oldest entry.
 """
 
 from __future__ import annotations
@@ -132,7 +138,7 @@ class Precat:
             raise ActionDomainError(
                 f"action of {f} on {cell!r} left level {f.source} of {self.name}")
         if self._act_limit and len(self._acts) >= self._act_limit:
-            self._acts.clear()
+            del self._acts[next(iter(self._acts))]
         self._acts[key] = result
         return result
 
@@ -461,76 +467,124 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     the rest are matched within groups of equal restriction signature along
     the generators into it.  With ``bijective`` only levelwise bijections are
     produced: each group is permuted onto an equal-sized group of ``Q``.
+
+    Each level is compiled on its first visit: its cells in label order, and
+    each generator between it and an earlier level as a list of cell indices.
+    The search then runs on integers; cells, group keys and images are tried
+    in label order.  The tables live only as long as this generator.
     """
     objs = window.objects(P.n)
-    into: dict[ThetaObject, list] = {}
-    outof: dict[ThetaObject, list] = {}
+    pos = {M: i for i, M in enumerate(objs)}
+    into: list[list] = [[] for _ in objs]    # generators from earlier levels
+    outof: list[list] = [[] for _ in objs]   # generators to earlier levels
     for e in window.elementary(P.n):
-        into.setdefault(e.target, []).append(e)
-        outof.setdefault(e.source, []).append(e)
-    assigned: dict[ThetaObject, dict] = {}
+        s, t = pos[e.source], pos[e.target]
+        if s < t:
+            into[t].append(e)
+        elif t < s:
+            outof[s].append(e)
+    pcells: list[list] = []
+    qcells: list[list] = []
+    qlabels: list[list] = []
+    pindex: list[dict] = []
+    qindex: list[dict] = []
+    levels: list[tuple] = []
 
-    def candidates(M: ThetaObject):
-        cons_in = [e for e in into.get(M, ()) if e.source in assigned]
-        cons_out = [e for e in outof.get(M, ()) if e.target in assigned]
-        forced: dict = {}
-        for e in cons_out:
-            phi_t = assigned[e.target]
-            for t in P.cells(e.target):
-                src_cell = P.act(e, t)
-                want = Q.act(e, phi_t[t])
-                if forced.get(src_cell, want) != want:
+    def restriction(e, i, j):
+        """``e`` from level ``i`` to level ``j`` as index lists on P and Q."""
+        return ([pindex[i][P.act(e, c)] for c in pcells[j]],
+                [qindex[i][Q.act(e, d)] for d in qcells[j]])
+
+    def compile_level(i: int):
+        M = objs[i]
+        pcells.append(sorted(P.cells(M), key=cell_label))
+        labels = {d: cell_label(d) for d in Q.cells(M)}
+        ordered = sorted(labels, key=labels.__getitem__)
+        qcells.append(ordered)
+        qlabels.append([labels[d] for d in ordered])
+        pindex.append({c: k for k, c in enumerate(pcells[i])})
+        qindex.append({d: k for k, d in enumerate(ordered)})
+        ins = []
+        for e in into[i]:
+            s = pos[e.source]
+            ins.append((s, *restriction(e, s, i)))
+        outs = []
+        for e in outof[i]:
+            t = pos[e.target]
+            outs.append((t, *restriction(e, i, t)))
+        sig_q = [tuple(q_rest[d] for _, _, q_rest in ins)
+                 for d in range(len(ordered))]
+        levels.append((ins, outs, sig_q))
+
+    assigned: list[list[int]] = []
+
+    def candidates(i: int):
+        ins, outs, sig_q = levels[i]
+
+        def key_label(key: tuple) -> str:
+            """``cell_label`` of the signature's cells of ``Q``."""
+            return "(" + ",".join(qlabels[s][q] for (s, _, _), q
+                                  in zip(ins, key)) + ")"
+
+        forced = [-1] * len(pcells[i])
+        for t, p_rest, q_rest in outs:
+            phi_t = assigned[t]
+            for c, src in enumerate(p_rest):
+                want = q_rest[phi_t[c]]
+                have = forced[src]
+                if have == -1:
+                    forced[src] = want
+                elif have != want:
                     return
-                forced[src_cell] = want
-        free = Q.cells(M)
-        if bijective:
-            used = set(forced.values())
-            if len(used) != len(forced):
-                return
-            free = free - used
-
-        def sig_p(c):
-            return tuple(assigned[e.source][P.act(e, c)] for e in cons_in)
-
-        def sig_q(d):
-            return tuple(Q.act(e, d) for e in cons_in)
-
+        used = {d for d in forced if d != -1}
+        if bijective and len(used) != len(forced) - forced.count(-1):
+            return
         groups: dict = {}
-        for c in sorted(P.cells(M), key=cell_label):
-            if c in forced:
-                if sig_q(forced[c]) != sig_p(c):
+        for c, d in enumerate(forced):
+            sig = tuple(assigned[s][p_rest[c]] for s, p_rest, _ in ins)
+            if d != -1:
+                if sig_q[d] != sig:
                     return
                 continue
-            groups.setdefault(sig_p(c), []).append(c)
+            groups.setdefault(sig, []).append(c)
         qgroups: dict = {}
-        for d in free:
-            qgroups.setdefault(sig_q(d), []).append(d)
+        for d, sig in enumerate(sig_q):
+            if not (bijective and d in used):
+                qgroups.setdefault(sig, []).append(d)
         if bijective and (set(groups) != set(qgroups) or any(
                 len(qgroups[k]) != len(g) for k, g in groups.items())):
             return
-        keys = sorted(groups, key=cell_label)
+        keys = sorted(groups, key=key_label)
         pools = []
         for k in keys:
-            images = sorted(qgroups.get(k, ()), key=cell_label)
+            images = qgroups.get(k, ())
             pools.append(itertools.permutations(images) if bijective else
                          itertools.product(images, repeat=len(groups[k])))
         for choice in itertools.product(*pools):
-            phi = dict(forced)
+            phi = list(forced)
             for k, chosen in zip(keys, choice):
-                phi.update(zip(groups[k], chosen))
+                for c, d in zip(groups[k], chosen):
+                    phi[c] = d
             yield phi
 
-    def solve(idx: int):
-        if idx == len(objs):
-            yield dict(assigned)
+    def solve(i: int):
+        if i == len(objs):
+            yield {M: dict(zip(pcells[j], [qcells[j][d] for d in assigned[j]]))
+                   for j, M in enumerate(objs)}
             return
-        M = objs[idx]
-        for phi in candidates(M):
-            assigned[M] = phi
-            yield from solve(idx + 1)
-        assigned.pop(M, None)
+        if i == len(levels):
+            compile_level(i)
+        for phi in candidates(i):
+            assigned.append(phi)
+            yield from solve(i + 1)
+            assigned.pop()
 
-    yield from solve(0)
+    # ``solve`` calls itself through its closure, a reference cycle that
+    # holds every table; break it so they are freed when the search ends.
+    try:
+        yield from solve(0)
+    finally:
+        del solve
 
 
 def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
@@ -591,17 +645,23 @@ def dump_json(P: Precat, window: Window) -> str:
 
 
 def precat_from_dump(data: dict, name: str = "dump") -> Precat:
-    """Rebuild a window-backed precat from a canonical dump."""
-    n = data["n"]
-    levels = {object_of(n, lv["object"]): tuple(lv["cells"])
-              for lv in data["levels"]}
-    actions = {}
-    for entry in data["actions"]:
-        m = entry["morphism"]
-        f = theta.ThetaMorphism(object_of(n, m["source"]), object_of(n, m["target"]),
-                                tuple(tuple(c) for c in m["components"]))
-        for src_cell, dst_cell in entry["map"].items():
-            actions[(f, src_cell)] = dst_cell
+    """Rebuild a window-backed precat from a canonical dump.
+
+    A dump missing a key or holding a value of the wrong shape raises
+    ``PresheafError``."""
+    try:
+        n = data["n"]
+        levels = {object_of(n, lv["object"]): tuple(lv["cells"])
+                  for lv in data["levels"]}
+        actions = {}
+        for entry in data["actions"]:
+            m = entry["morphism"]
+            f = theta.ThetaMorphism(object_of(n, m["source"]), object_of(n, m["target"]),
+                                    tuple(tuple(c) for c in m["components"]))
+            for src_cell, dst_cell in entry["map"].items():
+                actions[(f, src_cell)] = dst_cell
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return constant_table_precat(n, levels, actions, name=name)
 
 

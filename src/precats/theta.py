@@ -12,12 +12,20 @@ the *first constant* component (its constant value matters) and discards
 everything after it.  This is the unique reading of the quotient under which
 presheaves for ``n = 1`` are exactly simplicial sets: the two constant
 self-maps of ``{0,1}`` stay distinct.
+
+Objects and morphisms are hashed on every presheaf cache lookup, so each
+stores its hash once at construction (``_hash``, the same value the dataclass
+would compute, and ignored by equality, ordering and repr).  The morphism
+surgery used by the lower-dimensional constructions, ``tail_morphism`` and
+``prepend_prefix``, is memoized, and tail morphisms share their endpoint
+objects; ``compose`` and ``normalize_morphism`` are not memoized, since a
+memo there would keep every composite of a functoriality sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -42,12 +50,13 @@ class CompositionError(ThetaError):
 # objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ThetaObject:
     """A site object: ambient dimension ``n`` plus positive entries."""
 
     n: int
     entries: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -57,6 +66,10 @@ class ThetaObject:
                 f"length {len(self.entries)} exceeds ambient dimension {self.n}")
         if any(e < 1 for e in self.entries):
             raise InvalidObjectError(f"entries must be positive: {self.entries}")
+        object.__setattr__(self, "_hash", hash((self.n, self.entries)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def length(self) -> int:
@@ -115,7 +128,7 @@ def _is_constant(comp: tuple[int, ...]) -> bool:
     return len(set(comp)) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaMorphism:
     """Normal form of a morphism ``source -> target``.
 
@@ -128,6 +141,7 @@ class ThetaMorphism:
     source: ThetaObject
     target: ThetaObject
     components: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.n != self.target.n:
@@ -149,6 +163,11 @@ class ThetaMorphism:
         if len(self.components) < n and (
                 not self.components or not _is_constant(self.components[-1])):
             raise InvalidMorphismError("normal form must end with the first constant component")
+        object.__setattr__(self, "_hash",
+                           hash((self.source, self.target, self.components)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -304,15 +323,23 @@ def segal_faces(M: ThetaObject, d: int = 0) -> list[ThetaMorphism]:
 # morphism surgery used by presheaf constructions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def tail_morphism(f: ThetaMorphism) -> ThetaMorphism:
     """Strip the first direction: the induced morphism between tail objects."""
     if f.n == 0:
         raise InvalidMorphismError("no tail in ambient dimension 0")
-    src = object_of(f.n - 1, f.source.entries[1:])
-    tgt = object_of(f.n - 1, f.target.entries[1:])
-    return normalize_morphism(src, tgt, f.lift()[1:])
+    return normalize_morphism(_tail_object(f.source), _tail_object(f.target),
+                              f.lift()[1:])
 
 
+@lru_cache(maxsize=None)
+def _tail_object(obj: ThetaObject) -> ThetaObject:
+    """Shared tail objects, so memoized tail morphisms do not each keep
+    their own copies."""
+    return object_of(obj.n - 1, obj.entries[1:])
+
+
+@lru_cache(maxsize=None)
 def prepend_prefix(prefix: tuple[int, ...], g: ThetaMorphism, n: int) -> ThetaMorphism:
     """Extend ``g`` by identities on ``prefix`` directions, as a morphism in
     ambient dimension ``n`` from ``prefix + g.source`` to ``prefix + g.target``."""

@@ -322,3 +322,93 @@ def enumerate_natural_components(P, Q, window):
 
     solve(0)
     return results
+
+
+# ---------------------------------------------------------------------------
+# object-keyed natural-map solver (dual route for the compiled solver)
+# ---------------------------------------------------------------------------
+
+def natural_components_by_object(P, Q, window, bijective):
+    """Every levelwise map ``P -> Q`` commuting with the window's generators,
+    as ``{level: {cell: image}}`` with levels in window order.
+
+    Backtracking over levels ordered by (length, entry sum).  A level's cells
+    are forced along the generators out of it into already-matched levels;
+    the rest are matched within groups of equal restriction signature along
+    the generators into it.  With ``bijective`` only levelwise bijections are
+    produced: each group is permuted onto an equal-sized group of ``Q``.
+
+    Keeps cells, signatures and pools as the presheaves' own objects and
+    re-sorts each level by label on every visit; the package's solver must
+    yield the same solutions in the same order.
+    """
+    objs = window.objects(P.n)
+    into = {}
+    outof = {}
+    for e in window.elementary(P.n):
+        into.setdefault(e.target, []).append(e)
+        outof.setdefault(e.source, []).append(e)
+    assigned = {}
+
+    def candidates(M):
+        cons_in = [e for e in into.get(M, ()) if e.source in assigned]
+        cons_out = [e for e in outof.get(M, ()) if e.target in assigned]
+        forced = {}
+        for e in cons_out:
+            phi_t = assigned[e.target]
+            for t in P.cells(e.target):
+                src_cell = P.act(e, t)
+                want = Q.act(e, phi_t[t])
+                if forced.get(src_cell, want) != want:
+                    return
+                forced[src_cell] = want
+        free = Q.cells(M)
+        if bijective:
+            used = set(forced.values())
+            if len(used) != len(forced):
+                return
+            free = free - used
+
+        def sig_p(c):
+            return tuple(assigned[e.source][P.act(e, c)] for e in cons_in)
+
+        def sig_q(d):
+            return tuple(Q.act(e, d) for e in cons_in)
+
+        groups = {}
+        for c in sorted(P.cells(M), key=cell_label):
+            if c in forced:
+                if sig_q(forced[c]) != sig_p(c):
+                    return
+                continue
+            groups.setdefault(sig_p(c), []).append(c)
+        qgroups = {}
+        for d in free:
+            qgroups.setdefault(sig_q(d), []).append(d)
+        if bijective and (set(groups) != set(qgroups) or any(
+                len(qgroups[k]) != len(g) for k, g in groups.items())):
+            return
+        keys = sorted(groups, key=cell_label)
+        pools = []
+        for k in keys:
+            images = sorted(qgroups.get(k, ()), key=cell_label)
+            pools.append(itertools.permutations(images) if bijective else
+                         itertools.product(images, repeat=len(groups[k])))
+        for choice in itertools.product(*pools):
+            phi = dict(forced)
+            for k, chosen in zip(keys, choice):
+                phi.update(zip(groups[k], chosen))
+            yield phi
+
+    def solve(idx):
+        if idx == len(objs):
+            yield dict(assigned)
+            return
+        M = objs[idx]
+        for phi in candidates(M):
+            assigned[M] = phi
+            yield from solve(idx + 1)
+        assigned.pop(M, None)
+
+    yield from solve(0)
+

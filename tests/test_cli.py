@@ -1,7 +1,11 @@
 """Command-line surface: build dumps, checks with exit codes, verify suite."""
 
+import hashlib
 import json
 
+import pytest
+
+from precats import presheaf as ps
 from precats.cli import main
 
 
@@ -145,3 +149,43 @@ def test_dump_schema_keys(capsys):
     entry = data["actions"][0]
     assert set(entry) == {"morphism", "map"}
     assert set(entry["morphism"]) == {"source", "target", "components"}
+
+
+def test_domain_and_io_errors_exit_2(tmp_path, monkeypatch, capsys):
+    code, _, err = run(["check", "segal", "--in", str(tmp_path / "missing.json")],
+                       capsys)
+    assert code == 2 and err.startswith("error: ")
+    for i, text in enumerate(['[1, 2]', '{"n": 1}', '{"n": 1, "levels": [1]}']):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        code, _, err = run(["check", "segal", "--in", str(bad)], capsys)
+        assert code == 2 and err.startswith("error: malformed dump")
+    monkeypatch.setenv("PRECATS_CACHE_SIZE", "abc")
+    code, _, err = run(["build", "point", "--window", "2"], capsys)
+    assert code == 2 and err.startswith("error: ") and "PRECATS_CACHE_SIZE" in err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(P, window):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ps, "dump_json", broken)
+    code, _, err = run(["build", "point", "--window", "2"], capsys)
+    assert code == 3
+    assert err.strip() == "internal error: RuntimeError: boom"
+
+
+# SHA-256 of each dump as written by the seed version of precats; dumps stay
+# byte-identical until the schema is versioned.
+@pytest.mark.parametrize("args, sha256", [
+    (["nerve", "--category", "Z2", "--n", "1"],
+     "55e36af0f108a64d83529cfbd11988f5d77adcb1c7a98e82a03ecf01aa9516a0"),
+    (["upsilon", "--inputs", "point", "point"],
+     "9fdea480f18fe51002ce327ef96b5752a3b84ddb373299ab397d4593392a2ad6"),
+    (["cell", "--k", "1", "--n", "1"],
+     "faeb19b58fda45a3ad052a60c1a1490b17f79c746e2a77bb339c4c1c5cf20a82"),
+])
+def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
+    out = tmp_path / "dump.json"
+    assert main(["build", *args, "--window", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -253,6 +253,49 @@ def test_iso_search_finds_exactly_the_oracle_bijections(other, iso):
     assert (iso_windowed(P, Q, W2) is not None) is iso
 
 
+def _solver_cases():
+    for diagram in ("span", "fold", "vertex"):
+        po, targets = _pushout_diagram(diagram)
+        for Z in (po.precat,) + targets:
+            yield f"{diagram}->{Z.name}", po.precat, Z
+    P = _poset_nerve({(0, 1), (0, 2), (0, 3)})
+    yield "relabelled", P, _poset_nerve({(2, 0), (2, 1), (2, 3)})
+    yield "opposite", P, _poset_nerve({(1, 0), (2, 0), (3, 0)})
+    # two parallel pairs 0 => 1 and 2 => 3: two signature groups that both
+    # branch, so the order of group keys shows in the solution sequence
+    objs = (0, 1, 2, 3)
+    ends = {"f": (0, 1), "g": (0, 1), "h": (2, 3), "k": (2, 3)}
+    ends.update({x: (x, x) for x in objs})
+    C = FiniteCategory(objs, tuple(ends), {a: s for a, (s, _) in ends.items()},
+                       {a: t for a, (_, t) in ends.items()}, {x: x for x in objs},
+                       {(a, b): b if a in objs else a for a in ends for b in ends
+                        if ends[a][1] == ends[b][0]})
+    N = nerve(C, 1)
+    yield "parallel-pairs", N, N
+
+
+@pytest.mark.parametrize("bijective", [True, False])
+def test_compiled_solver_matches_object_keyed_oracle(bijective):
+    """Same solutions in the same order; the iso search returns the oracle's
+    first bijection, and None where the oracle has none."""
+    positives = negatives = 0
+    for case, P, Q in _solver_cases():
+        got = list(_natural_components(P, Q, W2, bijective))
+        want = list(helpers.natural_components_by_object(P, Q, W2, bijective))
+        assert got == want, case
+        if not bijective:
+            continue
+        iso = iso_windowed(P, Q, W2)
+        if not want:
+            assert iso is None, case
+            negatives += 1
+            continue
+        positives += 1
+        assert {M: {c: iso.apply(M, c) for c in P.cells(M)}
+                for M in W2.objects(P.n)} == want[0], case
+    assert not bijective or (positives >= 4 and negatives >= 4)
+
+
 # ---------------------------------------------------------------------------
 # cofibrations
 # ---------------------------------------------------------------------------
@@ -457,13 +500,18 @@ def test_generator_naturality_agrees_with_full_scan():
 
 
 def test_act_cache_respects_environment_bound(monkeypatch):
+    """Once full, the cache evicts its oldest entry and keeps the newest."""
     monkeypatch.setenv("PRECATS_CACHE_SIZE", "8")
     NIb = nerve(FiniteCategory.iso_interval(), 1)
+    inserted = []
     for M in W2.objects(1):
         for f in enumerate_morphisms(M, M):
             for c in NIb.cells(M):
+                if (f, c) not in NIb._acts:
+                    inserted.append((f, c))
                 NIb.act(f, c)
-    assert len(NIb._acts) <= 8
+                assert list(NIb._acts) == inserted[-8:]
+    assert len(inserted) > 8
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

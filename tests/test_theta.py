@@ -1,6 +1,8 @@
 """Site-level laws: object representatives, morphism normal forms, the
 quotient against an independent action oracle, composition and enumeration."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -321,3 +323,60 @@ def test_serialization_roundtrip():
         rebuilt = ThetaMorphism(o(2, d["source"]), o(2, d["target"]),
                                 tuple(tuple(c) for c in d["components"]))
         assert rebuilt == f
+
+
+# ---------------------------------------------------------------------------
+# cached hashes and memoized surgery
+# ---------------------------------------------------------------------------
+
+def _w2_site(n):
+    objs = window_objects(n, 2)
+    return objs, [f for s in objs for t in objs for f in enumerate_morphisms(s, t)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_hashes_equal_the_field_tuple_hash(n):
+    objs, mors = _w2_site(n)
+    for obj in objs:
+        assert hash(obj) == hash((obj.n, obj.entries))
+    for f in mors:
+        assert hash(f) == hash((f.source, f.target, f.components))
+
+
+def test_cached_hash_is_invisible_to_eq_order_and_repr():
+    a, b = o(2, [1, 2]), o(2, [1, 2])
+    object.__setattr__(b, "_hash", hash(b) + 1)
+    assert a == b and not a < b and not b < a and repr(a) == repr(b)
+    assert o(2, [1]) < b and "_hash" not in repr(b)
+    f, g = identity(a), identity(o(2, [1, 2]))
+    object.__setattr__(g, "_hash", hash(g) + 1)
+    assert f == g and repr(f) == repr(g) and "_hash" not in repr(g)
+
+
+def test_site_values_stay_frozen():
+    obj = o(2, [1, 2])
+    f = identity(obj)
+    for target, attr in ((obj, "n"), (obj, "entries"), (obj, "_hash"),
+                         (f, "source"), (f, "components"), (f, "_hash")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, attr, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memoized_surgery_matches_fresh_normal_forms(n):
+    _, mors = _w2_site(n)
+    for f in mors:
+        src = o(n - 1, f.source.entries[1:])
+        tgt = o(n - 1, f.target.entries[1:])
+        fresh = normalize_morphism(src, tgt, f.lift()[1:])
+        assert th.tail_morphism(f) == fresh
+        assert th.tail_morphism(f) is th.tail_morphism(f)
+    if n == 1:
+        return
+    _, lower = _w2_site(n - 1)
+    for g in lower:
+        for prefix in ((1,), (2,)):
+            fresh = normalize_morphism(
+                o(n, prefix + g.source.entries), o(n, prefix + g.target.entries),
+                [tuple(range(e + 1)) for e in prefix] + list(g.lift()))
+            assert th.prepend_prefix(prefix, g, n) == fresh
