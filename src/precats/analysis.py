@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from . import theta
 from .constructions import FiniteCategory
-from .presheaf import Precat, PrecatMap, Window, hom_precat, slice_precat
+from .presheaf import (Precat, PrecatMap, Window, hom_precat, quotient,
+                       slice_precat)
 from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
                     object_of, vertex, zero_object)
 
@@ -58,7 +59,6 @@ class SegalEntry:
     target_size: int
     injective: bool
     surjective: bool
-    mapping: dict            # cell -> tuple of spine restrictions
 
     @property
     def bijective(self) -> bool:
@@ -109,7 +109,6 @@ def segal_check(A: Precat, window: Window) -> SegalReport:
                 source_size=len(mapping), target_size=len(target),
                 injective=len(set(images)) == len(images),
                 surjective=set(target) <= set(images),
-                mapping=mapping,
             )
             report.entries.append(entry)
     return report
@@ -215,17 +214,11 @@ def _tau_zero_classes(A: Precat, window: Window) -> dict:
                 continue
             if comp.get((ka, kb)) == id_class[x] and comp.get((kb, ka)) == id_class[y]:
                 iso_pairs.add((x, y))
-    classes: dict = {x: {x} for x in objects}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in iso_pairs:
-            if classes[x] is not classes[y]:
-                merged = classes[x] | classes[y]
-                for z in merged:
-                    classes[z] = merged
-                changed = True
-    return {x: frozenset(classes[x]) for x in objects}
+    rep = quotient(objects, iso_pairs)
+    classes: dict = {}
+    for x in objects:
+        classes.setdefault(rep[x], set()).add(x)
+    return {x: frozenset(classes[rep[x]]) for x in objects}
 
 
 def _strict_at_or_undefined(A: Precat, entries) -> None:

@@ -308,12 +308,10 @@ def upsilon_face(inputs: list[Precat], which, legacy: bool = False) -> PrecatMap
         reduced = inputs[:-1]
         rho = tuple(range(k))
         reindex = {j: (j,) for j in range(1, k)}
-        factors = {j: None for j in range(1, k)}
     elif which == "drop_first":
         reduced = inputs[1:]
         rho = tuple(range(1, k + 1))
         reindex = {j: (j + 1,) for j in range(1, k)}
-        factors = {j: None for j in range(1, k)}
     elif isinstance(which, tuple) and which[0] == "merge":
         i = which[1]
         if not 1 <= i <= k - 1:
@@ -322,7 +320,6 @@ def upsilon_face(inputs: list[Precat], which, legacy: bool = False) -> PrecatMap
         rho = tuple(v if v < i else v + 1 for v in range(k))
         reindex = {j: (j,) if j < i else ((i, i + 1) if j == i else (j + 1,))
                    for j in range(1, k)}
-        factors = {j: ("pair" if j == i else None) for j in range(1, k)}
     else:
         raise InvalidArgumentError(f"unknown face descriptor {which!r}")
     dom = upsilon(reduced, legacy=legacy)
@@ -335,7 +332,7 @@ def upsilon_face(inputs: list[Precat], which, legacy: bool = False) -> PrecatMap
         placed = {}
         for pos, j in enumerate(_edge_indices(y[0], y[-1], legacy)):
             targets = reindex[j]
-            if factors[j] == "pair":
+            if len(targets) == 2:
                 placed[targets[0]], placed[targets[1]] = values[pos]
             else:
                 placed[targets[0]] = values[pos]

@@ -15,15 +15,16 @@ reaches into tables local to that search (cells in label order, each
 generator as a list of cell indices) and backtracks on integers; the tables
 are freed when the search ends.
 
-The restriction cache of a presheaf may be bounded by ``PRECATS_CACHE_SIZE``;
-a full cache evicts its oldest entry.
+Restrictions are memoized without bound.  The cells of a pushout are the
+classes of one union-find per level, each named by its label-minimal member;
+a pushout's precat and inclusions close over that class table, not over the
+pushout, so no reference cycle keeps a pushout alive.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -84,21 +85,6 @@ class Window:
                 yield s, t, enumerate_morphisms(s, t)
 
 
-def _act_cache_limit() -> int:
-    """Restriction-cache bound; 0 means unbounded.  The environment variable
-    is the only runtime knob; a value that is not a non-negative integer is
-    rejected."""
-    raw = os.environ.get("PRECATS_CACHE_SIZE", "0")
-    try:
-        limit = int(raw)
-        if limit >= 0:
-            return limit
-    except ValueError:
-        pass
-    raise PresheafError(
-        f"PRECATS_CACHE_SIZE must be a non-negative integer, got {raw!r}")
-
-
 _MISS = object()
 
 
@@ -114,7 +100,6 @@ class Precat:
         self._act_fn = act_fn
         self._levels: dict[ThetaObject, frozenset] = {}
         self._acts: dict[tuple[ThetaMorphism, object], object] = {}
-        self._act_limit = _act_cache_limit()
 
     def cells(self, M: ThetaObject) -> frozenset:
         if M.n != self.n:
@@ -137,8 +122,6 @@ class Precat:
         if result not in self.cells(f.source):
             raise ActionDomainError(
                 f"action of {f} on {cell!r} left level {f.source} of {self.name}")
-        if self._act_limit and len(self._acts) >= self._act_limit:
-            del self._acts[next(iter(self._acts))]
         self._acts[key] = result
         return result
 
@@ -276,63 +259,78 @@ def swap_map(P: Precat, Q: Precat) -> PrecatMap:
 # pushouts
 # ---------------------------------------------------------------------------
 
+def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
+    """Each member mapped to the label-minimal member of its class under the
+    equivalence generated by ``pairs``.
+
+    Union-find with path halving (Tarjan 1975): roots are linked plainly, and
+    each class of more than one member picks its representative once at the
+    end, so every member is labelled at most once.
+    """
+    table = {x: x for x in members}
+
+    def find(x):
+        while table[x] != x:
+            table[x] = table[table[x]]
+            x = table[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            table[rx] = ry
+    groups: dict = {}
+    for x in table:
+        groups.setdefault(find(x), []).append(x)
+    for group in groups.values():
+        if len(group) > 1:
+            rep = min(group, key=cell_label)
+            for x in group:
+                table[x] = rep
+    return table
+
+
 class PushoutData:
     """Objectwise pushout of ``f: R -> P`` and ``g: R -> Q``.
 
     Cells are canonical representatives of the identification classes of the
     tagged disjoint union; the representative is the label-minimal member, so
-    dumps are reproducible.
+    dumps are reproducible.  The precat and both inclusions close over the
+    per-level class tables only, never over the pushout itself.
     """
 
     def __init__(self, f: PrecatMap, g: PrecatMap, name: str = "po"):
         if f.domain is not g.domain:
             raise PresheafError("pushout legs must share one domain instance")
-        self.f, self.g = f, g
-        self.R, self.P, self.Q = f.domain, f.codomain, g.codomain
-        self._classes: dict[ThetaObject, dict] = {}
-        self.precat = Precat(self.P.n, self._eval, self._act, name=name)
-        self.inl = PrecatMap(self.P, self.precat,
-                             lambda M, c: self.class_of(M, ("L", c)), name="inl")
-        self.inr = PrecatMap(self.Q, self.precat,
-                             lambda M, c: self.class_of(M, ("R", c)), name="inr")
+        R, P, Q = f.domain, f.codomain, g.codomain
+        self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q
+        tables: dict[ThetaObject, dict] = {}
 
-    def _level_classes(self, M: ThetaObject) -> dict:
-        got = self._classes.get(M)
-        if got is not None:
+        def classes(M: ThetaObject) -> dict:
+            got = tables.get(M)
+            if got is None:
+                got = tables[M] = quotient(
+                    itertools.chain((("L", c) for c in P.cells(M)),
+                                    (("R", c) for c in Q.cells(M))),
+                    ((("L", f.apply(M, r)), ("R", g.apply(M, r)))
+                     for r in R.cells(M)))
             return got
-        parent: dict = {}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        def act(e: ThetaMorphism, rep):
+            side, c = rep
+            inner = P if side == "L" else Q
+            return classes(e.source)[side, inner.act(e, c)]
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry, key=cell_label)] = min(rx, ry, key=cell_label)
-
-        for c in self.P.cells(M):
-            parent[("L", c)] = ("L", c)
-        for c in self.Q.cells(M):
-            parent[("R", c)] = ("R", c)
-        for r in self.R.cells(M):
-            union(("L", self.f.apply(M, r)), ("R", self.g.apply(M, r)))
-        table = {x: find(x) for x in parent}
-        self._classes[M] = table
-        return table
+        self._classes = classes
+        self.precat = Precat(P.n, lambda M: set(classes(M).values()), act,
+                             name=name)
+        self.inl = PrecatMap(P, self.precat,
+                             lambda M, c: classes(M)["L", c], name="inl")
+        self.inr = PrecatMap(Q, self.precat,
+                             lambda M, c: classes(M)["R", c], name="inr")
 
     def class_of(self, M: ThetaObject, tagged):
-        return self._level_classes(M)[tagged]
-
-    def _eval(self, M: ThetaObject):
-        return set(self._level_classes(M).values())
-
-    def _act(self, fmor: ThetaMorphism, rep):
-        side, c = rep
-        inner = self.P if side == "L" else self.Q
-        return self.class_of(fmor.source, (side, inner.act(fmor, c)))
+        return self._classes(M)[tagged]
 
     def induced(self, u: PrecatMap, v: PrecatMap, name: str = "fold") -> PrecatMap:
         """The map out of the pushout determined by a commuting cocone."""
@@ -627,14 +625,11 @@ def dump_window(P: Precat, window: Window) -> dict:
     levels = [{"object": list(M.entries),
                "cells": sorted(labels[M].values())} for M in objs]
     actions = []
-    for s in objs:
-        for t in objs:
-            for f in enumerate_morphisms(s, t):
-                actions.append({
-                    "morphism": f.to_dict(),
-                    "map": {labels[t][c]: labels[s][P.act(f, c)]
-                            for c in sorted(P.cells(t), key=cell_label)},
-                })
+    for s, t, mors in window.morphisms(P.n):
+        source, target = labels[s], labels[t]
+        for f in mors:
+            actions.append({"morphism": f.to_dict(),
+                            "map": {target[c]: source[P.act(f, c)] for c in target}})
     return {"n": P.n, "window": {"B": window.B}, "levels": levels,
             "actions": actions}
 

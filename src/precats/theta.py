@@ -204,25 +204,15 @@ def normalize_morphism(source: ThetaObject, target: ThetaObject,
 
     Components are scanned left to right; the first constant one is kept
     (its value matters) and everything after it is discarded.  Components out
-    of a zero-padded source position are constant by arity.
+    of a zero-padded source position are constant by arity.  The kept
+    components are validated by ``ThetaMorphism``.
     """
-    if source.n != target.n:
-        raise InvalidMorphismError("source and target live in different ambient dimensions")
-    n = source.n
-    lift = [tuple(c) for c in lift]
-    if len(lift) != n:
-        raise InvalidMorphismError(f"expected {n} components, got {len(lift)}")
+    if len(lift) != source.n:
+        raise InvalidMorphismError(f"expected {source.n} components, got {len(lift)}")
     stored = []
-    for i, comp in enumerate(lift):
-        a, b = source.padded(i), target.padded(i)
-        if len(comp) != a + 1:
-            raise InvalidMorphismError(f"component {i} has wrong arity for [{a}]")
-        if any(v < 0 or v > b for v in comp):
-            raise InvalidMorphismError(f"component {i} leaves [{b}]")
-        if any(comp[j] > comp[j + 1] for j in range(len(comp) - 1)):
-            raise InvalidMorphismError(f"component {i} is not order-preserving")
-        stored.append(comp)
-        if _is_constant(comp):
+    for comp in lift:
+        stored.append(tuple(comp))
+        if _is_constant(stored[-1]):
             break
     return ThetaMorphism(source, target, tuple(stored))
 

@@ -10,6 +10,7 @@ actions plain precomposition.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from precats import FiniteCategory, cell_label
 
@@ -412,3 +413,33 @@ def natural_components_by_object(P, Q, window, bijective):
 
     yield from solve(0)
 
+
+
+# ---------------------------------------------------------------------------
+# brute-force equivalence closure (dual route for the pushout union-find)
+# ---------------------------------------------------------------------------
+
+def closure_classes(members, pairs):
+    """Each member mapped to the label-minimal member of its connected
+    component in the undirected graph of ``pairs``, found by BFS."""
+    members = list(members)
+    neighbours = {x: [] for x in members}
+    for x, y in pairs:
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    table = {}
+    for start in members:
+        if start in table:
+            continue
+        component, queue = [start], deque([start])
+        seen = {start}
+        while queue:
+            for y in neighbours[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+                    queue.append(y)
+        rep = min(component, key=cell_label)
+        for y in component:
+            table[y] = rep
+    return table

@@ -151,7 +151,7 @@ def test_dump_schema_keys(capsys):
     assert set(entry["morphism"]) == {"source", "target", "components"}
 
 
-def test_domain_and_io_errors_exit_2(tmp_path, monkeypatch, capsys):
+def test_domain_and_io_errors_exit_2(tmp_path, capsys):
     code, _, err = run(["check", "segal", "--in", str(tmp_path / "missing.json")],
                        capsys)
     assert code == 2 and err.startswith("error: ")
@@ -160,9 +160,6 @@ def test_domain_and_io_errors_exit_2(tmp_path, monkeypatch, capsys):
         bad.write_text(text)
         code, _, err = run(["check", "segal", "--in", str(bad)], capsys)
         assert code == 2 and err.startswith("error: malformed dump")
-    monkeypatch.setenv("PRECATS_CACHE_SIZE", "abc")
-    code, _, err = run(["build", "point", "--window", "2"], capsys)
-    assert code == 2 and err.startswith("error: ") and "PRECATS_CACHE_SIZE" in err
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

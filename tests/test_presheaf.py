@@ -1,7 +1,9 @@
 """Presheaf-core laws: evaluation, actions, products, pushouts with their
 universal property, cofibration checks, windowed isomorphism and dumps."""
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,10 @@ from precats import (FiniteCategory, Precat, PrecatMap, Window, cell_label,
                      dump_window, enumerate_natural_maps, hom_precat,
                      identity_map, is_cofibration, iso_windowed, nerve,
                      object_of, point, precat_from_dump, product, pushout,
-                     upsilon, zero_object)
-from precats.presheaf import (ActionDomainError, PresheafError,
-                              _natural_components, constant_table_precat)
+                     terminal_map, upsilon, zero_object)
+from precats.constructions import cell, pushout_product
+from precats.presheaf import (ActionDomainError, _natural_components,
+                              constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
 
 import helpers
@@ -211,6 +214,52 @@ def test_pushout_universal_property_exhaustive(diagram):
                 H.apply(M, po.inr.apply(M, c)) == v.apply(M, c)
                 for M in window.objects(n) for c in po.g.codomain.cells(M))]
             assert len(matches) == 1
+
+
+def test_pushout_merges_cells_with_equal_labels():
+    """1 and "1" share the label "1"; gluing both to the point leaves one cell."""
+    R, P = discrete(1, ("a", "b")), discrete(1, (1, "1"))
+    f = PrecatMap(R, P, lambda M, c: 1 if c == "a" else "1", name="tie")
+    po = pushout(f, terminal_map(R))
+    for M in W2.objects(1):
+        assert po.precat.size(M) == 1
+
+
+def _corner_source():
+    inc = cell(1, 1).inclusion
+    return pushout_product(inc, inc).source
+
+
+@pytest.mark.parametrize("build", ["cell", "corner"])
+def test_pushouts_are_freed_without_the_cycle_collector(build):
+    """A pushout, its precat and its inclusions hold no reference cycle."""
+    gc.disable()
+    try:
+        if build == "cell":
+            data = cell(2, 1)
+            objs = [data, data.boundary, data.inclusion]
+        else:
+            data = _corner_source()
+            objs = [data, data.precat, data.inl, data.inr]
+        for M in W2.objects(1):
+            objs[1].cells(M)
+        refs = [weakref.ref(x) for x in objs]
+        del data, objs
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("diagram", ["span", "fold", "vertex", "corner"])
+def test_pushout_classes_match_bfs_closure(diagram):
+    po = _corner_source() if diagram == "corner" else _pushout_diagram(diagram)[0]
+    for M in W2.objects(1):
+        members = [("L", c) for c in po.P.cells(M)] + [("R", c) for c in po.Q.cells(M)]
+        pairs = [(("L", po.f.apply(M, r)), ("R", po.g.apply(M, r)))
+                 for r in po.R.cells(M)]
+        want = helpers.closure_classes(members, pairs)
+        assert {x: po.class_of(M, x) for x in members} == want
+        assert po.precat.cells(M) == frozenset(want.values())
 
 
 def _component_set(components):
@@ -497,28 +546,6 @@ def test_generator_naturality_agrees_with_full_scan():
         gen = m.naturality_violations(W2)
         full = m.naturality_violations(W2, full=True)
         assert (not gen) == (not full) == expect_clean
-
-
-def test_act_cache_respects_environment_bound(monkeypatch):
-    """Once full, the cache evicts its oldest entry and keeps the newest."""
-    monkeypatch.setenv("PRECATS_CACHE_SIZE", "8")
-    NIb = nerve(FiniteCategory.iso_interval(), 1)
-    inserted = []
-    for M in W2.objects(1):
-        for f in enumerate_morphisms(M, M):
-            for c in NIb.cells(M):
-                if (f, c) not in NIb._acts:
-                    inserted.append((f, c))
-                NIb.act(f, c)
-                assert list(NIb._acts) == inserted[-8:]
-    assert len(inserted) > 8
-
-
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_act_cache_bound_rejects_invalid_environment(monkeypatch, value):
-    monkeypatch.setenv("PRECATS_CACHE_SIZE", value)
-    with pytest.raises(PresheafError, match="PRECATS_CACHE_SIZE"):
-        point(1)
 
 
 def test_act_caches_none_results():

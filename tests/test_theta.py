@@ -2,6 +2,7 @@
 quotient against an independent action oracle, composition and enumeration."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,10 +70,16 @@ def test_identity_on_square_keeps_both_components():
     assert identity(m).components == ((0, 1, 2), (0, 1, 2))
 
 
-def test_normalize_rejects_non_monotone():
+@pytest.mark.parametrize("lift, message", [
+    ([(1, 0, 2)], "component 0 is not order-preserving"),
+    ([(0, 1)], "component 0 has wrong arity for [2]"),
+    ([(0, 1, 3)], "component 0 leaves [2]"),
+    ([(0, 1, 2), (0,)], "expected 1 components, got 2"),
+], ids=["monotone", "arity", "range", "lift-length"])
+def test_normalize_rejects_non_monotone(lift, message):
     a = o(1, [2])
-    with pytest.raises(InvalidMorphismError):
-        normalize_morphism(a, a, [(1, 0, 2)])
+    with pytest.raises(InvalidMorphismError, match=re.escape(message)):
+        normalize_morphism(a, a, lift)
 
 
 def test_normal_form_shape_is_validated():
