@@ -6,14 +6,15 @@ cell over ``M'`` to its restriction over ``M``.  Both are memoized, so any
 level is computed at most once.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
-window of levels.  Naturality is verified against the face/degeneracy
-generators of the window; every window morphism factors through these inside
-the window, so nothing is lost.  One level-by-level solver finds the levelwise
-maps commuting with those generators; it serves both the isomorphism search
-and the enumeration of natural maps.  Each search compiles the levels it
-reaches into tables local to that search (cells in label order, each
-generator as a list of cell indices) and backtracks on integers; the tables
-are freed when the search ends.
+window of levels, only through the window's face/degeneracy generators.  This
+loses nothing where every window morphism is a composite of generators inside
+the window: the tests certify that for n <= 3 on small windows, and larger
+windows rest on it unchecked.  One level-by-level solver finds the levelwise
+maps commuting with the generators; it serves both the isomorphism search and
+the enumeration of natural maps.  Each search compiles the levels it reaches
+into tables local to that search (cells in label order, each generator as a
+list of cell indices) and backtracks on integers; the tables are freed when
+the search ends.
 
 Restrictions are memoized without bound.  The cells of a pushout are the
 classes of one union-find per level, each named by its label-minimal member;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import theta
@@ -158,15 +159,10 @@ class PrecatMap:
                          lambda M, c: other.apply(M, self.apply(M, c)),
                          name=f"{self.name};{other.name}")
 
-    def naturality_violations(self, window: Window, full: bool = False) -> list:
-        """Commuting failures against the window's generators (or, with
-        ``full``, against every window morphism)."""
+    def naturality_violations(self, window: Window) -> list:
+        """Commuting failures against the window's generators."""
         out = []
-        if full:
-            mors = [m for _, _, ms in window.morphisms(self.domain.n) for m in ms]
-        else:
-            mors = window.elementary(self.domain.n)
-        for f in mors:
+        for f in window.elementary(self.domain.n):
             for c in self.domain.cells(f.target):
                 lhs = self.codomain.act(f, self.apply(f.target, c))
                 rhs = self.apply(f.source, self.domain.act(f, c))
@@ -421,35 +417,27 @@ def is_cofibration(u: PrecatMap, window: Window) -> bool:
     return True
 
 
-@dataclass
-class FunctorialityReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_functoriality(P: Precat, window: Window) -> FunctorialityReport:
-    """Identity and composition laws over every window morphism."""
-    report = FunctorialityReport()
-    objs = window.objects(P.n)
-    for M in objs:
+def check_functoriality(P: Precat, window: Window) -> list:
+    """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
+    for each window morphism ``f`` and generator ``e`` into its source; by
+    induction on generator factorisations these imply the full composition law."""
+    out = []
+    for M in window.objects(P.n):
         idm = identity(M)
         for c in P.cells(M):
             if P.act(idm, c) != c:
-                report.violations.append(("identity", M, c))
-    homs = {(s, t): enumerate_morphisms(s, t) for s in objs for t in objs}
-    for a in objs:
-        for b in objs:
-            for c_obj in objs:
-                for f in homs[(b, c_obj)]:
-                    for g in homs[(a, b)]:
-                        fg = compose(f, g)
-                        for c in P.cells(c_obj):
-                            if P.act(fg, c) != P.act(g, P.act(f, c)):
-                                report.violations.append(("composition", f, g, c))
-    return report
+                out.append(("identity", M, c))
+    into: dict = {}
+    for e in window.elementary(P.n):
+        into.setdefault(e.target, []).append(e)
+    for _, t, mors in window.morphisms(P.n):
+        for f in mors:
+            for e in into.get(f.source, ()):
+                fe = compose(f, e)
+                for c in P.cells(t):
+                    if P.act(fe, c) != P.act(e, P.act(f, c)):
+                        out.append(("composition", f, e, c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +607,16 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 # ---------------------------------------------------------------------------
 
 def dump_window(P: Precat, window: Window) -> dict:
-    """Complete extensional data of the window, canonically ordered."""
+    """Complete extensional data of the window, canonically ordered; cells are
+    keyed by label, so two cells of one level that label alike are an error."""
     objs = window.objects(P.n)
     labels = {M: {c: cell_label(c) for c in P.cells(M)} for M in objs}
     levels = [{"object": list(M.entries),
                "cells": sorted(labels[M].values())} for M in objs]
+    for M, level in zip(objs, levels):
+        for a, b in zip(level["cells"], level["cells"][1:]):
+            if a == b:
+                raise PresheafError(f"cells of level {M} share the label {a!r}")
     actions = []
     for s, t, mors in window.morphisms(P.n):
         source, target = labels[s], labels[t]

@@ -8,6 +8,7 @@ merge in name order.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -93,11 +94,8 @@ def casezero_table() -> dict[str, float]:
 def wedge_identity(f: ps.PrecatMap, g: ps.PrecatMap, window: ps.Window):
     """Glue three wedges of edge complexes over the middle one and compare
     with the outer wedge."""
-    A, B = f.domain, f.codomain
-    C, D = g.domain, g.codomain
-    UA, UB, UC, UD = (cn.upsilon([X]) for X in (A, B, C, D))
-    Uf = ps.PrecatMap(UA, UB, cn.upsilon_map([f]).apply, name="Uf")
-    Ug = ps.PrecatMap(UC, UD, cn.upsilon_map([g]).apply, name="Ug")
+    Uf, Ug = cn.upsilon_map([f], name="Uf"), cn.upsilon_map([g], name="Ug")
+    UA, UB, UC, UD = Uf.domain, Uf.codomain, Ug.domain, Ug.codomain
     mid = cn.wedge01(UA, UC, "mid")
     left = cn.wedge01(UA, UD, "left")
     right = cn.wedge01(UB, UC, "right")
@@ -154,10 +152,8 @@ def corner_split_identity(f: ps.PrecatMap, g: ps.PrecatMap, window: ps.Window):
         "L": (Q2.inr, merge[("D", "A")], swap),
         "R": (Q2.inl, merge[("C", "B")], swap)}), name="Y->Q2")
     rhs = ps.pushout(y_to_q1, y_to_q2, name="corner-rhs").precat
-    UA, UB, UC, UD = (cn.upsilon([X]) for X in (A, B, C, D))
-    Uf = ps.PrecatMap(UA, UB, cn.upsilon_map([f]).apply, name="Uf")
-    Ug = ps.PrecatMap(UC, UD, cn.upsilon_map([g]).apply, name="Ug")
-    lhs = cn.pushout_product(Uf, Ug).source.precat
+    lhs = cn.pushout_product(cn.upsilon_map([f], name="Uf"),
+                             cn.upsilon_map([g], name="Ug")).source.precat
     return ps.iso_windowed(lhs, rhs, window)
 
 
@@ -220,23 +216,9 @@ def _entry_square_legacy(window: ps.Window):
                          if iso is None else "legacy indexing unexpectedly passed")
 
 
-def _entry_wedge(window: ps.Window):
+def _over_inclusion_pairs(identity, window: ps.Window):
     incls = _inclusions()
-    bad = 0
-    for f in incls:
-        for g in incls:
-            if wedge_identity(f, g, window) is None:
-                bad += 1
-    return bad == 0, f"{len(incls) ** 2 - bad}/{len(incls) ** 2} inclusion pairs"
-
-
-def _entry_corner_split(window: ps.Window):
-    incls = _inclusions()
-    bad = 0
-    for f in incls:
-        for g in incls:
-            if corner_split_identity(f, g, window) is None:
-                bad += 1
+    bad = sum(identity(f, g, window) is None for f in incls for g in incls)
     return bad == 0, f"{len(incls) ** 2 - bad}/{len(incls) ** 2} inclusion pairs"
 
 
@@ -289,13 +271,14 @@ def _entry_whitehead(window: ps.Window):
 
 IDENTITIES = {
     "casezero": _entry_casezero,
-    "corner_split": _entry_corner_split,
+    "corner_split": functools.partial(_over_inclusion_pairs,
+                                      corner_split_identity),
     "cylinder": _entry_cylinder,
     "delooping": _entry_delooping,
     "square": _entry_square,
     "square_legacy": _entry_square_legacy,
     "suspension_tower": _entry_suspension_tower,
-    "wedge": _entry_wedge,
+    "wedge": functools.partial(_over_inclusion_pairs, wedge_identity),
     "whitehead": _entry_whitehead,
 }
 

@@ -128,6 +128,18 @@ def _is_constant(comp: tuple[int, ...]) -> bool:
     return len(set(comp)) == 1
 
 
+def _check_component(source: ThetaObject, target: ThetaObject, i: int,
+                     comp: tuple[int, ...]) -> None:
+    """Reject a component ``i`` that is not monotone ``[a] -> [b]`` on padded entries."""
+    a, b = source.padded(i), target.padded(i)
+    if len(comp) != a + 1:
+        raise InvalidMorphismError(f"component {i} has wrong arity for [{a}]")
+    if any(v < 0 or v > b for v in comp):
+        raise InvalidMorphismError(f"component {i} leaves [{b}]")
+    if any(comp[j] > comp[j + 1] for j in range(len(comp) - 1)):
+        raise InvalidMorphismError(f"component {i} is not order-preserving")
+
+
 @dataclass(frozen=True, slots=True)
 class ThetaMorphism:
     """Normal form of a morphism ``source -> target``.
@@ -150,13 +162,7 @@ class ThetaMorphism:
         if len(self.components) > n:
             raise InvalidMorphismError("more components than ambient positions")
         for i, comp in enumerate(self.components):
-            a, b = self.source.padded(i), self.target.padded(i)
-            if len(comp) != a + 1:
-                raise InvalidMorphismError(f"component {i} has wrong arity for [{a}]")
-            if any(v < 0 or v > b for v in comp):
-                raise InvalidMorphismError(f"component {i} leaves [{b}]")
-            if any(comp[j] > comp[j + 1] for j in range(len(comp) - 1)):
-                raise InvalidMorphismError(f"component {i} is not order-preserving")
+            _check_component(self.source, self.target, i, comp)
         for i, comp in enumerate(self.components[:-1]):
             if _is_constant(comp):
                 raise InvalidMorphismError("constant component before the last stored one")
@@ -205,7 +211,7 @@ def normalize_morphism(source: ThetaObject, target: ThetaObject,
     Components are scanned left to right; the first constant one is kept
     (its value matters) and everything after it is discarded.  Components out
     of a zero-padded source position are constant by arity.  The kept
-    components are validated by ``ThetaMorphism``.
+    components are validated by ``ThetaMorphism``, the discarded ones here.
     """
     if len(lift) != source.n:
         raise InvalidMorphismError(f"expected {source.n} components, got {len(lift)}")
@@ -214,7 +220,10 @@ def normalize_morphism(source: ThetaObject, target: ThetaObject,
         stored.append(tuple(comp))
         if _is_constant(stored[-1]):
             break
-    return ThetaMorphism(source, target, tuple(stored))
+    f = ThetaMorphism(source, target, tuple(stored))
+    for i in range(len(stored), source.n):
+        _check_component(source, target, i, tuple(lift[i]))
+    return f
 
 
 @lru_cache(maxsize=None)

@@ -443,3 +443,63 @@ def closure_classes(members, pairs):
         for y in component:
             table[y] = rep
     return table
+
+
+# ---------------------------------------------------------------------------
+# all-morphism window laws (dual routes for the generator checks)
+# ---------------------------------------------------------------------------
+
+def all_pairs_functoriality_violations(P, window):
+    """Failures of the identity law at each window level and of the
+    composition law over every composable pair of window morphisms."""
+    from precats.theta import compose, enumerate_morphisms, identity
+
+    objs = window.objects(P.n)
+    out = []
+    for M in objs:
+        for c in P.cells(M):
+            if P.act(identity(M), c) != c:
+                out.append(("identity", M, c))
+    for a in objs:
+        for b in objs:
+            for c_obj in objs:
+                for f in enumerate_morphisms(b, c_obj):
+                    for g in enumerate_morphisms(a, b):
+                        fg = compose(f, g)
+                        for c in P.cells(c_obj):
+                            if P.act(fg, c) != P.act(g, P.act(f, c)):
+                                out.append(("composition", f, g, c))
+    return out
+
+
+def all_morphism_naturality_violations(m, window):
+    """Commuting failures of a map against every window morphism."""
+    out = []
+    for _, _, mors in window.morphisms(m.domain.n):
+        for f in mors:
+            for c in m.domain.cells(f.target):
+                lhs = m.codomain.act(f, m.apply(f.target, c))
+                rhs = m.apply(f.source, m.domain.act(f, c))
+                if lhs != rhs:
+                    out.append((f, c, lhs, rhs))
+    return out
+
+
+def generator_closure(window, n):
+    """Every morphism reached from the window's identities by repeated
+    right-composition with its generators, found by BFS."""
+    from precats.theta import compose, identity
+
+    into = {}
+    for e in window.elementary(n):
+        into.setdefault(e.target, []).append(e)
+    reached = {identity(M) for M in window.objects(n)}
+    queue = deque(reached)
+    while queue:
+        f = queue.popleft()
+        for e in into.get(f.source, ()):
+            fe = compose(f, e)
+            if fe not in reached:
+                reached.add(fe)
+                queue.append(fe)
+    return reached

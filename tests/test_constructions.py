@@ -46,7 +46,7 @@ def test_nerve_iso_interval_level_one():
 def test_nerve_constant_in_tail_directions():
     N = nerve(FiniteCategory.iso_interval(), 2)
     assert N.cells(o(2, [2])) == N.cells(o(2, [2, 1])) == N.cells(o(2, [2, 2]))
-    assert check_functoriality(N, W2).ok
+    assert not check_functoriality(N, W2)
 
 
 def test_monoid_category():
@@ -252,7 +252,7 @@ def test_delooping_levels_and_faces():
 
 def test_delooping_simplicial_identities_via_functoriality():
     A = PointedPrecat(nerve(FiniteCategory.interval(), 1), 0)
-    assert check_functoriality(delooping(A), W2).ok
+    assert not check_functoriality(delooping(A), W2)
 
 
 def test_delooping_level_two_is_the_wedge():
@@ -381,7 +381,7 @@ def test_ck_level_counts_and_laws():
     assert not mon.law_violations(W2)
     c1 = ck_monoidal(mon, 1)
     assert [c1.size(o(1, [p])) for p in (1, 2, 3)] == [2, 4, 8]
-    assert check_functoriality(c1, W3).ok
+    assert not check_functoriality(c1, W3)
 
 
 def test_ck_hom_recovers_the_carrier():
@@ -396,7 +396,7 @@ def test_ck_two_levels():
     assert c2.size(o(2, [2])) == 1
     assert c2.size(o(2, [1, 1])) == 2
     assert c2.size(o(2, [2, 2])) == 16
-    assert check_functoriality(c2, W2).ok
+    assert not check_functoriality(c2, W2)
 
 
 def test_ck_needs_commutativity_for_higher_k():
@@ -456,7 +456,7 @@ def test_three_input_complex():
     assert len(hom_precat(U3, 1, (0, 3)).cells(zero_object(0))) == 2
     assert len(hom_precat(U3, 1, (1, 3)).cells(zero_object(0))) == 2
     assert len(hom_precat(U3, 1, (2, 0)).cells(zero_object(0))) == 0
-    assert check_functoriality(U3, W2).ok
+    assert not check_functoriality(U3, W2)
 
 
 def test_three_input_faces():

@@ -14,9 +14,11 @@ from precats import (FiniteCategory, Precat, PrecatMap, Window, cell_label,
                      identity_map, is_cofibration, iso_windowed, nerve,
                      object_of, point, precat_from_dump, product, pushout,
                      terminal_map, upsilon, zero_object)
-from precats.constructions import cell, pushout_product
-from precats.presheaf import (ActionDomainError, _natural_components,
-                              constant_table_precat)
+from precats.constructions import (PointedPrecat, cell, ck_monoidal,
+                                   delooping, pushout_product, sigma_free,
+                                   z2_monoid)
+from precats.presheaf import (ActionDomainError, PresheafError,
+                              _natural_components, constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
 
 import helpers
@@ -124,7 +126,7 @@ def test_product_of_intervals_level_one():
 def test_product_functorial():
     A = nerve(FiniteCategory.interval(), 1)
     P = product(A, upsilon([two_points()]))
-    assert check_functoriality(P, W2).ok
+    assert not check_functoriality(P, W2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ def test_pushout_functorial_and_maps_natural():
     pt = point(1)
     at0 = PrecatMap(pt, A, lambda M, c: A.degeneracy(M, 0), name="at0")
     po = pushout(at0, identity_map(pt))
-    assert check_functoriality(po.precat, W2).ok
+    assert not check_functoriality(po.precat, W2)
     assert not po.inl.naturality_violations(W2)
     assert not po.inr.naturality_violations(W2)
 
@@ -405,7 +407,7 @@ def test_iso_needs_naturality_not_just_counts():
         return constant_table_precat(n, levels, acts, name=f"tbl{flip}")
 
     straight, flipped = tables(False), tables(True)
-    assert check_functoriality(straight, W2).ok
+    assert not check_functoriality(straight, W2)
     assert iso_windowed(straight, straight, W2) is not None
     got = iso_windowed(straight, flipped, W2)
     if got is not None:
@@ -438,9 +440,63 @@ def test_functoriality_negative_control():
     bad_mor = enumerate_morphisms(objs[0], objs[1])[0]
     acts[(bad_mor, "a")] = "b"
     corrupted = constant_table_precat(n, levels, acts, name="bad")
-    report = check_functoriality(corrupted, W2)
-    assert not report.ok
-    assert any(bad_mor in v for v in report.violations)
+    violations = check_functoriality(corrupted, W2)
+    assert violations
+    assert any(bad_mor in v for v in violations)
+
+
+def _corrupted_table(bad_mor):
+    """Two cells at every W2 level of dimension 1, every action the identity
+    except ``bad_mor`` sending ``a`` to ``b``."""
+    objs = W2.objects(1)
+    acts = {(f, c): c for s in objs for t in objs
+            for f in enumerate_morphisms(s, t) for c in ("a", "b")}
+    acts[(bad_mor, "a")] = "b"
+    return constant_table_precat(1, {M: ("a", "b") for M in objs}, acts,
+                                 name="bad")
+
+
+@pytest.mark.parametrize("bad_mor, is_generator", [
+    (enumerate_morphisms(o(1, []), o(1, [1]))[0], True),
+    (enumerate_morphisms(o(1, [2]), o(1, [2]))[0], False),
+], ids=["generator", "composite"])
+def test_functoriality_agrees_with_all_pairs_on_corrupted_tables(
+        bad_mor, is_generator):
+    """A corrupted action is caught through the generators even when the
+    corrupted morphism is not itself a generator."""
+    assert (bad_mor in W2.elementary(1)) == is_generator
+    corrupted = _corrupted_table(bad_mor)
+    violations = check_functoriality(corrupted, W2)
+    assert violations
+    assert helpers.all_pairs_functoriality_violations(corrupted, W2)
+    assert any(bad_mor in v for v in violations)
+
+
+def test_functoriality_agrees_with_all_pairs_on_acceptance_catalogue():
+    """The generator check and the all-pairs oracle both pass the
+    acceptance gate's functoriality catalogue on W2."""
+    catalogue = [
+        nerve(FiniteCategory.iso_interval(), 1),
+        nerve(FiniteCategory.chain(2), 2),
+        sigma_free(1, 2).space,
+        delooping(PointedPrecat(discrete(1, (0, 1)), 0)),
+        ck_monoidal(z2_monoid(), 2),
+        product(nerve(FiniteCategory.interval(), 1), sigma_free(1, 1).space),
+    ]
+    for P in catalogue:
+        assert not check_functoriality(P, W2), P.name
+        assert not helpers.all_pairs_functoriality_violations(P, W2), P.name
+
+
+@pytest.mark.parametrize("n, B", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
+                                  (3, 2)])
+def test_generators_reach_every_window_morphism(n, B):
+    """Certificate of the claim the generator checks rest on: every window
+    morphism is a composite of generators inside the window.  These windows
+    cover every ``check_functoriality`` call of the test suite."""
+    window = Window(B)
+    every = {f for _, _, mors in window.morphisms(n) for f in mors}
+    assert helpers.generator_closure(window, n) == every
 
 
 def test_functoriality_of_pushout_of_validated_maps():
@@ -452,7 +508,7 @@ def test_functoriality_of_pushout_of_validated_maps():
     bang = PrecatMap(two, point(1), lambda M, c: "pt", name="!")
     assert not incl.naturality_violations(W2)
     po = pushout(incl, bang)
-    assert check_functoriality(po.precat, W2).ok
+    assert not check_functoriality(po.precat, W2)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +556,14 @@ def test_dump_roundtrip_preserves_structure():
     data = dump_window(U, W2)
     back = precat_from_dump(data)
     assert iso_windowed(U, back, W2) is not None
-    assert check_functoriality(back, W2).ok
+    assert not check_functoriality(back, W2)
     assert dump_window(back, W2)["levels"] == data["levels"]
+
+
+def test_dump_rejects_cells_with_equal_labels():
+    """1 and "1" share the label "1"; a dump would merge them into one cell."""
+    with pytest.raises(PresheafError, match=r"share the label '1'"):
+        dump_window(discrete(1, (1, "1")), Window(1))
 
 
 def test_hom_precat_fibers():
@@ -544,7 +606,7 @@ def test_generator_naturality_agrees_with_full_scan():
     for fn, expect_clean in ((good, True), (bad, False)):
         m = PrecatMap(NI, NIb, fn, name="probe")
         gen = m.naturality_violations(W2)
-        full = m.naturality_violations(W2, full=True)
+        full = helpers.all_morphism_naturality_violations(m, W2)
         assert (not gen) == (not full) == expect_clean
 
 

@@ -70,14 +70,17 @@ def test_identity_on_square_keeps_both_components():
     assert identity(m).components == ((0, 1, 2), (0, 1, 2))
 
 
-@pytest.mark.parametrize("lift, message", [
-    ([(1, 0, 2)], "component 0 is not order-preserving"),
-    ([(0, 1)], "component 0 has wrong arity for [2]"),
-    ([(0, 1, 3)], "component 0 leaves [2]"),
-    ([(0, 1, 2), (0,)], "expected 1 components, got 2"),
-], ids=["monotone", "arity", "range", "lift-length"])
-def test_normalize_rejects_non_monotone(lift, message):
-    a = o(1, [2])
+@pytest.mark.parametrize("entries, lift, message", [
+    ((2,), [(1, 0, 2)], "component 0 is not order-preserving"),
+    ((2,), [(0, 1)], "component 0 has wrong arity for [2]"),
+    ((2,), [(0, 1, 3)], "component 0 leaves [2]"),
+    ((2,), [(0, 1, 2), (0,)], "expected 1 components, got 2"),
+    ((1, 1), [(0, 0), (9, 7, 5, 3)], "component 1 has wrong arity for [1]"),
+    ((1, 1), [(0, 0), (0, 2)], "component 1 leaves [1]"),
+], ids=["monotone", "arity", "range", "lift-length", "trailing-arity",
+        "trailing-range"])
+def test_normalize_rejects_non_monotone(entries, lift, message):
+    a = o(len(entries), entries)
     with pytest.raises(InvalidMorphismError, match=re.escape(message)):
         normalize_morphism(a, a, lift)
 
