@@ -9,8 +9,6 @@ the category can be recovered from levels up to 3.
 from precats import (FiniteCategory, Window, category_from_nerve, delooping,
                      discrete, nerve, object_of, segal_check, PointedPrecat)
 
-W = Window(3)
-
 I = FiniteCategory.interval()          # two objects, one arrow
 Ibar = FiniteCategory.iso_interval()   # two objects, one isomorphism
 
@@ -22,10 +20,10 @@ NIb = nerve(Ibar, 1)
 print("contractible-pair nerve at (1):", NIb.size(object_of(1, [1])))
 
 # Comparison maps are bijections for every nerve.
-print("interval nerve strict?", segal_check(NI, Window(4, 1)).strict)
+print("interval nerve strict?", segal_check(NI, Window(4)).strict)
 
 # Round trip: objects, arrows, composition recovered from the nerve alone.
-C = category_from_nerve(NIb, W)
+C = category_from_nerve(NIb)
 print("recovered:", len(C.objects), "objects,", len(C.arrows), "arrows")
 
 # A genuinely weak example: the wedge delooping of two points has 3 cells

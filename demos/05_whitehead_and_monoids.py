@@ -11,22 +11,22 @@ from precats import (FiniteCategory, Window, category_from_nerve, ck_monoidal,
                      hom_precat, is_k_connected, nerve, object_of, tau_zero,
                      truncate, whitehead, z2_monoid)
 
-W2, W3 = Window(2), Window(3)
+W2 = Window(2)
 
 # The order-2 group delooped once: one object, 2^p chains at level p.
 c1 = ck_monoidal(z2_monoid(), 1)
 print("tower levels:", [c1.size(object_of(1, [p])) for p in (1, 2, 3)])
 
 # Truncating to dimension 1 and reading the category recovers the monoid.
-C = category_from_nerve(truncate(c1, 1, W3), Window(4, 1))
+C = category_from_nerve(truncate(c1, 1))
 print("recovered one object and", len(C.arrows), "arrows")
 
 # Delooped twice: a point below length 2, grids of values above.
 c2 = ck_monoidal(z2_monoid(), 2)
 print("double tower at (2,) and (2,2):",
       c2.size(object_of(2, [2])), c2.size(object_of(2, [2, 2])))
-print("0-connected?", is_k_connected(c2, 0, W2))
-print("1-connected?", is_k_connected(c2, 1, W2))
+print("0-connected?", is_k_connected(c2, 0))
+print("1-connected?", is_k_connected(c2, 1))
 
 # Whitehead: the full subobject at one object of the contractible pair.
 A = nerve(FiniteCategory.iso_interval(), 2)
@@ -39,6 +39,6 @@ print("endomorphisms preserved?",
 
 # Objects up to equivalence: the contractible pair has one class.
 print("object classes of the contractible pair:",
-      len(tau_zero(nerve(FiniteCategory.iso_interval(), 1), W3)))
+      len(tau_zero(nerve(FiniteCategory.iso_interval(), 1))))
 print("object classes of the interval:",
-      len(tau_zero(nerve(FiniteCategory.interval(), 1), W3)))
+      len(tau_zero(nerve(FiniteCategory.interval(), 1))))

@@ -25,7 +25,7 @@ from .constructions import (CellData, ConstructionError, CornerData,
 from .analysis import (AnalysisError, MinDim0, NotStrictError, SegalReport,
                        TruncationUndefinedError, category_from_nerve,
                        equivalent_to_point, is_k_connected, min_dim_map0,
-                       min_dim_sets, segal_check, segal_map, tau_zero, truncate)
+                       min_dim_sets, segal_check, tau_zero, truncate)
 from .suite import IDENTITIES, SuiteResult, run_suite
 
 __version__ = "0.1.0"

@@ -2,10 +2,12 @@
 
 The comparison (Segal) map at a level whose ``d``-th entry is ``p`` sends a
 cell to its ``p`` spine restrictions; strictness means every such map is a
-bijection on the window.  Truncation and connectivity are implemented for
-strict inputs only: a weak input raises a typed error instead of silently
-approximating, since resolving it would need a categorical completion
-operation that is out of scope here.
+bijection on the window.  It is computed on the positions of one
+``WindowTable`` per check.  Category recovery, truncation and connectivity
+read the fixed levels (0) to (3) and recurse into hom presheaves, so they
+take no window.  They are implemented for strict inputs only: a weak input
+raises a typed error instead of silently approximating, since resolving it
+would need a categorical completion operation that is out of scope here.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import theta
 from .constructions import FiniteCategory
-from .presheaf import (Precat, PrecatMap, Window, hom_precat, quotient,
-                       slice_precat)
+from .presheaf import (Precat, PrecatMap, Window, WindowTable, hom_precat,
+                       quotient, slice_precat)
 from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
                     object_of, vertex, zero_object)
 
@@ -37,19 +39,6 @@ class TruncationUndefinedError(AnalysisError):
 # ---------------------------------------------------------------------------
 # comparison maps
 # ---------------------------------------------------------------------------
-
-def _direction_vertices(M: ThetaObject, d: int) -> list[ThetaMorphism]:
-    """The two endpoint maps prefix -> (prefix, 1, ...) in direction d."""
-    src = object_of(M.n, M.entries[:d])
-    tgt = object_of(M.n, M.entries[:d] + (1,) + M.entries[d + 1:])
-    out = []
-    for v in (0, 1):
-        lift = [tuple(range(src.padded(j) + 1)) for j in range(d)]
-        lift.append((v,))
-        lift += [(0,) * (src.padded(j) + 1) for j in range(d + 1, M.n)]
-        out.append(normalize_morphism(src, tgt, lift))
-    return out
-
 
 @dataclass
 class SegalEntry:
@@ -77,55 +66,43 @@ class SegalReport:
         return [e for e in self.entries if not e.bijective]
 
 
-def segal_map(A: Precat, M: ThetaObject, d: int):
-    """The comparison map at level M in direction d, with its target.
-
-    Returns (mapping dict cell -> tuple, target set of compatible tuples).
-    """
-    p = M.entries[d]
+def _segal_entry(T: WindowTable, M: ThetaObject, d: int) -> SegalEntry:
+    """The comparison map at level ``M`` in direction ``d``, on positions.
+    Surjectivity is a set inclusion, not a count: on a non-functorial input
+    the spine restrictions of a cell need not be compatible."""
     faces = theta.segal_faces(M, d)
-    v0, v1 = _direction_vertices(M, d)
-    one_level = faces[0].source
-    ones = A.cells(one_level)
-    mapping = {c: tuple(A.act(f, c) for f in faces) for c in A.cells(M)}
-    target = []
-    for tup in itertools.product(ones, repeat=p):
-        if all(A.act(v1, tup[i]) == A.act(v0, tup[i + 1]) for i in range(p - 1)):
-            target.append(tup)
-    return mapping, target
+    one = faces[0].source
+    v0, v1 = (T.act(vertex(one, v, d)) for v in (0, 1))
+    images = list(zip(*(T.act(f) for f in faces)))
+    target = [tup for tup in itertools.product(range(len(v0)), repeat=len(faces))
+              if all(v1[a] == v0[b] for a, b in zip(tup, tup[1:]))]
+    distinct = set(images)
+    return SegalEntry(level=M, direction=d + 1, source_size=len(images),
+                      target_size=len(target),
+                      injective=len(distinct) == len(images),
+                      surjective=set(target) <= distinct)
 
 
 def segal_check(A: Precat, window: Window) -> SegalReport:
     """Comparison-map verdicts at every window level with an entry >= 2."""
-    report = SegalReport()
-    for M in window.objects(A.n):
-        for d, p in enumerate(M.entries):
-            if p < 2:
-                continue
-            mapping, target = segal_map(A, M, d)
-            images = list(mapping.values())
-            entry = SegalEntry(
-                level=M, direction=d + 1,
-                source_size=len(mapping), target_size=len(target),
-                injective=len(set(images)) == len(images),
-                surjective=set(target) <= set(images),
-            )
-            report.entries.append(entry)
-    return report
+    T = WindowTable(A)
+    return SegalReport([_segal_entry(T, M, d) for M in window.objects(A.n)
+                        for d, p in enumerate(M.entries) if p >= 2])
 
 
 # ---------------------------------------------------------------------------
 # categories from strict one-directional data
 # ---------------------------------------------------------------------------
 
-def _strict_at(A: Precat, entries: tuple[int, ...], d: int = 0) -> None:
-    M = object_of(A.n, entries)
-    mapping, target = segal_map(A, M, d)
-    images = list(mapping.values())
-    if len(set(images)) != len(images) or set(images) != set(target):
-        raise NotStrictError(
-            f"{A.name} is not strict at {M}: {len(mapping)} cells vs "
-            f"{len(target)} compatible tuples")
+def _require_strict(A: Precat) -> None:
+    """Raise unless the comparison maps at levels (2) and (3) are bijections."""
+    T = WindowTable(A)
+    for p in (2, 3):
+        e = _segal_entry(T, object_of(A.n, (p,)), 0)
+        if not e.bijective:
+            raise NotStrictError(
+                f"{A.name} is not strict at {e.level}: {e.source_size} cells vs "
+                f"{e.target_size} compatible tuples")
 
 
 def _triangle_faces(n: int) -> tuple[ThetaMorphism, ...]:
@@ -136,14 +113,13 @@ def _triangle_faces(n: int) -> tuple[ThetaMorphism, ...]:
     return f01, f12, long_face
 
 
-def category_from_nerve(A: Precat, window: Window, name="C(A)") -> FiniteCategory:
+def category_from_nerve(A: Precat, name="C(A)") -> FiniteCategory:
     """Recover objects, arrows and the composition table from levels <= 3.
 
     Requires the comparison maps at the pure levels (2) and (3) to be
     bijections; composition is the long face of the unique filler.
     """
-    for p in (2, 3):
-        _strict_at(A, (p,))
+    _require_strict(A)
     zero = zero_object(A.n)
     one, two = object_of(A.n, (1,)), object_of(A.n, (2,))
     objects = sorted(A.cells(zero), key=repr)
@@ -176,7 +152,7 @@ def category_from_nerve(A: Precat, window: Window, name="C(A)") -> FiniteCategor
 # truncation
 # ---------------------------------------------------------------------------
 
-def _tau_zero_classes(A: Precat, window: Window) -> dict:
+def _tau_zero_classes(A: Precat) -> dict:
     """Map each object cell to its equivalence class (a frozenset)."""
     if A.n == 0:
         return {c: frozenset([c]) for c in A.cells(zero_object(0))}
@@ -186,12 +162,14 @@ def _tau_zero_classes(A: Precat, window: Window) -> dict:
     for x in objects:
         for y in objects:
             hom = hom_precat(A, 1, (x, y))
-            sub = tau_zero(hom, window)
+            sub = tau_zero(hom)
             for cls in sub:
                 for raw in cls:
                     arrow_class[raw] = (x, y, cls)
-    for p in (2, 3):
-        _strict_at_or_undefined(A, (p,))
+    try:
+        _require_strict(A)
+    except NotStrictError as exc:
+        raise TruncationUndefinedError(str(exc)) from exc
     two = object_of(A.n, (2,))
     f01, f12, long_face = _triangle_faces(A.n)
     comp: dict = {}
@@ -221,25 +199,18 @@ def _tau_zero_classes(A: Precat, window: Window) -> dict:
     return {x: frozenset(classes[rep[x]]) for x in objects}
 
 
-def _strict_at_or_undefined(A: Precat, entries) -> None:
-    try:
-        _strict_at(A, entries)
-    except NotStrictError as exc:
-        raise TruncationUndefinedError(str(exc)) from exc
-
-
-def tau_zero(A: Precat, window: Window) -> frozenset:
+def tau_zero(A: Precat) -> frozenset:
     """The set of objects up to equivalence, as a partition of the objects.
 
     For dimension 0 this is the underlying set (singleton classes); higher
     dimensions quotient by two-sided invertibility of arrow classes computed
     recursively.
     """
-    table = _tau_zero_classes(A, window)
+    table = _tau_zero_classes(A)
     return frozenset(table.values())
 
 
-def truncate(A: Precat, k: int, window: Window, name=None) -> Precat:
+def truncate(A: Precat, k: int, name=None) -> Precat:
     """The k-dimensional truncation of a strict input.
 
     Levels of length < k are untouched; levels of length k collapse to
@@ -252,7 +223,7 @@ def truncate(A: Precat, k: int, window: Window, name=None) -> Precat:
     def partition(M: ThetaObject) -> dict:
         got = partitions.get(M)
         if got is None:
-            got = _tau_zero_classes(slice_precat(A, M.entries), window)
+            got = _tau_zero_classes(slice_precat(A, M.entries))
             partitions[M] = got
         return got
 
@@ -280,19 +251,19 @@ def truncate(A: Precat, k: int, window: Window, name=None) -> Precat:
 # connectivity
 # ---------------------------------------------------------------------------
 
-def equivalent_to_point(A: Precat, window: Window) -> bool:
+def equivalent_to_point(A: Precat) -> bool:
     """Contractibility for strict inputs: one object class at every stage."""
     if A.n == 0:
         return len(A.cells(zero_object(0))) == 1
-    if len(tau_zero(A, window)) != 1:
+    if len(tau_zero(A)) != 1:
         return False
     objects = A.cells(zero_object(A.n))
-    return all(equivalent_to_point(hom_precat(A, 1, (x, y)), window)
+    return all(equivalent_to_point(hom_precat(A, 1, (x, y)))
                for x in objects for y in objects)
 
 
-def is_k_connected(A: Precat, k: int, window: Window) -> bool:
-    return equivalent_to_point(truncate(A, k, window), window)
+def is_k_connected(A: Precat, k: int) -> bool:
+    return equivalent_to_point(truncate(A, k))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Three subcommands:
 * ``check``  — run a verdict (segal / functorial / cofibration / connected)
   on a named build or an imported dump; exit 0 pass, 1 fail.  Functoriality
   is checked through the window's generators: exact on the windows the tests
-  certify to be generated by them, resting on that claim on larger ones;
+  certify to be generated by them, resting on that claim on larger ones.
+  ``connected`` reads the fixed levels it needs and no ``--window``;
 * ``verify`` — run the exact-identity suite, one line per identity.
 
 Exit codes: 0 pass, 1 verified failure, 2 usage, input or domain error
@@ -103,19 +104,19 @@ def build_precat(args) -> ps.Precat:
 def _pointed(args) -> cn.PointedPrecat:
     base = args.of or "two_point"
     n = args.n if args.n is not None else 1
-    if base in _BASIC_INPUTS:
-        space = _BASIC_INPUTS[base](n)
-        cell0 = sorted(space.cells(ps.zero_object(n)), key=repr)[0]
-        return cn.PointedPrecat(space, cell0)
-    if base == "nerve":
-        _require(args.category in _CATEGORIES, "pointed nerve needs --category")
-        space = cn.nerve(_CATEGORIES[args.category](), n)
-        cell0 = sorted(space.cells(ps.zero_object(n)), key=repr)[0]
-        return cn.PointedPrecat(space, cell0)
     if base == "sigma":
         _require(args.k is not None, "pointed sigma needs --k")
         return cn.sigma_free(args.k, n)
-    raise UsageError(f"unknown pointed input {base!r}")
+    if base in _BASIC_INPUTS:
+        space = _BASIC_INPUTS[base](n)
+    elif base == "nerve":
+        _require(args.category in _CATEGORIES, "pointed nerve needs --category")
+        space = cn.nerve(_CATEGORIES[args.category](), n)
+    else:
+        raise UsageError(f"unknown pointed input {base!r}")
+    objects = sorted(space.cells(ps.zero_object(n)), key=repr)
+    _require(objects, f"pointed input {base!r} has no object to mark")
+    return cn.PointedPrecat(space, objects[0])
 
 
 _NAMED_MAPS = {
@@ -179,7 +180,7 @@ def cmd_check(args) -> int:
     if kind == "connected":
         _require(args.k is not None, "connected needs --k")
         try:
-            verdict = an.is_k_connected(P, args.k, window)
+            verdict = an.is_k_connected(P, args.k)
         except an.AnalysisError as exc:
             print(f"connected: undefined ({exc})")
             return 1
@@ -232,7 +233,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("check", help="run a verdict on a build or a dump")
-    c.add_argument("kind", choices=("segal", "functorial", "cofibration", "connected"))
+    c.add_argument("kind", choices=("segal", "functorial", "cofibration", "connected"),
+                   help="the verdict to run; connected reads no --window")
     add_build_args(c)
     c.add_argument("--in", dest="infile", help="canonical dump to import")
     c.add_argument("--map", help="named map for cofibration checks")

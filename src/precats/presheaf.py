@@ -11,10 +11,10 @@ loses nothing where every window morphism is a composite of generators inside
 the window: the tests certify that for n <= 3 on small windows, and larger
 windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators; it serves both the isomorphism search and
-the enumeration of natural maps.  Each search compiles the levels it reaches
-into tables local to that search (cells in label order, each generator as a
-list of cell indices) and backtracks on integers; the tables are freed when
-the search ends.
+the enumeration of natural maps.  Every window check (the solver,
+functoriality, dumps, the Segal check) reads its presheaf through one
+``WindowTable`` built for that check: cells in label order with their labels
+and positions, and each morphism as a list of positions.
 
 Restrictions are memoized without bound.  The cells of a pushout are the
 classes of one union-find per level, each named by its label-minimal member;
@@ -63,20 +63,19 @@ def cell_label(cell) -> str:
 
 @dataclass(frozen=True)
 class Window:
-    """Levels with entries <= B (and length <= L, default the full length)."""
+    """The levels whose entries are all <= B."""
 
     B: int
-    L: Optional[int] = None
 
     def __post_init__(self):
         if self.B < 1:
             raise PresheafError("window entry bound must be >= 1")
 
     def objects(self, n: int) -> list[ThetaObject]:
-        return window_objects(n, self.B, self.L)
+        return window_objects(n, self.B)
 
     def elementary(self, n: int) -> tuple[ThetaMorphism, ...]:
-        return elementary_morphisms(n, self.B, self.L)
+        return elementary_morphisms(n, self.B)
 
     def morphisms(self, n: int):
         """All (source, target, morphisms) triples of the window."""
@@ -396,6 +395,40 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
 
 
 # ---------------------------------------------------------------------------
+# compiled windows
+# ---------------------------------------------------------------------------
+
+class WindowTable:
+    """The compiled form of a presheaf for one check.  ``level(M)`` gives the
+    cells over ``M`` in ``cell_label`` order, their labels and each cell's
+    position; ``act(f)`` the position in ``f.source`` of the restriction of
+    each cell of ``f.target``, in that order.  Both are built when first
+    asked for."""
+
+    def __init__(self, P: Precat):
+        self.P = P
+        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
+        self._acts: dict[ThetaMorphism, list[int]] = {}
+
+    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
+        got = self._levels.get(M)
+        if got is None:
+            labels = {c: cell_label(c) for c in self.P.cells(M)}
+            cells = sorted(labels, key=labels.__getitem__)
+            got = self._levels[M] = (cells, [labels[c] for c in cells],
+                                     {c: k for k, c in enumerate(cells)})
+        return got
+
+    def act(self, f: ThetaMorphism) -> list[int]:
+        got = self._acts.get(f)
+        if got is None:
+            index, act = self.level(f.source)[2], self.P.act
+            got = self._acts[f] = [index[act(f, c)]
+                                   for c in self.level(f.target)[0]]
+        return got
+
+
+# ---------------------------------------------------------------------------
 # extensional checks
 # ---------------------------------------------------------------------------
 
@@ -421,22 +454,24 @@ def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
     induction on generator factorisations these imply the full composition law."""
+    T = WindowTable(P)
     out = []
     for M in window.objects(P.n):
-        idm = identity(M)
-        for c in P.cells(M):
-            if P.act(idm, c) != c:
-                out.append(("identity", M, c))
+        cells = T.level(M)[0]
+        out += [("identity", M, cells[k])
+                for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
         into.setdefault(e.target, []).append(e)
     for _, t, mors in window.morphisms(P.n):
+        cells = T.level(t)[0]
         for f in mors:
+            act_f = T.act(f)
             for e in into.get(f.source, ()):
-                fe = compose(f, e)
-                for c in P.cells(t):
-                    if P.act(fe, c) != P.act(e, P.act(f, c)):
-                        out.append(("composition", f, e, c))
+                act_e = T.act(e)
+                out += [("composition", f, e, cells[k]) for k, (x, y)
+                        in enumerate(zip(T.act(compose(f, e)), act_f))
+                        if x != act_e[y]]
     return out
 
 
@@ -454,10 +489,11 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     the generators into it.  With ``bijective`` only levelwise bijections are
     produced: each group is permuted onto an equal-sized group of ``Q``.
 
-    Each level is compiled on its first visit: its cells in label order, and
-    each generator between it and an earlier level as a list of cell indices.
-    The search then runs on integers; cells, group keys and images are tried
-    in label order.  The tables live only as long as this generator.
+    Each level is compiled on its first visit from one ``WindowTable`` per
+    side: its size, and each generator between it and an earlier level as
+    position lists on ``P`` and ``Q``.  The search then runs on integers;
+    cells, group keys and images are tried in label order.  The tables live
+    only as long as this generator.
     """
     objs = window.objects(P.n)
     pos = {M: i for i, M in enumerate(objs)}
@@ -469,50 +505,29 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             into[t].append(e)
         elif t < s:
             outof[s].append(e)
-    pcells: list[list] = []
-    qcells: list[list] = []
-    qlabels: list[list] = []
-    pindex: list[dict] = []
-    qindex: list[dict] = []
+    TP, TQ = WindowTable(P), WindowTable(Q)
     levels: list[tuple] = []
-
-    def restriction(e, i, j):
-        """``e`` from level ``i`` to level ``j`` as index lists on P and Q."""
-        return ([pindex[i][P.act(e, c)] for c in pcells[j]],
-                [qindex[i][Q.act(e, d)] for d in qcells[j]])
 
     def compile_level(i: int):
         M = objs[i]
-        pcells.append(sorted(P.cells(M), key=cell_label))
-        labels = {d: cell_label(d) for d in Q.cells(M)}
-        ordered = sorted(labels, key=labels.__getitem__)
-        qcells.append(ordered)
-        qlabels.append([labels[d] for d in ordered])
-        pindex.append({c: k for k, c in enumerate(pcells[i])})
-        qindex.append({d: k for k, d in enumerate(ordered)})
-        ins = []
-        for e in into[i]:
-            s = pos[e.source]
-            ins.append((s, *restriction(e, s, i)))
-        outs = []
-        for e in outof[i]:
-            t = pos[e.target]
-            outs.append((t, *restriction(e, i, t)))
-        sig_q = [tuple(q_rest[d] for _, _, q_rest in ins)
-                 for d in range(len(ordered))]
-        levels.append((ins, outs, sig_q))
+        ins = [(pos[e.source], TP.act(e), TQ.act(e), TQ.level(e.source)[1])
+               for e in into[i]]
+        outs = [(pos[e.target], TP.act(e), TQ.act(e)) for e in outof[i]]
+        sig_q = [tuple(q_rest[d] for _, _, q_rest, _ in ins)
+                 for d in range(len(TQ.level(M)[0]))]
+        levels.append((len(TP.level(M)[0]), ins, outs, sig_q))
 
     assigned: list[list[int]] = []
 
     def candidates(i: int):
-        ins, outs, sig_q = levels[i]
+        size, ins, outs, sig_q = levels[i]
 
         def key_label(key: tuple) -> str:
             """``cell_label`` of the signature's cells of ``Q``."""
-            return "(" + ",".join(qlabels[s][q] for (s, _, _), q
+            return "(" + ",".join(labels[q] for (_, _, _, labels), q
                                   in zip(ins, key)) + ")"
 
-        forced = [-1] * len(pcells[i])
+        forced = [-1] * size
         for t, p_rest, q_rest in outs:
             phi_t = assigned[t]
             for c, src in enumerate(p_rest):
@@ -527,7 +542,7 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             return
         groups: dict = {}
         for c, d in enumerate(forced):
-            sig = tuple(assigned[s][p_rest[c]] for s, p_rest, _ in ins)
+            sig = tuple(assigned[s][p_rest[c]] for s, p_rest, _, _ in ins)
             if d != -1:
                 if sig_q[d] != sig:
                     return
@@ -555,7 +570,8 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
 
     def solve(i: int):
         if i == len(objs):
-            yield {M: dict(zip(pcells[j], [qcells[j][d] for d in assigned[j]]))
+            yield {M: dict(zip(TP.level(M)[0],
+                               [TQ.level(M)[0][d] for d in assigned[j]]))
                    for j, M in enumerate(objs)}
             return
         if i == len(levels):
@@ -609,20 +625,20 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 def dump_window(P: Precat, window: Window) -> dict:
     """Complete extensional data of the window, canonically ordered; cells are
     keyed by label, so two cells of one level that label alike are an error."""
-    objs = window.objects(P.n)
-    labels = {M: {c: cell_label(c) for c in P.cells(M)} for M in objs}
-    levels = [{"object": list(M.entries),
-               "cells": sorted(labels[M].values())} for M in objs]
-    for M, level in zip(objs, levels):
-        for a, b in zip(level["cells"], level["cells"][1:]):
+    T = WindowTable(P)
+    levels = []
+    for M in window.objects(P.n):
+        labels = T.level(M)[1]
+        for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise PresheafError(f"cells of level {M} share the label {a!r}")
+        levels.append({"object": list(M.entries), "cells": labels})
     actions = []
     for s, t, mors in window.morphisms(P.n):
-        source, target = labels[s], labels[t]
+        source, target = T.level(s)[1], T.level(t)[1]
         for f in mors:
-            actions.append({"morphism": f.to_dict(),
-                            "map": {target[c]: source[P.act(f, c)] for c in target}})
+            actions.append({"morphism": f.to_dict(), "map": {
+                d: source[k] for d, k in zip(target, T.act(f))}})
     return {"n": P.n, "window": {"B": window.B}, "levels": levels,
             "actions": actions}
 

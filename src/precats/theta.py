@@ -251,16 +251,20 @@ def collapse_to_zero(obj: ThetaObject) -> ThetaMorphism:
                               [(0,) * (obj.padded(i) + 1) for i in range(obj.n)])
 
 
-def vertex(obj: ThetaObject, v: int) -> ThetaMorphism:
-    """The morphism ``0 -> obj`` hitting vertex ``v`` of the first direction."""
-    if obj.length == 0:
+def vertex(obj: ThetaObject, v: int, d: int = 0) -> ThetaMorphism:
+    """The morphism ``obj.entries[:d] -> obj`` that is the identity in the
+    directions before ``d`` and hits vertex ``v`` in direction ``d``."""
+    if not 0 <= d <= obj.length:
+        raise InvalidMorphismError(f"direction {d} is outside {obj}")
+    if d == obj.length:
         if v != 0:
-            raise InvalidMorphismError("the length-0 object has a single vertex")
+            raise InvalidMorphismError(f"{obj} has a single vertex in direction {d}")
         return identity(obj)
-    if not 0 <= v <= obj.entries[0]:
-        raise InvalidMorphismError(f"vertex {v} outside [{obj.entries[0]}]")
-    lift = [(v,)] + [(0,) for _ in range(obj.n - 1)]
-    return normalize_morphism(zero_object(obj.n), obj, lift)
+    if not 0 <= v <= obj.entries[d]:
+        raise InvalidMorphismError(f"vertex {v} outside [{obj.entries[d]}]")
+    lift = ([tuple(range(e + 1)) for e in obj.entries[:d]] + [(v,)]
+            + [(0,)] * (obj.n - d - 1))
+    return normalize_morphism(object_of(obj.n, obj.entries[:d]), obj, lift)
 
 
 @lru_cache(maxsize=None)
@@ -354,10 +358,8 @@ def prepend_prefix(prefix: tuple[int, ...], g: ThetaMorphism, n: int) -> ThetaMo
 # elementary morphisms: the face/degeneracy generators of a window
 # ---------------------------------------------------------------------------
 
-def _elementary_from(obj: ThetaObject, max_entry: int,
-                     max_length: int | None) -> Iterator[ThetaMorphism]:
+def _elementary_from(obj: ThetaObject, max_entry: int) -> Iterator[ThetaMorphism]:
     n = obj.n
-    top_len = n if max_length is None else min(max_length, n)
     pad = [obj.padded(i) for i in range(n)]
     for pos in range(min(obj.length + 1, n)):
         m = pad[pos]
@@ -365,15 +367,14 @@ def _elementary_from(obj: ThetaObject, max_entry: int,
         if m + 1 <= max_entry:
             t_entries = tuple(pad[:pos]) + (m + 1,) + tuple(pad[pos + 1:])
             tgt = object_of(n, t_entries)
-            if tgt.length <= top_len:
-                for skip in range(m + 2):
-                    comp = tuple(v if v < skip else v + 1 for v in range(m + 1))
-                    lift = [tuple(range(pad[i] + 1)) for i in range(n)]
-                    lift[pos] = comp
-                    # positions past the target's truncation keep arity via padding
-                    lift = [tuple(min(v, tgt.padded(i)) for v in c)
-                            for i, c in enumerate(lift)]
-                    yield normalize_morphism(obj, tgt, lift)
+            for skip in range(m + 2):
+                comp = tuple(v if v < skip else v + 1 for v in range(m + 1))
+                lift = [tuple(range(pad[i] + 1)) for i in range(n)]
+                lift[pos] = comp
+                # positions past the target's truncation keep arity via padding
+                lift = [tuple(min(v, tgt.padded(i)) for v in c)
+                        for i, c in enumerate(lift)]
+                yield normalize_morphism(obj, tgt, lift)
         # degeneracies obj -> (entry shrunk by one at pos)
         if m >= 1:
             t_entries = tuple(pad[:pos]) + (m - 1,) + tuple(pad[pos + 1:])
@@ -388,16 +389,15 @@ def _elementary_from(obj: ThetaObject, max_entry: int,
 
 
 @lru_cache(maxsize=None)
-def elementary_morphisms(n: int, max_entry: int,
-                         max_length: int | None = None) -> tuple[ThetaMorphism, ...]:
+def elementary_morphisms(n: int, max_entry: int) -> tuple[ThetaMorphism, ...]:
     """Single-position face/degeneracy generators between window objects.
 
     Every window morphism factors inside the window as a composite of these,
     so naturality checks may be restricted to them.
     """
     seen = set()
-    for obj in window_objects(n, max_entry, max_length):
-        for mor in _elementary_from(obj, max_entry, max_length):
+    for obj in window_objects(n, max_entry):
+        for mor in _elementary_from(obj, max_entry):
             if not mor.is_identity():
                 seen.add(mor)
     return tuple(sorted(seen, key=ThetaMorphism.sort_key))

@@ -503,3 +503,42 @@ def generator_closure(window, n):
                 reached.add(fe)
                 queue.append(fe)
     return reached
+
+
+# ---------------------------------------------------------------------------
+# object-level comparison maps (dual route for the table-based Segal check)
+# ---------------------------------------------------------------------------
+
+def direction_vertices(M, d):
+    """The two endpoint maps prefix -> (prefix, 1, ...) in direction d."""
+    from precats.theta import normalize_morphism, object_of
+
+    src = object_of(M.n, M.entries[:d])
+    tgt = object_of(M.n, M.entries[:d] + (1,) + M.entries[d + 1:])
+    out = []
+    for v in (0, 1):
+        lift = [tuple(range(src.padded(j) + 1)) for j in range(d)]
+        lift.append((v,))
+        lift += [(0,) * (src.padded(j) + 1) for j in range(d + 1, M.n)]
+        out.append(normalize_morphism(src, tgt, lift))
+    return out
+
+
+def segal_map(A, M, d):
+    """The comparison map at level M in direction d, with its target, on
+    the presheaf's own cells.
+
+    Returns (mapping dict cell -> tuple, target list of compatible tuples).
+    """
+    from precats.theta import segal_faces
+
+    p = M.entries[d]
+    faces = segal_faces(M, d)
+    v0, v1 = direction_vertices(M, d)
+    ones = A.cells(faces[0].source)
+    mapping = {c: tuple(A.act(f, c) for f in faces) for c in A.cells(M)}
+    target = []
+    for tup in itertools.product(ones, repeat=p):
+        if all(A.act(v1, tup[i]) == A.act(v0, tup[i + 1]) for i in range(p - 1)):
+            target.append(tup)
+    return mapping, target

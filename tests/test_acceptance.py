@@ -130,9 +130,9 @@ def test_criterion_07_nerve_round_trip(announce):
     ok = len(cats) == 10
     for C in cats:
         N = nerve(C, 1)
-        ok = ok and segal_check(N, Window(4, 1)).strict
+        ok = ok and segal_check(N, Window(4)).strict
         ok = ok and helpers.categories_isomorphic(
-            category_from_nerve(N, Window(4, 1)), C)
+            category_from_nerve(N), C)
     announce(ok, f"{len(cats)} categories")
 
 
@@ -147,9 +147,9 @@ def test_criterion_08_strictness_counterexample(announce):
 
 
 def test_criterion_09_connectivity(announce):
-    ok = (is_k_connected(ck_monoidal(z2_monoid(), 1), 0, W2)
-          and is_k_connected(ck_monoidal(z2_monoid(), 2), 1, W2)
-          and not is_k_connected(nerve(FiniteCategory.interval(), 1), 0, W2))
+    ok = (is_k_connected(ck_monoidal(z2_monoid(), 1), 0)
+          and is_k_connected(ck_monoidal(z2_monoid(), 2), 1)
+          and not is_k_connected(nerve(FiniteCategory.interval(), 1), 0))
     announce(ok)
 
 

@@ -9,8 +9,10 @@ from precats import (FiniteCategory, PointedPrecat, Window, category_from_nerve,
                      cell, ck_monoidal, delooping, discrete, equivalent_to_point,
                      is_k_connected, iso_windowed, min_dim_map0, min_dim_sets,
                      nerve, object_of, point, product, pushout_product,
-                     segal_check, sigma_free, tau_zero, truncate, whitehead,
-                     z2_monoid, zero_object)
+                     segal_check, segal_faces, sigma_free, tau_zero, truncate,
+                     upsilon, whitehead, z2_monoid, zero_object)
+from precats.presheaf import constant_table_precat
+from precats.theta import vertex
 from precats.analysis import (AnalysisError, NotStrictError,
                               TruncationUndefinedError)
 
@@ -18,7 +20,7 @@ import helpers
 
 o = object_of
 W2, W3 = Window(2), Window(3)
-W4 = Window(4, 1)
+W4 = Window(4)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +34,6 @@ def test_nerves_are_strict():
 
 
 def test_edge_complex_is_strict():
-    from precats import upsilon
     U = upsilon([discrete(0, ("a", "b")), point(0)])
     assert segal_check(U, W3).strict
 
@@ -45,6 +46,46 @@ def test_delooping_strictness_counterexample():
     assert fail and fail[0].source_size == 3 and fail[0].target_size == 4
 
 
+def _incompatible_spines():
+    """Two cells over (2): ``t`` restricts to the spine (a, a), whose ends do
+    not meet, and ``s`` to the compatible (b, b).  The compatible tuples are
+    (b, a) and (b, b): as many as the distinct images, yet (b, a) is missed."""
+    zero, one, two = o(1, []), o(1, [1]), o(1, [2])
+    levels = {zero: ("x", "y"), one: ("a", "b"), two: ("s", "t")}
+    v0, v1 = (vertex(one, v) for v in (0, 1))
+    f01, f12 = segal_faces(two)
+    actions = {(v0, "a"): "x", (v0, "b"): "x", (v1, "a"): "y", (v1, "b"): "x"}
+    for f in (f01, f12):
+        actions[f, "t"], actions[f, "s"] = "a", "b"
+    return constant_table_precat(1, levels, actions, name="incompatible")
+
+
+def _segal_inputs():
+    for C in helpers.enumerate_small_categories(limit=10):
+        yield nerve(C, 1), W4
+    yield upsilon([point(0), point(0)]), W3
+    yield delooping(PointedPrecat(discrete(1, (0, 1)), 0)), W2
+    yield _incompatible_spines(), W2
+
+
+def test_segal_entries_agree_with_object_level_oracle():
+    """Every field of every comparison-map entry, computed on table
+    positions, matches the object-level oracle on the presheaf's cells."""
+    seen = []
+    for A, window in _segal_inputs():
+        for e in segal_check(A, window).entries:
+            mapping, target = helpers.segal_map(A, e.level, e.direction - 1)
+            images = list(mapping.values())
+            assert (e.source_size, e.target_size, e.injective, e.surjective) == (
+                len(mapping), len(target), len(set(images)) == len(images),
+                set(target) <= set(images)), (A.name, e)
+            seen.append((A.name, e.level.entries, e.source_size,
+                         e.target_size, e.injective, e.surjective))
+    assert ("incompatible", (2,), 2, 2, True, False) in seen
+    assert any(name == "X(discrete(0, 1))" and entries == (2,)
+               and (src, tgt) == (3, 4) for name, entries, src, tgt, _, _ in seen)
+
+
 # ---------------------------------------------------------------------------
 # recovering categories
 # ---------------------------------------------------------------------------
@@ -53,7 +94,7 @@ def test_category_round_trip_catalog():
     for C in (FiniteCategory.interval(), FiniteCategory.iso_interval(),
               FiniteCategory.chain(2),
               FiniteCategory.monoid((0, 1), lambda a, b: (a + b) % 2, 0)):
-        got = category_from_nerve(nerve(C, 1), W4)
+        got = category_from_nerve(nerve(C, 1))
         assert helpers.categories_isomorphic(got, C)
 
 
@@ -64,23 +105,23 @@ def test_category_round_trip_enumerated():
     assert any(len(c.objects) == 3 for c in cats)
     for C in cats:
         N = nerve(C, 1)
-        report = segal_check(N, Window(4, 1))
+        report = segal_check(N, W4)
         assert report.strict
-        got = category_from_nerve(N, W4)
+        got = category_from_nerve(N)
         assert helpers.categories_isomorphic(got, C)
 
 
 def test_nerve_of_recovered_category_matches():
     C = FiniteCategory.iso_interval()
     N = nerve(C, 1)
-    got = category_from_nerve(N, W4)
+    got = category_from_nerve(N)
     assert iso_windowed(nerve(got, 1), N, W3) is not None
 
 
 def test_category_from_weak_input_raises():
     X = delooping(PointedPrecat(discrete(1, (0, 1)), 0))
     with pytest.raises(NotStrictError):
-        category_from_nerve(X, W2)
+        category_from_nerve(X)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +129,9 @@ def test_category_from_weak_input_raises():
 # ---------------------------------------------------------------------------
 
 def test_tau_zero_examples():
-    assert len(tau_zero(nerve(FiniteCategory.iso_interval(), 1), W3)) == 1
-    assert len(tau_zero(nerve(FiniteCategory.interval(), 1), W3)) == 2
-    assert len(tau_zero(sigma_free(0, 1).space, W2)) == 2
+    assert len(tau_zero(nerve(FiniteCategory.iso_interval(), 1))) == 1
+    assert len(tau_zero(nerve(FiniteCategory.interval(), 1))) == 2
+    assert len(tau_zero(sigma_free(0, 1).space)) == 2
 
 
 def test_tau_zero_of_products_multiplies():
@@ -99,26 +140,26 @@ def test_tau_zero_of_products_multiplies():
     for C in cats:
         for D in cats:
             A, B = nerve(C, 1), nerve(D, 1)
-            lhs = len(tau_zero(product(A, B), W3))
-            assert lhs == len(tau_zero(A, W3)) * len(tau_zero(B, W3))
+            lhs = len(tau_zero(product(A, B)))
+            assert lhs == len(tau_zero(A)) * len(tau_zero(B))
 
 
 def test_truncate_keeps_one_categorical_nerves():
     N2 = nerve(FiniteCategory.interval(), 2)
-    t = truncate(N2, 1, W2)
+    t = truncate(N2, 1)
     N1 = nerve(FiniteCategory.interval(), 1)
     assert iso_windowed(t, N1, W2) is not None
 
 
 def test_truncate_to_zero_of_discrete():
-    t = truncate(sigma_free(0, 1).space, 0, W2)
+    t = truncate(sigma_free(0, 1).space, 0)
     assert t.n == 0 and t.size(zero_object(0)) == 2
 
 
 def test_truncate_monoid_tower():
     c1 = ck_monoidal(z2_monoid(), 1)
-    t = truncate(c1, 1, W3)
-    got = category_from_nerve(t, W4)
+    t = truncate(c1, 1)
+    got = category_from_nerve(t)
     assert len(got.objects) == 1 and len(got.arrows) == 2
     z2cat = FiniteCategory.monoid((0, 1), lambda a, b: (a + b) % 2, 0)
     assert helpers.categories_isomorphic(got, z2cat)
@@ -127,7 +168,7 @@ def test_truncate_monoid_tower():
 def test_truncate_weak_input_raises():
     X = delooping(PointedPrecat(discrete(1, (0, 1)), 0))
     with pytest.raises(TruncationUndefinedError):
-        tau_zero(X, W2)
+        tau_zero(X)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +176,15 @@ def test_truncate_weak_input_raises():
 # ---------------------------------------------------------------------------
 
 def test_equivalent_to_point_examples():
-    assert equivalent_to_point(nerve(FiniteCategory.iso_interval(), 1), W3)
-    assert not equivalent_to_point(nerve(FiniteCategory.interval(), 1), W3)
-    assert equivalent_to_point(point(2), W2)
+    assert equivalent_to_point(nerve(FiniteCategory.iso_interval(), 1))
+    assert not equivalent_to_point(nerve(FiniteCategory.interval(), 1))
+    assert equivalent_to_point(point(2))
 
 
 def test_connectivity_of_monoid_towers():
-    assert is_k_connected(ck_monoidal(z2_monoid(), 1), 0, W2)
-    assert is_k_connected(ck_monoidal(z2_monoid(), 2), 1, W2)
-    assert not is_k_connected(nerve(FiniteCategory.interval(), 1), 0, W2)
+    assert is_k_connected(ck_monoidal(z2_monoid(), 1), 0)
+    assert is_k_connected(ck_monoidal(z2_monoid(), 2), 1)
+    assert not is_k_connected(nerve(FiniteCategory.interval(), 1), 0)
 
 
 def test_whitehead_connectivity_for_towers():
@@ -152,7 +193,7 @@ def test_whitehead_connectivity_for_towers():
     for M in W3.objects(2):
         if M.length <= 1:
             assert W.size(M) == 1
-    assert is_k_connected(c2, 1, W2)
+    assert is_k_connected(c2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +235,10 @@ def test_corner_map_table_matches_the_lower_bound():
 
 
 def test_double_tower_is_zero_connected():
-    assert is_k_connected(ck_monoidal(z2_monoid(), 2), 0, W2)
+    assert is_k_connected(ck_monoidal(z2_monoid(), 2), 0)
 
 
 def test_truncation_output_is_functorial():
     from precats import check_functoriality
-    t = truncate(nerve(FiniteCategory.iso_interval(), 2), 1, W2)
+    t = truncate(nerve(FiniteCategory.iso_interval(), 2), 1)
     assert not check_functoriality(t, W2)

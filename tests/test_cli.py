@@ -162,6 +162,13 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: malformed dump")
 
 
+def test_pointed_input_without_objects_is_usage_error(capsys):
+    code, _, err = run(["check", "segal", "delooping", "--of", "empty",
+                        "--n", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "'empty'" in err
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(P, window):
         raise RuntimeError("boom")

@@ -17,7 +17,7 @@ from precats import (FiniteCategory, Precat, PrecatMap, Window, cell_label,
 from precats.constructions import (PointedPrecat, cell, ck_monoidal,
                                    delooping, pushout_product, sigma_free,
                                    z2_monoid)
-from precats.presheaf import (ActionDomainError, PresheafError,
+from precats.presheaf import (ActionDomainError, PresheafError, WindowTable,
                               _natural_components, constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
 
@@ -262,6 +262,23 @@ def test_pushout_classes_match_bfs_closure(diagram):
         want = helpers.closure_classes(members, pairs)
         assert {x: po.class_of(M, x) for x in members} == want
         assert po.precat.cells(M) == frozenset(want.values())
+
+
+@pytest.mark.parametrize("diagram", ["span", "fold", "vertex"])
+def test_window_table_agrees_with_the_precat(diagram):
+    """A table's levels are the cells in label order, and its position lists
+    are the precat's restrictions, cell by cell."""
+    P = _pushout_diagram(diagram)[0].precat
+    T = WindowTable(P)
+    for M in W2.objects(1):
+        cells, labels, index = T.level(M)
+        assert cells == sorted(P.cells(M), key=cell_label)
+        assert labels == [cell_label(c) for c in cells]
+        assert index == {c: k for k, c in enumerate(cells)}
+    for s, t, mors in W2.morphisms(1):
+        for f in mors:
+            assert [T.level(s)[0][k] for k in T.act(f)] == \
+                [P.act(f, c) for c in T.level(t)[0]]
 
 
 def _component_set(components):

@@ -294,35 +294,25 @@ def test_segal_faces_rejects_direction_outside_object():
         segal_faces(o(2, [2]), 1)
 
 
-def test_elementary_morphisms_generate_window():
-    """Every window morphism is a composite of the face/degeneracy
-    generators, staying inside the window."""
-    n, B = 2, 2
-    elems = th.elementary_morphisms(n, B)
-    objs = window_objects(n, B)
-    hom = {}
-    for e in elems:
-        hom.setdefault((e.source, e.target), set()).add(e)
-    for m in objs:
-        hom.setdefault((m, m), set()).add(identity(m))
-    changed = True
-    while changed:
-        changed = False
-        items = [(k, frozenset(v)) for k, v in hom.items()]
-        for (a, b), gs in items:
-            for (b2, c), fs in items:
-                if b2 != b:
-                    continue
-                for fmor in fs:
-                    for gmor in gs:
-                        h = compose(fmor, gmor)
-                        bucket = hom.setdefault((a, c), set())
-                        if h not in bucket:
-                            bucket.add(h)
-                            changed = True
-    for s in objs:
-        for t in objs:
-            assert set(enumerate_morphisms(s, t)) == hom.get((s, t), set())
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vertex_in_a_direction_matches_the_lift_oracle(n):
+    """``vertex(tgt, v, d)`` is the endpoint map of direction ``d`` that the
+    Segal check reads, at every level and direction of the B=3 window."""
+    for M in window_objects(n, 3):
+        for d in range(M.length):
+            tgt = o(n, M.entries[:d] + (1,) + M.entries[d + 1:])
+            assert [th.vertex(tgt, v, d) for v in (0, 1)] == \
+                helpers.direction_vertices(M, d)
+
+
+def test_vertex_rejects_points_outside_the_object():
+    with pytest.raises(InvalidMorphismError):
+        th.vertex(o(2, [1]), 2)
+    with pytest.raises(InvalidMorphismError):
+        th.vertex(o(2, [1]), 0, 2)
+    with pytest.raises(InvalidMorphismError):
+        th.vertex(o(2, [2]), 1, 1)
+    assert th.vertex(o(2, [2]), 0, 1).is_identity()
 
 
 def test_serialization_roundtrip():
