@@ -10,11 +10,11 @@ window of levels, only through the window's face/degeneracy generators.  This
 loses nothing where every window morphism is a composite of generators inside
 the window: the tests certify that for n <= 3 on small windows, and larger
 windows rest on it unchecked.  One level-by-level solver finds the levelwise
-maps commuting with the generators; it serves both the isomorphism search and
-the enumeration of natural maps.  Every window check (the solver,
-functoriality, dumps, the Segal check) reads its presheaf through one
-``WindowTable`` built for that check: cells in label order with their labels
-and positions, and each morphism as a list of positions.
+maps commuting with the generators, each certified on its integer tables; it
+serves the isomorphism search and the enumeration of natural maps.  Every
+window check (the solver, functoriality, dumps, the Segal check) reads its
+presheaf through one ``WindowTable`` built for that check: cells in label
+order with their labels and positions, and each morphism as position lists.
 
 Restrictions are memoized without bound.  The cells of a pushout are the
 classes of one union-find per level, each named by its label-minimal member;
@@ -106,8 +106,7 @@ class Precat:
             raise PresheafError(f"{M} is not a level of a {self.n}-precat")
         got = self._levels.get(M)
         if got is None:
-            got = frozenset(self._eval_fn(M))
-            self._levels[M] = got
+            got = self._levels[M] = frozenset(self._eval_fn(M))
         return got
 
     def act(self, f: ThetaMorphism, cell):
@@ -115,11 +114,11 @@ class Precat:
         got = self._acts.get(key, _MISS)
         if got is not _MISS:
             return got
-        if cell not in self.cells(f.target):
+        if cell not in (self._levels.get(f.target) or self.cells(f.target)):
             raise ActionDomainError(
                 f"cell {cell!r} is not at level {f.target} of {self.name}")
         result = self._act_fn(f, cell)
-        if result not in self.cells(f.source):
+        if result not in (self._levels.get(f.source) or self.cells(f.source)):
             raise ActionDomainError(
                 f"action of {f} on {cell!r} left level {f.source} of {self.name}")
         self._acts[key] = result
@@ -254,9 +253,18 @@ def swap_map(P: Precat, Q: Precat) -> PrecatMap:
 # pushouts
 # ---------------------------------------------------------------------------
 
+def _typed_key(cell):
+    """Orders cells of one label, such as ``1`` and ``"1"``, by type."""
+    if isinstance(cell, tuple):
+        return "tuple", tuple(map(_typed_key, cell))
+    if isinstance(cell, frozenset):
+        return "frozenset", tuple(sorted(map(_typed_key, cell)))
+    return type(cell).__name__, repr(cell)
+
+
 def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
     """Each member mapped to the label-minimal member of its class under the
-    equivalence generated by ``pairs``.
+    equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
 
     Union-find with path halving (Tarjan 1975): roots are linked plainly, and
     each class of more than one member picks its representative once at the
@@ -279,7 +287,10 @@ def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
         groups.setdefault(find(x), []).append(x)
     for group in groups.values():
         if len(group) > 1:
-            rep = min(group, key=cell_label)
+            labels = {x: cell_label(x) for x in group}
+            low = min(labels.values())
+            ties = [x for x in group if labels[x] == low]
+            rep = ties[0] if len(ties) == 1 else min(ties, key=_typed_key)
             for x in group:
                 table[x] = rep
     return table
@@ -479,6 +490,13 @@ def check_functoriality(P: Precat, window: Window) -> list:
 # natural maps on a window: isomorphism search and enumeration
 # ---------------------------------------------------------------------------
 
+def _certified(TP: WindowTable, TQ: WindowTable, generators, phi: dict) -> bool:
+    """Whether the position maps ``phi[level]`` commute with each generator
+    ``e: s -> t``: ``phi[s][TP.act(e)[k]] == TQ.act(e)[phi[t][k]]`` for all ``k``."""
+    return all(list(map(phi[e.source].__getitem__, TP.act(e)))
+               == list(map(TQ.act(e).__getitem__, phi[e.target])) for e in generators)
+
+
 def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     """Every levelwise map ``P -> Q`` commuting with the window's generators,
     as ``{level: {cell: image}}`` with levels in window order.
@@ -492,8 +510,8 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     Each level is compiled on its first visit from one ``WindowTable`` per
     side: its size, and each generator between it and an earlier level as
     position lists on ``P`` and ``Q``.  The search then runs on integers;
-    cells, group keys and images are tried in label order.  The tables live
-    only as long as this generator.
+    cells, group keys and images are tried in label order.  Only
+    ``_certified`` solutions come out; the tables die with this generator.
     """
     objs = window.objects(P.n)
     pos = {M: i for i, M in enumerate(objs)}
@@ -570,9 +588,10 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
 
     def solve(i: int):
         if i == len(objs):
-            yield {M: dict(zip(TP.level(M)[0],
-                               [TQ.level(M)[0][d] for d in assigned[j]]))
-                   for j, M in enumerate(objs)}
+            if _certified(TP, TQ, window.elementary(P.n), dict(zip(objs, assigned))):
+                yield {M: dict(zip(TP.level(M)[0],
+                                   [TQ.level(M)[0][d] for d in assigned[j]]))
+                       for j, M in enumerate(objs)}
             return
         if i == len(levels):
             compile_level(i)
@@ -593,7 +612,7 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     """A levelwise bijection commuting with all window morphisms, if any.
 
     Cell counts are compared level by level first; the bijection is the first
-    solution of the natural-map solver, re-checked against the generators.
+    solution of the natural-map solver, certified against the generators.
     """
     if P.n != Q.n:
         return None
@@ -603,10 +622,7 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     components = next(_natural_components(P, Q, window, bijective=True), None)
     if components is None:
         return None
-    iso = PrecatMap(P, Q, lambda M, c: components[M][c], name=f"iso[{window.B}]")
-    if iso.naturality_violations(window):
-        return None
-    return iso
+    return PrecatMap(P, Q, lambda M, c: components[M][c], name=f"iso[{window.B}]")
 
 
 def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatMap]:
@@ -667,8 +683,3 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return constant_table_precat(n, levels, actions, name=name)
-
-
-def windows_equal(P: Precat, Q: Precat, window: Window) -> bool:
-    """Byte equality of the eagerly dumped windows."""
-    return dump_json(P, window) == dump_json(Q, window)

@@ -13,13 +13,13 @@ everything after it.  This is the unique reading of the quotient under which
 presheaves for ``n = 1`` are exactly simplicial sets: the two constant
 self-maps of ``{0,1}`` stay distinct.
 
-Objects and morphisms are hashed on every presheaf cache lookup, so each
-stores its hash once at construction (``_hash``, the same value the dataclass
-would compute, and ignored by equality, ordering and repr).  The morphism
-surgery used by the lower-dimensional constructions, ``tail_morphism`` and
-``prepend_prefix``, is memoized, and tail morphisms share their endpoint
-objects; ``compose`` and ``normalize_morphism`` are not memoized, since a
-memo there would keep every composite of a functoriality sweep.
+Objects and morphisms are hash-consed (Filliâtre & Conchon 2006): equal
+forms are identical, kept in per-class tables for the whole process, so
+presheaf cache lookups compare keys by identity.  Equality, ordering and the
+hash stay content-based, so a copy made outside the tables compares equal;
+each form stores its hash once (``_hash``, ignored by equality, ordering and
+repr).  The surgery used by the lower-dimensional constructions,
+``tail_morphism`` and ``prepend_prefix``, is memoized.
 """
 
 from __future__ import annotations
@@ -46,17 +46,28 @@ class CompositionError(ThetaError):
     pass
 
 
+class _HashConsed(type):
+    """A call with the arguments of a form already built returns that form."""
+
+    def __call__(cls, *args):
+        form = cls._forms.get(args)
+        if form is None:
+            form = cls._forms[args] = super().__call__(*args)
+        return form
+
+
 # ---------------------------------------------------------------------------
 # objects
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, order=True, slots=True)
-class ThetaObject:
+class ThetaObject(metaclass=_HashConsed):
     """A site object: ambient dimension ``n`` plus positive entries."""
 
     n: int
     entries: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _forms = {}
 
     def __post_init__(self):
         if self.n < 0:
@@ -141,7 +152,7 @@ def _check_component(source: ThetaObject, target: ThetaObject, i: int,
 
 
 @dataclass(frozen=True, slots=True)
-class ThetaMorphism:
+class ThetaMorphism(metaclass=_HashConsed):
     """Normal form of a morphism ``source -> target``.
 
     ``components[i]`` is the image tuple of a monotone map
@@ -154,6 +165,7 @@ class ThetaMorphism:
     target: ThetaObject
     components: tuple[tuple[int, ...], ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _forms = {}
 
     def __post_init__(self):
         if self.source.n != self.target.n:
@@ -187,7 +199,7 @@ class ThetaMorphism:
         return tuple(comps)
 
     def is_identity(self) -> bool:
-        return self.source == self.target and self == identity(self.source)
+        return self is identity(self.source)
 
     def to_dict(self) -> dict:
         return {
@@ -331,15 +343,8 @@ def tail_morphism(f: ThetaMorphism) -> ThetaMorphism:
     """Strip the first direction: the induced morphism between tail objects."""
     if f.n == 0:
         raise InvalidMorphismError("no tail in ambient dimension 0")
-    return normalize_morphism(_tail_object(f.source), _tail_object(f.target),
-                              f.lift()[1:])
-
-
-@lru_cache(maxsize=None)
-def _tail_object(obj: ThetaObject) -> ThetaObject:
-    """Shared tail objects, so memoized tail morphisms do not each keep
-    their own copies."""
-    return object_of(obj.n - 1, obj.entries[1:])
+    return normalize_morphism(object_of(f.n - 1, f.source.entries[1:]),
+                              object_of(f.n - 1, f.target.entries[1:]), f.lift()[1:])
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,9 @@ universal property, cofibration checks, windowed isomorphism and dumps."""
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -17,8 +20,11 @@ from precats import (FiniteCategory, Precat, PrecatMap, Window, cell_label,
 from precats.constructions import (PointedPrecat, cell, ck_monoidal,
                                    delooping, pushout_product, sigma_free,
                                    z2_monoid)
+from precats import presheaf as ps
+from precats import suite as suite_mod
 from precats.presheaf import (ActionDomainError, PresheafError, WindowTable,
-                              _natural_components, constant_table_precat)
+                              _certified, _natural_components,
+                              constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
 
 import helpers
@@ -227,6 +233,29 @@ def test_pushout_merges_cells_with_equal_labels():
         assert po.precat.size(M) == 1
 
 
+_TIE_PUSHOUT = """
+from precats import discrete, identity_map, pushout, terminal_map, zero_object
+d = discrete(1, (1, "1"))
+po = pushout(identity_map(d), terminal_map(d))
+print(sorted(map(repr, po.precat.cells(zero_object(1)))))
+"""
+
+
+def test_pushout_representative_does_not_hang_on_the_hash_seed():
+    """Cells 1 and "1" tie on label; the class is named the same way under
+    every hash seed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    answers = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", _TIE_PUSHOUT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        answers.add(done.stdout.strip())
+    assert answers == {"[\"('L', 1)\"]"}
+
+
 def _corner_source():
     inc = cell(1, 1).inclusion
     return pushout_product(inc, inc).source
@@ -431,11 +460,49 @@ def test_iso_needs_naturality_not_just_counts():
         assert not got.naturality_violations(W2)
 
 
+def test_certified_isos_pass_the_cell_level_oracle(monkeypatch):
+    """Every bijection the solver certifies on its tables is natural by the
+    cell-by-cell check, on the acceptance catalogue and the W2 suite."""
+    found = []
+    real = ps.iso_windowed
+
+    def recording(P, Q, window):
+        iso = real(P, Q, window)
+        if iso is not None:
+            found.append((iso, window))
+        return iso
+
+    monkeypatch.setattr(ps, "iso_windowed", recording)
+    for P in _acceptance_catalogue():
+        assert ps.iso_windowed(P, P, W2) is not None, P.name
+    assert suite_mod.run_suite(2).passed
+    assert len(found) > 100
+    for iso, window in found:
+        assert iso.naturality_violations(window) == [], iso.domain.name
+
+
+def test_certificate_rejects_two_swapped_images():
+    """Swapping the images of two edges with different endpoints breaks
+    naturality; the table certificate and the cell-level oracle both say so."""
+    A = nerve(FiniteCategory.interval(), 1)
+    TP, TQ = WindowTable(A), WindowTable(A)
+    gens = W2.elementary(1)
+    ident = {M: list(range(len(TP.level(M)[0]))) for M in W2.objects(1)}
+    assert _certified(TP, TQ, gens, ident)
+    edge = o(1, [1])
+    assert len(TP.level(edge)[0]) == 3
+    swapped = dict(ident)
+    swapped[edge] = [1, 0, 2]
+    assert not _certified(TP, TQ, gens, swapped)
+    images = {M: [TQ.level(M)[0][d] for d in phi] for M, phi in swapped.items()}
+    m = PrecatMap(A, A, lambda M, c: images[M][TP.level(M)[2][c]], name="swap")
+    assert m.naturality_violations(W2)
+
+
 def test_iso_agrees_with_dump_equality():
-    from precats.presheaf import windows_equal
     A1 = nerve(FiniteCategory.interval(), 1)
     A2 = nerve(FiniteCategory.interval(), 1)
-    assert windows_equal(A1, A2, W2)
+    assert dump_json(A1, W2) == dump_json(A2, W2)
     assert iso_windowed(A1, A2, W2) is not None
 
 
@@ -489,10 +556,9 @@ def test_functoriality_agrees_with_all_pairs_on_corrupted_tables(
     assert any(bad_mor in v for v in violations)
 
 
-def test_functoriality_agrees_with_all_pairs_on_acceptance_catalogue():
-    """The generator check and the all-pairs oracle both pass the
-    acceptance gate's functoriality catalogue on W2."""
-    catalogue = [
+def _acceptance_catalogue():
+    """The acceptance gate's functoriality catalogue."""
+    return [
         nerve(FiniteCategory.iso_interval(), 1),
         nerve(FiniteCategory.chain(2), 2),
         sigma_free(1, 2).space,
@@ -500,7 +566,12 @@ def test_functoriality_agrees_with_all_pairs_on_acceptance_catalogue():
         ck_monoidal(z2_monoid(), 2),
         product(nerve(FiniteCategory.interval(), 1), sigma_free(1, 1).space),
     ]
-    for P in catalogue:
+
+
+def test_functoriality_agrees_with_all_pairs_on_acceptance_catalogue():
+    """The generator check and the all-pairs oracle both pass the
+    acceptance gate's functoriality catalogue on W2."""
+    for P in _acceptance_catalogue():
         assert not check_functoriality(P, W2), P.name
         assert not helpers.all_pairs_functoriality_violations(P, W2), P.name
 

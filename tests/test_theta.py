@@ -1,15 +1,19 @@
 """Site-level laws: object representatives, morphism normal forms, the
 quotient against an independent action oracle, composition and enumeration."""
 
+import copy
 import dataclasses
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from precats import FiniteCategory, Window, dump_window, nerve
+from precats import presheaf as ps
 from precats import theta as th
 from precats.theta import (InvalidMorphismError, InvalidObjectError,
-                           ThetaMorphism, compose, enumerate_morphisms,
+                           ThetaMorphism, ThetaObject, compose,
+                           enumerate_morphisms,
                            identity, normalize_morphism, object_of,
                            segal_faces, window_objects)
 
@@ -326,7 +330,7 @@ def test_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# cached hashes and memoized surgery
+# cached hashes, hash-consing and memoized surgery
 # ---------------------------------------------------------------------------
 
 def _w2_site(n):
@@ -344,13 +348,70 @@ def test_cached_hashes_equal_the_field_tuple_hash(n):
 
 
 def test_cached_hash_is_invisible_to_eq_order_and_repr():
-    a, b = o(2, [1, 2]), o(2, [1, 2])
+    # copies made outside the intern tables, so the shared forms stay intact
+    a, b = o(2, [1, 2]), copy.copy(o(2, [1, 2]))
     object.__setattr__(b, "_hash", hash(b) + 1)
     assert a == b and not a < b and not b < a and repr(a) == repr(b)
     assert o(2, [1]) < b and "_hash" not in repr(b)
-    f, g = identity(a), identity(o(2, [1, 2]))
+    f, g = identity(a), copy.copy(identity(o(2, [1, 2])))
     object.__setattr__(g, "_hash", hash(g) + 1)
     assert f == g and repr(f) == repr(g) and "_hash" not in repr(g)
+
+
+def test_equal_forms_are_identical():
+    assert o(2, (1, 2, 0)) is ThetaObject(2, (1, 2))
+    assert window_objects(2, 2)[3] is o(2, window_objects(2, 2)[3].entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composites_and_tails_are_the_interned_forms(n):
+    _, mors = _w2_site(n)
+    for f in mors:
+        assert compose(f, identity(f.source)) is f
+        assert compose(identity(f.target), f) is f
+        assert th.tail_morphism(f).source is o(n - 1, f.source.entries[1:])
+        assert th.tail_morphism(f).target is o(n - 1, f.target.entries[1:])
+
+
+def test_dump_import_rebuilds_the_interned_morphisms(monkeypatch):
+    window = Window(2)
+    data = dump_window(nerve(FiniteCategory.chain(2), 2), window)
+    seen = {}
+    real = ps.constant_table_precat
+
+    def spy(n, levels, actions, name="table"):
+        seen.update(levels=levels, actions=actions)
+        return real(n, levels, actions, name=name)
+
+    monkeypatch.setattr(ps, "constant_table_precat", spy)
+    ps.precat_from_dump(data)
+    objs = window.objects(2)
+    assert [M for M in objs if M in seen["levels"]] == objs
+    assert all(any(M is N for N in objs) for M in seen["levels"])
+    rebuilt = {f for f, _ in seen["actions"]}
+    assert len(rebuilt) == sum(len(m) for _, _, m in window.morphisms(2))
+    for f in rebuilt:
+        assert any(f is g for g in enumerate_morphisms(f.source, f.target))
+
+
+def test_invalid_forms_raise_every_time_and_are_not_stored():
+    a = o(2, [1, 1])
+    for _ in range(2):
+        with pytest.raises(InvalidObjectError):
+            ThetaObject(1, (1, 2))
+        with pytest.raises(InvalidMorphismError):
+            ThetaMorphism(a, a, ((0, 0), (0, 1)))
+    assert (1, (1, 2)) not in ThetaObject._forms
+    assert (a, a, ((0, 0), (0, 1))) not in ThetaMorphism._forms
+
+
+def test_copies_outside_the_tables_compare_and_hash_equal():
+    obj = o(2, [1, 2])
+    for form in (obj, identity(obj), th.collapse_to_zero(obj)):
+        twin = copy.copy(form)
+        assert twin is not form
+        assert twin == form and hash(twin) == hash(form)
+        assert {form: 1}[twin] == 1
 
 
 def test_site_values_stay_frozen():
