@@ -17,7 +17,7 @@ from .presheaf import (Precat, PrecatMap, PushoutData, Window, discrete,
                        empty, hom_precat, point, point_map, product, pushout,
                        sub_precat, swap_map, terminal_map)
 from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
-                    zero_object)
+                    vertex, zero_object)
 
 
 class ConstructionError(ValueError):
@@ -499,24 +499,25 @@ def whitehead(A: Precat, a, k: int) -> tuple[Precat, PrecatMap]:
     """Sub-presheaf of the cells whose restrictions along every morphism from
     a level of length <= k are degeneracies of the base point.
 
-    Every such morphism factors through one whose source entries are bounded
-    by the target's, so the quantifier is finite.
+    Only the vertex maps are checked.  With ``d = min(k, M.length)``, each
+    ``u: U -> M`` with ``U`` of length <= k is ``vertex(M, v, d)`` after
+    ``h``, its first ``d`` components, with ``v`` its constant value at ``d``.
+    ``collapse_to_zero(V)`` after ``h`` is ``collapse_to_zero(U)`` (``V`` the
+    vertex map's source), so when ``A`` is functorial, which this exact
+    quantifier assumes, degeneracy along the vertex maps passes to ``u``.
     """
     if a not in A.cells(zero_object(A.n)):
         raise InvalidArgumentError(f"{a!r} is not an object of {A.name}")
     if not 0 <= k <= A.n:
         raise InvalidArgumentError(f"k={k} out of range for dimension {A.n}")
 
-    def keep(M: ThetaObject, alpha):
-        bound = max(M.entries, default=1)
-        for U in theta.window_objects(A.n, bound, k):
-            want = A.degeneracy(U, a)
-            for u in theta.enumerate_morphisms(U, M):
-                if A.act(u, alpha) != want:
-                    return False
-        return True
+    def keep_at(M: ThetaObject):
+        d = min(k, M.length)
+        want = A.degeneracy(object_of(A.n, M.entries[:d]), a)
+        maps = [vertex(M, v, d) for v in range(M.padded(d) + 1)]
+        return lambda alpha: all(A.act(u, alpha) == want for u in maps)
 
-    return sub_precat(A, keep, name=f"Wh>{k}({A.name})")
+    return sub_precat(A, keep_at, name=f"Wh>{k}({A.name})")
 
 
 # ---------------------------------------------------------------------------

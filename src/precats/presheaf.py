@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -262,6 +263,15 @@ def _typed_key(cell):
     return type(cell).__name__, repr(cell)
 
 
+def _label_key(labels: dict):
+    """Sort key on the cells of ``labels`` (cell -> ``cell_label``): the label,
+    then ``_typed_key`` for label ties only, an order free of the hash seed."""
+    if len(set(labels.values())) == len(labels):
+        return labels.__getitem__
+    counts = Counter(labels.values())
+    return lambda c: (labels[c], _typed_key(c) if counts[labels[c]] > 1 else ())
+
+
 def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
     """Each member mapped to the label-minimal member of its class under the
     equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
@@ -288,9 +298,7 @@ def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
     for group in groups.values():
         if len(group) > 1:
             labels = {x: cell_label(x) for x in group}
-            low = min(labels.values())
-            ties = [x for x in group if labels[x] == low]
-            rep = ties[0] if len(ties) == 1 else min(ties, key=_typed_key)
+            rep = min(labels, key=_label_key(labels))
             for x in group:
                 table[x] = rep
     return table
@@ -363,10 +371,11 @@ def coproduct(P: Precat, Q: Precat) -> PushoutData:
 # slices, fibers, subpresheaves
 # ---------------------------------------------------------------------------
 
-def sub_precat(P: Precat, keep: Callable[[ThetaObject, object], bool],
+def sub_precat(P: Precat, keep_at: Callable[[ThetaObject], Callable[[object], bool]],
                name: str = "sub") -> tuple[Precat, PrecatMap]:
-    """Sub-presheaf of the cells satisfying ``keep`` (must be action-closed)."""
-    S = Precat(P.n, lambda M: (c for c in P.cells(M) if keep(M, c)),
+    """Sub-presheaf of the cells ``c`` over each level ``M`` with
+    ``keep_at(M)(c)`` (must be action-closed); ``keep_at`` runs once a level."""
+    S = Precat(P.n, lambda M: filter(keep_at(M), P.cells(M)),
                lambda f, c: P.act(f, c), name=name)
     return S, PrecatMap(S, P, lambda M, c: c, name=f"{name}->")
 
@@ -394,14 +403,12 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
         raise PresheafError("need one base object per vertex")
     base = slice_precat(A, (p,))
 
-    def vmor(T: ThetaObject, v: int) -> ThetaMorphism:
+    def keep_at(T: ThetaObject):
         full = object_of(A.n, (p,) + T.entries)
-        return vertex(full, v)
+        maps = [vertex(full, v) for v in range(p + 1)]
+        return lambda c: all(A.act(u, c) == x for u, x in zip(maps, points))
 
-    def keep(T, c):
-        return all(A.act(vmor(T, v), c) == points[v] for v in range(p + 1))
-
-    S, _ = sub_precat(base, keep, name=name or f"{A.name}[{p}]{points}")
+    S, _ = sub_precat(base, keep_at, name=name or f"{A.name}[{p}]{points}")
     return S
 
 
@@ -425,7 +432,7 @@ class WindowTable:
         got = self._levels.get(M)
         if got is None:
             labels = {c: cell_label(c) for c in self.P.cells(M)}
-            cells = sorted(labels, key=labels.__getitem__)
+            cells = sorted(labels, key=_label_key(labels))
             got = self._levels[M] = (cells, [labels[c] for c in cells],
                                      {c: k for k, c in enumerate(cells)})
         return got

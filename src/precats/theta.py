@@ -118,13 +118,12 @@ def zero_object(n: int) -> ThetaObject:
     return ThetaObject(n, ())
 
 
-def window_objects(n: int, max_entry: int, max_length: int | None = None) -> list[ThetaObject]:
-    """All objects with entries <= max_entry and length <= max_length, sorted."""
+def window_objects(n: int, max_entry: int) -> list[ThetaObject]:
+    """All objects with entries <= max_entry, sorted."""
     if max_entry < 1:
         raise InvalidObjectError("entry bound must be >= 1")
-    top = n if max_length is None else min(max_length, n)
     out = []
-    for k in range(top + 1):
+    for k in range(n + 1):
         for entries in itertools.product(range(1, max_entry + 1), repeat=k):
             out.append(ThetaObject(n, entries))
     out.sort(key=ThetaObject.sort_key)
@@ -199,7 +198,7 @@ class ThetaMorphism(metaclass=_HashConsed):
         return tuple(comps)
 
     def is_identity(self) -> bool:
-        return self is identity(self.source)
+        return self == identity(self.source)
 
     def to_dict(self) -> dict:
         return {
@@ -280,14 +279,10 @@ def vertex(obj: ThetaObject, v: int, d: int = 0) -> ThetaMorphism:
 
 
 @lru_cache(maxsize=None)
-def monotone_maps(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """All monotone maps [a] -> [b] as image tuples."""
-    return tuple(itertools.combinations_with_replacement(range(b + 1), a + 1))
-
-
-@lru_cache(maxsize=None)
 def _nonconstant_maps(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(m for m in monotone_maps(a, b) if not _is_constant(m))
+    """All non-constant monotone maps [a] -> [b] as image tuples."""
+    return tuple(m for m in itertools.combinations_with_replacement(range(b + 1), a + 1)
+                 if not _is_constant(m))
 
 
 @lru_cache(maxsize=None)
@@ -366,31 +361,23 @@ def prepend_prefix(prefix: tuple[int, ...], g: ThetaMorphism, n: int) -> ThetaMo
 def _elementary_from(obj: ThetaObject, max_entry: int) -> Iterator[ThetaMorphism]:
     n = obj.n
     pad = [obj.padded(i) for i in range(n)]
+    ident = [tuple(range(e + 1)) for e in pad]
     for pos in range(min(obj.length + 1, n)):
         m = pad[pos]
-        # cofaces obj -> (entry grown by one at pos)
-        if m + 1 <= max_entry:
-            t_entries = tuple(pad[:pos]) + (m + 1,) + tuple(pad[pos + 1:])
-            tgt = object_of(n, t_entries)
-            for skip in range(m + 2):
-                comp = tuple(v if v < skip else v + 1 for v in range(m + 1))
-                lift = [tuple(range(pad[i] + 1)) for i in range(n)]
-                lift[pos] = comp
+        moves = []
+        if m + 1 <= max_entry:  # cofaces: the entry at pos grows by one
+            moves.append((m + 1, [tuple(v if v < skip else v + 1 for v in range(m + 1))
+                                  for skip in range(m + 2)]))
+        if m >= 1:  # degeneracies: the entry at pos shrinks by one
+            moves.append((m - 1, [tuple(v if v <= rep else v - 1 for v in range(m + 1))
+                                  for rep in range(m)]))
+        for entry, comps in moves:
+            tgt = object_of(n, pad[:pos] + [entry] + pad[pos + 1:])
+            for comp in comps:
+                lift = ident[:pos] + [comp] + ident[pos + 1:]
                 # positions past the target's truncation keep arity via padding
-                lift = [tuple(min(v, tgt.padded(i)) for v in c)
-                        for i, c in enumerate(lift)]
-                yield normalize_morphism(obj, tgt, lift)
-        # degeneracies obj -> (entry shrunk by one at pos)
-        if m >= 1:
-            t_entries = tuple(pad[:pos]) + (m - 1,) + tuple(pad[pos + 1:])
-            tgt = object_of(n, t_entries)
-            for rep in range(m):
-                comp = tuple(v if v <= rep else v - 1 for v in range(m + 1))
-                lift = [tuple(range(pad[i] + 1)) for i in range(n)]
-                lift[pos] = comp
-                lift = [tuple(min(v, tgt.padded(i)) for v in c)
-                        for i, c in enumerate(lift)]
-                yield normalize_morphism(obj, tgt, lift)
+                yield normalize_morphism(obj, tgt, [tuple(min(v, tgt.padded(i)) for v in c)
+                                                    for i, c in enumerate(lift)])
 
 
 @lru_cache(maxsize=None)

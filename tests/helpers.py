@@ -542,3 +542,30 @@ def segal_map(A, M, d):
         if all(A.act(v1, tup[i]) == A.act(v0, tup[i + 1]) for i in range(p - 1)):
             target.append(tup)
     return mapping, target
+
+
+# ---------------------------------------------------------------------------
+# all-morphism Whitehead quantifier (dual route for the vertex-map check)
+# ---------------------------------------------------------------------------
+
+def whitehead_by_all_morphisms(A, a, k):
+    """The Whitehead sub-presheaf by the sweep over every morphism into a
+    level from a level of length <= k with entries bounded by the target's."""
+    from precats import sub_precat, window_objects
+    from precats.theta import enumerate_morphisms
+
+    def keep_at(M):
+        bound = max(M.entries, default=1)
+        sources = [U for U in window_objects(A.n, bound) if U.length <= k]
+
+        def keep(alpha):
+            for U in sources:
+                want = A.degeneracy(U, a)
+                for u in enumerate_morphisms(U, M):
+                    if A.act(u, alpha) != want:
+                        return False
+            return True
+
+        return keep
+
+    return sub_precat(A, keep_at, name=f"Wh>{k}-sweep({A.name})")

@@ -188,6 +188,8 @@ def test_internal_error_exits_3(monkeypatch, capsys):
      "9fdea480f18fe51002ce327ef96b5752a3b84ddb373299ab397d4593392a2ad6"),
     (["cell", "--k", "1", "--n", "1"],
      "faeb19b58fda45a3ad052a60c1a1490b17f79c746e2a77bb339c4c1c5cf20a82"),
+    (["whitehead", "--of", "nerve", "--category", "Ibar", "--k", "1", "--n", "2"],
+     "d8249548af3ba748f80d92ec0c4e38dc7e426b9aa7a5b0a59eb999c4c5dbb49f"),
 ])
 def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
     out = tmp_path / "dump.json"

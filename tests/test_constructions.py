@@ -323,6 +323,43 @@ def test_whitehead_recursion_formula():
             assert lhs.cells(T) == rhs.cells(T)
 
 
+def _whitehead_catalogue():
+    """Pointed inputs with the window for k >= 1; the double monoid tower is
+    trimmed to W2 there, where the sweep at W3 alone takes about 1.7 s."""
+    z2 = FiniteCategory.monoid((0, 1), lambda x, y: (x + y) % 2, 0, name="Z2")
+    c2 = ck_monoidal(z2_monoid(), 2)
+    s12, s22 = sigma_free(1, 2), sigma_free(2, 2)
+    out = [(nerve(FiniteCategory.interval(), 2), 0, W3),
+           (_nib2(), 0, W3),
+           (nerve(FiniteCategory.chain(2), 2), 0, W3),
+           (nerve(z2, 2), "*", W3),
+           (ck_monoidal(z2_monoid(), 1), "pt", W3),
+           (c2, "pt", W2),
+           (s12.space, s12.base, W3),
+           (s22.space, s22.base, W3),
+           (discrete(2, (0, 1)), 0, W3),
+           (upsilon([point(1), point(1)]), 0, W3),
+           (delooping(PointedPrecat(discrete(1, (0, 1)), 0)), "pt", W3)]
+    for p in (1, 2):
+        out.append((hom_precat(c2, p, ("pt",) * (p + 1)),
+                    c2.degeneracy(o(2, [p]), "pt"), W3))
+    return out
+
+
+def test_whitehead_agrees_with_the_all_morphism_sweep():
+    """The vertex-map quantifier keeps the same cells as the sweep over every
+    morphism from a level of length <= k, on W3 for every k (W2 for the
+    trimmed inputs of the catalogue)."""
+    import helpers
+
+    for A, a, upper in _whitehead_catalogue():
+        for k in range(A.n + 1):
+            W, _ = whitehead(A, a, k)
+            S, _ = helpers.whitehead_by_all_morphisms(A, a, k)
+            for M in (upper if k >= 1 else W3).objects(A.n):
+                assert W.cells(M) == S.cells(M), (A.name, k, M)
+
+
 def test_whitehead_rejects_non_object_base():
     with pytest.raises(InvalidArgumentError):
         whitehead(_nib2(), "nope", 0)

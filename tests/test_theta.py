@@ -412,6 +412,7 @@ def test_copies_outside_the_tables_compare_and_hash_equal():
         assert twin is not form
         assert twin == form and hash(twin) == hash(form)
         assert {form: 1}[twin] == 1
+    assert copy.copy(identity(obj)).is_identity()
 
 
 def test_site_values_stay_frozen():
