@@ -504,6 +504,39 @@ def _certified(TP: WindowTable, TQ: WindowTable, generators, phi: dict) -> bool:
                == list(map(TQ.act(e).__getitem__, phi[e.target])) for e in generators)
 
 
+def _colours(T: WindowTable, objs, generators):
+    """Each cell's colour, one level of ``objs`` at a time: for every
+    generator ``e`` out of its level, the number of cells of ``e.target``
+    that restrict to it.  One round of colour refinement from the level
+    partition (Weisfeiler & Leman 1968; McKay & Piperno 2014); a
+    window-natural bijection preserves it."""
+    out_of: dict = {M: [] for M in objs}
+    for e in generators:
+        out_of[e.source].append(e)
+    for M in objs:
+        size = len(T.level(M)[0])
+        counts = []
+        for e in out_of[M]:
+            n = [0] * size
+            for k in T.act(e):
+                n[k] += 1
+            counts.append(n)
+        yield list(zip(*counts)) or [()] * size
+
+
+def _coloured_permutations(images, want: list, colour: list, chosen: tuple = ()):
+    """The permutations ``p`` of ``images`` with ``colour[p[j]] == want[j]``
+    for every ``j`` that begin with ``chosen``, in ``itertools.permutations``
+    order."""
+    if len(chosen) == len(want):
+        yield chosen
+        return
+    w = want[len(chosen)]
+    for d in images:
+        if colour[d] == w and d not in chosen:
+            yield from _coloured_permutations(images, want, colour, chosen + (d,))
+
+
 def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     """Every levelwise map ``P -> Q`` commuting with the window's generators,
     as ``{level: {cell: image}}`` with levels in window order.
@@ -512,7 +545,10 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     are forced along the generators out of it into already-matched levels;
     the rest are matched within groups of equal restriction signature along
     the generators into it.  With ``bijective`` only levelwise bijections are
-    produced: each group is permuted onto an equal-sized group of ``Q``.
+    produced: each group is permuted onto an equal-sized group of ``Q``, and
+    only colour to colour (``_colours``).  Colours filter and never re-key a
+    group, so solutions come in the order of unfiltered permutation pools;
+    if a level's colours differ as multisets, nothing comes out.
 
     Each level is compiled on its first visit from one ``WindowTable`` per
     side: its size, and each generator between it and an earlier level as
@@ -531,6 +567,13 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         elif t < s:
             outof[s].append(e)
     TP, TQ = WindowTable(P), WindowTable(Q)
+    colours = []
+    if bijective:       # level by level, so a mismatch skips the later tables
+        gens = window.elementary(P.n)
+        for cp, cq in zip(_colours(TP, objs, gens), _colours(TQ, objs, gens)):
+            if Counter(cp) != Counter(cq):
+                return
+            colours.append((cp, cq))
     levels: list[tuple] = []
 
     def compile_level(i: int):
@@ -584,8 +627,12 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         pools = []
         for k in keys:
             images = qgroups.get(k, ())
-            pools.append(itertools.permutations(images) if bijective else
-                         itertools.product(images, repeat=len(groups[k])))
+            if bijective:
+                col_p, col_q = colours[i]
+                pools.append(_coloured_permutations(
+                    images, [col_p[c] for c in groups[k]], col_q))
+            else:
+                pools.append(itertools.product(images, repeat=len(groups[k])))
         for choice in itertools.product(*pools):
             phi = list(forced)
             for k, chosen in zip(keys, choice):
@@ -615,11 +662,26 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         del solve
 
 
+def _window_map(P: Precat, Q: Precat, window: Window, components: dict,
+                name: str) -> PrecatMap:
+    """The map given by the solver's ``{level: {cell: image}}`` components;
+    a level outside the window or a non-cell raises ``PresheafError``."""
+    def apply(M, c):
+        try:
+            return components[M][c]
+        except KeyError:
+            raise PresheafError(f"{name} is not defined on {c!r} at level {M}: "
+                                f"it maps the cells of window B={window.B} only") from None
+
+    return PrecatMap(P, Q, apply, name=name)
+
+
 def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     """A levelwise bijection commuting with all window morphisms, if any.
 
     Cell counts are compared level by level first; the bijection is the first
-    solution of the natural-map solver, certified against the generators.
+    solution of the natural-map solver, which matches cells colour to colour
+    and certifies it against the generators.
     """
     if P.n != Q.n:
         return None
@@ -629,7 +691,7 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     components = next(_natural_components(P, Q, window, bijective=True), None)
     if components is None:
         return None
-    return PrecatMap(P, Q, lambda M, c: components[M][c], name=f"iso[{window.B}]")
+    return _window_map(P, Q, window, components, f"iso[{window.B}]")
 
 
 def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatMap]:
@@ -637,7 +699,7 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 
     Exponential in level sizes; meant for tiny universal-property checks.
     """
-    return [PrecatMap(P, Q, lambda M, c, comp=comp: comp[M][c], name="nat")
+    return [_window_map(P, Q, window, comp, "nat")
             for comp in _natural_components(P, Q, window, bijective=False)]
 
 

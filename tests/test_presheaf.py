@@ -2,6 +2,7 @@
 universal property, cofibration checks, windowed isomorphism and dumps."""
 
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -328,15 +329,18 @@ def test_natural_map_solver_matches_per_cell_oracle(diagram):
         assert _component_set(got) == _component_set(want)
 
 
-def _poset_nerve(less):
-    """Nerve of the poset on 0..3 with the given strict relations."""
-    objs = (0, 1, 2, 3)
+def _poset(less, size=4):
+    """The poset on ``0..size-1`` with the given strict relations."""
+    objs = tuple(range(size))
     arrows = tuple(sorted({(x, x) for x in objs} | set(less)))
-    C = FiniteCategory(objs, arrows, {a: a[0] for a in arrows},
-                       {a: a[1] for a in arrows}, {x: (x, x) for x in objs},
-                       {(a, b): (a[0], b[1]) for a in arrows for b in arrows
-                        if a[1] == b[0]})
-    return nerve(C, 1)
+    return FiniteCategory(objs, arrows, {a: a[0] for a in arrows},
+                          {a: a[1] for a in arrows}, {x: (x, x) for x in objs},
+                          {(a, b): (a[0], b[1]) for a in arrows for b in arrows
+                           if a[1] == b[0]})
+
+
+def _poset_nerve(less, size=4):
+    return nerve(_poset(less, size), 1)
 
 
 @pytest.mark.parametrize("other, iso", [
@@ -372,6 +376,11 @@ def _solver_cases():
                         if ends[a][1] == ends[b][0]})
     N = nerve(C, 1)
     yield "parallel-pairs", N, N
+    # chains 0 < 1 and 3 < 4 beside the lone 2: level 0 is one signature
+    # group whose colours run A B C A B in label order, so the colour filter
+    # picks interleaved positions, and both chains can swap
+    yield "interleaved-colours", _poset_nerve({(0, 1), (3, 4)}, 5), \
+        _poset_nerve({(4, 0), (1, 3)}, 5)
 
 
 @pytest.mark.parametrize("bijective", [True, False])
@@ -394,6 +403,73 @@ def test_compiled_solver_matches_object_keyed_oracle(bijective):
         assert {M: {c: iso.apply(M, c) for c in P.cells(M)}
                 for M in W2.objects(P.n)} == want[0], case
     assert not bijective or (positives >= 4 and negatives >= 4)
+
+
+def test_interleaved_colour_case_is_what_it_claims():
+    P = dict((case, P) for case, P, _ in _solver_cases())["interleaved-colours"]
+    level0 = next(ps._colours(WindowTable(P), W2.objects(1), W2.elementary(1)))
+    a, b, c = level0[0], level0[1], level0[2]
+    assert level0 == [a, b, c, a, b] and len({a, b, c}) == 3
+
+
+@pytest.mark.parametrize("size", range(6))
+def test_coloured_permutations_filter_permutations_in_order(size):
+    """Every colouring of a group of ``size`` cells with at most three
+    colours, up to renaming the colours: the colour-respecting permutations
+    in ``itertools`` order."""
+    images = [2 * d + 1 for d in range(size)]       # not positions 0..size-1
+    colour = [None] * (2 * size + 1)
+    for colouring in itertools.product(range(3), repeat=size):
+        if list(dict.fromkeys(colouring)) != list(range(len(set(colouring)))):
+            continue                                # a renaming of another
+        for d, k in zip(images, colouring):
+            colour[d] = k
+        wants = set(itertools.permutations(colouring))
+        if size:
+            wants.add((3,) + colouring[1:])         # a colour no image has
+        for want in sorted(wants):
+            got = list(ps._coloured_permutations(images, list(want), colour))
+            assert got == [p for p in itertools.permutations(images)
+                           if all(colour[d] == w for d, w in zip(p, want))]
+
+
+_TWO_2_CROWNS = {(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)}
+_4_CROWN = {(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)}
+
+
+@pytest.mark.parametrize("less, other, size, colours_agree, iso", [
+    # equal colours at every level, no iso: decided by the search
+    (_TWO_2_CROWNS, _4_CROWN, 8, True, False),
+    # the 4-crown relabelled by x -> 3x mod 8
+    (_4_CROWN, {(3 * a % 8, 3 * b % 8) for a, b in _4_CROWN}, 8, True, True),
+    # a bottom under a chain against its opposite: colours already differ
+    ({(0, 1), (0, 2), (0, 3), (1, 2)}, {(1, 0), (2, 0), (3, 0), (2, 1)}, 4,
+     False, False),
+])
+def test_iso_verdicts_beyond_colour_classes(less, other, size, colours_agree, iso):
+    P, Q = _poset(less, size), _poset(other, size)
+    NP, NQ = nerve(P, 1), nerve(Q, 1)
+    objs, gens = W2.objects(1), W2.elementary(1)
+    agree = all(sorted(cp) == sorted(cq) for cp, cq in zip(
+        ps._colours(WindowTable(NP), objs, gens),
+        ps._colours(WindowTable(NQ), objs, gens)))
+    assert agree is colours_agree
+    assert helpers.categories_isomorphic(P, Q) is iso
+    found = iso_windowed(NP, NQ, W2)
+    assert (found is not None) is iso
+    if found is not None:
+        assert not found.naturality_violations(W2)
+
+
+def test_solver_maps_raise_a_typed_error_outside_their_window():
+    N = nerve(FiniteCategory.interval(), 1)
+    maps = [iso_windowed(N, N, W2)] + enumerate_natural_maps(N, N, W2)
+    assert len(maps) > 1
+    for f in maps:
+        with pytest.raises(PresheafError, match=r"level Obj\(3,\)@1.*B=2"):
+            f.apply(object_of(1, [3]), 0)
+        with pytest.raises(PresheafError, match=r"'no cell'.*B=2"):
+            f.apply(zero_object(1), "no cell")
 
 
 # ---------------------------------------------------------------------------
