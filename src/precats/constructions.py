@@ -16,6 +16,7 @@ from . import presheaf, theta
 from .presheaf import (Precat, PrecatMap, PushoutData, Window, discrete,
                        empty, hom_precat, point, point_map, product, pushout,
                        sub_precat, swap_map, terminal_map)
+from .tables import UpsilonTable, window_table
 from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
                     vertex, zero_object)
 
@@ -272,7 +273,9 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
         new_values = tuple(inputs[i - 1].act(g, old_index[i]) for i in covered(new_y))
         return (new_y, new_values)
 
-    return Precat(n, eval_fn, act_fn, name=ups_name)
+    return Precat(n, eval_fn, act_fn, name=ups_name,
+                  table=lambda X, tables: UpsilonTable(
+                      X, [window_table(E, tables) for E in inputs], covered))
 
 
 def upsilon_map(maps: list[PrecatMap], legacy: bool = False,

@@ -13,8 +13,13 @@ windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
 serves the isomorphism search and the enumeration of natural maps.  Every
 window check (the solver, functoriality, dumps, the Segal check) reads its
-presheaf through one ``WindowTable`` built for that check: cells in label
-order with their labels and positions, and each morphism as position lists.
+presheaf through one window table (``tables.window_table``) built for that
+check: cells in label order with their labels and positions, and each
+morphism as position lists.  Products, pushouts and edge complexes are
+tabled from their parts' tables, with labels composed from the parts'
+labels, and both sides of one check share the tables of common parts; every
+other presheaf is tabled cell by cell through ``Precat.act``, which stays
+the definition.
 
 Restrictions are memoized without bound.  The cells of a pushout are the
 classes of one union-find per level, each named by its label-minimal member;
@@ -24,6 +29,7 @@ pushout, so no reference cycle keeps a pushout alive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -31,6 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import theta
+from .tables import (ProductTable, PushoutTable, WindowTable, cell_label,
+                     quotient, window_table)
 from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
                     elementary_morphisms, enumerate_morphisms, identity,
                     object_of, vertex, window_objects, zero_object)
@@ -42,24 +50,6 @@ class PresheafError(ValueError):
 
 class ActionDomainError(PresheafError):
     """Cell handed to ``act`` is not at the morphism's target level."""
-
-
-# ---------------------------------------------------------------------------
-# canonical cell labels (used for deterministic dumps and pushout reps)
-# ---------------------------------------------------------------------------
-
-def cell_label(cell) -> str:
-    """Deterministic compact string form of a (possibly nested) cell.
-
-    Idempotent on strings, so re-dumping an imported dump is stable.
-    """
-    if isinstance(cell, tuple):
-        return "(" + ",".join(cell_label(c) for c in cell) + ")"
-    if isinstance(cell, frozenset):
-        return "{" + ",".join(sorted(cell_label(c) for c in cell)) + "}"
-    if isinstance(cell, str):
-        return cell
-    return repr(cell)
 
 
 @dataclass(frozen=True)
@@ -94,11 +84,14 @@ class Precat:
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
-                 name: str = "precat"):
+                 name: str = "precat", table: Optional[Callable] = None):
         self.n = n
         self.name = name
         self._eval_fn = eval_fn
         self._act_fn = act_fn
+        # ``table(P, tables)`` builds P's window table from its parts' tables
+        # (see ``window_table``); None tables P cell by cell.
+        self.table = table
         self._levels: dict[ThetaObject, frozenset] = {}
         self._acts: dict[tuple[ThetaMorphism, object], object] = {}
 
@@ -242,7 +235,9 @@ def product(P: Precat, Q: Precat) -> Precat:
     def act_fn(f, c):
         return (P.act(f, c[0]), Q.act(f, c[1]))
 
-    return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})")
+    return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})",
+                  table=lambda X, tables: ProductTable(
+                      X, window_table(P, tables), window_table(Q, tables)))
 
 
 def swap_map(P: Precat, Q: Precat) -> PrecatMap:
@@ -253,56 +248,6 @@ def swap_map(P: Precat, Q: Precat) -> PrecatMap:
 # ---------------------------------------------------------------------------
 # pushouts
 # ---------------------------------------------------------------------------
-
-def _typed_key(cell):
-    """Orders cells of one label, such as ``1`` and ``"1"``, by type."""
-    if isinstance(cell, tuple):
-        return "tuple", tuple(map(_typed_key, cell))
-    if isinstance(cell, frozenset):
-        return "frozenset", tuple(sorted(map(_typed_key, cell)))
-    return type(cell).__name__, repr(cell)
-
-
-def _label_key(labels: dict):
-    """Sort key on the cells of ``labels`` (cell -> ``cell_label``): the label,
-    then ``_typed_key`` for label ties only, an order free of the hash seed."""
-    if len(set(labels.values())) == len(labels):
-        return labels.__getitem__
-    counts = Counter(labels.values())
-    return lambda c: (labels[c], _typed_key(c) if counts[labels[c]] > 1 else ())
-
-
-def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
-    """Each member mapped to the label-minimal member of its class under the
-    equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
-
-    Union-find with path halving (Tarjan 1975): roots are linked plainly, and
-    each class of more than one member picks its representative once at the
-    end, so every member is labelled at most once.
-    """
-    table = {x: x for x in members}
-
-    def find(x):
-        while table[x] != x:
-            table[x] = table[table[x]]
-            x = table[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            table[rx] = ry
-    groups: dict = {}
-    for x in table:
-        groups.setdefault(find(x), []).append(x)
-    for group in groups.values():
-        if len(group) > 1:
-            labels = {x: cell_label(x) for x in group}
-            rep = min(labels, key=_label_key(labels))
-            for x in group:
-                table[x] = rep
-    return table
-
 
 class PushoutData:
     """Objectwise pushout of ``f: R -> P`` and ``g: R -> Q``.
@@ -337,7 +282,8 @@ class PushoutData:
 
         self._classes = classes
         self.precat = Precat(P.n, lambda M: set(classes(M).values()), act,
-                             name=name)
+                             name=name, table=lambda X, shared: PushoutTable(
+                                 X, f, g, *(window_table(Y, shared) for Y in (R, P, Q))))
         self.inl = PrecatMap(P, self.precat,
                              lambda M, c: classes(M)["L", c], name="inl")
         self.inr = PrecatMap(Q, self.precat,
@@ -413,40 +359,6 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
 
 
 # ---------------------------------------------------------------------------
-# compiled windows
-# ---------------------------------------------------------------------------
-
-class WindowTable:
-    """The compiled form of a presheaf for one check.  ``level(M)`` gives the
-    cells over ``M`` in ``cell_label`` order, their labels and each cell's
-    position; ``act(f)`` the position in ``f.source`` of the restriction of
-    each cell of ``f.target``, in that order.  Both are built when first
-    asked for."""
-
-    def __init__(self, P: Precat):
-        self.P = P
-        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
-        self._acts: dict[ThetaMorphism, list[int]] = {}
-
-    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        got = self._levels.get(M)
-        if got is None:
-            labels = {c: cell_label(c) for c in self.P.cells(M)}
-            cells = sorted(labels, key=_label_key(labels))
-            got = self._levels[M] = (cells, [labels[c] for c in cells],
-                                     {c: k for k, c in enumerate(cells)})
-        return got
-
-    def act(self, f: ThetaMorphism) -> list[int]:
-        got = self._acts.get(f)
-        if got is None:
-            index, act = self.level(f.source)[2], self.P.act
-            got = self._acts[f] = [index[act(f, c)]
-                                   for c in self.level(f.target)[0]]
-        return got
-
-
-# ---------------------------------------------------------------------------
 # extensional checks
 # ---------------------------------------------------------------------------
 
@@ -472,22 +384,20 @@ def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
     induction on generator factorisations these imply the full composition law."""
-    T = WindowTable(P)
+    T = window_table(P)
     out = []
     for M in window.objects(P.n):
-        cells = T.level(M)[0]
-        out += [("identity", M, cells[k])
+        out += [("identity", M, T.level(M)[0][k])
                 for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
         into.setdefault(e.target, []).append(e)
     for _, t, mors in window.morphisms(P.n):
-        cells = T.level(t)[0]
         for f in mors:
             act_f = T.act(f)
             for e in into.get(f.source, ()):
                 act_e = T.act(e)
-                out += [("composition", f, e, cells[k]) for k, (x, y)
+                out += [("composition", f, e, T.level(t)[0][k]) for k, (x, y)
                         in enumerate(zip(T.act(compose(f, e)), act_f))
                         if x != act_e[y]]
     return out
@@ -514,7 +424,7 @@ def _colours(T: WindowTable, objs, generators):
     for e in generators:
         out_of[e.source].append(e)
     for M in objs:
-        size = len(T.level(M)[0])
+        size = T.size(M)
         counts = []
         for e in out_of[M]:
             n = [0] * size
@@ -537,6 +447,27 @@ def _coloured_permutations(images, want: list, colour: list, chosen: tuple = ())
             yield from _coloured_permutations(images, want, colour, chosen + (d,))
 
 
+def _lazy_product(pools: list):
+    """``itertools.product(*(pool() for pool in pools))`` in the same order,
+    but lazily: each pool is drawn afresh under each choice from the pools
+    before it, so no pool is built whole before the first tuple."""
+    if not pools:
+        yield ()
+        return
+    chosen, draws = [], [pools[0]()]
+    while draws:
+        x = next(draws[-1], _MISS)
+        if x is _MISS:
+            draws.pop()
+            if chosen:
+                chosen.pop()
+        elif len(draws) == len(pools):
+            yield (*chosen, x)
+        else:
+            chosen.append(x)
+            draws.append(pools[len(draws)]())
+
+
 def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     """Every levelwise map ``P -> Q`` commuting with the window's generators,
     as ``{level: {cell: image}}`` with levels in window order.
@@ -550,11 +481,13 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     group, so solutions come in the order of unfiltered permutation pools;
     if a level's colours differ as multisets, nothing comes out.
 
-    Each level is compiled on its first visit from one ``WindowTable`` per
-    side: its size, and each generator between it and an earlier level as
-    position lists on ``P`` and ``Q``.  The search then runs on integers;
-    cells, group keys and images are tried in label order.  Only
-    ``_certified`` solutions come out; the tables die with this generator.
+    Each level is compiled on its first visit from one ``window_table`` per
+    side, the two sharing the tables of common parts: its size, and each
+    generator between it and an earlier level as position lists on ``P`` and
+    ``Q``.  The search then runs on integers; cells, group keys and images
+    are tried in label order.  With ``bijective``, level sizes are compared
+    on the tables first.  Only ``_certified`` solutions come out; the tables
+    die with this generator.
     """
     objs = window.objects(P.n)
     pos = {M: i for i, M in enumerate(objs)}
@@ -566,7 +499,10 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             into[t].append(e)
         elif t < s:
             outof[s].append(e)
-    TP, TQ = WindowTable(P), WindowTable(Q)
+    tables: dict = {}
+    TP, TQ = window_table(P, tables), window_table(Q, tables)
+    if bijective and any(TP.size(M) != TQ.size(M) for M in objs):
+        return
     colours = []
     if bijective:       # level by level, so a mismatch skips the later tables
         gens = window.elementary(P.n)
@@ -578,12 +514,12 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
 
     def compile_level(i: int):
         M = objs[i]
-        ins = [(pos[e.source], TP.act(e), TQ.act(e), TQ.level(e.source)[1])
+        ins = [(pos[e.source], TP.act(e), TQ.act(e), TQ.labels(e.source))
                for e in into[i]]
         outs = [(pos[e.target], TP.act(e), TQ.act(e)) for e in outof[i]]
         sig_q = [tuple(q_rest[d] for _, _, q_rest, _ in ins)
-                 for d in range(len(TQ.level(M)[0]))]
-        levels.append((len(TP.level(M)[0]), ins, outs, sig_q))
+                 for d in range(TQ.size(M))]
+        levels.append((TP.size(M), ins, outs, sig_q))
 
     assigned: list[list[int]] = []
 
@@ -629,11 +565,12 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             images = qgroups.get(k, ())
             if bijective:
                 col_p, col_q = colours[i]
-                pools.append(_coloured_permutations(
-                    images, [col_p[c] for c in groups[k]], col_q))
+                pools.append(functools.partial(_coloured_permutations, images,
+                                               [col_p[c] for c in groups[k]], col_q))
             else:
-                pools.append(itertools.product(images, repeat=len(groups[k])))
-        for choice in itertools.product(*pools):
+                pools.append(functools.partial(itertools.product, images,
+                                               repeat=len(groups[k])))
+        for choice in _lazy_product(pools):
             phi = list(forced)
             for k, chosen in zip(keys, choice):
                 for c, d in zip(groups[k], chosen):
@@ -679,15 +616,14 @@ def _window_map(P: Precat, Q: Precat, window: Window, components: dict,
 def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     """A levelwise bijection commuting with all window morphisms, if any.
 
-    Cell counts are compared level by level first; the bijection is the first
-    solution of the natural-map solver, which matches cells colour to colour
-    and certifies it against the generators.
+    The bijection is the first solution of the natural-map solver, which
+    reads both sides through window tables: it compares level sizes on the
+    tables first (a composite's sizes come from its parts' tables, with no
+    cell-level evaluation of its own), then matches cells colour to colour
+    and certifies the result against the generators.
     """
     if P.n != Q.n:
         return None
-    for M in window.objects(P.n):
-        if len(P.cells(M)) != len(Q.cells(M)):
-            return None
     components = next(_natural_components(P, Q, window, bijective=True), None)
     if components is None:
         return None
@@ -710,17 +646,17 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 def dump_window(P: Precat, window: Window) -> dict:
     """Complete extensional data of the window, canonically ordered; cells are
     keyed by label, so two cells of one level that label alike are an error."""
-    T = WindowTable(P)
+    T = window_table(P)
     levels = []
     for M in window.objects(P.n):
-        labels = T.level(M)[1]
+        labels = T.labels(M)
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise PresheafError(f"cells of level {M} share the label {a!r}")
         levels.append({"object": list(M.entries), "cells": labels})
     actions = []
     for s, t, mors in window.morphisms(P.n):
-        source, target = T.level(s)[1], T.level(t)[1]
+        source, target = T.labels(s), T.labels(t)
         for f in mors:
             actions.append({"morphism": f.to_dict(), "map": {
                 d: source[k] for d, k in zip(target, T.act(f))}})

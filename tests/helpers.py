@@ -155,14 +155,31 @@ def enumerate_small_categories(limit: int = 10, max_objects: int = 3,
 
 
 def categories_isomorphic(C: FiniteCategory, D: FiniteCategory) -> bool:
-    """Brute-force isomorphism of finite categories."""
+    """Brute-force isomorphism of finite categories.  Object maps are built
+    one object at a time, each object sent only to an unused object of equal
+    (out, in) degree; every object map so built is then tried in full."""
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return False
 
     def hom(cat, x, y):
         return [a for a in cat.arrows if cat.src[a] == x and cat.tgt[a] == y]
 
-    for obj_map in itertools.permutations(D.objects):
+    def degrees(cat):
+        return {x: (sum(cat.src[a] == x for a in cat.arrows),
+                    sum(cat.tgt[a] == x for a in cat.arrows)) for x in cat.objects}
+
+    deg_c, deg_d = degrees(C), degrees(D)
+
+    def object_maps(chosen):
+        if len(chosen) == len(C.objects):
+            yield chosen
+            return
+        x = C.objects[len(chosen)]
+        for y in D.objects:
+            if deg_d[y] == deg_c[x] and y not in chosen:
+                yield from object_maps(chosen + (y,))
+
+    for obj_map in object_maps(()):
         phi = dict(zip(C.objects, obj_map))
         homs = {}
         ok = True

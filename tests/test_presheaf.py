@@ -412,6 +412,34 @@ def test_interleaved_colour_case_is_what_it_claims():
     assert level0 == [a, b, c, a, b] and len({a, b, c}) == 3
 
 
+@pytest.mark.parametrize("pools", [
+    [], [[]], [[1, 2], [], [3]], [[1, 2, 3], [4, 5], [6, 7, 8]], [[0]],
+    [[1, 2], [3, 4], [5]], [[1], [2, 3], []],
+])
+def test_lazy_product_keeps_product_order(pools):
+    assert list(ps._lazy_product([lambda p=p: iter(p) for p in pools])) == \
+        list(itertools.product(*pools))
+
+
+def test_identity_of_eight_points_found_without_building_the_pool(monkeypatch):
+    """Eight level-0 cells form one group of 8! permutations; the search
+    draws the first and is done, instead of building all of them."""
+    drawn = []
+    pool = ps._coloured_permutations
+
+    def counting(images, want, colour, chosen=()):
+        for p in pool(images, want, colour, chosen):
+            if not chosen:
+                drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(ps, "_coloured_permutations", counting)
+    D = discrete(1, range(8))
+    iso = iso_windowed(D, D, W2)
+    assert all(iso.apply(M, c) == c for M in W2.objects(1) for c in range(8))
+    assert drawn == [tuple(range(8))]
+
+
 @pytest.mark.parametrize("size", range(6))
 def test_coloured_permutations_filter_permutations_in_order(size):
     """Every colouring of a group of ``size`` cells with at most three
