@@ -3,7 +3,7 @@
 The comparison (Segal) map at a level whose ``d``-th entry is ``p`` sends a
 cell to its ``p`` spine restrictions; strictness means every such map is a
 bijection on the window.  It is computed on the positions of one
-``window_table`` per check.  Category recovery, truncation and connectivity
+``WindowTable`` per check.  Category recovery, truncation and connectivity
 read the fixed levels (0) to (3) and recurse into hom presheaves, so they
 take no window.  They are implemented for strict inputs only: a weak input
 raises a typed error instead of silently approximating, since resolving it
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import theta
 from .constructions import FiniteCategory
-from .presheaf import Precat, PrecatMap, Window, hom_precat, slice_precat
-from .tables import WindowTable, quotient, window_table
+from .presheaf import (Precat, PrecatMap, Window, WindowTable, hom_precat,
+                       quotient, slice_precat)
 from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
                     object_of, vertex, zero_object)
 
@@ -85,7 +85,7 @@ def _segal_entry(T: WindowTable, M: ThetaObject, d: int) -> SegalEntry:
 
 def segal_check(A: Precat, window: Window) -> SegalReport:
     """Comparison-map verdicts at every window level with an entry >= 2."""
-    T = window_table(A)
+    T = WindowTable(A)
     return SegalReport([_segal_entry(T, M, d) for M in window.objects(A.n)
                         for d, p in enumerate(M.entries) if p >= 2])
 
@@ -96,7 +96,7 @@ def segal_check(A: Precat, window: Window) -> SegalReport:
 
 def _require_strict(A: Precat) -> None:
     """Raise unless the comparison maps at levels (2) and (3) are bijections."""
-    T = window_table(A)
+    T = WindowTable(A)
     for p in (2, 3):
         e = _segal_entry(T, object_of(A.n, (p,)), 0)
         if not e.bijective:

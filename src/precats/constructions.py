@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from . import presheaf, theta
 from .presheaf import (Precat, PrecatMap, PushoutData, Window, discrete,
                        empty, hom_precat, point, point_map, product, pushout,
-                       sub_precat, swap_map, terminal_map)
-from .tables import UpsilonTable, window_table
+                       sub_precat, swap_map, terminal_map, window_table)
 from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
                     vertex, zero_object)
 
@@ -273,9 +272,11 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
         new_values = tuple(inputs[i - 1].act(g, old_index[i]) for i in covered(new_y))
         return (new_y, new_values)
 
-    return Precat(n, eval_fn, act_fn, name=ups_name,
-                  table=lambda X, tables: UpsilonTable(
-                      X, [window_table(E, tables) for E in inputs], covered))
+    def table(X, tables):
+        from .tables import UpsilonTable
+        return UpsilonTable(X, [window_table(E, tables) for E in inputs], covered)
+
+    return Precat(n, eval_fn, act_fn, name=ups_name, table=table)
 
 
 def upsilon_map(maps: list[PrecatMap], legacy: bool = False,

@@ -13,13 +13,13 @@ windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
 serves the isomorphism search and the enumeration of natural maps.  Every
 window check (the solver, functoriality, dumps, the Segal check) reads its
-presheaf through one window table (``tables.window_table``) built for that
-check: cells in label order with their labels and positions, and each
-morphism as position lists.  Products, pushouts and edge complexes are
-tabled from their parts' tables, with labels composed from the parts'
-labels, and both sides of one check share the tables of common parts; every
-other presheaf is tabled cell by cell through ``Precat.act``, which stays
-the definition.
+presheaf through one ``WindowTable`` built for that check: cells in label
+order with their labels and positions, and each morphism as position lists.
+The solver's tables come from ``window_table``: products, pushouts and edge
+complexes are tabled from their parts' tables (module ``tables``), with
+labels composed from the parts' labels, and both sides of one check share
+the tables of common parts.  Every other table is read cell by cell through
+``Precat.act``, which stays the definition.
 
 Restrictions are memoized without bound.  The cells of a pushout are the
 classes of one union-find per level, each named by its label-minimal member;
@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import theta
-from .tables import (ProductTable, PushoutTable, WindowTable, cell_label,
-                     quotient, window_table)
 from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
                     elementary_morphisms, enumerate_morphisms, identity,
                     object_of, vertex, window_objects, zero_object)
@@ -50,6 +48,24 @@ class PresheafError(ValueError):
 
 class ActionDomainError(PresheafError):
     """Cell handed to ``act`` is not at the morphism's target level."""
+
+
+# ---------------------------------------------------------------------------
+# canonical cell labels (used for deterministic dumps and pushout reps)
+# ---------------------------------------------------------------------------
+
+def cell_label(cell) -> str:
+    """Deterministic compact string form of a (possibly nested) cell.
+
+    Idempotent on strings, so re-dumping an imported dump is stable.
+    """
+    if isinstance(cell, tuple):
+        return "(" + ",".join(cell_label(c) for c in cell) + ")"
+    if isinstance(cell, frozenset):
+        return "{" + ",".join(sorted(cell_label(c) for c in cell)) + "}"
+    if isinstance(cell, str):
+        return cell
+    return repr(cell)
 
 
 @dataclass(frozen=True)
@@ -235,9 +251,11 @@ def product(P: Precat, Q: Precat) -> Precat:
     def act_fn(f, c):
         return (P.act(f, c[0]), Q.act(f, c[1]))
 
-    return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})",
-                  table=lambda X, tables: ProductTable(
-                      X, window_table(P, tables), window_table(Q, tables)))
+    def table(X, tables):
+        from .tables import ProductTable
+        return ProductTable(X, window_table(P, tables), window_table(Q, tables))
+
+    return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})", table=table)
 
 
 def swap_map(P: Precat, Q: Precat) -> PrecatMap:
@@ -248,6 +266,64 @@ def swap_map(P: Precat, Q: Precat) -> PrecatMap:
 # ---------------------------------------------------------------------------
 # pushouts
 # ---------------------------------------------------------------------------
+
+def _typed_key(cell):
+    """Orders cells of one label, such as ``1`` and ``"1"``, by type."""
+    if isinstance(cell, tuple):
+        return "tuple", tuple(map(_typed_key, cell))
+    if isinstance(cell, frozenset):
+        return "frozenset", tuple(sorted(map(_typed_key, cell)))
+    return type(cell).__name__, repr(cell)
+
+
+def _label_key(labels, cell: Optional[Callable] = None):
+    """Sort key on the keys of ``labels`` (a dict, or a list over positions,
+    giving each key's ``cell_label``): the label, then ``_typed_key`` of the
+    key's cell (``cell(key)``, the key itself by default) for label ties
+    only, an order free of the hash seed."""
+    values = labels.values() if isinstance(labels, dict) else labels
+    if len(set(values)) == len(values):
+        return labels.__getitem__
+    counts = Counter(values)
+    cell = cell or (lambda c: c)
+    return lambda c: (labels[c], _typed_key(cell(c)) if counts[labels[c]] > 1 else ())
+
+
+def quotient(members: Iterable, pairs: Iterable[tuple],
+             label: Optional[Callable] = None, cell: Optional[Callable] = None) -> dict:
+    """Each member mapped to the label-minimal member of its class under the
+    equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
+    Members are cells, or ids of cells with their labels given by ``label``
+    and the cells themselves by ``cell`` (needed for ties only).
+
+    Union-find with path halving (Tarjan 1975): roots are linked plainly, and
+    each class of more than one member picks its representative once at the
+    end, so every member is labelled at most once.
+    """
+    label = label or cell_label
+    table = {x: x for x in members}
+
+    def find(x):
+        while table[x] != x:
+            table[x] = table[table[x]]
+            x = table[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            table[rx] = ry
+    groups: dict = {}
+    for x in table:
+        groups.setdefault(find(x), []).append(x)
+    for group in groups.values():
+        if len(group) > 1:
+            labels = {x: label(x) for x in group}
+            rep = min(labels, key=_label_key(labels, cell))
+            for x in group:
+                table[x] = rep
+    return table
+
 
 class PushoutData:
     """Objectwise pushout of ``f: R -> P`` and ``g: R -> Q``.
@@ -280,10 +356,13 @@ class PushoutData:
             inner = P if side == "L" else Q
             return classes(e.source)[side, inner.act(e, c)]
 
+        def table(X, shared):
+            from .tables import PushoutTable
+            return PushoutTable(X, f, g, *(window_table(Y, shared) for Y in (R, P, Q)))
+
         self._classes = classes
         self.precat = Precat(P.n, lambda M: set(classes(M).values()), act,
-                             name=name, table=lambda X, shared: PushoutTable(
-                                 X, f, g, *(window_table(Y, shared) for Y in (R, P, Q))))
+                             name=name, table=table)
         self.inl = PrecatMap(P, self.precat,
                              lambda M, c: classes(M)["L", c], name="inl")
         self.inr = PrecatMap(Q, self.precat,
@@ -359,6 +438,61 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
 
 
 # ---------------------------------------------------------------------------
+# compiled windows
+# ---------------------------------------------------------------------------
+
+class WindowTable:
+    """The compiled form of a presheaf for one check.  ``level(M)`` gives the
+    cells over ``M`` in ``cell_label`` order, their labels and each cell's
+    position; ``labels(M)`` the labels alone and ``size(M)`` their number;
+    ``act(f)`` the position in ``f.source`` of the restriction of each cell
+    of ``f.target``, in that order.  All are built when first asked for,
+    cell by cell through ``Precat.act``."""
+
+    def __init__(self, P: Precat):
+        self.P = P
+        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
+        self._acts: dict[ThetaMorphism, list[int]] = {}
+
+    def labels(self, M: ThetaObject) -> list[str]:
+        return self.level(M)[1]
+
+    def size(self, M: ThetaObject) -> int:
+        return len(self.P.cells(M))
+
+    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
+        got = self._levels.get(M)
+        if got is None:
+            labels = {c: cell_label(c) for c in self.P.cells(M)}
+            cells = sorted(labels, key=_label_key(labels))
+            got = self._levels[M] = (cells, [labels[c] for c in cells],
+                                     {c: k for k, c in enumerate(cells)})
+        return got
+
+    def act(self, f: ThetaMorphism) -> list[int]:
+        got = self._acts.get(f)
+        if got is None:
+            index, act = self.level(f.source)[2], self.P.act
+            got = self._acts[f] = [index[act(f, c)]
+                                   for c in self.level(f.target)[0]]
+        return got
+
+
+def window_table(P: Precat, tables: Optional[dict] = None) -> WindowTable:
+    """P's table for one solver check.  A precat built with a ``table`` hook
+    (products, pushouts, edge complexes; see ``tables``) is tabled from its
+    parts' tables, any other cell by cell.  ``tables`` maps each precat
+    already tabled for the check to its table, so a part met twice, on one
+    side or on both, is tabled once.  No table refers to ``tables``, so the
+    tables die with the check."""
+    tables = {} if tables is None else tables
+    got = tables.get(P)
+    if got is None:
+        got = tables[P] = WindowTable(P) if P.table is None else P.table(P, tables)
+    return got
+
+
+# ---------------------------------------------------------------------------
 # extensional checks
 # ---------------------------------------------------------------------------
 
@@ -384,20 +518,22 @@ def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
     induction on generator factorisations these imply the full composition law."""
-    T = window_table(P)
+    T = WindowTable(P)
     out = []
     for M in window.objects(P.n):
-        out += [("identity", M, T.level(M)[0][k])
+        cells = T.level(M)[0]
+        out += [("identity", M, cells[k])
                 for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
         into.setdefault(e.target, []).append(e)
     for _, t, mors in window.morphisms(P.n):
+        cells = T.level(t)[0]
         for f in mors:
             act_f = T.act(f)
             for e in into.get(f.source, ()):
                 act_e = T.act(e)
-                out += [("composition", f, e, T.level(t)[0][k]) for k, (x, y)
+                out += [("composition", f, e, cells[k]) for k, (x, y)
                         in enumerate(zip(T.act(compose(f, e)), act_f))
                         if x != act_e[y]]
     return out
@@ -450,7 +586,8 @@ def _coloured_permutations(images, want: list, colour: list, chosen: tuple = ())
 def _lazy_product(pools: list):
     """``itertools.product(*(pool() for pool in pools))`` in the same order,
     but lazily: each pool is drawn afresh under each choice from the pools
-    before it, so no pool is built whole before the first tuple."""
+    before it, so no pool is built whole before the first tuple.  It keeps
+    its own stack, as a level may have more groups than the recursion limit."""
     if not pools:
         yield ()
         return
@@ -646,17 +783,17 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 def dump_window(P: Precat, window: Window) -> dict:
     """Complete extensional data of the window, canonically ordered; cells are
     keyed by label, so two cells of one level that label alike are an error."""
-    T = window_table(P)
+    T = WindowTable(P)
     levels = []
     for M in window.objects(P.n):
-        labels = T.labels(M)
+        labels = T.level(M)[1]
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise PresheafError(f"cells of level {M} share the label {a!r}")
         levels.append({"object": list(M.entries), "cells": labels})
     actions = []
     for s, t, mors in window.morphisms(P.n):
-        source, target = T.labels(s), T.labels(t)
+        source, target = T.level(s)[1], T.level(t)[1]
         for f in mors:
             actions.append({"morphism": f.to_dict(), "map": {
                 d: source[k] for d, k in zip(target, T.act(f))}})

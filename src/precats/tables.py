@@ -1,22 +1,16 @@
-"""Cell labels, label-minimal classes, and window tables.
+"""Window tables of products, pushouts and edge complexes, built from
+their parts' tables.
 
-``cell_label`` names every cell by a string; dumps, pushout representatives
-and every window table order cells by it, label ties broken by type
-(``_typed_key``), an order free of the hash seed.  ``quotient`` joins
-members into label-minimal classes on one union-find.
-
-A window table is the compiled form of a presheaf for one check: each level's
-cells in label order, with their labels and positions, and each morphism as
-a list of positions.  ``window_table`` builds it once per precat and check.
-A product, a pushout or an edge complex is tabled from its parts' tables
-(``ProductTable``, ``PushoutTable``, ``UpsilonTable``): a product's cell is a
-pair of positions, a pushout's a class of ``quotient`` on the positions of
-its two sides, an edge complex's a vertex path with a position for each
-covered input.  Their labels are composed from the parts' labels, and they
-restrict through the parts' position lists, never through ``Precat.act``.
-Every other presheaf (nerves, discrete and dumped presheaves, subpresheaves,
-slices, delooping) is tabled cell by cell through ``Precat.act``, which stays
-the definition and the oracle of the composite tables.
+``presheaf.window_table`` tables a precat built with a ``table`` hook
+(``product``, ``PushoutData``, ``constructions.upsilon``) by one of these
+classes, and every other presheaf (nerves, discrete and dumped presheaves,
+subpresheaves, slices, delooping) cell by cell with ``presheaf.WindowTable``.
+A product's cell is a pair of positions, a pushout's a class of ``quotient``
+on the positions of its two sides, an edge complex's a vertex path with a
+position for each covered input.  Their labels are composed from the parts'
+labels, and they restrict through the parts' position lists, never through
+``Precat.act``, which stays the definition and the oracle of these tables.
+This module is imported only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -24,137 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable
 
+from .presheaf import WindowTable, _label_key, quotient
 from .theta import ThetaMorphism, ThetaObject, object_of, tail_morphism
 
 if TYPE_CHECKING:
     from .presheaf import Precat, PrecatMap
-
-
-def cell_label(cell) -> str:
-    """Deterministic compact string form of a (possibly nested) cell.
-
-    Idempotent on strings, so re-dumping an imported dump is stable.
-    """
-    if isinstance(cell, tuple):
-        return "(" + ",".join(cell_label(c) for c in cell) + ")"
-    if isinstance(cell, frozenset):
-        return "{" + ",".join(sorted(cell_label(c) for c in cell)) + "}"
-    if isinstance(cell, str):
-        return cell
-    return repr(cell)
-
-
-def _typed_key(cell):
-    """Orders cells of one label, such as ``1`` and ``"1"``, by type."""
-    if isinstance(cell, tuple):
-        return "tuple", tuple(map(_typed_key, cell))
-    if isinstance(cell, frozenset):
-        return "frozenset", tuple(sorted(map(_typed_key, cell)))
-    return type(cell).__name__, repr(cell)
-
-
-def _label_key(labels, cell: Optional[Callable] = None):
-    """Sort key on the keys of ``labels`` (a dict, or a list over positions,
-    giving each key's ``cell_label``): the label, then ``_typed_key`` of the
-    key's cell (``cell(key)``, the key itself by default) for label ties
-    only, an order free of the hash seed."""
-    values = labels.values() if isinstance(labels, dict) else labels
-    if len(set(values)) == len(values):
-        return labels.__getitem__
-    counts = Counter(values)
-    cell = cell or (lambda c: c)
-    return lambda c: (labels[c], _typed_key(cell(c)) if counts[labels[c]] > 1 else ())
-
-
-def quotient(members: Iterable, pairs: Iterable[tuple],
-             label: Optional[Callable] = None, cell: Optional[Callable] = None) -> dict:
-    """Each member mapped to the label-minimal member of its class under the
-    equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
-    Members are cells, or ids of cells with their labels given by ``label``
-    and the cells themselves by ``cell`` (needed for ties only).
-
-    Union-find with path halving (Tarjan 1975): roots are linked plainly, and
-    each class of more than one member picks its representative once at the
-    end, so every member is labelled at most once.
-    """
-    label = label or cell_label
-    table = {x: x for x in members}
-
-    def find(x):
-        while table[x] != x:
-            table[x] = table[table[x]]
-            x = table[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            table[rx] = ry
-    groups: dict = {}
-    for x in table:
-        groups.setdefault(find(x), []).append(x)
-    for group in groups.values():
-        if len(group) > 1:
-            labels = {x: label(x) for x in group}
-            rep = min(labels, key=_label_key(labels, cell))
-            for x in group:
-                table[x] = rep
-    return table
-
-
-def window_table(P: Precat, tables: Optional[dict] = None) -> WindowTable:
-    """P's table for one check.  A precat built with a ``table`` hook
-    (products, pushouts, edge complexes) is tabled from its parts' tables,
-    any other cell by cell.  ``tables`` maps each precat already tabled for
-    the check to its table, so a part met twice, on one side or on both, is
-    tabled once.  No table refers to ``tables``, so the tables die with
-    the check."""
-    tables = {} if tables is None else tables
-    got = tables.get(P)
-    if got is None:
-        got = tables[P] = WindowTable(P) if P.table is None else P.table(P, tables)
-    return got
-
-
-class WindowTable:
-    """The compiled form of a presheaf for one check.  ``level(M)`` gives the
-    cells over ``M`` in ``cell_label`` order, their labels and each cell's
-    position; ``labels(M)`` the labels alone and ``size(M)`` their number;
-    ``act(f)`` the position in ``f.source`` of the restriction of each cell
-    of ``f.target``, in that order.  All are built when first asked for.
-    This class reads the precat cell by cell through ``Precat.act``;
-    ``CompiledTable`` builds from the parts' tables instead."""
-
-    def __init__(self, P: Precat):
-        self.P = P
-        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
-        self._acts: dict[ThetaMorphism, list[int]] = {}
-
-    def labels(self, M: ThetaObject) -> list[str]:
-        return self.level(M)[1]
-
-    def size(self, M: ThetaObject) -> int:
-        return len(self.P.cells(M))
-
-    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        got = self._levels.get(M)
-        if got is None:
-            labels = {c: cell_label(c) for c in self.P.cells(M)}
-            cells = sorted(labels, key=_label_key(labels))
-            got = self._levels[M] = (cells, [labels[c] for c in cells],
-                                     {c: k for k, c in enumerate(cells)})
-        return got
-
-    def act(self, f: ThetaMorphism) -> list[int]:
-        got = self._acts.get(f)
-        if got is None:
-            index, act = self.level(f.source)[2], self.P.act
-            got = self._acts[f] = [index[act(f, c)]
-                                   for c in self.level(f.target)[0]]
-        return got
 
 
 class CompiledTable(WindowTable):
@@ -164,9 +34,11 @@ class CompiledTable(WindowTable):
     with ``_tabulate(M)`` giving ``(order, rank, labels)``, where
     ``order[k]`` is the member of the ``k``-th cell in label order and
     ``rank[m]`` the position of member ``m``'s cell.  Several members may
-    share a cell (a pushout class).  ``_restrict(f, members)`` maps members
-    of ``f.target`` to members of ``f.source``, and ``_members(M)`` lists
-    the members' cells, needed only for label ties and for ``level``.
+    share a cell (a pushout class).  ``_restrict(f)``, called once both ends
+    are tabulated, lists the member of ``f.source`` that each member of
+    ``f.target`` restricts to, and
+    ``_members(M)`` the members' cells, needed only for label ties and for
+    ``level``.
     Labels are composed from the parts' labels and equal ``cell_label`` of
     the cells.
     """
@@ -214,9 +86,9 @@ class CompiledTable(WindowTable):
     def act(self, f: ThetaMorphism) -> list[int]:
         got = self._acts.get(f)
         if got is None:
-            rank = self._table(f.source)[1]
-            got = self._acts[f] = [rank[m] for m in
-                                   self._restrict(f, self._table(f.target)[0])]
+            order, rank = self._table(f.target)[0], self._table(f.source)[1]
+            image = self._restrict(f)
+            got = self._acts[f] = [rank[image[m]] for m in order]
         return got
 
 
@@ -236,10 +108,9 @@ class ProductTable(CompiledTable):
         right = self.TB.level(M)[0]
         return [(a, b) for a in self.TA.level(M)[0] for b in right]
 
-    def _restrict(self, f, members):
-        width, to_width = len(self.TB.labels(f.target)), len(self.TB.labels(f.source))
-        a, b = self.TA.act(f), self.TB.act(f)
-        return [a[i] * to_width + b[j] for i, j in (divmod(m, width) for m in members)]
+    def _restrict(self, f):
+        width, b = self.TB.size(f.source), self.TB.act(f)
+        return [i * width + j for i in self.TA.act(f) for j in b]
 
 
 class PushoutTable(CompiledTable):
@@ -270,10 +141,9 @@ class PushoutTable(CompiledTable):
         return ([("L", c) for c in self.TP.level(M)[0]]
                 + [("R", c) for c in self.TQ.level(M)[0]])
 
-    def _restrict(self, e, members):
-        shift, to_shift = len(self.TP.labels(e.target)), len(self.TP.labels(e.source))
-        a, b = self.TP.act(e), self.TQ.act(e)
-        return [a[m] if m < shift else to_shift + b[m - shift] for m in members]
+    def _restrict(self, e):
+        shift = self.TP.size(e.source)
+        return self.TP.act(e) + [shift + j for j in self.TQ.act(e)]
 
 
 class UpsilonTable(CompiledTable):
@@ -319,20 +189,20 @@ class UpsilonTable(CompiledTable):
         return [(y, values) for y, (_, cover) in self._blocks[M].items()
                 for values in itertools.product(*(cells[i - 1] for i in cover))]
 
-    def _restrict(self, f, members):
+    def _restrict(self, f):
         source, to = f.source, self._blocks[f.source]
 
         def degenerate(o):
             return o if source.length == 0 else to[(o,) * (source.entries[0] + 1)][0]
 
         if f.target.length == 0:
-            return [degenerate(o) for o in members]
+            return [degenerate(o) for o in range(len(self.inputs) + 1)]
         comp0 = f.components[0]
         if len(set(comp0)) == 1:
             image = []
             for y, (_, cover) in self._blocks[f.target].items():
                 image += [degenerate(y[comp0[0]])] * math.prod(s for _, s in cover.values())
-            return [image[m] for m in members]
+            return image
         g, along = tail_morphism(f), operator.itemgetter(*comp0)
         acts = [T.act(g) for T in self.inputs]
         image = []
@@ -341,4 +211,4 @@ class UpsilonTable(CompiledTable):
             steps = [[kept[i][0] * x for x in acts[i - 1]] if i in kept else [0] * size
                      for i, (_, size) in cover.items()]
             image += [start + sum(t) for t in itertools.product(*steps)]
-        return [image[m] for m in members]
+        return image

@@ -415,6 +415,7 @@ def test_interleaved_colour_case_is_what_it_claims():
 @pytest.mark.parametrize("pools", [
     [], [[]], [[1, 2], [], [3]], [[1, 2, 3], [4, 5], [6, 7, 8]], [[0]],
     [[1, 2], [3, 4], [5]], [[1], [2, 3], []],
+    [[0, 1]] + [[2]] * 3000,        # deeper than the recursion limit
 ])
 def test_lazy_product_keeps_product_order(pools):
     assert list(ps._lazy_product([lambda p=p: iter(p) for p in pools])) == \

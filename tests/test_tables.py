@@ -12,10 +12,10 @@ from precats import (Precat, PrecatMap, Window, coproduct, discrete,
                      run_suite, terminal_map, upsilon)
 from precats import constructions as cn
 from precats import presheaf as ps
-from precats import tables as tb
 from precats.constructions import cell, pushout_product, square_decomposition
+from precats.presheaf import WindowTable, window_table
 from precats.tables import (CompiledTable, ProductTable, PushoutTable,
-                            UpsilonTable, WindowTable, window_table)
+                            UpsilonTable)
 
 import helpers
 
@@ -146,6 +146,37 @@ def test_compiled_upsilon_against_grouped_route(inputs):
             [_flat(grouped.act(e, unflat[e.target][c])) for c in T.level(e.target)[0]]
 
 
+def _corrupted(P, window):
+    """P with its table hook, but acting wrongly along one non-generator
+    morphism: a compiled table of it would not see the fault."""
+    gens = set(window.elementary(P.n))
+    f = next(f for s, t, mors in window.morphisms(P.n) for f in mors
+             if f not in gens and s != t and len(P.cells(s)) > 1 and P.cells(t))
+
+    def act(g, c):
+        got = P.act(g, c)
+        if g == f:
+            return min((x for x in P.cells(f.source) if x != got), key=repr)
+        return got
+
+    return Precat(P.n, P.cells, act, name=f"bad {P.name}", table=P.table)
+
+
+@pytest.mark.parametrize("build", ["product", "pushout", "upsilon"])
+def test_functoriality_and_dumps_read_the_composite_act(build):
+    """``check_functoriality`` and ``dump_window`` read a composite through
+    ``Precat.act``, its definition, not through its compiled table."""
+    D = discrete(1, ("a", "b"))
+    P = {"product": lambda: product(D, D),
+         "pushout": lambda: pushout(identity_map(D), identity_map(D)).precat,
+         "upsilon": lambda: upsilon([discrete(0, ("a", "b"))])}[build]()
+    bad = _corrupted(P, W2)
+    assert isinstance(window_table(bad), CompiledTable)
+    assert ps.check_functoriality(P, W2) == []
+    assert ps.check_functoriality(bad, W2)
+    assert ps.dump_window(bad, W2) != ps.dump_window(P, W2)
+
+
 def test_tables_share_the_parts_of_one_check():
     P = upsilon([discrete(0, ("a", "b"))])
     tables = {}
@@ -160,14 +191,14 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
     check has returned and the caller drops the composite: no table holds a
     reference cycle."""
     made = []
-    tabled = tb.window_table
+    tabled = ps.window_table
 
     def spy(P, tables=None):
         T = tabled(P, tables)
         made.append(weakref.ref(T))
         return T
 
-    for module in (tb, ps, cn):
+    for module in (ps, cn):
         monkeypatch.setattr(module, "window_table", spy)
     gc.disable()
     try:
