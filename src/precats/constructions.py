@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import presheaf, theta
-from .presheaf import (Precat, PrecatMap, PushoutData, Window, discrete,
-                       empty, hom_precat, point, point_map, product, pushout,
-                       sub_precat, swap_map, terminal_map, window_table)
+from .presheaf import (Precat, PrecatMap, PushoutData, TabledPrecat, Window,
+                       discrete, empty, hom_precat, point, point_map, product,
+                       pushout, sub_precat, swap_map, table_of, terminal_map)
 from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
                     vertex, zero_object)
 
@@ -236,47 +236,11 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
     m = inputs[0].n
     if any(E.n != m for E in inputs):
         raise InvalidArgumentError("all morphism objects must share one dimension")
-    k = len(inputs)
-    n = m + 1
-    ups_name = name or ("U(" + ",".join(E.name for E in inputs) + ")")
-
-    def covered(y):
-        return _edge_indices(y[0], y[-1], legacy)
-
-    def higher_cells(M: ThetaObject):
-        p = M.entries[0]
-        tail = object_of(m, M.entries[1:])
-        for y in itertools.combinations_with_replacement(range(k + 1), p + 1):
-            pools = [inputs[i - 1].cells(tail) for i in covered(y)]
-            for values in itertools.product(*pools):
-                yield (y, values)
-
-    def eval_fn(M: ThetaObject):
-        return range(k + 1) if M.length == 0 else higher_cells(M)
-
-    def degenerate(M: ThetaObject, o: int):
-        if M.length == 0:
-            return o
-        return ((o,) * (M.entries[0] + 1), ())
-
-    def act_fn(f: ThetaMorphism, cell):
-        if f.target.length == 0:
-            return degenerate(f.source, cell)
-        y, values = cell
-        comp0 = f.components[0]
-        if len(set(comp0)) == 1:
-            return degenerate(f.source, y[comp0[0]])
-        new_y = tuple(y[v] for v in comp0)
-        g = tail_morphism(f)
-        old_index = {i: values[pos] for pos, i in enumerate(covered(y))}
-        new_values = tuple(inputs[i - 1].act(g, old_index[i]) for i in covered(new_y))
-        return (new_y, new_values)
-
-    def table(X, tables):
-        from .tables import UpsilonTable
-        return UpsilonTable(X, [window_table(E, tables) for E in inputs], covered)
-
-    return Precat(n, eval_fn, act_fn, name=ups_name, table=table)
+    from .tables import UpsilonTable
+    table = UpsilonTable([table_of(E) for E in inputs],
+                         lambda y: _edge_indices(y[0], y[-1], legacy))
+    return TabledPrecat(m + 1, table, name=name or
+                        "U(" + ",".join(E.name for E in inputs) + ")")
 
 
 def upsilon_map(maps: list[PrecatMap], legacy: bool = False,

@@ -13,18 +13,15 @@ windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
 serves the isomorphism search and the enumeration of natural maps.  Every
 window check (the solver, functoriality, dumps, the Segal check) reads its
-presheaf through one ``WindowTable`` built for that check: cells in label
-order with their labels and positions, and each morphism as position lists.
-The solver's tables come from ``window_table``: products, pushouts and edge
-complexes are tabled from their parts' tables (module ``tables``), with
-labels composed from the parts' labels, and both sides of one check share
-the tables of common parts.  Every other table is read cell by cell through
-``Precat.act``, which stays the definition.
+presheaf through ``table_of``: cells in label order with their labels and
+positions, and each morphism as position lists.  Products, pushouts and edge
+complexes are ``TabledPrecat``s, defined by a table of their own that is
+built from their parts' tables (module ``tables``), so one table serves
+every check on them.  Every other presheaf is read cell by cell through
+``Precat.act`` into a ``WindowTable`` made for the check.
 
-Restrictions are memoized without bound.  The cells of a pushout are the
-classes of one union-find per level, each named by its label-minimal member;
-a pushout's precat and inclusions close over that class table, not over the
-pushout, so no reference cycle keeps a pushout alive.
+Restrictions are memoized without bound.  A table holds its parts' tables
+and never its own precat, so no reference cycle keeps a composite alive.
 """
 
 from __future__ import annotations
@@ -100,14 +97,11 @@ class Precat:
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
-                 name: str = "precat", table: Optional[Callable] = None):
+                 name: str = "precat"):
         self.n = n
         self.name = name
         self._eval_fn = eval_fn
         self._act_fn = act_fn
-        # ``table(P, tables)`` builds P's window table from its parts' tables
-        # (see ``window_table``); None tables P cell by cell.
-        self.table = table
         self._levels: dict[ThetaObject, frozenset] = {}
         self._acts: dict[tuple[ThetaMorphism, object], object] = {}
 
@@ -145,6 +139,18 @@ class Precat:
         return f"<{self.name}: {self.n}-precat>"
 
 
+class TabledPrecat(Precat):
+    """A precat whose cells and restrictions are read off ``table``, a
+    compiled table (module ``tables``) that it owns."""
+
+    def __init__(self, n: int, table, name: str):
+        def act_fn(f, c):
+            return table.level(f.source)[0][table.act(f)[table.level(f.target)[2][c]]]
+
+        super().__init__(n, lambda M: table.level(M)[0], act_fn, name=name)
+        self.table = table
+
+
 class PrecatMap:
     """A levelwise function between two precats of the same dimension."""
 
@@ -161,8 +167,9 @@ class PrecatMap:
         return self._apply_fn(M, cell)
 
     def then(self, other: "PrecatMap") -> "PrecatMap":
-        if other.domain is not self.codomain and other.domain.n != self.codomain.n:
-            raise PresheafError("maps do not compose")
+        if other.domain is not self.codomain:
+            raise PresheafError(f"maps do not compose: {other.name} does not "
+                                f"start where {self.name} ends")
         return PrecatMap(self.domain, other.codomain,
                          lambda M, c: other.apply(M, self.apply(M, c)),
                          name=f"{self.name};{other.name}")
@@ -242,20 +249,12 @@ def point_map(P: Precat, cell0) -> PrecatMap:
 # ---------------------------------------------------------------------------
 
 def product(P: Precat, Q: Precat) -> Precat:
+    """Cells over ``M`` are the pairs ``(a, b)`` of cells of P and Q."""
     if P.n != Q.n:
         raise PresheafError("product factors live in different ambient dimensions")
-
-    def eval_fn(M):
-        return itertools.product(P.cells(M), Q.cells(M))
-
-    def act_fn(f, c):
-        return (P.act(f, c[0]), Q.act(f, c[1]))
-
-    def table(X, tables):
-        from .tables import ProductTable
-        return ProductTable(X, window_table(P, tables), window_table(Q, tables))
-
-    return Precat(P.n, eval_fn, act_fn, name=f"({P.name}x{Q.name})", table=table)
+    from .tables import ProductTable
+    return TabledPrecat(P.n, ProductTable(table_of(P), table_of(Q)),
+                        name=f"({P.name}x{Q.name})")
 
 
 def swap_map(P: Precat, Q: Precat) -> PrecatMap:
@@ -329,9 +328,9 @@ class PushoutData:
     """Objectwise pushout of ``f: R -> P`` and ``g: R -> Q``.
 
     Cells are canonical representatives of the identification classes of the
-    tagged disjoint union; the representative is the label-minimal member, so
-    dumps are reproducible.  The precat and both inclusions close over the
-    per-level class tables only, never over the pushout itself.
+    tagged disjoint union ``("L", p)``, ``("R", q)``; the representative is
+    the label-minimal member, so dumps are reproducible.  The precat and both
+    inclusions read one ``PushoutTable``, never the pushout itself.
     """
 
     def __init__(self, f: PrecatMap, g: PrecatMap, name: str = "po"):
@@ -339,37 +338,16 @@ class PushoutData:
             raise PresheafError("pushout legs must share one domain instance")
         R, P, Q = f.domain, f.codomain, g.codomain
         self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q
-        tables: dict[ThetaObject, dict] = {}
-
-        def classes(M: ThetaObject) -> dict:
-            got = tables.get(M)
-            if got is None:
-                got = tables[M] = quotient(
-                    itertools.chain((("L", c) for c in P.cells(M)),
-                                    (("R", c) for c in Q.cells(M))),
-                    ((("L", f.apply(M, r)), ("R", g.apply(M, r)))
-                     for r in R.cells(M)))
-            return got
-
-        def act(e: ThetaMorphism, rep):
-            side, c = rep
-            inner = P if side == "L" else Q
-            return classes(e.source)[side, inner.act(e, c)]
-
-        def table(X, shared):
-            from .tables import PushoutTable
-            return PushoutTable(X, f, g, *(window_table(Y, shared) for Y in (R, P, Q)))
-
-        self._classes = classes
-        self.precat = Precat(P.n, lambda M: set(classes(M).values()), act,
-                             name=name, table=table)
+        from .tables import PushoutTable
+        table = PushoutTable(f.apply, g.apply, *map(table_of, (R, P, Q)))
+        self.precat = TabledPrecat(P.n, table, name=name)
         self.inl = PrecatMap(P, self.precat,
-                             lambda M, c: classes(M)["L", c], name="inl")
+                             lambda M, c: table.class_of(M, ("L", c)), name="inl")
         self.inr = PrecatMap(Q, self.precat,
-                             lambda M, c: classes(M)["R", c], name="inr")
+                             lambda M, c: table.class_of(M, ("R", c)), name="inr")
 
     def class_of(self, M: ThetaObject, tagged):
-        return self._classes(M)[tagged]
+        return self.precat.table.class_of(M, tagged)
 
     def induced(self, u: PrecatMap, v: PrecatMap, name: str = "fold") -> PrecatMap:
         """The map out of the pushout determined by a commuting cocone."""
@@ -442,12 +420,12 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
 # ---------------------------------------------------------------------------
 
 class WindowTable:
-    """The compiled form of a presheaf for one check.  ``level(M)`` gives the
+    """A presheaf read cell by cell for one check.  ``level(M)`` gives the
     cells over ``M`` in ``cell_label`` order, their labels and each cell's
     position; ``labels(M)`` the labels alone and ``size(M)`` their number;
     ``act(f)`` the position in ``f.source`` of the restriction of each cell
     of ``f.target``, in that order.  All are built when first asked for,
-    cell by cell through ``Precat.act``."""
+    through ``Precat.act``."""
 
     def __init__(self, P: Precat):
         self.P = P
@@ -478,18 +456,9 @@ class WindowTable:
         return got
 
 
-def window_table(P: Precat, tables: Optional[dict] = None) -> WindowTable:
-    """P's table for one solver check.  A precat built with a ``table`` hook
-    (products, pushouts, edge complexes; see ``tables``) is tabled from its
-    parts' tables, any other cell by cell.  ``tables`` maps each precat
-    already tabled for the check to its table, so a part met twice, on one
-    side or on both, is tabled once.  No table refers to ``tables``, so the
-    tables die with the check."""
-    tables = {} if tables is None else tables
-    got = tables.get(P)
-    if got is None:
-        got = tables[P] = WindowTable(P) if P.table is None else P.table(P, tables)
-    return got
+def table_of(P: Precat) -> WindowTable:
+    """P's own table if P is a ``TabledPrecat``, else a new cell-by-cell one."""
+    return P.table if isinstance(P, TabledPrecat) else WindowTable(P)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +487,7 @@ def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
     induction on generator factorisations these imply the full composition law."""
-    T = WindowTable(P)
+    T = table_of(P)
     out = []
     for M in window.objects(P.n):
         cells = T.level(M)[0]
@@ -618,13 +587,12 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     group, so solutions come in the order of unfiltered permutation pools;
     if a level's colours differ as multisets, nothing comes out.
 
-    Each level is compiled on its first visit from one ``window_table`` per
-    side, the two sharing the tables of common parts: its size, and each
-    generator between it and an earlier level as position lists on ``P`` and
-    ``Q``.  The search then runs on integers; cells, group keys and images
-    are tried in label order.  With ``bijective``, level sizes are compared
-    on the tables first.  Only ``_certified`` solutions come out; the tables
-    die with this generator.
+    Each level is compiled on its first visit from ``table_of`` of each
+    side: its size, and each generator between it and an earlier level as
+    position lists on ``P`` and ``Q``.  The search then runs on integers;
+    cells, group keys and images are tried in label order.  With
+    ``bijective``, level sizes are compared on the tables first.  Only
+    ``_certified`` solutions come out.
     """
     objs = window.objects(P.n)
     pos = {M: i for i, M in enumerate(objs)}
@@ -636,8 +604,7 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             into[t].append(e)
         elif t < s:
             outof[s].append(e)
-    tables: dict = {}
-    TP, TQ = window_table(P, tables), window_table(Q, tables)
+    TP, TQ = table_of(P), table_of(Q)
     if bijective and any(TP.size(M) != TQ.size(M) for M in objs):
         return
     colours = []
@@ -754,10 +721,10 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     """A levelwise bijection commuting with all window morphisms, if any.
 
     The bijection is the first solution of the natural-map solver, which
-    reads both sides through window tables: it compares level sizes on the
+    reads both sides through ``table_of``: it compares level sizes on the
     tables first (a composite's sizes come from its parts' tables, with no
-    cell-level evaluation of its own), then matches cells colour to colour
-    and certifies the result against the generators.
+    cell of its own built), then matches cells colour to colour and
+    certifies the result against the generators.
     """
     if P.n != Q.n:
         return None
@@ -783,7 +750,7 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 def dump_window(P: Precat, window: Window) -> dict:
     """Complete extensional data of the window, canonically ordered; cells are
     keyed by label, so two cells of one level that label alike are an error."""
-    T = WindowTable(P)
+    T = table_of(P)
     levels = []
     for M in window.objects(P.n):
         labels = T.level(M)[1]
@@ -810,11 +777,25 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     """Rebuild a window-backed precat from a canonical dump.
 
     A dump missing a key or holding a value of the wrong shape raises
-    ``PresheafError``."""
+    ``PresheafError``: ``n`` must be an int >= 0, each level's ``object`` a
+    list of ints and its ``cells`` a list of distinct strings, and each
+    action's ``map`` a dict from str to str."""
+    def require(ok: bool, what: str):
+        if not ok:
+            raise PresheafError(f"malformed dump: {what}")
+
     try:
         n = data["n"]
-        levels = {object_of(n, lv["object"]): tuple(lv["cells"])
-                  for lv in data["levels"]}
+        require(type(n) is int and n >= 0, f"n is {n!r}, not an int >= 0")
+        levels = {}
+        for lv in data["levels"]:
+            entries, cells = lv["object"], lv["cells"]
+            require(type(entries) is list and set(map(type, entries)) <= {int},
+                    f"object {entries!r} is not a list of ints")
+            require(type(cells) is list and set(map(type, cells)) <= {str}
+                    and len(set(cells)) == len(cells),
+                    f"cells of {entries} are not a list of distinct strings")
+            levels[object_of(n, entries)] = tuple(cells)
         actions = {}
         for entry in data["actions"]:
             m = entry["morphism"]
@@ -822,6 +803,9 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                                     tuple(tuple(c) for c in m["components"]))
             for src_cell, dst_cell in entry["map"].items():
                 actions[(f, src_cell)] = dst_cell
+        require(set(map(type, actions.values())) <= {str}
+                and {type(c) for _, c in actions} <= {str},
+                "an action's map is not a dict from str to str")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return constant_table_precat(n, levels, actions, name=name)

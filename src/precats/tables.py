@@ -1,16 +1,14 @@
-"""Window tables of products, pushouts and edge complexes, built from
-their parts' tables.
+"""The tables that define products, pushouts and edge complexes.
 
-``presheaf.window_table`` tables a precat built with a ``table`` hook
-(``product``, ``PushoutData``, ``constructions.upsilon``) by one of these
-classes, and every other presheaf (nerves, discrete and dumped presheaves,
-subpresheaves, slices, delooping) cell by cell with ``presheaf.WindowTable``.
-A product's cell is a pair of positions, a pushout's a class of ``quotient``
+``product``, ``PushoutData`` and ``constructions.upsilon`` each return a
+``presheaf.TabledPrecat`` whose cells and restrictions are read off one of
+these tables, built from its parts' tables (``presheaf.table_of``).  A
+product's cell is a pair of positions, a pushout's a class of ``quotient``
 on the positions of its two sides, an edge complex's a vertex path with a
 position for each covered input.  Their labels are composed from the parts'
-labels, and they restrict through the parts' position lists, never through
-``Precat.act``, which stays the definition and the oracle of these tables.
-This module is imported only when such a table is first built.
+labels, and they restrict through the parts' position lists.  A table holds
+its parts' tables, never a precat of its own.  This module is imported
+only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -18,17 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .presheaf import WindowTable, _label_key, quotient
 from .theta import ThetaMorphism, ThetaObject, object_of, tail_morphism
 
-if TYPE_CHECKING:
-    from .presheaf import Precat, PrecatMap
-
 
 class CompiledTable(WindowTable):
-    """A table built from its parts' tables, never through ``P.act``.
+    """A table built from its parts' tables.
 
     A subclass numbers the cells of each level by members of its own: ints
     with ``_tabulate(M)`` giving ``(order, rank, labels)``, where
@@ -36,15 +31,14 @@ class CompiledTable(WindowTable):
     ``rank[m]`` the position of member ``m``'s cell.  Several members may
     share a cell (a pushout class).  ``_restrict(f)``, called once both ends
     are tabulated, lists the member of ``f.source`` that each member of
-    ``f.target`` restricts to, and
-    ``_members(M)`` the members' cells, needed only for label ties and for
-    ``level``.
-    Labels are composed from the parts' labels and equal ``cell_label`` of
-    the cells.
+    ``f.target`` restricts to, and ``_members(M)`` the members' cells,
+    needed only for label ties and for ``level``.  Labels are composed from
+    the parts' labels and equal ``cell_label`` of the cells.
     """
 
-    def __init__(self, P: Precat):
-        super().__init__(P)
+    def __init__(self):
+        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
+        self._acts: dict[ThetaMorphism, list[int]] = {}
         self._tabled: dict[ThetaObject, tuple[list, list, list]] = {}
         self._member_cells: dict[ThetaObject, list] = {}
 
@@ -95,8 +89,8 @@ class CompiledTable(WindowTable):
 class ProductTable(CompiledTable):
     """``A x B``: the cell ``(a_i, b_j)`` is member ``i * |B| + j``."""
 
-    def __init__(self, P: Precat, TA: WindowTable, TB: WindowTable):
-        super().__init__(P)
+    def __init__(self, TA: WindowTable, TB: WindowTable):
+        super().__init__()
         self.TA, self.TB = TA, TB
 
     def _tabulate(self, M):
@@ -114,21 +108,29 @@ class ProductTable(CompiledTable):
 
 
 class PushoutTable(CompiledTable):
-    """The pushout of ``f: R -> P`` and ``g: R -> Q``: members are the cells
+    """The pushout of ``f: R -> P`` and ``g: R -> Q``, given by the legs'
+    ``apply`` functions and the tables of R, P and Q: members are the cells
     of P, then those of Q, by position; ``quotient`` joins them along the
-    legs, applied once to each cell of R.  A class restricts as its
-    label-minimal member, the representative of ``PushoutData``."""
+    legs, applied once to each cell of R.  A class is named by, and
+    restricts as, its label-minimal member."""
 
-    def __init__(self, X: Precat, f: PrecatMap, g: PrecatMap,
+    def __init__(self, f: Callable, g: Callable,
                  TR: WindowTable, TP: WindowTable, TQ: WindowTable):
-        super().__init__(X)
+        super().__init__()
         self.f, self.g, self.TR, self.TP, self.TQ = f, g, TR, TP, TQ
+
+    def class_of(self, M: ThetaObject, tagged):
+        """The cell of the class of ``("L", p)`` or ``("R", q)``."""
+        side, c = tagged
+        m = (self.TP.level(M)[2][c] if side == "L"
+             else self.TP.size(M) + self.TQ.level(M)[2][c])
+        return self.level(M)[0][self._table(M)[1][m]]
 
     def _tabulate(self, M):
         raw = (["(L," + c + ")" for c in self.TP.labels(M)]
                + ["(R," + c + ")" for c in self.TQ.labels(M)])
         at_p, at_q, shift = self.TP.level(M)[2], self.TQ.level(M)[2], len(self.TP.labels(M))
-        f, g = self.f.apply, self.g.apply
+        f, g = self.f, self.g
         rep = quotient(range(len(raw)),
                        ((at_p[f(M, r)], shift + at_q[g(M, r)]) for r in self.TR.level(M)[0]),
                        raw.__getitem__, lambda m: self._cell(M, m))
@@ -154,8 +156,8 @@ class UpsilonTable(CompiledTable):
     A restriction reads each input's table along ``tail_morphism(f)`` once
     and maps a block at a time."""
 
-    def __init__(self, X: Precat, inputs: list, covered: Callable):
-        super().__init__(X)
+    def __init__(self, inputs: list, covered: Callable):
+        super().__init__()
         # covered(y): the indices (from 1) of the inputs along the path y
         self.inputs, self.covered = inputs, covered
         # level -> {y: (first member, {covered input: (stride, size)})}

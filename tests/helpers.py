@@ -586,3 +586,103 @@ def whitehead_by_all_morphisms(A, a, k):
         return keep
 
     return sub_precat(A, keep_at, name=f"Wh>{k}-sweep({A.name})")
+
+
+# ---------------------------------------------------------------------------
+# cell-level composites (dual routes for the compiled composite tables)
+# ---------------------------------------------------------------------------
+
+def product_oracle(P, Q):
+    """The product read cell by cell: the pairs of cells, acted on factorwise."""
+    from precats import Precat
+
+    return Precat(P.n, lambda M: itertools.product(P.cells(M), Q.cells(M)),
+                  lambda f, c: (P.act(f, c[0]), Q.act(f, c[1])),
+                  name=f"oracle({P.name}x{Q.name})")
+
+
+def pushout_oracle(f, g):
+    """The pushout of ``f: R -> P`` and ``g: R -> Q`` read cell by cell: per
+    level, one union-find over the tagged cells ``("L", p)``, ``("R", q)``,
+    joined along the legs; a class is its label-minimal member and restricts
+    as that member does."""
+    from precats import Precat
+    from precats.presheaf import quotient
+
+    R, P, Q = f.domain, f.codomain, g.codomain
+    tables = {}
+
+    def classes(M):
+        got = tables.get(M)
+        if got is None:
+            got = tables[M] = quotient(
+                itertools.chain((("L", c) for c in P.cells(M)),
+                                (("R", c) for c in Q.cells(M))),
+                ((("L", f.apply(M, r)), ("R", g.apply(M, r))) for r in R.cells(M)))
+        return got
+
+    def act(e, rep):
+        side, c = rep
+        return classes(e.source)[side, (P if side == "L" else Q).act(e, c)]
+
+    return Precat(P.n, lambda M: set(classes(M).values()), act, name="oracle-po")
+
+
+def upsilon_oracle(inputs, legacy=False):
+    """The edge complex read cell by cell: level 0 is ``0..k``; over
+    ``(p, tail)`` a cell is a vertex path ``y`` with one cell at ``tail`` of
+    each input the path covers, and it restricts along the first component,
+    pushing the tail morphism into the covered inputs."""
+    from precats import Precat, object_of
+    from precats.constructions import _edge_indices
+    from precats.theta import tail_morphism
+
+    k, m = len(inputs), inputs[0].n
+
+    def covered(y):
+        return _edge_indices(y[0], y[-1], legacy)
+
+    def eval_fn(M):
+        if M.length == 0:
+            return range(k + 1)
+        tail = object_of(m, M.entries[1:])
+        return [(y, values)
+                for y in itertools.combinations_with_replacement(range(k + 1),
+                                                                 M.entries[0] + 1)
+                for values in itertools.product(
+                    *(inputs[i - 1].cells(tail) for i in covered(y)))]
+
+    def degenerate(M, o):
+        return o if M.length == 0 else ((o,) * (M.entries[0] + 1), ())
+
+    def act_fn(f, cell):
+        if f.target.length == 0:
+            return degenerate(f.source, cell)
+        y, values = cell
+        comp0 = f.components[0]
+        if len(set(comp0)) == 1:
+            return degenerate(f.source, y[comp0[0]])
+        new_y = tuple(y[v] for v in comp0)
+        g = tail_morphism(f)
+        old = dict(zip(covered(y), values))
+        return new_y, tuple(inputs[i - 1].act(g, old[i]) for i in covered(new_y))
+
+    return Precat(m + 1, eval_fn, act_fn, name="oracle-edge-complex")
+
+
+def table_violations(T, oracle, window, generators_only=False):
+    """Where the table ``T`` differs from the cell-level ``oracle`` on the
+    window: a level's cells in label order, their labels or size, or the
+    restriction of a cell along a window morphism (along a generator only,
+    with ``generators_only``)."""
+    from precats.presheaf import WindowTable
+
+    plain = WindowTable(oracle)
+    out = []
+    for M in window.objects(oracle.n):
+        if T.level(M) != plain.level(M) or T.labels(M) != plain.labels(M) \
+                or T.size(M) != plain.size(M):
+            out.append(("level", M))
+    morphisms = (window.elementary(oracle.n) if generators_only else
+                 [f for _, _, mors in window.morphisms(oracle.n) for f in mors])
+    return out + [("act", f) for f in morphisms if T.act(f) != plain.act(f)]

@@ -155,7 +155,19 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
     code, _, err = run(["check", "segal", "--in", str(tmp_path / "missing.json")],
                        capsys)
     assert code == 2 and err.startswith("error: ")
-    for i, text in enumerate(['[1, 2]', '{"n": 1}', '{"n": 1, "levels": [1]}']):
+    level = '{"object": [1], "cells": ["a"]}'
+    for i, text in enumerate([
+            '[1, 2]', '{"n": 1}', '{"n": 1, "levels": [1]}',
+            '{"n": 1.0, "levels": [], "actions": []}',
+            '{"n": true, "levels": [], "actions": []}',
+            '{"n": -1, "levels": [], "actions": []}',
+            '{"n": 1, "levels": [{"object": "1", "cells": ["a"]}], "actions": []}',
+            '{"n": 1, "levels": [{"object": [true], "cells": ["a"]}], "actions": []}',
+            '{"n": 1, "levels": [{"object": [1], "cells": "01"}], "actions": []}',
+            '{"n": 1, "levels": [{"object": [1], "cells": ["a", "a"]}], "actions": []}',
+            '{"n": 1, "levels": [{"object": [1], "cells": [0]}], "actions": []}',
+            '{"n": 1, "levels": [' + level + '], "actions": [{"morphism": {}, "map": []}]}',
+            '{"n": 1, "levels": [' + level + '], "actions": [{"morphism": {}, "map": {"a": 1}}]}']):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
         code, _, err = run(["check", "segal", "--in", str(bad)], capsys)

@@ -136,6 +136,18 @@ def test_product_functorial():
     assert not check_functoriality(P, W2)
 
 
+def test_maps_compose_only_end_to_start():
+    """``f.then(g)`` needs g to start at the very precat where f ends, not
+    at another of the same dimension."""
+    A, B, C = (discrete(1, (x,)) for x in "abc")
+    f = PrecatMap(A, B, lambda M, c: "b", name="f")
+    with pytest.raises(PresheafError, match="do not compose"):
+        f.then(PrecatMap(C, A, lambda M, c: "a", name="g"))
+    fh = f.then(PrecatMap(B, C, lambda M, c: "c", name="h"))
+    assert (fh.domain, fh.codomain) == (A, C)
+    assert fh.apply(zero_object(1), "a") == "c"
+
+
 # ---------------------------------------------------------------------------
 # pushouts
 # ---------------------------------------------------------------------------

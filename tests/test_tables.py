@@ -1,19 +1,22 @@
-"""Window tables compiled from their parts (products, pushouts, edge
-complexes) against the cell-by-cell table of the same presheaf, and their
-lifetime."""
+"""The tables that define products, pushouts and edge complexes, against
+their cell-level oracles in ``helpers``, on every window morphism; how the
+tables are shared and freed; and when module ``tables`` is imported."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from precats import (Precat, PrecatMap, Window, coproduct, discrete,
+from precats import (IDENTITIES, PrecatMap, Window, cli, coproduct, discrete,
                      identity_map, iso_windowed, point, product, pushout,
                      run_suite, terminal_map, upsilon)
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import WindowTable, window_table
+from precats.presheaf import TabledPrecat, WindowTable
 from precats.tables import (CompiledTable, ProductTable, PushoutTable,
                             UpsilonTable)
 
@@ -26,48 +29,91 @@ TIE = (1, "1")          # two cells sharing the label "1"
 SHIFT = (discrete(1, ((1,), "(1),z")), discrete(1, ("z,w", "w")))
 
 
-def _plain(P):
-    """P without its construction: a table of it reads ``P.act`` cell by cell."""
-    return Precat(P.n, P.cells, P.act, name=f"plain {P.name}")
+@pytest.fixture
+def oracles(monkeypatch):
+    """Each composite built while the fixture is active, as ``{table:
+    oracle}``: its own table, and the cell-level oracle of it built over the
+    same parts."""
+    made = {}
+    real_product, real_upsilon = ps.product, cn.upsilon
+    real_init = ps.PushoutData.__init__
+
+    def spy_product(P, Q):
+        X = real_product(P, Q)
+        made[X.table] = helpers.product_oracle(P, Q)
+        return X
+
+    def spy_upsilon(inputs, legacy=False, name=None):
+        X = real_upsilon(inputs, legacy=legacy, name=name)
+        made[X.table] = helpers.upsilon_oracle(inputs, legacy)
+        return X
+
+    def spy_init(self, f, g, name="po"):
+        real_init(self, f, g, name=name)
+        made[self.precat.table] = helpers.pushout_oracle(f, g)
+
+    for mod in [m for name, m in list(sys.modules.items()) if m is not None
+                and (name.split(".")[0] == "precats" or name == __name__)]:
+        for attr, real, spy in (("product", real_product, spy_product),
+                                ("upsilon", real_upsilon, spy_upsilon)):
+            if getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, spy)
+    monkeypatch.setattr(ps.PushoutData, "__init__", spy_init)
+    return made
 
 
-def _assert_matches_cell_by_cell(P, window, tables=None):
-    T, plain = window_table(P, tables), WindowTable(_plain(P))
-    for M in window.objects(P.n):
-        assert T.level(M) == plain.level(M), (P.name, M)
-        assert T.labels(M) == plain.labels(M) and T.size(M) == plain.size(M)
-    for e in window.elementary(P.n):
-        assert T.act(e) == plain.act(e), (P.name, e)
-    return T
-
-
-def _kinds(T, seen):
-    """The compiled table classes met in T and its parts."""
-    seen.add(type(T))
-    for part in vars(T).values():
-        for x in part if isinstance(part, list) else [part]:
-            if isinstance(x, WindowTable):
-                _kinds(x, seen)
+def _tables_in(T, seen=None):
+    """T and every table it is built from, each once."""
+    seen = {} if seen is None else seen
+    if id(T) not in seen:
+        seen[id(T)] = T
+        for part in vars(T).values():
+            for x in part if isinstance(part, list) else [part]:
+                if isinstance(x, WindowTable):
+                    _tables_in(x, seen)
     return seen
 
 
-def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch):
-    """Both sides of every iso question of the window-2 suite, sharing one
-    table dict as the solver does, give the cell-by-cell cells, labels and
-    generator position lists."""
-    asked, kinds = [], set()
+def _assert_composites_match(X, window, oracles):
+    """Every composite table in X's table is its oracle on the window."""
+    tables = [T for T in _tables_in(ps.table_of(X)).values()
+              if isinstance(T, CompiledTable)]
+    assert tables
+    for T in tables:
+        assert helpers.table_violations(T, oracles[T], window) == [], type(T)
+    return tables
+
+
+def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch, oracles):
+    """Every composite on either side of the first iso question of each
+    entry of the window-2 suite, down to its parts, is its oracle on every
+    morphism of the question's window.  The suspension tower's questions at
+    n = 3 and 4 are checked on the generators of their window and on every
+    morphism of window 1: every morphism of window 2 there costs seconds (n
+    = 3) to minutes (n = 4) of cell-level oracle time."""
+    asked = []
     solve = ps.iso_windowed
 
     def spy(P, Q, window):
-        tables = {}
-        for X in (P, Q):
-            _kinds(_assert_matches_cell_by_cell(X, window, tables), kinds)
-        asked.append(window.B)
+        asked.append((P, Q, window))
         return solve(P, Q, window)
 
     monkeypatch.setattr(ps, "iso_windowed", spy)
-    assert run_suite(2).passed
-    assert len(asked) > 60
+    kinds = set()
+    for entry in sorted(IDENTITIES):
+        del asked[:]
+        assert run_suite(2, only=entry).passed
+        for i, (P, Q, window) in enumerate(asked):
+            if i and P.n <= 2:
+                continue
+            for X in (P, Q):
+                for T in _tables_in(ps.table_of(X)).values():
+                    kinds.add(type(T))
+                    if isinstance(T, CompiledTable):
+                        assert helpers.table_violations(
+                            T, oracles[T], window, i > 0) == [], (entry, X.name)
+                        assert i == 0 or helpers.table_violations(
+                            T, oracles[T], Window(1)) == [], (entry, X.name)
     assert {ProductTable, PushoutTable, UpsilonTable, WindowTable} <= kinds
 
 
@@ -77,8 +123,8 @@ def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch):
     lambda: upsilon([discrete(0, ("a", "b")), point(0), discrete(0, ("c",))],
                     legacy=True),
 ], ids=["legacy-square-lhs", "legacy-square-rhs", "legacy-upsilon"])
-def test_legacy_edge_complexes_tabled_as_cell_by_cell(build):
-    _assert_matches_cell_by_cell(build(), Window(3))
+def test_legacy_edge_complexes_tabled_as_cell_by_cell(build, oracles):
+    _assert_composites_match(build(), Window(3), oracles)
 
 
 def _tie_pushouts():
@@ -108,11 +154,25 @@ def _tie_pushouts():
 ], ids=["product-left", "product-both", "product-right", "product-shift",
         "pushout-glued", "pushout-merged", "pushout-coproduct", "pushout-span",
         "upsilon-one", "upsilon-two", "upsilon-dim-1", "upsilon-shift"])
-def test_label_ties_tabled_as_cell_by_cell(build):
-    """Cells that share a label: both routes break the tie by type."""
+def test_label_ties_tabled_as_cell_by_cell(build, oracles):
+    """Cells that share a label: table and oracle break the tie by type."""
     P = build()
-    T = _assert_matches_cell_by_cell(P, Window(3) if P.n < 2 else W2)
-    assert isinstance(T, CompiledTable)
+    _assert_composites_match(P, Window(3) if P.n < 2 else W2, oracles)
+
+
+@pytest.mark.parametrize("args, B", [
+    (["upsilon", "--inputs", "point", "point"], 3),
+    (["cell", "--k", "1", "--n", "1"], 3),
+    (["boundary", "--k", "1", "--n", "1"], 3),
+    (["sigma", "--k", "1", "--n", "2"], 2),
+    (["suspension", "--of", "two_point", "--n", "1"], 2),
+], ids=["upsilon-point-point", "cell-1-1", "boundary-1-1", "sigma-1-2",
+        "suspension-two_point"])
+def test_dump_catalogue_composites_tabled_as_cell_by_cell(args, B, oracles):
+    """The composites that the benchmark's dump catalogue builds, at the
+    window it dumps them on."""
+    parsed = cli.make_parser().parse_args(["build", *args, "--window", str(B)])
+    _assert_composites_match(cli.build_precat(parsed), Window(B), oracles)
 
 
 def _flat(cell):
@@ -130,9 +190,9 @@ def _flat(cell):
     [discrete(1, TIE), discrete(1, ("w1", "w2"))],
 ], ids=["one", "two", "three", "ties-dim-1"])
 def test_compiled_upsilon_against_grouped_route(inputs):
-    """The compiled table's cells are the grouped complex's cells, flattened,
-    and each generator's position list is the grouped action, flattened."""
-    T = window_table(upsilon(inputs))
+    """The edge complex's cells are the grouped complex's cells, flattened,
+    and each morphism's position list is the grouped action, flattened."""
+    T = upsilon(inputs).table
     assert isinstance(T, UpsilonTable)
     grouped = helpers.grouped_upsilon(inputs)
     window = W2 if grouped.n > 1 else Window(3)
@@ -140,79 +200,112 @@ def test_compiled_upsilon_against_grouped_route(inputs):
     for M in window.objects(grouped.n):
         unflat[M] = {_flat(c): c for c in grouped.cells(M)}
         assert sorted(map(repr, T.level(M)[0])) == sorted(map(repr, unflat[M]))
-    for e in window.elementary(grouped.n):
-        source = T.level(e.source)[0]
-        assert [source[k] for k in T.act(e)] == \
-            [_flat(grouped.act(e, unflat[e.target][c])) for c in T.level(e.target)[0]]
-
-
-def _corrupted(P, window):
-    """P with its table hook, but acting wrongly along one non-generator
-    morphism: a compiled table of it would not see the fault."""
-    gens = set(window.elementary(P.n))
-    f = next(f for s, t, mors in window.morphisms(P.n) for f in mors
-             if f not in gens and s != t and len(P.cells(s)) > 1 and P.cells(t))
-
-    def act(g, c):
-        got = P.act(g, c)
-        if g == f:
-            return min((x for x in P.cells(f.source) if x != got), key=repr)
-        return got
-
-    return Precat(P.n, P.cells, act, name=f"bad {P.name}", table=P.table)
+    for _, _, mors in window.morphisms(grouped.n):
+        for f in mors:
+            source = T.level(f.source)[0]
+            assert [source[k] for k in T.act(f)] == \
+                [_flat(grouped.act(f, unflat[f.target][c])) for c in T.level(f.target)[0]]
 
 
 @pytest.mark.parametrize("build", ["product", "pushout", "upsilon"])
-def test_functoriality_and_dumps_read_the_composite_act(build):
-    """``check_functoriality`` and ``dump_window`` read a composite through
-    ``Precat.act``, its definition, not through its compiled table."""
+def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
+    """A composite table corrupted along one non-generator morphism differs
+    from its oracle there and nowhere else; functoriality and dumps read the
+    table, so they see the fault too."""
     D = discrete(1, ("a", "b"))
     P = {"product": lambda: product(D, D),
          "pushout": lambda: pushout(identity_map(D), identity_map(D)).precat,
          "upsilon": lambda: upsilon([discrete(0, ("a", "b"))])}[build]()
-    bad = _corrupted(P, W2)
-    assert isinstance(window_table(bad), CompiledTable)
+    T, gens = P.table, set(W2.elementary(P.n))
+    assert helpers.table_violations(T, oracles[T], W2) == []
     assert ps.check_functoriality(P, W2) == []
-    assert ps.check_functoriality(bad, W2)
-    assert ps.dump_window(bad, W2) != ps.dump_window(P, W2)
+    good = ps.dump_window(P, W2)
+    f = next(f for s, t, mors in W2.morphisms(P.n) for f in mors
+             if f not in gens and s != t and T.size(s) > 1 and T.size(t))
+    wrong = list(T.act(f))
+    wrong[0] = (wrong[0] + 1) % T.size(f.source)
+    T._acts[f] = wrong
+    assert helpers.table_violations(T, oracles[T], W2) == [("act", f)]
+    assert ps.check_functoriality(P, W2)
+    assert ps.dump_window(P, W2) != good
 
 
 def test_tables_share_the_parts_of_one_check():
+    """A composite part met twice is one table, its own; a plain part gets
+    a new cell-by-cell table from each ``table_of``."""
     P = upsilon([discrete(0, ("a", "b"))])
-    tables = {}
-    T = window_table(product(P, P), tables)
-    assert T.TA is T.TB is tables[P]
-    assert window_table(P, tables) is T.TA
+    T = product(P, P).table
+    assert T.TA is T.TB is P.table is ps.table_of(P)
+    po = pushout(identity_map(P), identity_map(P)).precat.table
+    assert po.TR is po.TP is po.TQ is P.table
+    D = discrete(1, ("a",))
+    assert isinstance(ps.table_of(D), WindowTable)
+    assert ps.table_of(D) is not ps.table_of(D)
 
 
 @pytest.mark.parametrize("build", ["corner", "square"])
 def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypatch):
-    """Every table a check builds, and the composite it tabled, die once the
-    check has returned and the caller drops the composite: no table holds a
-    reference cycle."""
-    made = []
-    tabled = ps.window_table
+    """The check reads both sides' own tables, and every table, composite or
+    plain, dies with the composites once the caller drops them: no table
+    holds a reference cycle."""
+    owned, made = [], []
+    real_init, real_table_of = TabledPrecat.__init__, ps.table_of
 
-    def spy(P, tables=None):
-        T = tabled(P, tables)
+    def spy_init(self, n, table, name):
+        owned.append(weakref.ref(table))
+        real_init(self, n, table, name)
+
+    def spy_table_of(P):
+        T = real_table_of(P)
         made.append(weakref.ref(T))
         return T
 
+    monkeypatch.setattr(TabledPrecat, "__init__", spy_init)
     for module in (ps, cn):
-        monkeypatch.setattr(module, "window_table", spy)
-    gc.disable()
-    try:
+        monkeypatch.setattr(module, "table_of", spy_table_of)
+
+    def sides():
         if build == "corner":
             inc = cell(1, 1).inclusion
             data = pushout_product(inc, inc).source
-            lhs, rhs = data.precat, pushout_product(inc, inc).source.precat
-        else:
-            lhs, rhs = square_decomposition(discrete(1, (0, 1)), point(1))
-            data = lhs
+            return data, data.precat, pushout_product(inc, inc).source.precat
+        lhs, rhs = square_decomposition(discrete(1, (0, 1)), point(1))
+        return lhs, lhs, rhs
+
+    gc.disable()
+    try:
+        data, lhs, rhs = sides()
+        built = len(made)
         assert iso_windowed(lhs, rhs, W2) is not None
-        assert made and all(r() is None for r in made)
+        assert [r() for r in made[built:]] == [lhs.table, rhs.table]
         refs = [weakref.ref(x) for x in (data, lhs, rhs)]
         del data, lhs, rhs
-        assert all(r() is None for r in refs)
+        assert owned and all(r() is None for r in refs + owned + made)
     finally:
         gc.enable()
+
+
+_LAZY = """
+import sys
+import precats
+from precats.constructions import FiniteCategory, nerve
+from precats.presheaf import Window, iso_windowed, product
+A = nerve(FiniteCategory.chain(2), 1)
+B = nerve(FiniteCategory.chain(2), 1)
+assert iso_windowed(A, B, Window(2)) is not None
+print("precats.tables" in sys.modules)
+product(A, B)
+print("precats.tables" in sys.modules)
+"""
+
+
+def test_tables_module_is_imported_by_the_first_composite():
+    """A nerve-against-nerve iso question (the refute benchmark's path) does
+    not import ``precats.tables``; building a product does."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    done = subprocess.run([sys.executable, "-c", _LAZY],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
