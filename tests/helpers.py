@@ -592,13 +592,27 @@ def whitehead_by_all_morphisms(A, a, k):
 # cell-level composites (dual routes for the compiled composite tables)
 # ---------------------------------------------------------------------------
 
+class CellOracle:
+    """A presheaf given cell by cell: ``cells(M)`` is memoized, and ``act``
+    is the action itself, unchecked and unmemoized, since a table of it asks
+    for each restriction once and fails on a cell outside the level."""
+
+    def __init__(self, n, eval_fn, act_fn, name):
+        self.n, self.act, self.name = n, act_fn, name
+        self._eval_fn, self._levels = eval_fn, {}
+
+    def cells(self, M):
+        got = self._levels.get(M)
+        if got is None:
+            got = self._levels[M] = frozenset(self._eval_fn(M))
+        return got
+
+
 def product_oracle(P, Q):
     """The product read cell by cell: the pairs of cells, acted on factorwise."""
-    from precats import Precat
-
-    return Precat(P.n, lambda M: itertools.product(P.cells(M), Q.cells(M)),
-                  lambda f, c: (P.act(f, c[0]), Q.act(f, c[1])),
-                  name=f"oracle({P.name}x{Q.name})")
+    return CellOracle(P.n, lambda M: itertools.product(P.cells(M), Q.cells(M)),
+                      lambda f, c: (P.act(f, c[0]), Q.act(f, c[1])),
+                      f"oracle({P.name}x{Q.name})")
 
 
 def pushout_oracle(f, g):
@@ -606,7 +620,6 @@ def pushout_oracle(f, g):
     level, one union-find over the tagged cells ``("L", p)``, ``("R", q)``,
     joined along the legs; a class is its label-minimal member and restricts
     as that member does."""
-    from precats import Precat
     from precats.presheaf import quotient
 
     R, P, Q = f.domain, f.codomain, g.codomain
@@ -625,7 +638,7 @@ def pushout_oracle(f, g):
         side, c = rep
         return classes(e.source)[side, (P if side == "L" else Q).act(e, c)]
 
-    return Precat(P.n, lambda M: set(classes(M).values()), act, name="oracle-po")
+    return CellOracle(P.n, lambda M: set(classes(M).values()), act, "oracle-po")
 
 
 def upsilon_oracle(inputs, legacy=False):
@@ -633,7 +646,7 @@ def upsilon_oracle(inputs, legacy=False):
     ``(p, tail)`` a cell is a vertex path ``y`` with one cell at ``tail`` of
     each input the path covers, and it restricts along the first component,
     pushing the tail morphism into the covered inputs."""
-    from precats import Precat, object_of
+    from precats import object_of
     from precats.constructions import _edge_indices
     from precats.theta import tail_morphism
 
@@ -667,22 +680,41 @@ def upsilon_oracle(inputs, legacy=False):
         old = dict(zip(covered(y), values))
         return new_y, tuple(inputs[i - 1].act(g, old[i]) for i in covered(new_y))
 
-    return Precat(m + 1, eval_fn, act_fn, name="oracle-edge-complex")
+    return CellOracle(m + 1, eval_fn, act_fn, "oracle-edge-complex")
 
 
 def table_violations(T, oracle, window, generators_only=False):
     """Where the table ``T`` differs from the cell-level ``oracle`` on the
-    window: a level's cells in label order, their labels or size, or the
-    restriction of a cell along a window morphism (along a generator only,
-    with ``generators_only``)."""
-    from precats.presheaf import WindowTable
+    window: a level's cells in label order, their labels, positions or size,
+    or the restriction of a cell along a window morphism (along a generator
+    only, with ``generators_only``).  The oracle's cells are labelled here
+    as ``cell_label`` does, each object once per call: by ``id``, since the
+    oracle's levels keep every labelled object alive, and ``1 == True``."""
+    from precats.presheaf import _label_key
 
-    plain = WindowTable(oracle)
-    out = []
+    memo = {}
+
+    def label(c):
+        got = memo.get(id(c))
+        if got is None:
+            if isinstance(c, tuple):
+                got = "(" + ",".join(map(label, c)) + ")"
+            elif isinstance(c, frozenset):
+                got = "{" + ",".join(sorted(map(label, c))) + "}"
+            else:
+                got = c if isinstance(c, str) else repr(c)
+            memo[id(c)] = got
+        return got
+
+    out, order, index = [], {}, {}
     for M in window.objects(oracle.n):
-        if T.level(M) != plain.level(M) or T.labels(M) != plain.labels(M) \
-                or T.size(M) != plain.size(M):
+        labels = {c: label(c) for c in oracle.cells(M)}
+        order[M] = sorted(labels, key=_label_key(labels))
+        index[M] = {c: k for k, c in enumerate(order[M])}
+        if T.level(M) != (order[M], [labels[c] for c in order[M]], index[M]) \
+                or T.labels(M) != T.level(M)[1] or T.size(M) != len(order[M]):
             out.append(("level", M))
     morphisms = (window.elementary(oracle.n) if generators_only else
                  [f for _, _, mors in window.morphisms(oracle.n) for f in mors])
-    return out + [("act", f) for f in morphisms if T.act(f) != plain.act(f)]
+    return out + [("act", f) for f in morphisms if T.act(f) != [
+        index[f.source].get(oracle.act(f, c)) for c in order[f.target]]]
