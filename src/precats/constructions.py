@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import presheaf, theta
-from .presheaf import (Precat, PrecatMap, PushoutData, TabledPrecat, Window,
-                       discrete, empty, hom_precat, point, point_map, product,
-                       pushout, sub_precat, swap_map, table_of, terminal_map)
+from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
+                       TabledPrecat, Window, discrete, empty, hom_precat, point,
+                       point_map, product, pushout, sub_precat, swap_map,
+                       table_of, terminal_map)
 from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
                     vertex, zero_object)
 
@@ -177,31 +178,29 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     """The nerve of a finite category, padded constantly to dimension ``n``.
 
     Level 0 holds the objects; a level whose first entry is ``p`` holds the
-    composable p-chains, independently of the remaining directions.
+    composable p-chains, independently of the remaining directions.  A
+    restriction reads only the first component of the morphism, so the
+    nerve is tabled once per first entry (``presheaf.FirstEntryTable``).
     """
     if n < 1:
         raise ConstructionError("nerve needs ambient dimension >= 1")
 
-    def eval_fn(M: ThetaObject):
-        if M.length == 0:
-            return C.objects
-        return C.chains(M.entries[0])
+    def cells(p):
+        return C.objects if p is None else C.chains(p)
 
-    def act_fn(f: ThetaMorphism, cell):
-        src_len = f.source.length
-        tgt_len = f.target.length
-        comp0 = f.components[0]
-        if tgt_len == 0:
+    def restrict(p, q, comp0, cell):
+        """The restriction of ``cell`` over first entry ``q`` to first entry
+        ``p`` along the first component ``comp0``."""
+        if q is None:
             x = cell
         elif len(set(comp0)) == 1:
             x = _chain_vertex(C, cell, comp0[0])
         else:
             return _chain_restrict(C, cell, comp0)
-        if src_len == 0:
-            return x
-        return (C.ident[x],) * f.source.entries[0]
+        return x if p is None else (C.ident[x],) * p
 
-    return Precat(n, eval_fn, act_fn, name=f"N({C.name})@{n}")
+    return TabledPrecat(n, FirstEntryTable(cells, restrict),
+                        name=f"N({C.name})@{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ window check (the solver, functoriality, dumps, the Segal check) reads its
 presheaf through ``table_of``: cells in label order with their labels and
 positions, and each morphism as position lists.  Products, pushouts and edge
 complexes are ``TabledPrecat``s, defined by a table of their own that is
-built from their parts' tables (module ``tables``), so one table serves
-every check on them.  Every other presheaf is read cell by cell through
-``Precat.act`` into a ``WindowTable`` made for the check.
+built from their parts' tables (module ``tables``).  Nerves and constant
+presheaves (discrete, point, empty) are ``TabledPrecat``s too: their levels
+depend only on the first entry, so a ``FirstEntryTable`` sorts each level
+once per first entry and shares each restriction among the morphisms of
+one first-direction key.  One table serves every check on such a precat.
+Every other presheaf is read cell by cell through ``Precat.act`` into a
+``WindowTable`` made for the check.
 
 Restrictions are memoized without bound.  A table holds its parts' tables
 and never its own precat, so no reference cycle keeps a composite alive.
@@ -141,7 +145,8 @@ class Precat:
 
 class TabledPrecat(Precat):
     """A precat whose cells and restrictions are read off ``table``, a
-    compiled table (module ``tables``) that it owns."""
+    table that it owns: a ``FirstEntryTable`` or a compiled table (module
+    ``tables``)."""
 
     def __init__(self, n: int, table, name: str):
         def act_fn(f, c):
@@ -218,8 +223,8 @@ def constant_table_precat(n: int, levels: dict, actions: dict,
 def discrete(n: int, labels: Iterable) -> Precat:
     """Constant presheaf on a finite set; every cell is fully degenerate."""
     labels = tuple(labels)
-    return Precat(n, lambda M: labels, lambda f, c: c,
-                  name=f"discrete{labels}")
+    return TabledPrecat(n, FirstEntryTable(lambda p: labels, lambda p, q, comp0, c: c),
+                        name=f"discrete{labels}")
 
 
 def point(n: int) -> Precat:
@@ -229,7 +234,9 @@ def point(n: int) -> Precat:
 
 
 def empty(n: int) -> Precat:
-    return Precat(n, lambda M: (), lambda f, c: c, name="empty")
+    e = discrete(n, ())
+    e.name = "empty"
+    return e
 
 
 def terminal_map(P: Precat) -> PrecatMap:
@@ -441,10 +448,7 @@ class WindowTable:
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         got = self._levels.get(M)
         if got is None:
-            labels = {c: cell_label(c) for c in self.P.cells(M)}
-            cells = sorted(labels, key=_label_key(labels))
-            got = self._levels[M] = (cells, [labels[c] for c in cells],
-                                     {c: k for k, c in enumerate(cells)})
+            got = self._levels[M] = _label_order(self.P.cells(M))
         return got
 
     def act(self, f: ThetaMorphism) -> list[int]:
@@ -456,8 +460,73 @@ class WindowTable:
         return got
 
 
+def _label_order(cells: frozenset) -> tuple[list, list[str], dict]:
+    """``cells`` in label order, their labels, and each cell's position."""
+    labels = {c: cell_label(c) for c in cells}
+    order = sorted(labels, key=_label_key(labels))
+    return order, [labels[c] for c in order], {c: k for k, c in enumerate(order)}
+
+
+class FirstEntryTable(WindowTable):
+    """The table of a presheaf whose level over ``M`` depends only on its
+    first entry ``p`` (``None`` at length 0): its cells are ``cells(p)``,
+    and the restriction of a cell ``c`` over ``M'`` along ``f: M -> M'`` is
+    ``restrict(p, p', f.components[0], c)``, the component being ``None``
+    when ``M'`` has length 0.  Nerves padded constantly to dimension n and
+    constant presheaves are of this kind.
+
+    Lemma: the position list of ``f`` depends only on its key ``(p, p',
+    component)``.  Both levels, and their label orders, depend only on
+    ``p`` and ``p'``, and ``restrict`` is given nothing of ``f`` but the
+    key.  So each level is labelled and sorted once per first entry, and
+    each position list is computed once per key, by ``restrict`` on the
+    cells of ``M'``; every level and morphism with that first entry or key
+    shares them.  A restriction outside its level raises
+    ``ActionDomainError``.
+    """
+
+    def __init__(self, cells: Callable[[Optional[int]], Iterable], restrict: Callable):
+        self._cells, self._restrict = cells, restrict
+        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
+        self._acts: dict[ThetaMorphism, list[int]] = {}
+        self._by_entry: dict[Optional[int], tuple[list, list, dict]] = {}
+        self._by_key: dict[tuple, list[int]] = {}
+
+    def size(self, M: ThetaObject) -> int:
+        return len(self.level(M)[0])
+
+    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
+        got = self._levels.get(M)
+        if got is None:
+            p = M.entries[0] if M.entries else None
+            got = self._by_entry.get(p)
+            if got is None:
+                got = self._by_entry[p] = _label_order(frozenset(self._cells(p)))
+            self._levels[M] = got
+        return got
+
+    def act(self, f: ThetaMorphism) -> list[int]:
+        got = self._acts.get(f)
+        if got is None:
+            source, target = f.source.entries, f.target.entries
+            key = (source[0] if source else None, target[0] if target else None,
+                   f.components[0] if target else None)
+            got = self._by_key.get(key)
+            if got is None:
+                index, cells = self.level(f.source)[2], self.level(f.target)[0]
+                got = [index.get(self._restrict(*key, c), -1) for c in cells]
+                if -1 in got:
+                    raise ActionDomainError(
+                        f"the restriction of {cells[got.index(-1)]!r} along {f} "
+                        f"is not a cell of level {f.source}")
+                self._by_key[key] = got
+            self._acts[f] = got
+        return got
+
+
 def table_of(P: Precat) -> WindowTable:
-    """P's own table if P is a ``TabledPrecat``, else a new cell-by-cell one."""
+    """P's own table if P is a ``TabledPrecat`` (a composite, a nerve or a
+    constant presheaf), else a new cell-by-cell one."""
     return P.table if isinstance(P, TabledPrecat) else WindowTable(P)
 
 

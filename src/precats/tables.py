@@ -154,7 +154,8 @@ class UpsilonTable(CompiledTable):
     are a block of consecutive members, one for each tuple of positions of
     the covered inputs' cells at ``tail``, in ``itertools.product`` order.
     A restriction reads each input's table along ``tail_morphism(f)`` once
-    and maps a block at a time."""
+    and maps a block at a time: the block's image is built by outer sums,
+    one covered input at a time, of that input's strided positions."""
 
     def __init__(self, inputs: list, covered: Callable):
         super().__init__()
@@ -210,7 +211,9 @@ class UpsilonTable(CompiledTable):
         image = []
         for y, (_, cover) in self._blocks[f.target].items():
             start, kept = to[along(y)]
-            steps = [[kept[i][0] * x for x in acts[i - 1]] if i in kept else [0] * size
-                     for i, (_, size) in cover.items()]
-            image += [start + sum(t) for t in itertools.product(*steps)]
+            block = [start]
+            for i, (_, size) in cover.items():
+                step = [kept[i][0] * x for x in acts[i - 1]] if i in kept else [0] * size
+                block = [a + b for a in block for b in step]
+            image += block
         return image

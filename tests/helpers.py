@@ -154,6 +154,17 @@ def enumerate_small_categories(limit: int = 10, max_objects: int = 3,
     return found
 
 
+def poset(less, size=4):
+    """The poset on ``0..size-1`` with the given strict relations, which
+    must be transitively closed, as a category."""
+    objs = tuple(range(size))
+    arrows = tuple(sorted({(x, x) for x in objs} | set(less)))
+    return FiniteCategory(objs, arrows, {a: a[0] for a in arrows},
+                          {a: a[1] for a in arrows}, {x: (x, x) for x in objs},
+                          {(a, b): (a[0], b[1]) for a in arrows for b in arrows
+                           if a[1] == b[0]})
+
+
 def categories_isomorphic(C: FiniteCategory, D: FiniteCategory) -> bool:
     """Brute-force isomorphism of finite categories.  Object maps are built
     one object at a time, each object sent only to an unused object of equal
@@ -589,7 +600,8 @@ def whitehead_by_all_morphisms(A, a, k):
 
 
 # ---------------------------------------------------------------------------
-# cell-level composites (dual routes for the compiled composite tables)
+# cell-level presheaves (dual routes for the tables of composites, nerves
+# and constant presheaves)
 # ---------------------------------------------------------------------------
 
 class CellOracle:
@@ -606,6 +618,37 @@ class CellOracle:
         if got is None:
             got = self._levels[M] = frozenset(self._eval_fn(M))
         return got
+
+
+def discrete_oracle(n, labels):
+    """The constant presheaf read cell by cell: every level holds
+    ``labels`` and every restriction is the identity."""
+    labels = tuple(labels)
+    return CellOracle(n, lambda M: labels, lambda f, c: c, f"oracle-discrete{labels}")
+
+
+def nerve_oracle(C, n=1):
+    """The nerve of ``C`` padded to dimension ``n``, read cell by cell: level
+    0 holds the objects and a level of first entry ``p`` the composable
+    p-chains; a cell restricts along the first component of each morphism."""
+    from precats.constructions import _chain_restrict, _chain_vertex
+
+    def eval_fn(M):
+        return C.objects if M.length == 0 else C.chains(M.entries[0])
+
+    def act_fn(f, cell):
+        comp0 = f.components[0]
+        if f.target.length == 0:
+            x = cell
+        elif len(set(comp0)) == 1:
+            x = _chain_vertex(C, cell, comp0[0])
+        else:
+            return _chain_restrict(C, cell, comp0)
+        if f.source.length == 0:
+            return x
+        return (C.ident[x],) * f.source.entries[0]
+
+    return CellOracle(n, eval_fn, act_fn, f"oracle-N({C.name})@{n}")
 
 
 def product_oracle(P, Q):

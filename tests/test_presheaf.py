@@ -341,18 +341,8 @@ def test_natural_map_solver_matches_per_cell_oracle(diagram):
         assert _component_set(got) == _component_set(want)
 
 
-def _poset(less, size=4):
-    """The poset on ``0..size-1`` with the given strict relations."""
-    objs = tuple(range(size))
-    arrows = tuple(sorted({(x, x) for x in objs} | set(less)))
-    return FiniteCategory(objs, arrows, {a: a[0] for a in arrows},
-                          {a: a[1] for a in arrows}, {x: (x, x) for x in objs},
-                          {(a, b): (a[0], b[1]) for a in arrows for b in arrows
-                           if a[1] == b[0]})
-
-
 def _poset_nerve(less, size=4):
-    return nerve(_poset(less, size), 1)
+    return nerve(helpers.poset(less, size), 1)
 
 
 @pytest.mark.parametrize("other, iso", [
@@ -488,7 +478,7 @@ _4_CROWN = {(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)}
      False, False),
 ])
 def test_iso_verdicts_beyond_colour_classes(less, other, size, colours_agree, iso):
-    P, Q = _poset(less, size), _poset(other, size)
+    P, Q = helpers.poset(less, size), helpers.poset(other, size)
     NP, NQ = nerve(P, 1), nerve(Q, 1)
     objs, gens = W2.objects(1), W2.elementary(1)
     agree = all(sorted(cp) == sorted(cq) for cp, cq in zip(

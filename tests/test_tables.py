@@ -1,6 +1,7 @@
-"""The tables that define products, pushouts and edge complexes, against
-their cell-level oracles in ``helpers``, on every window morphism; how the
-tables are shared and freed; and when module ``tables`` is imported."""
+"""The tables that define products, pushouts, edge complexes, nerves and
+constant presheaves, against their cell-level oracles in ``helpers``, on
+every window morphism; how the tables are shared and freed; and when module
+``tables`` is imported."""
 
 import gc
 import os
@@ -16,7 +17,7 @@ from precats import (IDENTITIES, PrecatMap, Window, cli, coproduct, discrete,
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import TabledPrecat, WindowTable
+from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
 from precats.tables import (CompiledTable, ProductTable, PushoutTable,
                             UpsilonTable)
 
@@ -241,17 +242,87 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
     assert ps.dump_window(P, W2) != good
 
 
+def _poset6():
+    """The six-element poset 0 < 1, 2 < 3 < 4, 5: x < y exactly when x has
+    the lower rank."""
+    rank = (0, 1, 1, 2, 3, 3)
+    return helpers.poset({(x, y) for x in range(6) for y in range(6)
+                          if rank[x] < rank[y]}, 6)
+
+
+@pytest.mark.parametrize("category, n, B", [
+    ("Ibar", 2, 3), ("Z2", 1, 3), ("chain3", 1, 3), ("I", 1, 2), ("P6", 1, 2)])
+def test_nerves_tabled_as_cell_by_cell(category, n, B):
+    """A nerve's table is its cell-level oracle on every window morphism,
+    and the morphisms of one first-direction key share one position list."""
+    C = _poset6() if category == "P6" else cli._CATEGORIES[category]()
+    T = ps.table_of(cn.nerve(C, n))
+    assert isinstance(T, FirstEntryTable)
+    window = Window(B)
+    assert helpers.table_violations(T, helpers.nerve_oracle(C, n), window) == []
+    shared = {}
+    for s, t, mors in window.morphisms(n):
+        for f in mors:
+            key = (s.entries[:1], t.entries[:1], f.components[0] if t.length else None)
+            shared.setdefault(key, set()).add(id(T.act(f)))
+    assert set(map(len, shared.values())) == {1}
+
+
+@pytest.mark.parametrize("build, n, labels", [
+    (discrete, 1, TIE),
+    (discrete, 2, (0, 1)),
+    (lambda n, labels: ps.empty(n), 2, ()),
+    (lambda n, labels: point(n), 3, ("pt",)),
+], ids=["discrete-tie", "discrete-2", "empty-2", "point-3"])
+def test_constant_presheaves_tabled_as_cell_by_cell(build, n, labels):
+    T = ps.table_of(build(n, labels))
+    assert isinstance(T, FirstEntryTable)
+    assert helpers.table_violations(T, helpers.discrete_oracle(n, labels), W2) == []
+
+
+def _corrupted_iso_interval():
+    """Ibar with the composite u;v replaced, after validation, by a value
+    that is no arrow: restricting the chain (u, v) leaves its level."""
+    C = cn.FiniteCategory.iso_interval()
+    C.table[("u", "v")] = "w"
+    return C
+
+
+def test_corrupted_category_raises_a_typed_error(monkeypatch, capsys):
+    """A restriction outside its level is an ``ActionDomainError``, whether
+    a table, a dump or a check meets it, and ``build`` reports it as an
+    input error."""
+    f = next(f for s, t, mors in W2.morphisms(1) for f in mors
+             if (s.entries, t.entries, f.components) == ((1,), (2,), ((0, 2),)))
+    with pytest.raises(ps.ActionDomainError):
+        ps.table_of(cn.nerve(_corrupted_iso_interval(), 1)).act(f)
+    with pytest.raises(ps.ActionDomainError):
+        cn.nerve(_corrupted_iso_interval(), 1).act(f, ("u", "v"))
+    for check in (ps.dump_window, ps.check_functoriality):
+        with pytest.raises(ps.PresheafError):
+            check(cn.nerve(_corrupted_iso_interval(), 1), W2)
+    monkeypatch.setitem(cli._CATEGORIES, "Ibar", _corrupted_iso_interval)
+    assert cli.main(["build", "nerve", "--category", "Ibar", "--window", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tables_share_the_parts_of_one_check():
-    """A composite part met twice is one table, its own; a plain part gets
+    """A composite part met twice is one table, its own; so is a
+    first-direction part (a nerve or a constant presheaf); a plain part gets
     a new cell-by-cell table from each ``table_of``."""
     P = upsilon([discrete(0, ("a", "b"))])
     T = product(P, P).table
     assert T.TA is T.TB is P.table is ps.table_of(P)
     po = pushout(identity_map(P), identity_map(P)).precat.table
     assert po.TR is po.TP is po.TQ is P.table
-    D = discrete(1, ("a",))
-    assert isinstance(ps.table_of(D), WindowTable)
-    assert ps.table_of(D) is not ps.table_of(D)
+    for D in (discrete(1, ("a",)), point(1), ps.empty(1),
+              cn.nerve(cn.FiniteCategory.interval(), 1)):
+        assert isinstance(ps.table_of(D), FirstEntryTable)
+        assert ps.table_of(D) is ps.table_of(D) is D.table
+        assert product(D, D).table.TA is D.table
+    S, _ = ps.sub_precat(discrete(1, ("a", "b")), lambda M: lambda c: c == "a")
+    assert type(ps.table_of(S)) is WindowTable
+    assert ps.table_of(S) is not ps.table_of(S)
 
 
 @pytest.mark.parametrize("build", ["corner", "square"])
