@@ -17,8 +17,7 @@ from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
                        TabledPrecat, Window, discrete, empty, hom_precat, point,
                        point_map, product, pushout, sub_precat, swap_map,
                        table_of, terminal_map)
-from .theta import (ThetaMorphism, ThetaObject, object_of, tail_morphism,
-                    vertex, zero_object)
+from .theta import ThetaMorphism, ThetaObject, object_of, vertex, zero_object
 
 
 class ConstructionError(ValueError):
@@ -410,52 +409,12 @@ def delooping(A: PointedPrecat) -> Precat:
 
     A non-degenerate cell is (copy index, cell); restriction along the first
     direction keeps copy ``i`` iff the vertex map crosses from below ``i`` to
-    ``i`` or beyond, collapses it otherwise.  Built independently of the
-    suspension so the two can be compared.
+    ``i`` or beyond, collapses it otherwise.  Tabled from the input's table
+    (``tables.DeloopingTable``), independently of the suspension.
     """
-    X, a = A.space, A.base
-    n = X.n
-
-    def deg(T: ThetaObject):
-        return X.degeneracy(T, a)
-
-    def eval_fn(M: ThetaObject):
-        if M.length == 0:
-            return ("pt",)
-        p = M.entries[0]
-        T = object_of(n, M.entries[1:])
-        cells = [("wpt",)]
-        for i in range(1, p + 1):
-            for c in X.cells(T):
-                if c != deg(T):
-                    cells.append(("w", i, c))
-        return cells
-
-    def collapse(M: ThetaObject):
-        return "pt" if M.length == 0 else ("wpt",)
-
-    def act_fn(f: ThetaMorphism, cl):
-        if f.target.length == 0 or cl == ("wpt",):
-            return collapse(f.source)
-        comp0 = f.components[0]
-        if len(set(comp0)) == 1 or f.source.length == 0:
-            return collapse(f.source)
-        _, i, c = cl
-        slot = None
-        for l in range(1, len(comp0)):
-            if comp0[l - 1] < i <= comp0[l]:
-                slot = l
-                break
-        if slot is None:
-            return ("wpt",)
-        g = tail_morphism(f)
-        c2 = X.act(g, c)
-        T2 = object_of(n, f.source.entries[1:])
-        if c2 == deg(T2):
-            return ("wpt",)
-        return ("w", slot, c2)
-
-    return Precat(n + 1, eval_fn, act_fn, name=f"X({X.name})")
+    from .tables import DeloopingTable
+    X = A.space
+    return TabledPrecat(X.n + 1, DeloopingTable(table_of(X), A.base), name=f"X({X.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ window check (the solver, functoriality, dumps, the Segal check) reads its
 presheaf through ``table_of``: cells in label order with their labels and
 positions, and each morphism as position lists.  Products, pushouts and edge
 complexes are ``TabledPrecat``s, defined by a table of their own that is
-built from their parts' tables (module ``tables``).  Nerves and constant
-presheaves (discrete, point, empty) are ``TabledPrecat``s too: their levels
+built from their parts' tables (module ``tables``); so is the delooping.
+Nerves and constant presheaves are ``TabledPrecat``s too: their levels
 depend only on the first entry, so a ``FirstEntryTable`` sorts each level
 once per first entry and shares each restriction among the morphisms of
-one first-direction key.  One table serves every check on such a precat.
-Every other presheaf is read cell by cell through ``Precat.act`` into a
-``WindowTable`` made for the check.
+one first-direction key.  Imported dumps own a ``MapTable``.  One table
+serves every check on such a precat.  Every other presheaf (subpresheaves,
+slices, truncations, ``ck_monoidal``) is read cell by cell through
+``Precat.act`` into a ``WindowTable`` made for the check.
 
 Restrictions are memoized without bound.  A table holds its parts' tables
 and never its own precat, so no reference cycle keeps a composite alive.
@@ -145,8 +146,8 @@ class Precat:
 
 class TabledPrecat(Precat):
     """A precat whose cells and restrictions are read off ``table``, a
-    table that it owns: a ``FirstEntryTable`` or a compiled table (module
-    ``tables``)."""
+    table that it owns: a ``FirstEntryTable``, a ``MapTable`` or a compiled
+    table (module ``tables``)."""
 
     def __init__(self, n: int, table, name: str):
         def act_fn(f, c):
@@ -198,22 +199,11 @@ def identity_map(P: Precat) -> PrecatMap:
     return PrecatMap(P, P, lambda M, c: c, name="id")
 
 
-def constant_table_precat(n: int, levels: dict, actions: dict,
-                          name: str = "table") -> Precat:
-    """Precat backed by explicit tables (used for dumps and adversarial tests)."""
-    def eval_fn(M):
-        try:
-            return levels[M]
-        except KeyError:
-            raise PresheafError(f"{name} has no level {M} in its table")
-
-    def act_fn(f, c):
-        try:
-            return actions[(f, c)]
-        except KeyError:
-            raise PresheafError(f"{name} has no action entry for {f} on {c!r}")
-
-    return Precat(n, eval_fn, act_fn, name=name)
+def constant_table_precat(n: int, levels: dict, actions: dict, name: str = "table",
+                          B: Optional[int] = None) -> Precat:
+    """Precat owning a ``MapTable`` of explicit cells and maps, with a dump's
+    window bound ``B`` (dumps and adversarial tests)."""
+    return TabledPrecat(n, MapTable(levels, actions, name, B), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +433,7 @@ class WindowTable:
         return self.level(M)[1]
 
     def size(self, M: ThetaObject) -> int:
-        return len(self.P.cells(M))
+        return len(self.level(M)[0])
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         got = self._levels.get(M)
@@ -492,9 +482,6 @@ class FirstEntryTable(WindowTable):
         self._by_entry: dict[Optional[int], tuple[list, list, dict]] = {}
         self._by_key: dict[tuple, list[int]] = {}
 
-    def size(self, M: ThetaObject) -> int:
-        return len(self.level(M)[0])
-
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         got = self._levels.get(M)
         if got is None:
@@ -524,9 +511,47 @@ class FirstEntryTable(WindowTable):
         return got
 
 
+class MapTable(WindowTable):
+    """The table of explicit maps: ``levels[M]`` holds the cells over ``M``
+    and ``actions[f]`` maps each cell of ``f.target`` to its restriction,
+    read into a position list on first use.  A missing level (named with
+    the window bound ``B``, if given), morphism or cell raises
+    ``PresheafError``, an image outside ``f.source`` ``ActionDomainError``."""
+
+    def __init__(self, levels: dict, actions: dict, name: str, B: Optional[int] = None):
+        self._cells, self._maps, self.name = levels, actions, name
+        self._where = "" if B is None else f" of window B={B}"
+        self._levels, self._acts = {}, {}
+
+    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
+        got = self._levels.get(M)
+        if got is None:
+            if M not in self._cells:
+                raise PresheafError(f"{self.name}{self._where} has no level {M}")
+            got = self._levels[M] = _label_order(frozenset(self._cells[M]))
+        return got
+
+    def act(self, f: ThetaMorphism) -> list[int]:
+        got = self._acts.get(f)
+        if got is None:
+            index, cells = self.level(f.source)[2], self.level(f.target)[0]
+            try:
+                image = self._maps[f]
+                got = [index.get(image[c], -1) for c in cells]
+            except KeyError as exc:
+                on = "" if exc.args[0] is f else f" on {exc.args[0]!r}"
+                raise PresheafError(f"{self.name} has no action entry for {f}{on}") from None
+            if -1 in got:
+                raise ActionDomainError(f"action of {f} on {cells[got.index(-1)]!r} "
+                                        f"left level {f.source} of {self.name}")
+            self._acts[f] = got
+        return got
+
+
 def table_of(P: Precat) -> WindowTable:
-    """P's own table if P is a ``TabledPrecat`` (a composite, a nerve or a
-    constant presheaf), else a new cell-by-cell one."""
+    """P's own table if P is a ``TabledPrecat`` (a composite, a nerve, a
+    constant presheaf, a delooping or an imported dump), else a new
+    cell-by-cell one (a subpresheaf, a slice, a truncation, ``ck_monoidal``)."""
     return P.table if isinstance(P, TabledPrecat) else WindowTable(P)
 
 
@@ -846,9 +871,10 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     """Rebuild a window-backed precat from a canonical dump.
 
     A dump missing a key or holding a value of the wrong shape raises
-    ``PresheafError``: ``n`` must be an int >= 0, each level's ``object`` a
-    list of ints and its ``cells`` a list of distinct strings, and each
-    action's ``map`` a dict from str to str."""
+    ``PresheafError``: ``n`` must be an int >= 0 and the window's ``B`` an
+    int >= 1, each level's ``object`` a list of ints and its ``cells`` a
+    list of distinct strings, and each action's ``map`` (kept as read) a
+    dict from str to str."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -865,16 +891,16 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                     and len(set(cells)) == len(cells),
                     f"cells of {entries} are not a list of distinct strings")
             levels[object_of(n, entries)] = tuple(cells)
-        actions = {}
+        actions, types = {}, set()
         for entry in data["actions"]:
-            m = entry["morphism"]
+            m, image = entry["morphism"], entry["map"]
             f = theta.ThetaMorphism(object_of(n, m["source"]), object_of(n, m["target"]),
                                     tuple(tuple(c) for c in m["components"]))
-            for src_cell, dst_cell in entry["map"].items():
-                actions[(f, src_cell)] = dst_cell
-        require(set(map(type, actions.values())) <= {str}
-                and {type(c) for _, c in actions} <= {str},
-                "an action's map is not a dict from str to str")
+            types.update(map(type, image.values()), map(type, image))
+            actions[f] = image
+        require(types <= {str}, "an action's map is not a dict from str to str")
+        B = data["window"]["B"]
+        require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
-    return constant_table_precat(n, levels, actions, name=name)
+    return constant_table_precat(n, levels, actions, name=name, B=B)

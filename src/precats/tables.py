@@ -1,14 +1,15 @@
-"""The tables that define products, pushouts and edge complexes.
+"""The tables that define products, pushouts, edge complexes and deloopings.
 
-``product``, ``PushoutData`` and ``constructions.upsilon`` each return a
-``presheaf.TabledPrecat`` whose cells and restrictions are read off one of
-these tables, built from its parts' tables (``presheaf.table_of``).  A
-product's cell is a pair of positions, a pushout's a class of ``quotient``
-on the positions of its two sides, an edge complex's a vertex path with a
-position for each covered input.  Their labels are composed from the parts'
-labels, and they restrict through the parts' position lists.  A table holds
-its parts' tables, never a precat of its own.  This module is imported
-only when such a table is first built.
+``product``, ``PushoutData``, ``constructions.upsilon`` and ``delooping``
+each return a ``presheaf.TabledPrecat`` whose cells and restrictions are
+read off one of these tables, built from its parts' tables
+(``presheaf.table_of``).  A product's cell is a pair of positions, a
+pushout's a class of ``quotient`` on the positions of its two sides, an
+edge complex's a vertex path with a position for each covered input, a
+delooping's a copy with a position of its input.  Their labels are
+composed from the parts' labels, and they restrict through the parts'
+position lists.  A table holds its parts' tables, never a precat of its
+own.  This module is imported only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import operator
 from typing import Callable
 
 from .presheaf import WindowTable, _label_key, quotient
-from .theta import ThetaMorphism, ThetaObject, object_of, tail_morphism
+from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, object_of,
+                    tail_morphism)
 
 
 class CompiledTable(WindowTable):
@@ -216,4 +218,57 @@ class UpsilonTable(CompiledTable):
                 step = [kept[i][0] * x for x in acts[i - 1]] if i in kept else [0] * size
                 block = [a + b for a in block for b in step]
             image += block
+        return image
+
+
+class DeloopingTable(CompiledTable):
+    """The delooping of the input with table ``TX`` at its level-0 cell
+    ``base``.  Member 0 is ``("wpt",)`` (``"pt"`` at length 0); at ``(p,
+    tail)`` copies ``i = 1..p`` follow, each a block of ``("w", i, c)`` for
+    the cells ``c`` of ``TX`` at ``tail`` but the base degeneracy, in
+    position order.  A restriction reads ``TX`` along ``tail_morphism(f)``
+    once and moves each copy's block whole to its slot ``l``, the one with
+    ``comp0[l - 1] < i <= comp0[l]``, or collapses it."""
+
+    def __init__(self, TX: WindowTable, base):
+        super().__init__()
+        self.TX, self.base, self._kept = TX, base, {}
+
+    def _kept_at(self, M: ThetaObject) -> tuple[ThetaObject, list[int], int]:
+        """The tail of ``M``, the kept positions there and the base's."""
+        got = self._kept.get(M)
+        if got is None:
+            tail = object_of(M.n - 1, M.entries[1:])
+            c = collapse_to_zero(tail)
+            b = self.TX.act(c)[self.TX.level(c.target)[2][self.base]]
+            got = self._kept[M] = (tail, [k for k in range(self.TX.size(tail)) if k != b], b)
+        return got
+
+    def _tabulate(self, M):
+        if M.length == 0:
+            return self._sort(M, ["pt"])
+        tail, kept, _ = self._kept_at(M)
+        labels = self.TX.labels(tail)
+        return self._sort(M, ["(wpt)"] + ["(w," + repr(i) + "," + labels[k] + ")"
+                                          for i in range(1, M.entries[0] + 1) for k in kept])
+
+    def _members(self, M):
+        if M.length == 0:
+            return ["pt"]
+        tail, kept, _ = self._kept_at(M)
+        cells = self.TX.level(tail)[0]
+        return [("wpt",)] + [("w", i, cells[k]) for i in range(1, M.entries[0] + 1) for k in kept]
+
+    def _restrict(self, f):
+        comp0 = f.components[0] if f.target.length else ()
+        if f.source.length == 0 or len(set(comp0)) <= 1:
+            return [0] * self.size(f.target)
+        act, (_, kept, b) = self.TX.act(tail_morphism(f)), self._kept_at(f.source)
+        # copy 1's image: member 0 for the base, else 1 + its kept index
+        block = [0 if x == b else x + (x < b)
+                 for x in map(act.__getitem__, self._kept_at(f.target)[1])]
+        image, width = [0], len(kept)
+        for i in range(1, f.target.entries[0] + 1):
+            slot = next((j for j in range(1, len(comp0)) if comp0[j - 1] < i <= comp0[j]), 0)
+            image += [y and y + (slot - 1) * width for y in block] if slot else [0] * len(block)
         return image

@@ -600,8 +600,8 @@ def whitehead_by_all_morphisms(A, a, k):
 
 
 # ---------------------------------------------------------------------------
-# cell-level presheaves (dual routes for the tables of composites, nerves
-# and constant presheaves)
+# cell-level presheaves (dual routes for the tables of composites, nerves,
+# constant presheaves and deloopings)
 # ---------------------------------------------------------------------------
 
 class CellOracle:
@@ -724,6 +724,53 @@ def upsilon_oracle(inputs, legacy=False):
         return new_y, tuple(inputs[i - 1].act(g, old[i]) for i in covered(new_y))
 
     return CellOracle(m + 1, eval_fn, act_fn, "oracle-edge-complex")
+
+
+def delooping_oracle(A):
+    """The delooping of the pointed precat ``A`` read cell by cell: over
+    ``(p, tail)`` the base cell ``("wpt",)`` and the copies ``("w", i, c)``,
+    ``i = 1..p``, of each cell ``c`` of the input at ``tail`` other than the
+    base degeneracy; copy ``i`` restricts into the slot ``l`` of the first
+    component with ``comp0[l-1] < i <= comp0[l]``, or collapses."""
+    from precats import object_of
+    from precats.theta import tail_morphism
+
+    X, a = A.space, A.base
+    n = X.n
+
+    def deg(T):
+        return X.degeneracy(T, a)
+
+    def eval_fn(M):
+        if M.length == 0:
+            return ("pt",)
+        T = object_of(n, M.entries[1:])
+        return [("wpt",)] + [("w", i, c) for i in range(1, M.entries[0] + 1)
+                             for c in X.cells(T) if c != deg(T)]
+
+    def collapse(M):
+        return "pt" if M.length == 0 else ("wpt",)
+
+    def act_fn(f, cl):
+        if f.target.length == 0 or cl == ("wpt",):
+            return collapse(f.source)
+        comp0 = f.components[0]
+        if len(set(comp0)) == 1 or f.source.length == 0:
+            return collapse(f.source)
+        _, i, c = cl
+        slot = None
+        for l in range(1, len(comp0)):
+            if comp0[l - 1] < i <= comp0[l]:
+                slot = l
+                break
+        if slot is None:
+            return ("wpt",)
+        c2 = X.act(tail_morphism(f), c)
+        if c2 == deg(object_of(n, f.source.entries[1:])):
+            return ("wpt",)
+        return ("w", slot, c2)
+
+    return CellOracle(n + 1, eval_fn, act_fn, f"oracle-X({X.name})")
 
 
 def table_violations(T, oracle, window, generators_only=False):

@@ -54,9 +54,9 @@ def _incompatible_spines():
     levels = {zero: ("x", "y"), one: ("a", "b"), two: ("s", "t")}
     v0, v1 = (vertex(one, v) for v in (0, 1))
     f01, f12 = segal_faces(two)
-    actions = {(v0, "a"): "x", (v0, "b"): "x", (v1, "a"): "y", (v1, "b"): "x"}
+    actions = {v0: {"a": "x", "b": "x"}, v1: {"a": "y", "b": "x"}}
     for f in (f01, f12):
-        actions[f, "t"], actions[f, "s"] = "a", "b"
+        actions[f] = {"t": "a", "s": "b"}
     return constant_table_precat(1, levels, actions, name="incompatible")
 
 

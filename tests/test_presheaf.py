@@ -550,16 +550,11 @@ def test_iso_needs_naturality_not_just_counts():
     verts = enumerate_morphisms(zero, one)
 
     def tables(flip):
-        acts = {}
-        for s in objs:
-            for t in objs:
-                for f in enumerate_morphisms(s, t):
-                    for c in ("a", "b"):
-                        acts[(f, c)] = c
+        acts = {f: {"a": "a", "b": "b"} for s in objs for t in objs
+                for f in enumerate_morphisms(s, t)}
         if flip:
             for f in verts:
-                acts[(f, "a")] = "b"
-                acts[(f, "b")] = "a"
+                acts[f] = {"a": "b", "b": "a"}
         return constant_table_precat(n, levels, acts, name=f"tbl{flip}")
 
     straight, flipped = tables(False), tables(True)
@@ -625,14 +620,10 @@ def test_functoriality_negative_control():
     n = 1
     objs = W2.objects(n)
     levels = {M: ("a", "b") for M in objs}
-    acts = {}
-    for s in objs:
-        for t in objs:
-            for f in enumerate_morphisms(s, t):
-                for c in ("a", "b"):
-                    acts[(f, c)] = c
+    acts = {f: {"a": "a", "b": "b"} for s in objs for t in objs
+            for f in enumerate_morphisms(s, t)}
     bad_mor = enumerate_morphisms(objs[0], objs[1])[0]
-    acts[(bad_mor, "a")] = "b"
+    acts[bad_mor] = {"a": "b", "b": "b"}
     corrupted = constant_table_precat(n, levels, acts, name="bad")
     violations = check_functoriality(corrupted, W2)
     assert violations
@@ -643,9 +634,9 @@ def _corrupted_table(bad_mor):
     """Two cells at every W2 level of dimension 1, every action the identity
     except ``bad_mor`` sending ``a`` to ``b``."""
     objs = W2.objects(1)
-    acts = {(f, c): c for s in objs for t in objs
-            for f in enumerate_morphisms(s, t) for c in ("a", "b")}
-    acts[(bad_mor, "a")] = "b"
+    acts = {f: {"a": "a", "b": "b"} for s in objs for t in objs
+            for f in enumerate_morphisms(s, t)}
+    acts[bad_mor] = {"a": "b", "b": "b"}
     return constant_table_precat(1, {M: ("a", "b") for M in objs}, acts,
                                  name="bad")
 

@@ -1,10 +1,13 @@
-"""The tables that define products, pushouts, edge complexes, nerves and
-constant presheaves, against their cell-level oracles in ``helpers``, on
-every window morphism; how the tables are shared and freed; and when module
-``tables`` is imported."""
+"""The tables that define products, pushouts, edge complexes, nerves,
+constant presheaves and deloopings, against their cell-level oracles in
+``helpers``, on every window morphism; the tables of imported dumps; how
+the tables are shared and freed; and when module ``tables`` is imported."""
 
 import gc
+import importlib.util
+import json
 import os
+import pathlib
 import subprocess
 import sys
 import weakref
@@ -17,9 +20,9 @@ from precats import (IDENTITIES, PrecatMap, Window, cli, coproduct, discrete,
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
-from precats.tables import (CompiledTable, ProductTable, PushoutTable,
-                            UpsilonTable)
+from precats.presheaf import FirstEntryTable, MapTable, TabledPrecat, WindowTable
+from precats.tables import (CompiledTable, DeloopingTable, ProductTable,
+                            PushoutTable, UpsilonTable)
 
 import helpers
 
@@ -36,7 +39,7 @@ def oracles(monkeypatch):
     oracle}``: its own table, and the cell-level oracle of it built over the
     same parts."""
     made = {}
-    real_product, real_upsilon = ps.product, cn.upsilon
+    real_product, real_upsilon, real_delooping = ps.product, cn.upsilon, cn.delooping
     real_init = ps.PushoutData.__init__
 
     def spy_product(P, Q):
@@ -49,6 +52,11 @@ def oracles(monkeypatch):
         made[X.table] = helpers.upsilon_oracle(inputs, legacy)
         return X
 
+    def spy_delooping(A):
+        X = real_delooping(A)
+        made[X.table] = helpers.delooping_oracle(A)
+        return X
+
     def spy_init(self, f, g, name="po"):
         real_init(self, f, g, name=name)
         made[self.precat.table] = helpers.pushout_oracle(f, g)
@@ -56,7 +64,8 @@ def oracles(monkeypatch):
     for mod in [m for name, m in list(sys.modules.items()) if m is not None
                 and (name.split(".")[0] == "precats" or name == __name__)]:
         for attr, real, spy in (("product", real_product, spy_product),
-                                ("upsilon", real_upsilon, spy_upsilon)):
+                                ("upsilon", real_upsilon, spy_upsilon),
+                                ("delooping", real_delooping, spy_delooping)):
             if getattr(mod, attr, None) is real:
                 monkeypatch.setattr(mod, attr, spy)
     monkeypatch.setattr(ps.PushoutData, "__init__", spy_init)
@@ -126,7 +135,8 @@ def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch, oracles):
                         assert P.n <= 2 or violations(T, Window(1), True) == [], \
                             (entry, i, X.name)
     assert count > 60
-    assert {ProductTable, PushoutTable, UpsilonTable, WindowTable} <= kinds
+    assert kinds == {ProductTable, PushoutTable, UpsilonTable, DeloopingTable,
+                     FirstEntryTable}
 
 
 @pytest.mark.parametrize("build", [
@@ -391,3 +401,130 @@ def test_tables_module_is_imported_by_the_first_composite():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# deloopings and imported dumps
+# ---------------------------------------------------------------------------
+
+def _two():
+    return cn.PointedPrecat(discrete(1, (0, 1)), 0)
+
+
+def _interval():
+    return cn.PointedPrecat(cn.nerve(cn.FiniteCategory.interval(), 1), 0)
+
+
+@pytest.mark.parametrize("pointed, B", [
+    (_two, 2), (_interval, 2), (lambda: cn.sigma_free(1, 1), 2), (_two, 3),
+    (lambda: cn.PointedPrecat(discrete(1, (*TIE, "x")), "x"), 2)],
+    ids=["two-W2", "N(I)-W2", "sigma-1-1-W2", "two-W3", "ties-W2"])
+def test_deloopings_tabled_as_cell_by_cell(pointed, B):
+    """A delooping's table is built from its input's own table and is its
+    cell-level oracle on every window morphism."""
+    A = pointed()
+    X = cn.delooping(A)
+    T = ps.table_of(X)
+    assert isinstance(T, DeloopingTable) and T is X.table
+    assert T.TX is ps.table_of(A.space)
+    assert helpers.table_violations(T, helpers.delooping_oracle(A), Window(B)) == []
+
+
+def _dump_catalog():
+    """The benchmark's catalogue of dumps: (name, build args, B, segal)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)     # its dataclasses look it up by name
+    finally:
+        del sys.modules[spec.name]
+    return module.DUMP_CATALOG
+
+
+_REDUMPED = ([(name, args, 2) for name, args, B, _ in _dump_catalog() if B == 2]
+             + [("delooping-two_point", ["delooping", "--of", "two_point", "--n", "1"], 3)])
+
+
+@pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _REDUMPED],
+                         ids=[f"{name}@W{B}" for name, _, B in _REDUMPED])
+def test_imported_dumps_redump_to_the_same_bytes(args, B):
+    """A dump re-imported owns a ``MapTable``, and dumping it again gives
+    the same bytes."""
+    parsed = cli.make_parser().parse_args(["build", *args, "--window", str(B)])
+    text = ps.dump_json(cli.build_precat(parsed), Window(B))
+    back = ps.precat_from_dump(json.loads(text))
+    assert isinstance(back.table, MapTable) and ps.table_of(back) is back.table
+    assert ps.dump_json(back, Window(B)) == text
+
+
+def _broken_dump(fault):
+    """The W2 dump of a two-cell discrete precat with one fault in the map
+    of a non-identity morphism ``f``: the map left out, a cell left out of
+    it, or an image outside ``f.source``."""
+    data = ps.dump_window(discrete(1, ("a", "b")), W2)
+    f = next(f for s, t, mors in W2.morphisms(1) for f in mors if s != t)
+    entry = next(e for e in data["actions"] if e["morphism"] == f.to_dict())
+    if fault == "morphism":
+        data["actions"].remove(entry)
+    elif fault == "cell":
+        del entry["map"]["b"]
+    else:
+        entry["map"]["a"] = "z"
+    return data, f
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("morphism", ps.PresheafError), ("cell", ps.PresheafError),
+    ("image", ps.ActionDomainError)])
+def test_broken_dumps_raise_typed_errors(fault, error, tmp_path, capsys):
+    """A missing morphism or cell is a ``PresheafError`` and an image
+    outside its level an ``ActionDomainError``, whether the table, a check
+    or the command line meets it; the command line exits 2."""
+    data, f = _broken_dump(fault)
+    P = ps.precat_from_dump(data)
+    with pytest.raises(ps.PresheafError) as got:
+        ps.table_of(P).act(f)
+    assert got.type is error
+    with pytest.raises(ps.PresheafError) as got:
+        ps.check_functoriality(P, W2)
+    assert got.type is error
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "functorial", "--in", str(path), "--window", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dump_levels_outside_its_window_name_the_window(tmp_path, capsys):
+    """A W2 dump checked on window 3 is an input error naming ``B=2`` and
+    the level; a window bound that is not an int >= 1 is a malformed dump."""
+    P = discrete(1, ("a", "b"))
+    data = ps.dump_window(P, W2)
+    with pytest.raises(ps.PresheafError, match=r"B=2.*\(3,\)"):
+        ps.table_of(ps.precat_from_dump(data)).level(ps.object_of(1, [3]))
+    path = tmp_path / "w2.json"
+    path.write_text(ps.dump_json(P, W2))
+    assert cli.main(["check", "segal", "--in", str(path), "--window", "3"]) == 2
+    assert "B=2" in capsys.readouterr().err
+    for window in ({"B": True}, {"B": 0}, {"B": "2"}, {"B": 2.0}, {}, None):
+        bad = dict(data, window=window)
+        if window is None:
+            del bad["window"]
+        with pytest.raises(ps.PresheafError, match="malformed dump"):
+            ps.precat_from_dump(bad)
+
+
+def test_deloopings_and_dumps_are_freed_without_the_cycle_collector():
+    """A delooping and an imported dump, with their tables, die once the
+    caller drops them: neither table holds a reference cycle."""
+    gc.disable()
+    try:
+        X = cn.delooping(_interval())
+        D = ps.precat_from_dump(ps.dump_window(X, W2))
+        assert ps.check_functoriality(X, W2) == ps.check_functoriality(D, W2) == []
+        assert ps.iso_windowed(X, D, W2) is not None
+        refs = [weakref.ref(x) for x in (X, X.table, X.table.TX, D, D.table)]
+        del X, D
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -379,16 +379,16 @@ def test_dump_import_rebuilds_the_interned_morphisms(monkeypatch):
     seen = {}
     real = ps.constant_table_precat
 
-    def spy(n, levels, actions, name="table"):
+    def spy(n, levels, actions, **kwargs):
         seen.update(levels=levels, actions=actions)
-        return real(n, levels, actions, name=name)
+        return real(n, levels, actions, **kwargs)
 
     monkeypatch.setattr(ps, "constant_table_precat", spy)
     ps.precat_from_dump(data)
     objs = window.objects(2)
     assert [M for M in objs if M in seen["levels"]] == objs
     assert all(any(M is N for N in objs) for M in seen["levels"])
-    rebuilt = {f for f, _ in seen["actions"]}
+    rebuilt = set(seen["actions"])
     assert len(rebuilt) == sum(len(m) for _, _, m in window.morphisms(2))
     for f in rebuilt:
         assert any(f is g for g in enumerate_morphisms(f.source, f.target))
