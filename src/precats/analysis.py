@@ -2,13 +2,14 @@
 
 The comparison (Segal) map at a level whose ``d``-th entry is ``p`` sends a
 cell to its ``p`` spine restrictions; strictness means every such map is a
-bijection on the window.  It is computed on the positions of the
-presheaf's table (``presheaf.table_of``).  Category recovery, truncation
-and connectivity read the fixed levels (0) to (3) and recurse into hom
-presheaves, so they take no window.  They are implemented for strict
-inputs only: a weak input raises a typed error instead of silently
-approximating, since resolving it would need a categorical completion
-operation that is out of scope here.
+bijection on the window.  It is computed on the positions of the table
+that the presheaf owns.  Category recovery, truncation and connectivity
+read the fixed levels (0) to (3) and recurse into hom presheaves (tables
+that keep positions of their parent's), so they take no window.  Truncation
+is read cell by cell.  They are implemented for strict inputs only: a weak
+input raises a typed error instead of silently approximating, since
+resolving it would need a categorical completion operation that is out of
+scope here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from . import theta
 from .constructions import FiniteCategory
 from .presheaf import (Precat, PrecatMap, Window, WindowTable, hom_precat,
-                       quotient, slice_precat, table_of)
+                       quotient, slice_precat)
 from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
                     object_of, vertex, zero_object)
 
@@ -86,7 +87,7 @@ def _segal_entry(T: WindowTable, M: ThetaObject, d: int) -> SegalEntry:
 
 def segal_check(A: Precat, window: Window) -> SegalReport:
     """Comparison-map verdicts at every window level with an entry >= 2."""
-    T = table_of(A)
+    T = A.table
     return SegalReport([_segal_entry(T, M, d) for M in window.objects(A.n)
                         for d, p in enumerate(M.entries) if p >= 2])
 
@@ -97,7 +98,7 @@ def segal_check(A: Precat, window: Window) -> SegalReport:
 
 def _require_strict(A: Precat) -> None:
     """Raise unless the comparison maps at levels (2) and (3) are bijections."""
-    T = table_of(A)
+    T = A.table
     for p in (2, 3):
         e = _segal_entry(T, object_of(A.n, (p,)), 0)
         if not e.bijective:

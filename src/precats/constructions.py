@@ -16,7 +16,7 @@ from . import presheaf, theta
 from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
                        TabledPrecat, Window, discrete, empty, hom_precat, point,
                        point_map, product, pushout, sub_precat, swap_map,
-                       table_of, terminal_map)
+                       terminal_map)
 from .theta import ThetaMorphism, ThetaObject, object_of, vertex, zero_object
 
 
@@ -235,7 +235,7 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
     if any(E.n != m for E in inputs):
         raise InvalidArgumentError("all morphism objects must share one dimension")
     from .tables import UpsilonTable
-    table = UpsilonTable([table_of(E) for E in inputs],
+    table = UpsilonTable([E.table for E in inputs],
                          lambda y: _edge_indices(y[0], y[-1], legacy))
     return TabledPrecat(m + 1, table, name=name or
                         "U(" + ",".join(E.name for E in inputs) + ")")
@@ -414,7 +414,7 @@ def delooping(A: PointedPrecat) -> Precat:
     """
     from .tables import DeloopingTable
     X = A.space
-    return TabledPrecat(X.n + 1, DeloopingTable(table_of(X), A.base), name=f"X({X.name})")
+    return TabledPrecat(X.n + 1, DeloopingTable(X.table, A.base), name=f"X({X.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +437,14 @@ def whitehead(A: Precat, a, k: int) -> tuple[Precat, PrecatMap]:
     if not 0 <= k <= A.n:
         raise InvalidArgumentError(f"k={k} out of range for dimension {A.n}")
 
+    T = A.table
+
     def keep_at(M: ThetaObject):
         d = min(k, M.length)
-        want = A.degeneracy(object_of(A.n, M.entries[:d]), a)
-        maps = [vertex(M, v, d) for v in range(M.padded(d) + 1)]
-        return lambda alpha: all(A.act(u, alpha) == want for u in maps)
+        U = object_of(A.n, M.entries[:d])
+        want, index = T.level(U)[2][A.degeneracy(U, a)], T.level(M)[2]
+        acts = [T.act(vertex(M, v, d)) for v in range(M.padded(d) + 1)]
+        return lambda alpha: all(act[index[alpha]] == want for act in acts)
 
     return sub_precat(A, keep_at, name=f"Wh>{k}({A.name})")
 

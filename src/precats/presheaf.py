@@ -1,9 +1,16 @@
-"""Finite presheaves of sets on the site, evaluated lazily.
+"""Finite presheaves of sets on the site, each read off one window table.
 
-A presheaf is a pair of functions: ``eval`` sending a site object to a
-finite set of cells, and ``act`` sending a morphism ``f: M -> M'`` and a
-cell over ``M'`` to its restriction over ``M``.  Both are memoized, so any
-level is computed at most once.
+A presheaf sends a site object to a finite set of cells and a morphism
+``f: M -> M'`` to the restriction of the cells over ``M'`` to cells over
+``M``.  Every precat owns exactly one table (``WindowTable``): each level's
+cells in label order with their labels and positions, and each morphism as
+a position list, built when first asked for and kept.  ``cells``, ``act``
+and every window check (the solver, functoriality, dumps, the Segal check)
+read it.  A presheaf given cell by cell (``Precat(n, eval_fn, act_fn)``: a
+truncation, ``ck_monoidal``, an imported dump) owns a ``CellTable``;
+nerves and constant presheaves a ``FirstEntryTable``, sorted once per first
+entry; products, pushouts, edge complexes, deloopings, subpresheaves and
+slices a table of module ``tables``, built from their parts' tables.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -11,22 +18,10 @@ loses nothing where every window morphism is a composite of generators inside
 the window: the tests certify that for n <= 3 on small windows, and larger
 windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
-serves the isomorphism search and the enumeration of natural maps.  Every
-window check (the solver, functoriality, dumps, the Segal check) reads its
-presheaf through ``table_of``: cells in label order with their labels and
-positions, and each morphism as position lists.  Products, pushouts and edge
-complexes are ``TabledPrecat``s, defined by a table of their own that is
-built from their parts' tables (module ``tables``); so is the delooping.
-Nerves and constant presheaves are ``TabledPrecat``s too: their levels
-depend only on the first entry, so a ``FirstEntryTable`` sorts each level
-once per first entry and shares each restriction among the morphisms of
-one first-direction key.  Imported dumps own a ``MapTable``.  One table
-serves every check on such a precat.  Every other presheaf (subpresheaves,
-slices, truncations, ``ck_monoidal``) is read cell by cell through
-``Precat.act`` into a ``WindowTable`` made for the check.
+serves the isomorphism search and the enumeration of natural maps.
 
-Restrictions are memoized without bound.  A table holds its parts' tables
-and never its own precat, so no reference cycle keeps a composite alive.
+Tables are kept without bound.  A table holds its parts' tables and never
+its own precat, so no reference cycle keeps a presheaf alive.
 """
 
 from __future__ import annotations
@@ -98,63 +93,43 @@ _MISS = object()
 
 
 class Precat:
-    """A lazily evaluated, memoized finite presheaf on the site."""
+    """A finite presheaf on the site, read off the window table it owns: a
+    ``CellTable`` of ``eval_fn`` and ``act_fn`` if given cell by cell.
+    ``cells(M)`` is the level's cells in label order, as a set-like view."""
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
                  name: str = "precat"):
-        self.n = n
-        self.name = name
-        self._eval_fn = eval_fn
-        self._act_fn = act_fn
-        self._levels: dict[ThetaObject, frozenset] = {}
-        self._acts: dict[tuple[ThetaMorphism, object], object] = {}
+        self.n, self.name, self.table = n, name, CellTable(eval_fn, act_fn, name)
 
-    def cells(self, M: ThetaObject) -> frozenset:
+    def cells(self, M: ThetaObject):
         if M.n != self.n:
             raise PresheafError(f"{M} is not a level of a {self.n}-precat")
-        got = self._levels.get(M)
-        if got is None:
-            got = self._levels[M] = frozenset(self._eval_fn(M))
-        return got
+        return self.table.level(M)[2].keys()
 
     def act(self, f: ThetaMorphism, cell):
-        key = (f, cell)
-        got = self._acts.get(key, _MISS)
-        if got is not _MISS:
-            return got
-        if cell not in (self._levels.get(f.target) or self.cells(f.target)):
-            raise ActionDomainError(
-                f"cell {cell!r} is not at level {f.target} of {self.name}")
-        result = self._act_fn(f, cell)
-        if result not in (self._levels.get(f.source) or self.cells(f.source)):
-            raise ActionDomainError(
-                f"action of {f} on {cell!r} left level {f.source} of {self.name}")
-        self._acts[key] = result
-        return result
+        T = self.table
+        k = T.level(f.target)[2].get(cell)
+        if k is None:
+            raise ActionDomainError(f"cell {cell!r} is not at level {f.target} of {self.name}")
+        return T.level(f.source)[0][T.act(f)[k]]
 
     def degeneracy(self, M: ThetaObject, point):
         """The fully degenerate cell over ``M`` of a level-0 cell."""
         return self.act(collapse_to_zero(M), point)
 
     def size(self, M: ThetaObject) -> int:
-        return len(self.cells(M))
+        return self.table.size(M)
 
     def __repr__(self):
         return f"<{self.name}: {self.n}-precat>"
 
 
 class TabledPrecat(Precat):
-    """A precat whose cells and restrictions are read off ``table``, a
-    table that it owns: a ``FirstEntryTable``, a ``MapTable`` or a compiled
-    table (module ``tables``)."""
+    """A precat defined by a table of its own (``FirstEntryTable``, module ``tables``)."""
 
     def __init__(self, n: int, table, name: str):
-        def act_fn(f, c):
-            return table.level(f.source)[0][table.act(f)[table.level(f.target)[2][c]]]
-
-        super().__init__(n, lambda M: table.level(M)[0], act_fn, name=name)
-        self.table = table
+        self.n, self.name, self.table = n, name, table
 
 
 class PrecatMap:
@@ -201,9 +176,26 @@ def identity_map(P: Precat) -> PrecatMap:
 
 def constant_table_precat(n: int, levels: dict, actions: dict, name: str = "table",
                           B: Optional[int] = None) -> Precat:
-    """Precat owning a ``MapTable`` of explicit cells and maps, with a dump's
-    window bound ``B`` (dumps and adversarial tests)."""
-    return TabledPrecat(n, MapTable(levels, actions, name, B), name=name)
+    """Precat of explicit cells and maps (dumps and adversarial tests):
+    ``levels[M]`` holds the cells over ``M`` and ``actions[f]`` maps each
+    cell of ``f.target`` to its restriction.  A missing level (named with
+    the window bound ``B`` of a dump, if given), morphism or cell raises
+    ``PresheafError``."""
+    where = "" if B is None else f" of window B={B}"
+
+    def eval_fn(M):
+        if M not in levels:
+            raise PresheafError(f"{name}{where} has no level {M}")
+        return levels[M]
+
+    def act_fn(f, c):
+        try:
+            return actions[f][c]
+        except KeyError as exc:
+            on = "" if exc.args[0] is f else f" on {exc.args[0]!r}"
+            raise PresheafError(f"{name} has no action entry for {f}{on}") from None
+
+    return Precat(n, eval_fn, act_fn, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +242,7 @@ def product(P: Precat, Q: Precat) -> Precat:
     if P.n != Q.n:
         raise PresheafError("product factors live in different ambient dimensions")
     from .tables import ProductTable
-    return TabledPrecat(P.n, ProductTable(table_of(P), table_of(Q)),
+    return TabledPrecat(P.n, ProductTable(P.table, Q.table),
                         name=f"({P.name}x{Q.name})")
 
 
@@ -336,7 +328,7 @@ class PushoutData:
         R, P, Q = f.domain, f.codomain, g.codomain
         self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q
         from .tables import PushoutTable
-        table = PushoutTable(f.apply, g.apply, *map(table_of, (R, P, Q)))
+        table = PushoutTable(f.apply, g.apply, R.table, P.table, Q.table)
         self.precat = TabledPrecat(P.n, table, name=name)
         self.inl = PrecatMap(P, self.precat,
                              lambda M, c: table.class_of(M, ("L", c)), name="inl")
@@ -374,42 +366,39 @@ def coproduct(P: Precat, Q: Precat) -> PushoutData:
 def sub_precat(P: Precat, keep_at: Callable[[ThetaObject], Callable[[object], bool]],
                name: str = "sub") -> tuple[Precat, PrecatMap]:
     """Sub-presheaf of the cells ``c`` over each level ``M`` with
-    ``keep_at(M)(c)`` (must be action-closed); ``keep_at`` runs once a level."""
-    S = Precat(P.n, lambda M: filter(keep_at(M), P.cells(M)),
-               lambda f, c: P.act(f, c), name=name)
+    ``keep_at(M)(c)`` (must be action-closed); ``keep_at`` runs once a level.
+    Its table keeps positions of P's levels (``tables.SubTable``)."""
+    from .tables import SubTable
+    S = TabledPrecat(P.n, SubTable(P.table, keep_at, name), name)
     return S, PrecatMap(S, P, lambda M, c: c, name=f"{name}->")
 
 
 def slice_precat(A: Precat, prefix: tuple[int, ...], name: str | None = None) -> Precat:
-    """The lower-dimensional presheaf ``T -> A at (prefix + T)``."""
+    """The lower-dimensional presheaf ``T -> A at (prefix + T)``, read off
+    A's table (``tables.SliceTable``)."""
     if any(e < 1 for e in prefix):
         raise PresheafError("slice prefix entries must be positive")
     m = A.n - len(prefix)
     if m < 0:
         raise PresheafError("slice prefix longer than ambient dimension")
-
-    def eval_fn(T):
-        return A.cells(object_of(A.n, prefix + T.entries))
-
-    def act_fn(g, c):
-        return A.act(theta.prepend_prefix(prefix, g, A.n), c)
-
-    return Precat(m, eval_fn, act_fn, name=name or f"{A.name}@{prefix}")
+    from .tables import SliceTable
+    return TabledPrecat(m, SliceTable(A.table, prefix, A.n), name or f"{A.name}@{prefix}")
 
 
 def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Precat:
     """The fiber of the level-``p`` slice over a ``p+1``-tuple of objects."""
     if len(points) != p + 1:
         raise PresheafError("need one base object per vertex")
-    base = slice_precat(A, (p,))
+    base, TA = slice_precat(A, (p,)), A.table
 
     def keep_at(T: ThetaObject):
         full = object_of(A.n, (p,) + T.entries)
-        maps = [vertex(full, v) for v in range(p + 1)]
-        return lambda c: all(A.act(u, c) == x for u, x in zip(maps, points))
+        index = TA.level(full)[2]
+        ends = [(TA.act(u), TA.level(u.source)[2].get(x))
+                for u, x in zip((vertex(full, v) for v in range(p + 1)), points)]
+        return lambda c: all(act[index[c]] == x for act, x in ends)
 
-    S, _ = sub_precat(base, keep_at, name=name or f"{A.name}[{p}]{points}")
-    return S
+    return sub_precat(base, keep_at, name=name or f"{A.name}[{p}]{points}")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,37 +406,43 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
 # ---------------------------------------------------------------------------
 
 class WindowTable:
-    """A presheaf read cell by cell for one check.  ``level(M)`` gives the
-    cells over ``M`` in ``cell_label`` order, their labels and each cell's
-    position; ``labels(M)`` the labels alone and ``size(M)`` their number;
-    ``act(f)`` the position in ``f.source`` of the restriction of each cell
-    of ``f.target``, in that order.  All are built when first asked for,
-    through ``Precat.act``."""
+    """A presheaf's window table.  ``level(M)`` gives the cells over ``M``
+    in ``cell_label`` order, their labels and each cell's position;
+    ``labels(M)`` the labels alone and ``size(M)`` their number; ``act(f)``
+    the position in ``f.source`` of the restriction of each cell of
+    ``f.target``, in that order.  A subclass builds a level in ``_level``
+    and a position list in ``_act``, each once, when first asked for."""
 
-    def __init__(self, P: Precat):
-        self.P = P
+    def __init__(self):
         self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
         self._acts: dict[ThetaMorphism, list[int]] = {}
-
-    def labels(self, M: ThetaObject) -> list[str]:
-        return self.level(M)[1]
-
-    def size(self, M: ThetaObject) -> int:
-        return len(self.level(M)[0])
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         got = self._levels.get(M)
         if got is None:
-            got = self._levels[M] = _label_order(self.P.cells(M))
+            got = self._levels[M] = self._level(M)
         return got
 
     def act(self, f: ThetaMorphism) -> list[int]:
         got = self._acts.get(f)
         if got is None:
-            index, act = self.level(f.source)[2], self.P.act
-            got = self._acts[f] = [index[act(f, c)]
-                                   for c in self.level(f.target)[0]]
+            got = self._acts[f] = self._act(f)
         return got
+
+    def labels(self, M: ThetaObject) -> list[str]:
+        return self.level(M)[1]
+
+    def size(self, M: ThetaObject) -> int:
+        return len(self.labels(M))
+
+
+def _within(got: list[int], f: ThetaMorphism, cells: list, name: str = "") -> list[int]:
+    """``got``, the positions in ``f.source`` of the restrictions of
+    ``cells``, unless one is -1, which left its level."""
+    if -1 in got:
+        raise ActionDomainError(f"action of {f} on {cells[got.index(-1)]!r} left "
+                                f"level {f.source}" + (name and f" of {name}"))
+    return got
 
 
 def _label_order(cells: frozenset) -> tuple[list, list[str], dict]:
@@ -457,102 +452,59 @@ def _label_order(cells: frozenset) -> tuple[list, list[str], dict]:
     return order, [labels[c] for c in order], {c: k for k, c in enumerate(order)}
 
 
+class CellTable(WindowTable):
+    """The table of a presheaf given cell by cell: ``eval_fn(M)`` lists the
+    cells over ``M`` and ``act_fn(f, c)`` restricts the cell ``c`` along
+    ``f``.  Each is called once per level, and once per morphism and cell."""
+
+    def __init__(self, eval_fn: Callable, act_fn: Callable, name: str):
+        super().__init__()
+        self._eval_fn, self._act_fn, self.name = eval_fn, act_fn, name
+
+    def _level(self, M):
+        return _label_order(frozenset(self._eval_fn(M)))
+
+    def _act(self, f):
+        index, cells, act_fn = self.level(f.source)[2], self.level(f.target)[0], self._act_fn
+        return _within([index.get(act_fn(f, c), -1) for c in cells], f, cells, self.name)
+
+
 class FirstEntryTable(WindowTable):
     """The table of a presheaf whose level over ``M`` depends only on its
     first entry ``p`` (``None`` at length 0): its cells are ``cells(p)``,
     and the restriction of a cell ``c`` over ``M'`` along ``f: M -> M'`` is
     ``restrict(p, p', f.components[0], c)``, the component being ``None``
-    when ``M'`` has length 0.  Nerves padded constantly to dimension n and
-    constant presheaves are of this kind.
-
-    Lemma: the position list of ``f`` depends only on its key ``(p, p',
-    component)``.  Both levels, and their label orders, depend only on
-    ``p`` and ``p'``, and ``restrict`` is given nothing of ``f`` but the
-    key.  So each level is labelled and sorted once per first entry, and
-    each position list is computed once per key, by ``restrict`` on the
-    cells of ``M'``; every level and morphism with that first entry or key
-    shares them.  A restriction outside its level raises
-    ``ActionDomainError``.
+    when ``M'`` has length 0: nerves padded constantly and constant
+    presheaves.  Lemma: the position list of ``f`` depends only on its key
+    ``(p, p', component)``, since both label orders depend only on ``p``
+    and ``p'`` and ``restrict`` sees nothing of ``f`` but the key.  So each
+    level is sorted once per first entry, each position list computed once
+    per key, and every level and morphism with that entry or key shares it.
     """
 
     def __init__(self, cells: Callable[[Optional[int]], Iterable], restrict: Callable):
+        super().__init__()
         self._cells, self._restrict = cells, restrict
-        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
-        self._acts: dict[ThetaMorphism, list[int]] = {}
         self._by_entry: dict[Optional[int], tuple[list, list, dict]] = {}
         self._by_key: dict[tuple, list[int]] = {}
 
-    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        got = self._levels.get(M)
+    def _level(self, M):
+        p = M.entries[0] if M.entries else None
+        got = self._by_entry.get(p)
         if got is None:
-            p = M.entries[0] if M.entries else None
-            got = self._by_entry.get(p)
-            if got is None:
-                got = self._by_entry[p] = _label_order(frozenset(self._cells(p)))
-            self._levels[M] = got
+            got = self._by_entry[p] = _label_order(frozenset(self._cells(p)))
         return got
 
-    def act(self, f: ThetaMorphism) -> list[int]:
-        got = self._acts.get(f)
-        if got is None:
-            source, target = f.source.entries, f.target.entries
-            key = (source[0] if source else None, target[0] if target else None,
-                   f.components[0] if target else None)
-            got = self._by_key.get(key)
-            if got is None:
-                index, cells = self.level(f.source)[2], self.level(f.target)[0]
-                got = [index.get(self._restrict(*key, c), -1) for c in cells]
-                if -1 in got:
-                    raise ActionDomainError(
-                        f"the restriction of {cells[got.index(-1)]!r} along {f} "
-                        f"is not a cell of level {f.source}")
-                self._by_key[key] = got
-            self._acts[f] = got
-        return got
-
-
-class MapTable(WindowTable):
-    """The table of explicit maps: ``levels[M]`` holds the cells over ``M``
-    and ``actions[f]`` maps each cell of ``f.target`` to its restriction,
-    read into a position list on first use.  A missing level (named with
-    the window bound ``B``, if given), morphism or cell raises
-    ``PresheafError``, an image outside ``f.source`` ``ActionDomainError``."""
-
-    def __init__(self, levels: dict, actions: dict, name: str, B: Optional[int] = None):
-        self._cells, self._maps, self.name = levels, actions, name
-        self._where = "" if B is None else f" of window B={B}"
-        self._levels, self._acts = {}, {}
-
-    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        got = self._levels.get(M)
-        if got is None:
-            if M not in self._cells:
-                raise PresheafError(f"{self.name}{self._where} has no level {M}")
-            got = self._levels[M] = _label_order(frozenset(self._cells[M]))
-        return got
-
-    def act(self, f: ThetaMorphism) -> list[int]:
-        got = self._acts.get(f)
+    def _act(self, f):
+        source, target = f.source.entries, f.target.entries
+        key = (source[0] if source else None, target[0] if target else None,
+               f.components[0] if target else None)
+        got = self._by_key.get(key)
         if got is None:
             index, cells = self.level(f.source)[2], self.level(f.target)[0]
-            try:
-                image = self._maps[f]
-                got = [index.get(image[c], -1) for c in cells]
-            except KeyError as exc:
-                on = "" if exc.args[0] is f else f" on {exc.args[0]!r}"
-                raise PresheafError(f"{self.name} has no action entry for {f}{on}") from None
-            if -1 in got:
-                raise ActionDomainError(f"action of {f} on {cells[got.index(-1)]!r} "
-                                        f"left level {f.source} of {self.name}")
-            self._acts[f] = got
+            got = self._by_key[key] = _within(
+                [index.get(self._restrict(*key, c), -1) for c in cells], f, cells)
         return got
-
-
-def table_of(P: Precat) -> WindowTable:
-    """P's own table if P is a ``TabledPrecat`` (a composite, a nerve, a
-    constant presheaf, a delooping or an imported dump), else a new
-    cell-by-cell one (a subpresheaf, a slice, a truncation, ``ck_monoidal``)."""
-    return P.table if isinstance(P, TabledPrecat) else WindowTable(P)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +533,7 @@ def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
     induction on generator factorisations these imply the full composition law."""
-    T = table_of(P)
+    T = P.table
     out = []
     for M in window.objects(P.n):
         cells = T.level(M)[0]
@@ -681,8 +633,8 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     group, so solutions come in the order of unfiltered permutation pools;
     if a level's colours differ as multisets, nothing comes out.
 
-    Each level is compiled on its first visit from ``table_of`` of each
-    side: its size, and each generator between it and an earlier level as
+    Each level is compiled on its first visit from the table of each side:
+    its size, and each generator between it and an earlier level as
     position lists on ``P`` and ``Q``.  The search then runs on integers;
     cells, group keys and images are tried in label order.  With
     ``bijective``, level sizes are compared on the tables first.  Only
@@ -698,7 +650,7 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             into[t].append(e)
         elif t < s:
             outof[s].append(e)
-    TP, TQ = table_of(P), table_of(Q)
+    TP, TQ = P.table, Q.table
     if bijective and any(TP.size(M) != TQ.size(M) for M in objs):
         return
     colours = []
@@ -815,10 +767,10 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     """A levelwise bijection commuting with all window morphisms, if any.
 
     The bijection is the first solution of the natural-map solver, which
-    reads both sides through ``table_of``: it compares level sizes on the
-    tables first (a composite's sizes come from its parts' tables, with no
-    cell of its own built), then matches cells colour to colour and
-    certifies the result against the generators.
+    reads both sides' tables: it compares level sizes first (a composite's
+    sizes come from its parts' tables, with no cell of its own built), then
+    matches cells colour to colour and certifies the result against the
+    generators.
     """
     if P.n != Q.n:
         return None
@@ -844,7 +796,7 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 def dump_window(P: Precat, window: Window) -> dict:
     """Complete extensional data of the window, canonically ordered; cells are
     keyed by label, so two cells of one level that label alike are an error."""
-    T = table_of(P)
+    T = P.table
     levels = []
     for M in window.objects(P.n):
         labels = T.level(M)[1]
@@ -873,8 +825,9 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     A dump missing a key or holding a value of the wrong shape raises
     ``PresheafError``: ``n`` must be an int >= 0 and the window's ``B`` an
     int >= 1, each level's ``object`` a list of ints and its ``cells`` a
-    list of distinct strings, and each action's ``map`` (kept as read) a
-    dict from str to str."""
+    list of distinct strings, each action's endpoints listed levels, and
+    each action's ``map`` (kept as read) a dict from str to str.  No level
+    or morphism may be listed twice."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -882,7 +835,7 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     try:
         n = data["n"]
         require(type(n) is int and n >= 0, f"n is {n!r}, not an int >= 0")
-        levels = {}
+        levels, objects = {}, {}
         for lv in data["levels"]:
             entries, cells = lv["object"], lv["cells"]
             require(type(entries) is list and set(map(type, entries)) <= {int},
@@ -890,12 +843,18 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
             require(type(cells) is list and set(map(type, cells)) <= {str}
                     and len(set(cells)) == len(cells),
                     f"cells of {entries} are not a list of distinct strings")
-            levels[object_of(n, entries)] = tuple(cells)
+            M = objects[tuple(entries)] = object_of(n, entries)
+            require(M not in levels, f"level {M} listed twice")
+            levels[M] = tuple(cells)
         actions, types = {}, set()
         for entry in data["actions"]:
             m, image = entry["morphism"], entry["map"]
-            f = theta.ThetaMorphism(object_of(n, m["source"]), object_of(n, m["target"]),
-                                    tuple(tuple(c) for c in m["components"]))
+            ends = [objects.get(tuple(m[end])) for end in ("source", "target")]
+            if None in ends:
+                require(False, f"an end of morphism {m!r} is not a listed level")
+            f = theta.ThetaMorphism(*ends, tuple(tuple(c) for c in m["components"]))
+            if f in actions:
+                require(False, f"the action of {f} listed twice")
             types.update(map(type, image.values()), map(type, image))
             actions[f] = image
         require(types <= {str}, "an action's map is not a dict from str to str")

@@ -1,15 +1,16 @@
-"""The tables that define products, pushouts, edge complexes and deloopings.
+"""The tables of presheaves built from other presheaves' tables.
 
 ``product``, ``PushoutData``, ``constructions.upsilon`` and ``delooping``
-each return a ``presheaf.TabledPrecat`` whose cells and restrictions are
-read off one of these tables, built from its parts' tables
-(``presheaf.table_of``).  A product's cell is a pair of positions, a
+each return a ``presheaf.TabledPrecat`` that owns one of these tables,
+built from its parts' tables.  A product's cell is a pair of positions, a
 pushout's a class of ``quotient`` on the positions of its two sides, an
 edge complex's a vertex path with a position for each covered input, a
 delooping's a copy with a position of its input.  Their labels are
 composed from the parts' labels, and they restrict through the parts'
-position lists.  A table holds its parts' tables, never a precat of its
-own.  This module is imported only when such a table is first built.
+position lists.  ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or
+a ``SliceTable``, which read their parent's levels and position lists as
+they are.  A table holds its parts' tables, never a precat of its own.
+This module is imported only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import math
 import operator
 from typing import Callable
 
-from .presheaf import WindowTable, _label_key, quotient
-from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, object_of,
+from .presheaf import WindowTable, _label_key, _within, quotient
+from .theta import (ThetaObject, collapse_to_zero, object_of, prepend_prefix,
                     tail_morphism)
 
 
@@ -39,8 +40,7 @@ class CompiledTable(WindowTable):
     """
 
     def __init__(self):
-        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
-        self._acts: dict[ThetaMorphism, list[int]] = {}
+        super().__init__()
         self._tabled: dict[ThetaObject, tuple[list, list, list]] = {}
         self._member_cells: dict[ThetaObject, list] = {}
 
@@ -67,25 +67,14 @@ class CompiledTable(WindowTable):
     def labels(self, M: ThetaObject) -> list[str]:
         return self._table(M)[2]
 
-    def size(self, M: ThetaObject) -> int:
-        return len(self._table(M)[2])
+    def _level(self, M):
+        order, _, labels = self._table(M)
+        cells = [self._cell(M, m) for m in order]
+        return cells, labels, {c: k for k, c in enumerate(cells)}
 
-    def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        got = self._levels.get(M)
-        if got is None:
-            order, _, labels = self._table(M)
-            cells = [self._cell(M, m) for m in order]
-            got = self._levels[M] = (cells, labels,
-                                     {c: k for k, c in enumerate(cells)})
-        return got
-
-    def act(self, f: ThetaMorphism) -> list[int]:
-        got = self._acts.get(f)
-        if got is None:
-            order, rank = self._table(f.target)[0], self._table(f.source)[1]
-            image = self._restrict(f)
-            got = self._acts[f] = [rank[image[m]] for m in order]
-        return got
+    def _act(self, f):
+        order, rank = self._table(f.target)[0], self._table(f.source)[1]
+        return [rank[m] for m in map(self._restrict(f).__getitem__, order)]
 
 
 class ProductTable(CompiledTable):
@@ -272,3 +261,49 @@ class DeloopingTable(CompiledTable):
             slot = next((j for j in range(1, len(comp0)) if comp0[j - 1] < i <= comp0[j]), 0)
             image += [y and y + (slot - 1) * width for y in block] if slot else [0] * len(block)
         return image
+
+
+class SubTable(WindowTable):
+    """The sub-presheaf of the table ``TP`` of the cells ``c`` over each
+    level ``M`` with ``keep_at(M)(c)``: the kept positions of each level of
+    ``TP``, in ``TP``'s order, so no cell is labelled or sorted again.  A
+    restriction is ``TP``'s, read between kept positions; one onto a cell
+    that is not kept raises ``ActionDomainError``."""
+
+    def __init__(self, TP: WindowTable, keep_at: Callable, name: str):
+        super().__init__()
+        self.TP, self.keep_at, self.name = TP, keep_at, name
+        # level -> (kept positions of TP, the position here of each of TP's or -1)
+        self._kept: dict[ThetaObject, tuple[list[int], list[int]]] = {}
+
+    def _level(self, M):
+        keep, (cells, labels, _) = self.keep_at(M), self.TP.level(M)
+        kept = [k for k, c in enumerate(cells) if keep(c)]
+        rank = [-1] * len(cells)
+        for i, k in enumerate(kept):
+            rank[k] = i
+        self._kept[M] = kept, rank
+        cells = [cells[k] for k in kept]
+        return cells, [labels[k] for k in kept], {c: i for i, c in enumerate(cells)}
+
+    def _act(self, f):
+        cells, act = self.level(f.target)[0], self.TP.act(f)
+        self.level(f.source)        # keeps the positions there
+        rank = self._kept[f.source][1]
+        return _within([rank[act[k]] for k in self._kept[f.target][0]], f, cells, self.name)
+
+
+class SliceTable(WindowTable):
+    """The slice ``T -> A at (prefix + T)`` of the table ``TA`` of an
+    ``n``-precat A: each level is A's, and each position list A's along
+    ``prepend_prefix``."""
+
+    def __init__(self, TA: WindowTable, prefix: tuple[int, ...], n: int):
+        super().__init__()
+        self.TA, self.prefix, self.n = TA, prefix, n
+
+    def _level(self, T):
+        return self.TA.level(object_of(self.n, self.prefix + T.entries))
+
+    def _act(self, g):
+        return self.TA.act(prepend_prefix(self.prefix, g, self.n))

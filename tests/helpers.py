@@ -773,6 +773,54 @@ def delooping_oracle(A):
     return CellOracle(n + 1, eval_fn, act_fn, f"oracle-X({X.name})")
 
 
+def sub_oracle(P, keep_at, name="oracle-sub"):
+    """The sub-presheaf of the cells ``c`` of P over each level ``M`` with
+    ``keep_at(M)(c)``, read cell by cell through P."""
+    return CellOracle(P.n, lambda M: filter(keep_at(M), P.cells(M)), P.act, name)
+
+
+def slice_oracle(A, prefix):
+    """The slice ``T -> A at (prefix + T)``, read cell by cell through A
+    along ``prepend_prefix``."""
+    from precats import object_of
+    from precats.theta import prepend_prefix
+
+    return CellOracle(A.n - len(prefix),
+                      lambda T: A.cells(object_of(A.n, prefix + T.entries)),
+                      lambda g, c: A.act(prepend_prefix(prefix, g, A.n), c),
+                      f"oracle-{A.name}@{prefix}")
+
+
+def whitehead_keep(A, a, k):
+    """The Whitehead predicate, cell by cell: every vertex map into ``M``
+    from its first ``min(k, M.length)`` directions restricts the cell to the
+    degeneracy of ``a``."""
+    from precats import object_of
+    from precats.theta import vertex
+
+    def keep_at(M):
+        d = min(k, M.length)
+        want = A.degeneracy(object_of(A.n, M.entries[:d]), a)
+        maps = [vertex(M, v, d) for v in range(M.padded(d) + 1)]
+        return lambda alpha: all(A.act(u, alpha) == want for u in maps)
+
+    return keep_at
+
+
+def hom_keep(A, p, points):
+    """The hom-fibre predicate on the slice of A at ``(p,)``, cell by cell:
+    vertex ``v`` of the cell is ``points[v]``."""
+    from precats import object_of
+    from precats.theta import vertex
+
+    def keep_at(T):
+        full = object_of(A.n, (p,) + T.entries)
+        maps = [vertex(full, v) for v in range(p + 1)]
+        return lambda c: all(A.act(u, c) == x for u, x in zip(maps, points))
+
+    return keep_at
+
+
 def table_violations(T, oracle, window, generators_only=False):
     """Where the table ``T`` differs from the cell-level ``oracle`` on the
     window: a level's cells in label order, their labels, positions or size,

@@ -172,6 +172,19 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
         bad.write_text(text)
         code, _, err = run(["check", "segal", "--in", str(bad)], capsys)
         assert code == 2 and err.startswith("error: malformed dump")
+    # a level, or the action of the identity on (), listed a second time
+    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    ident = next(e for e in data["actions"]
+                 if e["morphism"]["source"] == e["morphism"]["target"] == [])
+    for i, twice in enumerate([
+            dict(data, levels=data["levels"] + data["levels"][:1]),
+            dict(data, actions=data["actions"] + [dict(ident, map={"a": "a", "b": "a"})])]):
+        bad = tmp_path / f"twice{i}.json"
+        bad.write_text(json.dumps(twice))
+        for check in ("segal", "functorial"):
+            code, _, err = run(["check", check, "--in", str(bad), "--window", "2"], capsys)
+            assert code == 2 and err.startswith("error: malformed dump")
+            assert "listed twice" in err
 
 
 def test_pointed_input_without_objects_is_usage_error(capsys):

@@ -23,7 +23,7 @@ from precats.constructions import (PointedPrecat, cell, ck_monoidal,
                                    z2_monoid)
 from precats import presheaf as ps
 from precats import suite as suite_mod
-from precats.presheaf import (ActionDomainError, PresheafError, WindowTable,
+from precats.presheaf import (ActionDomainError, CellTable, PresheafError,
                               _certified, _natural_components,
                               constant_table_precat)
 from precats.theta import enumerate_morphisms, identity
@@ -69,8 +69,9 @@ def test_upsilon_two_point_level_one():
 def test_evaluation_is_memoized_and_stable():
     U = upsilon([two_points()])
     M = o(1, [2])
-    first = U.cells(M)
-    assert U.cells(M) is first
+    first = U.table.level(M)
+    assert U.table.level(M) is first
+    assert list(U.cells(M)) == first[0]
 
 
 def test_act_identity_and_domain_error():
@@ -248,11 +249,10 @@ def test_pushout_merges_cells_with_equal_labels():
 
 _TIE_PUSHOUT = """
 from precats import discrete, identity_map, pushout, terminal_map, zero_object
-from precats.presheaf import WindowTable
 d = discrete(1, (1, "1"))
 po = pushout(identity_map(d), terminal_map(d))
 print(sorted(map(repr, po.precat.cells(zero_object(1)))))
-print(WindowTable(d).level(zero_object(1))[0])
+print(d.table.level(zero_object(1))[0])
 """
 
 
@@ -270,6 +270,37 @@ def test_pushout_representative_does_not_hang_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         answers.add(done.stdout.strip())
     assert answers == {"[\"('L', 1)\"]\n[1, '1']"}
+
+
+_TRACED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import precats
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from precats import constructions as cn, presheaf as ps
+A = cn.ck_monoidal(cn.z2_monoid(), 1)
+W, _ = cn.whitehead(cn.nerve(cn.FiniteCategory.iso_interval(), 2), 0, 1)
+for P in (A, W):
+    assert ps.check_functoriality(P, ps.Window(2)) == []
+    ps.dump_json(P, ps.Window(2))
+metrics = tracer.metrics()
+print(metrics["presheaf.act.calls"], metrics["presheaf.levels_evaluated"])
+"""
+
+
+def test_benchmark_tracer_counts_act_calls_and_levels():
+    """The benchmark's tracer, installed before any input is built, counts
+    the ``Precat.act`` calls of a Whitehead sub and a monoidal tower, and
+    the levels that the tower evaluates cell by cell."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, "-c", _TRACED, os.path.join(root, "perfbench")],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    act_calls, levels = map(int, done.stdout.split())
+    assert act_calls > 0 and levels > 0
 
 
 def _corner_source():
@@ -314,7 +345,7 @@ def test_window_table_agrees_with_the_precat(diagram):
     """A table's levels are the cells in label order, and its position lists
     are the precat's restrictions, cell by cell."""
     P = _pushout_diagram(diagram)[0].precat
-    T = WindowTable(P)
+    T = P.table
     for M in W2.objects(1):
         cells, labels, index = T.level(M)
         assert cells == sorted(P.cells(M), key=cell_label)
@@ -409,7 +440,7 @@ def test_compiled_solver_matches_object_keyed_oracle(bijective):
 
 def test_interleaved_colour_case_is_what_it_claims():
     P = dict((case, P) for case, P, _ in _solver_cases())["interleaved-colours"]
-    level0 = next(ps._colours(WindowTable(P), W2.objects(1), W2.elementary(1)))
+    level0 = next(ps._colours(P.table, W2.objects(1), W2.elementary(1)))
     a, b, c = level0[0], level0[1], level0[2]
     assert level0 == [a, b, c, a, b] and len({a, b, c}) == 3
 
@@ -482,8 +513,8 @@ def test_iso_verdicts_beyond_colour_classes(less, other, size, colours_agree, is
     NP, NQ = nerve(P, 1), nerve(Q, 1)
     objs, gens = W2.objects(1), W2.elementary(1)
     agree = all(sorted(cp) == sorted(cq) for cp, cq in zip(
-        ps._colours(WindowTable(NP), objs, gens),
-        ps._colours(WindowTable(NQ), objs, gens)))
+        ps._colours(NP.table, objs, gens),
+        ps._colours(NQ.table, objs, gens)))
     assert agree is colours_agree
     assert helpers.categories_isomorphic(P, Q) is iso
     found = iso_windowed(NP, NQ, W2)
@@ -590,7 +621,7 @@ def test_certificate_rejects_two_swapped_images():
     """Swapping the images of two edges with different endpoints breaks
     naturality; the table certificate and the cell-level oracle both say so."""
     A = nerve(FiniteCategory.interval(), 1)
-    TP, TQ = WindowTable(A), WindowTable(A)
+    TP = TQ = A.table
     gens = W2.elementary(1)
     ident = {M: list(range(len(TP.level(M)[0]))) for M in W2.objects(1)}
     assert _certified(TP, TQ, gens, ident)
@@ -704,24 +735,18 @@ def test_functoriality_of_pushout_of_validated_maps():
 # locality of constructions
 # ---------------------------------------------------------------------------
 
-class _Recording(Precat):
-    def __init__(self, inner):
-        super().__init__(inner.n, inner._eval_fn, inner._act_fn, name="rec")
-        self.seen = []
-
-    def cells(self, M):
-        self.seen.append(M)
-        return super().cells(M)
-
-
 def test_locality_of_upsilon_levels():
-    inner = nerve(FiniteCategory.interval(), 1)
-    rec = _Recording(inner)
-    U = upsilon([rec])
+    inner, seen = nerve(FiniteCategory.interval(), 1), []
+
+    def eval_fn(M):
+        seen.append(M)
+        return inner.cells(M)
+
+    U = upsilon([Precat(inner.n, eval_fn, inner.act, name="rec")])
     M = o(2, [2, 1])
     U.cells(M)
-    assert rec.seen
-    assert all(max(seen.entries, default=1) <= 2 for seen in rec.seen)
+    assert seen
+    assert all(max(M.entries, default=1) <= 2 for M in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -800,17 +825,21 @@ def test_generator_naturality_agrees_with_full_scan():
 
 
 def test_act_caches_none_results():
-    P = discrete(1, (None, 1))
-    act_fn, calls = P._act_fn, {}
+    """A cell table restricts each cell along each morphism once, also to
+    the cell ``None``, however often ``act`` asks."""
+    calls = {}
 
     def counting(f, c):
         calls[(f, c)] = calls.get((f, c), 0) + 1
-        return act_fn(f, c)
+        return c
 
-    P._act_fn = counting
+    P = Precat(1, lambda M: (None, 1), counting, name="nones")
+    assert type(P.table) is CellTable
     for _ in range(3):
         for f in W2.elementary(1):
             for c in P.cells(f.target):
-                P.act(f, c)
+                assert P.act(f, c) == c
+            assert P.table.act(f) == [0, 1]
     assert any(c is None for _, c in calls)
+    assert len(calls) == 2 * len(W2.elementary(1))
     assert set(calls.values()) == {1}

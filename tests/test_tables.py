@@ -1,7 +1,8 @@
 """The tables that define products, pushouts, edge complexes, nerves,
-constant presheaves and deloopings, against their cell-level oracles in
-``helpers``, on every window morphism; the tables of imported dumps; how
-the tables are shared and freed; and when module ``tables`` is imported."""
+constant presheaves, deloopings, subpresheaves and slices, against their
+cell-level oracles in ``helpers``, on every window morphism; the tables of
+imported dumps; how the tables are shared and freed; and when module
+``tables`` is imported."""
 
 import gc
 import importlib.util
@@ -17,12 +18,13 @@ import pytest
 from precats import (IDENTITIES, PrecatMap, Window, cli, coproduct, discrete,
                      identity_map, iso_windowed, point, product, pushout,
                      run_suite, terminal_map, upsilon)
+from precats import analysis as an
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import FirstEntryTable, MapTable, TabledPrecat, WindowTable
+from precats.presheaf import CellTable, FirstEntryTable, TabledPrecat, WindowTable
 from precats.tables import (CompiledTable, DeloopingTable, ProductTable,
-                            PushoutTable, UpsilonTable)
+                            PushoutTable, SliceTable, SubTable, UpsilonTable)
 
 import helpers
 
@@ -86,7 +88,7 @@ def _tables_in(T, seen=None):
 
 def _assert_composites_match(X, window, oracles):
     """Every composite table in X's table is its oracle on the window."""
-    tables = [T for T in _tables_in(ps.table_of(X)).values()
+    tables = [T for T in _tables_in(X.table).values()
               if isinstance(T, CompiledTable)]
     assert tables
     for T in tables:
@@ -127,7 +129,7 @@ def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch, oracles):
         count += len(asked)
         for i, (P, Q, window) in enumerate(asked):
             for X in (P, Q):
-                for T in _tables_in(ps.table_of(X)).values():
+                for T in _tables_in(X.table).values():
                     kinds.add(type(T))
                     if isinstance(T, CompiledTable):
                         assert violations(T, window, i == 0 and P.n <= 2) == [], \
@@ -266,7 +268,7 @@ def test_nerves_tabled_as_cell_by_cell(category, n, B):
     """A nerve's table is its cell-level oracle on every window morphism,
     and the morphisms of one first-direction key share one position list."""
     C = _poset6() if category == "P6" else cli._CATEGORIES[category]()
-    T = ps.table_of(cn.nerve(C, n))
+    T = cn.nerve(C, n).table
     assert isinstance(T, FirstEntryTable)
     window = Window(B)
     assert helpers.table_violations(T, helpers.nerve_oracle(C, n), window) == []
@@ -285,7 +287,7 @@ def test_nerves_tabled_as_cell_by_cell(category, n, B):
     (lambda n, labels: point(n), 3, ("pt",)),
 ], ids=["discrete-tie", "discrete-2", "empty-2", "point-3"])
 def test_constant_presheaves_tabled_as_cell_by_cell(build, n, labels):
-    T = ps.table_of(build(n, labels))
+    T = build(n, labels).table
     assert isinstance(T, FirstEntryTable)
     assert helpers.table_violations(T, helpers.discrete_oracle(n, labels), W2) == []
 
@@ -305,7 +307,7 @@ def test_corrupted_category_raises_a_typed_error(monkeypatch, capsys):
     f = next(f for s, t, mors in W2.morphisms(1) for f in mors
              if (s.entries, t.entries, f.components) == ((1,), (2,), ((0, 2),)))
     with pytest.raises(ps.ActionDomainError):
-        ps.table_of(cn.nerve(_corrupted_iso_interval(), 1)).act(f)
+        cn.nerve(_corrupted_iso_interval(), 1).table.act(f)
     with pytest.raises(ps.ActionDomainError):
         cn.nerve(_corrupted_iso_interval(), 1).act(f, ("u", "v"))
     for check in (ps.dump_window, ps.check_functoriality):
@@ -318,43 +320,36 @@ def test_corrupted_category_raises_a_typed_error(monkeypatch, capsys):
 
 def test_tables_share_the_parts_of_one_check():
     """A composite part met twice is one table, its own; so is a
-    first-direction part (a nerve or a constant presheaf); a plain part gets
-    a new cell-by-cell table from each ``table_of``."""
+    first-direction part (a nerve or a constant presheaf) and a
+    subpresheaf, whose table keeps positions of its parent's table."""
     P = upsilon([discrete(0, ("a", "b"))])
     T = product(P, P).table
-    assert T.TA is T.TB is P.table is ps.table_of(P)
+    assert T.TA is T.TB is P.table
     po = pushout(identity_map(P), identity_map(P)).precat.table
     assert po.TR is po.TP is po.TQ is P.table
     for D in (discrete(1, ("a",)), point(1), ps.empty(1),
               cn.nerve(cn.FiniteCategory.interval(), 1)):
-        assert isinstance(ps.table_of(D), FirstEntryTable)
-        assert ps.table_of(D) is ps.table_of(D) is D.table
+        assert isinstance(D.table, FirstEntryTable)
         assert product(D, D).table.TA is D.table
-    S, _ = ps.sub_precat(discrete(1, ("a", "b")), lambda M: lambda c: c == "a")
-    assert type(ps.table_of(S)) is WindowTable
-    assert ps.table_of(S) is not ps.table_of(S)
+    D = discrete(1, ("a", "b"))
+    S, _ = ps.sub_precat(D, lambda M: lambda c: c == "a")
+    assert type(S.table) is SubTable and S.table.TP is D.table
+    assert product(S, S).table.TA is S.table
 
 
 @pytest.mark.parametrize("build", ["corner", "square"])
 def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypatch):
-    """The check reads both sides' own tables, and every table, composite or
-    plain, dies with the composites once the caller drops them: no table
-    holds a reference cycle."""
-    owned, made = [], []
-    real_init, real_table_of = TabledPrecat.__init__, ps.table_of
+    """Every table, composite or first-direction, dies with the composites
+    once the caller drops them after a check: no table holds a reference
+    cycle."""
+    owned = []
+    real_init = TabledPrecat.__init__
 
     def spy_init(self, n, table, name):
         owned.append(weakref.ref(table))
         real_init(self, n, table, name)
 
-    def spy_table_of(P):
-        T = real_table_of(P)
-        made.append(weakref.ref(T))
-        return T
-
     monkeypatch.setattr(TabledPrecat, "__init__", spy_init)
-    for module in (ps, cn):
-        monkeypatch.setattr(module, "table_of", spy_table_of)
 
     def sides():
         if build == "corner":
@@ -367,12 +362,10 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
     gc.disable()
     try:
         data, lhs, rhs = sides()
-        built = len(made)
         assert iso_windowed(lhs, rhs, W2) is not None
-        assert [r() for r in made[built:]] == [lhs.table, rhs.table]
         refs = [weakref.ref(x) for x in (data, lhs, rhs)]
         del data, lhs, rhs
-        assert owned and all(r() is None for r in refs + owned + made)
+        assert owned and all(r() is None for r in refs + owned)
     finally:
         gc.enable()
 
@@ -424,9 +417,9 @@ def test_deloopings_tabled_as_cell_by_cell(pointed, B):
     cell-level oracle on every window morphism."""
     A = pointed()
     X = cn.delooping(A)
-    T = ps.table_of(X)
+    T = X.table
     assert isinstance(T, DeloopingTable) and T is X.table
-    assert T.TX is ps.table_of(A.space)
+    assert T.TX is A.space.table
     assert helpers.table_violations(T, helpers.delooping_oracle(A), Window(B)) == []
 
 
@@ -449,12 +442,12 @@ _REDUMPED = ([(name, args, 2) for name, args, B, _ in _dump_catalog() if B == 2]
 @pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _REDUMPED],
                          ids=[f"{name}@W{B}" for name, _, B in _REDUMPED])
 def test_imported_dumps_redump_to_the_same_bytes(args, B):
-    """A dump re-imported owns a ``MapTable``, and dumping it again gives
-    the same bytes."""
+    """A dump re-imported is read cell by cell off its maps, and dumping
+    it again gives the same bytes."""
     parsed = cli.make_parser().parse_args(["build", *args, "--window", str(B)])
     text = ps.dump_json(cli.build_precat(parsed), Window(B))
     back = ps.precat_from_dump(json.loads(text))
-    assert isinstance(back.table, MapTable) and ps.table_of(back) is back.table
+    assert type(back.table) is CellTable
     assert ps.dump_json(back, Window(B)) == text
 
 
@@ -484,7 +477,7 @@ def test_broken_dumps_raise_typed_errors(fault, error, tmp_path, capsys):
     data, f = _broken_dump(fault)
     P = ps.precat_from_dump(data)
     with pytest.raises(ps.PresheafError) as got:
-        ps.table_of(P).act(f)
+        P.table.act(f)
     assert got.type is error
     with pytest.raises(ps.PresheafError) as got:
         ps.check_functoriality(P, W2)
@@ -501,7 +494,7 @@ def test_dump_levels_outside_its_window_name_the_window(tmp_path, capsys):
     P = discrete(1, ("a", "b"))
     data = ps.dump_window(P, W2)
     with pytest.raises(ps.PresheafError, match=r"B=2.*\(3,\)"):
-        ps.table_of(ps.precat_from_dump(data)).level(ps.object_of(1, [3]))
+        ps.precat_from_dump(data).table.level(ps.object_of(1, [3]))
     path = tmp_path / "w2.json"
     path.write_text(ps.dump_json(P, W2))
     assert cli.main(["check", "segal", "--in", str(path), "--window", "3"]) == 2
@@ -526,5 +519,96 @@ def test_deloopings_and_dumps_are_freed_without_the_cycle_collector():
         refs = [weakref.ref(x) for x in (X, X.table, X.table.TX, D, D.table)]
         del X, D
         assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# subpresheaves and slices
+# ---------------------------------------------------------------------------
+
+def _ibar(n=2):
+    return cn.nerve(cn.FiniteCategory.iso_interval(), n)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_whitehead_subs_tabled_as_cell_by_cell(k):
+    """A Whitehead sub keeps positions of its input's own table, and is the
+    cell-level sub-presheaf on every morphism of window 3."""
+    A = _ibar()
+    W, _ = cn.whitehead(A, 0, k)
+    assert type(W.table) is SubTable and W.table.TP is A.table
+    oracle = helpers.sub_oracle(A, helpers.whitehead_keep(A, 0, k))
+    assert helpers.table_violations(W.table, oracle, Window(3)) == []
+
+
+@pytest.mark.parametrize("build, p, points", [
+    (lambda: cn.ck_monoidal(cn.z2_monoid(), 2), 1, ("pt", "pt")),
+    (lambda: cn.ck_monoidal(cn.z2_monoid(), 2), 2, ("pt", "pt", "pt")),
+    (_ibar, 1, (0, 1)),
+    (_ibar, 2, (0, 1, 1)),
+], ids=["c2(Z2)-1", "c2(Z2)-2", "Ibar-01", "Ibar-011"])
+def test_hom_fibres_tabled_as_cell_by_cell(build, p, points):
+    """A hom fibre is a sub of a slice, each reading its parent's table,
+    and is the cell-level fibre on every morphism of window 3."""
+    A = build()
+    H = ps.hom_precat(A, p, points)
+    assert type(H.table) is SubTable and type(H.table.TP) is SliceTable
+    assert H.table.TP.TA is A.table
+    oracle = helpers.sub_oracle(helpers.slice_oracle(A, (p,)),
+                                helpers.hom_keep(A, p, points))
+    assert helpers.table_violations(H.table, oracle, Window(3)) == []
+
+
+@pytest.mark.parametrize("build, prefix", [
+    (lambda: cn.delooping(_two()), (1,)),
+    (lambda: cn.delooping(_two()), (2,)),
+    (lambda: cn.delooping(_two()), (2, 1)),
+    (lambda: upsilon([point(1), point(1)]), (1,)),
+    (lambda: upsilon([point(1), point(1)]), (2,)),
+], ids=["X(two)@1", "X(two)@2", "X(two)@21", "U(pt,pt)@1", "U(pt,pt)@2"])
+def test_slices_tabled_as_cell_by_cell(build, prefix):
+    """A slice reads its input's levels and position lists as they are,
+    and is the cell-level slice on every morphism of window 3."""
+    A = build()
+    S = ps.slice_precat(A, prefix)
+    assert type(S.table) is SliceTable and S.table.TA is A.table
+    assert helpers.table_violations(S.table, helpers.slice_oracle(A, prefix),
+                                    Window(3)) == []
+
+
+def test_sub_presheaf_not_closed_under_the_action_raises_a_typed_error():
+    """Keeping "a" only at level 0 but both cells above it is no
+    sub-presheaf: the vertex restriction of "b" is not kept.  The table,
+    ``act`` and the functoriality check all raise ``ActionDomainError``."""
+    D = discrete(1, ("a", "b"))
+    S, _ = ps.sub_precat(D, lambda M: (lambda c: c == "a" or M.length > 0))
+    f = ps.vertex(ps.object_of(1, [1]), 0)
+    assert [len(S.cells(M)) for M in (f.source, f.target)] == [1, 2]
+    with pytest.raises(ps.ActionDomainError, match="left level"):
+        S.table.act(f)
+    with pytest.raises(ps.ActionDomainError):
+        S.act(f, "a")
+    with pytest.raises(ps.ActionDomainError):
+        ps.check_functoriality(S, W2)
+
+
+def test_subs_slices_and_truncations_are_freed_without_the_cycle_collector():
+    """A sub, a slice, a hom fibre, a Whitehead sub and a truncation, with
+    their tables, die once the caller drops them, while their input
+    lives on: no table holds a reference cycle."""
+    A = _ibar()
+    gc.disable()
+    try:
+        built = [ps.sub_precat(A, lambda M: lambda c: True)[0], ps.slice_precat(A, (1,)),
+                 ps.hom_precat(A, 1, (0, 1)), cn.whitehead(A, 0, 1)[0],
+                 an.truncate(A, 1)]
+        refs = [weakref.ref(built[2].table.TP)]         # the hom fibre's slice
+        for P in built:
+            assert ps.check_functoriality(P, W2) == []
+            refs += [weakref.ref(P), weakref.ref(P.table)]
+        del built, P
+        assert [r() for r in refs] == [None] * len(refs)
+        assert A.cells(ps.zero_object(2))
     finally:
         gc.enable()
