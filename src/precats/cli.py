@@ -63,10 +63,11 @@ def _require(cond, msg):
 def build_precat(args) -> ps.Precat:
     name = args.construction
     params = json.loads(args.params) if args.params else {}
+    _require(isinstance(params, dict), "--params must be a JSON object")
     if name == "nerve":
         _require(args.category in _CATEGORIES,
                  f"unknown category {args.category!r}; known: {sorted(_CATEGORIES)}")
-        return cn.nerve(_CATEGORIES[args.category](), max(args.n or 1, 1))
+        return cn.nerve(_CATEGORIES[args.category](), args.n if args.n is not None else 1)
     if name in _BASIC_INPUTS:
         return _BASIC_INPUTS[name](args.n if args.n is not None else 0)
     if name == "upsilon":

@@ -234,9 +234,14 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
     m = inputs[0].n
     if any(E.n != m for E in inputs):
         raise InvalidArgumentError("all morphism objects must share one dimension")
-    from .tables import UpsilonTable
-    table = UpsilonTable([E.table for E in inputs],
-                         lambda y: _edge_indices(y[0], y[-1], legacy))
+    # the first input keeps one table per ``legacy`` and other inputs'
+    # tables; the table keeps those alive, so no key's id is reused
+    key = (legacy, *(id(E.table) for E in inputs[1:]))
+    table = inputs[0].edge_tables.get(key)
+    if table is None:
+        from .tables import UpsilonTable
+        table = inputs[0].edge_tables[key] = UpsilonTable(
+            [E.table for E in inputs], lambda y: _edge_indices(y[0], y[-1], legacy))
     return TabledPrecat(m + 1, table, name=name or
                         "U(" + ",".join(E.name for E in inputs) + ")")
 

@@ -20,8 +20,12 @@ windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
 serves the isomorphism search and the enumeration of natural maps.
 
-Tables are kept without bound.  A table holds its parts' tables and never
-its own precat, so no reference cycle keeps a presheaf alive.
+A table keeps its levels and position lists without bound.  An edge
+complex's table is kept by its first input, for every edge complex on the
+same input tables and ``legacy`` (``constructions.upsilon``).  A table
+holds its parts' tables and never its own precat, so no reference cycle
+keeps a presheaf alive, unless a pushout's legs lead from an edge complex's
+later input to its first; the cycle collector frees such a cycle.
 """
 
 from __future__ import annotations
@@ -95,12 +99,14 @@ _MISS = object()
 class Precat:
     """A finite presheaf on the site, read off the window table it owns: a
     ``CellTable`` of ``eval_fn`` and ``act_fn`` if given cell by cell.
-    ``cells(M)`` is the level's cells in label order, as a set-like view."""
+    ``cells(M)`` is the level's cells in label order, as a set-like view.
+    ``edge_tables`` keeps the tables of the edge complexes with it as first input."""
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
                  name: str = "precat"):
         self.n, self.name, self.table = n, name, CellTable(eval_fn, act_fn, name)
+        self.edge_tables: dict[tuple, WindowTable] = {}
 
     def cells(self, M: ThetaObject):
         if M.n != self.n:
@@ -130,6 +136,7 @@ class TabledPrecat(Precat):
 
     def __init__(self, n: int, table, name: str):
         self.n, self.name, self.table = n, name, table
+        self.edge_tables: dict[tuple, WindowTable] = {}
 
 
 class PrecatMap:
@@ -204,6 +211,8 @@ def constant_table_precat(n: int, levels: dict, actions: dict, name: str = "tabl
 
 def discrete(n: int, labels: Iterable) -> Precat:
     """Constant presheaf on a finite set; every cell is fully degenerate."""
+    if n < 0:
+        raise PresheafError(f"ambient dimension {n} is negative")
     labels = tuple(labels)
     return TabledPrecat(n, FirstEntryTable(lambda p: labels, lambda p, q, comp0, c: c),
                         name=f"discrete{labels}")

@@ -10,7 +10,9 @@ composed from the parts' labels, and they restrict through the parts'
 position lists.  ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or
 a ``SliceTable``, which read their parent's levels and position lists as
 they are.  A table holds its parts' tables, never a precat of its own.
-This module is imported only when such a table is first built.
+Edge complexes on the same input tables and ``legacy`` are distinct precats
+over one ``UpsilonTable``, which their first input keeps.  This module is
+imported only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ class CompiledTable(WindowTable):
     ``rank[m]`` the position of member ``m``'s cell.  Several members may
     share a cell (a pushout class).  ``_restrict(f)``, called once both ends
     are tabulated, lists the member of ``f.source`` that each member of
-    ``f.target`` restricts to, and ``_members(M)`` the members' cells,
-    needed only for label ties and for ``level``.  Labels are composed from
-    the parts' labels and equal ``cell_label`` of the cells.
+    ``f.target`` restricts to, and ``_members(M)`` the members' cells, built
+    once for label ties in ``_tabulate`` and once for ``level``, which keeps
+    the cells.  Labels are composed from the parts' labels and equal
+    ``cell_label`` of the cells.
     """
 
     def __init__(self):
         super().__init__()
         self._tabled: dict[ThetaObject, tuple[list, list, list]] = {}
-        self._member_cells: dict[ThetaObject, list] = {}
 
     def _table(self, M: ThetaObject) -> tuple[list[int], list[int], list[str]]:
         got = self._tabled.get(M)
@@ -50,15 +52,19 @@ class CompiledTable(WindowTable):
             got = self._tabled[M] = self._tabulate(M)
         return got
 
-    def _cell(self, M: ThetaObject, m: int):
-        got = self._member_cells.get(M)
-        if got is None:
-            got = self._member_cells[M] = self._members(M)
-        return got[m]
+    def _cells_of(self, M: ThetaObject) -> Callable[[int], object]:
+        """Member ``m``'s cell over ``M``, the members built at the first call."""
+        members = []
+
+        def cell(m):
+            if not members:
+                members.extend(self._members(M))
+            return members[m]
+        return cell
 
     def _sort(self, M: ThetaObject, raw: list[str]) -> tuple[list, list, list]:
         """``(order, rank, labels)`` of members ``0..len(raw)-1``, one cell each."""
-        order = sorted(range(len(raw)), key=_label_key(raw, lambda m: self._cell(M, m)))
+        order = sorted(range(len(raw)), key=_label_key(raw, self._cells_of(M)))
         rank = [0] * len(raw)
         for k, m in enumerate(order):
             rank[m] = k
@@ -69,7 +75,8 @@ class CompiledTable(WindowTable):
 
     def _level(self, M):
         order, _, labels = self._table(M)
-        cells = [self._cell(M, m) for m in order]
+        members = self._members(M)
+        cells = [members[m] for m in order]
         return cells, labels, {c: k for k, c in enumerate(cells)}
 
     def _act(self, f):
@@ -121,12 +128,12 @@ class PushoutTable(CompiledTable):
         raw = (["(L," + c + ")" for c in self.TP.labels(M)]
                + ["(R," + c + ")" for c in self.TQ.labels(M)])
         at_p, at_q, shift = self.TP.level(M)[2], self.TQ.level(M)[2], len(self.TP.labels(M))
-        f, g = self.f, self.g
+        f, g, cell = self.f, self.g, self._cells_of(M)
         rep = quotient(range(len(raw)),
                        ((at_p[f(M, r)], shift + at_q[g(M, r)]) for r in self.TR.level(M)[0]),
-                       raw.__getitem__, lambda m: self._cell(M, m))
+                       raw.__getitem__, cell)
         labels = {m: raw[m] for m in set(rep.values())}
-        order = sorted(labels, key=_label_key(labels, lambda m: self._cell(M, m)))
+        order = sorted(labels, key=_label_key(labels, cell))
         position = {m: k for k, m in enumerate(order)}
         return order, [position[rep[m]] for m in range(len(raw))], [labels[m] for m in order]
 
@@ -144,35 +151,45 @@ class UpsilonTable(CompiledTable):
     are the objects.  At ``(p, tail)`` the cells of one vertex path ``y``
     are a block of consecutive members, one for each tuple of positions of
     the covered inputs' cells at ``tail``, in ``itertools.product`` order.
-    A restriction reads each input's table along ``tail_morphism(f)`` once
-    and maps a block at a time: the block's image is built by outer sums,
-    one covered input at a time, of that input's strided positions."""
+    The paths, in ``combinations_with_replacement`` order, and the inputs
+    each covers are one shape for every level of first entry ``p``; a level
+    keeps only its blocks' starts.  A restriction reads each input's table
+    along ``tail_morphism(f)`` once and maps a block at a time: the block's
+    image is built by outer sums, one covered input at a time, of that
+    input's positions times its stride in the image's block, the product of
+    the sizes at the source's tail of the inputs covered after it."""
 
     def __init__(self, inputs: list, covered: Callable):
         super().__init__()
-        # covered(y): the indices (from 1) of the inputs along the path y
+        # covered(y): the range of indices (from 1) of the inputs along the path y
         self.inputs, self.covered = inputs, covered
-        # level -> {y: (first member, {covered input: (stride, size)})}
-        self._blocks: dict[ThetaObject, dict] = {}
+        # first entry -> (paths, each path's index, the inputs each covers)
+        self._shapes: dict[int, tuple[list, dict, list]] = {}
+        # level -> the first member of each path's block
+        self._starts: dict[ThetaObject, list[int]] = {}
+
+    def _shape(self, p: int) -> tuple[list, dict, list]:
+        got = self._shapes.get(p)
+        if got is None:
+            ys = list(itertools.combinations_with_replacement(range(len(self.inputs) + 1),
+                                                              p + 1))
+            got = self._shapes[p] = (ys, {y: z for z, y in enumerate(ys)},
+                                     [self.covered(y) for y in ys])
+        return got
 
     def _tabulate(self, M):
-        k = len(self.inputs)
-        blocks = self._blocks[M] = {}
         if M.length == 0:
-            return self._sort(M, [repr(o) for o in range(k + 1)])
+            return self._sort(M, [repr(o) for o in range(len(self.inputs) + 1)])
         tail = object_of(M.n - 1, M.entries[1:])
         labels = [T.labels(tail) for T in self.inputs]
+        ys, _, covers = self._shape(M.entries[0])
+        starts = self._starts[M] = []
         raw: list[str] = []
-        for y in itertools.combinations_with_replacement(range(k + 1), M.entries[0] + 1):
-            covered = self.covered(y)
-            cover, stride = {}, 1
-            for i in reversed(covered):
-                cover[i] = (stride, len(labels[i - 1]))
-                stride *= len(labels[i - 1])
-            blocks[y] = (len(raw), {i: cover[i] for i in covered})
+        for y, cover in zip(ys, covers):
+            starts.append(len(raw))
             head = "((" + ",".join(map(repr, y)) + "),("
             raw += [head + ",".join(values) + "))" for values
-                    in itertools.product(*(labels[i - 1] for i in covered))]
+                    in itertools.product(*(labels[i - 1] for i in cover))]
         return self._sort(M, raw)
 
     def _members(self, M):
@@ -180,31 +197,39 @@ class UpsilonTable(CompiledTable):
             return list(range(len(self.inputs) + 1))
         tail = object_of(M.n - 1, M.entries[1:])
         cells = [T.level(tail)[0] for T in self.inputs]
-        return [(y, values) for y, (_, cover) in self._blocks[M].items()
+        ys, _, covers = self._shape(M.entries[0])
+        return [(y, values) for y, cover in zip(ys, covers)
                 for values in itertools.product(*(cells[i - 1] for i in cover))]
 
     def _restrict(self, f):
-        source, to = f.source, self._blocks[f.source]
+        source, target = f.source, f.target
+        if source.length:
+            _, index, kept_of = self._shape(source.entries[0])
+            starts = self._starts[source]
 
         def degenerate(o):
-            return o if source.length == 0 else to[(o,) * (source.entries[0] + 1)][0]
+            return o if source.length == 0 else starts[index[(o,) * (source.entries[0] + 1)]]
 
-        if f.target.length == 0:
+        if target.length == 0:
             return [degenerate(o) for o in range(len(self.inputs) + 1)]
+        ys, _, covers = self._shape(target.entries[0])
         comp0 = f.components[0]
         if len(set(comp0)) == 1:
+            ends = self._starts[target] + [len(self._table(target)[0])]
             image = []
-            for y, (_, cover) in self._blocks[f.target].items():
-                image += [degenerate(y[comp0[0]])] * math.prod(s for _, s in cover.values())
+            for y, a, b in zip(ys, ends, ends[1:]):
+                image += [degenerate(y[comp0[0]])] * (b - a)
             return image
         g, along = tail_morphism(f), operator.itemgetter(*comp0)
         acts = [T.act(g) for T in self.inputs]
+        sizes = [T.size(g.source) for T in self.inputs]
         image = []
-        for y, (_, cover) in self._blocks[f.target].items():
-            start, kept = to[along(y)]
-            block = [start]
-            for i, (_, size) in cover.items():
-                step = [kept[i][0] * x for x in acts[i - 1]] if i in kept else [0] * size
+        for y, cover in zip(ys, covers):
+            z = index[along(y)]
+            kept, block = kept_of[z], [starts[z]]
+            for i in cover:
+                stride = math.prod(sizes[i:kept.stop - 1]) if i in kept else 0
+                step = [stride * x for x in acts[i - 1]]
                 block = [a + b for a in block for b in step]
             image += block
         return image

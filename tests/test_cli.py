@@ -53,6 +53,26 @@ def test_build_bad_params_is_usage_error(capsys):
     assert code == 2
 
 
+def test_build_params_not_an_object_is_usage_error(capsys):
+    code, out, err = run(["build", "upsilon", "--inputs", "point", "--params", "[1]",
+                          "--window", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: --params must be a JSON object\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["nerve", "--category", "I", "--n", "0"],
+    ["nerve", "--category", "I", "--n", "-3"],
+    ["point", "--n", "-1"],
+    ["upsilon", "--inputs", "point", "--input-n", "-1"],
+], ids=["nerve-0", "nerve-negative", "point-negative", "upsilon-negative-inputs"])
+def test_build_bad_dimensions_are_input_errors(args, capsys):
+    """A dimension out of range is an input error, never a dump of another
+    dimension or one that ``check --in`` rejects."""
+    code, out, err = run(["build", *args, "--window", "2"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "dimension" in err
+
+
 def test_build_dumps_are_byte_identical(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "nerve", "--category", "Ibar", "--window", "2",

@@ -137,6 +137,14 @@ def test_product_functorial():
     assert not check_functoriality(P, W2)
 
 
+@pytest.mark.parametrize("build", [lambda n: discrete(n, ("a",)), ps.point, ps.empty],
+                         ids=["discrete", "point", "empty"])
+def test_constant_presheaves_need_a_dimension_of_zero_or_more(build):
+    assert build(0).n == 0
+    with pytest.raises(PresheafError, match="dimension -1 is negative"):
+        build(-1)
+
+
 def test_maps_compose_only_end_to_start():
     """``f.then(g)`` needs g to start at the very precat where f ends, not
     at another of the same dimension."""

@@ -337,11 +337,58 @@ def test_tables_share_the_parts_of_one_check():
     assert product(S, S).table.TA is S.table
 
 
-@pytest.mark.parametrize("build", ["corner", "square"])
+def test_edge_complexes_on_the_same_input_tables_share_one_table():
+    """An edge complex's table depends only on its inputs' tables and on
+    ``legacy``: the same ones give one table, under each call's own precat
+    and name; another ``legacy`` (the square_legacy control) or other
+    input tables give another table."""
+    A, D = discrete(1, (0, 1)), cn.nerve(cn.FiniteCategory.interval(), 1)
+    X = upsilon([A, D])
+    Y = upsilon([A, D], name="again")
+    assert Y is not X and Y.table is X.table
+    assert (X.name, Y.name) == ("U(discrete(0, 1),N(I)@1)", "again")
+    assert isinstance(X.table, UpsilonTable) and X.table.inputs == [A.table, D.table]
+    legacy = upsilon([A, D], legacy=True)
+    assert legacy.table is not X.table
+    assert upsilon([A, D], legacy=True).table is legacy.table
+    assert ps.dump_window(legacy, W2) != ps.dump_window(X, W2)
+    others = [upsilon([A, discrete(1, (0, 1))]), upsilon([D, A]), upsilon([A]),
+              upsilon([A, D, D]), upsilon([discrete(1, (0, 1)), D])]
+    assert len({id(X.table), *(id(Z.table) for Z in others)}) == 1 + len(others)
+    u = cn.upsilon_map([identity_map(A), identity_map(D)])
+    assert u.domain is not u.codomain and u.domain.table is u.codomain.table is X.table
+
+
+@pytest.mark.parametrize("face", [False, True], ids=["upsilon-A-D-W3", "merge-face-W2"])
+def test_shared_edge_complex_tables_against_their_oracle(face):
+    """A table reached a second time, after its first user tabled the
+    generators of window 2, is still its oracle on every window morphism;
+    the second input's sizes differ from one tail to another, so a stride
+    read at the wrong end of a morphism shows."""
+    A, D = discrete(1, (0, 1)), cn.nerve(cn.FiniteCategory.interval(), 1)
+    first = upsilon([A, D])
+    for e in W2.elementary(first.n):
+        first.table.act(e)
+    window = W2 if face else Window(3)
+    if face:
+        u = cn.upsilon_face([A, D], ("merge", 1))
+        X = u.codomain
+        assert u.naturality_violations(window) == []
+        assert helpers.table_violations(
+            u.domain.table, helpers.upsilon_oracle([product(A, D)]), window) == []
+    else:
+        X = upsilon([A, D], name="second")
+    assert X.table is first.table
+    assert helpers.table_violations(X.table, helpers.upsilon_oracle([A, D]), window) == []
+
+
+@pytest.mark.parametrize("build", ["corner", "square", "shared"])
 def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypatch):
     """Every table, composite or first-direction, dies with the composites
     once the caller drops them after a check: no table holds a reference
-    cycle."""
+    cycle.  With the inputs kept ("shared"), the tables of the edge
+    complexes on them outlive the composites, serve a second instance, and
+    die with the inputs."""
     owned = []
     real_init = TabledPrecat.__init__
 
@@ -361,6 +408,9 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
 
     gc.disable()
     try:
+        if build == "shared":
+            _shared_tables_live_as_long_as_their_first_inputs(owned)
+            return
         data, lhs, rhs = sides()
         assert iso_windowed(lhs, rhs, W2) is not None
         refs = [weakref.ref(x) for x in (data, lhs, rhs)]
@@ -368,6 +418,32 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
         assert owned and all(r() is None for r in refs + owned)
     finally:
         gc.enable()
+
+
+def _shared_tables_live_as_long_as_their_first_inputs(owned):
+    """Two square instances on the same inputs B, D: the tables of
+    ``upsilon([B])``, ``upsilon([D])``, ``upsilon([B, D])`` and
+    ``upsilon([D, B])`` survive the first and are the second's."""
+    inputs = [discrete(1, (0, 1)), point(1)]
+
+    def kept():
+        return {id(E.table) for E in inputs} | {
+            id(T) for E in inputs for T in E.edge_tables.values()}
+
+    lhs, rhs = square_decomposition(*inputs)
+    assert iso_windowed(lhs, rhs, W2) is not None
+    refs = [weakref.ref(lhs), weakref.ref(rhs)]
+    del lhs, rhs
+    assert all(r() is None for r in refs)
+    survivors = {id(r()) for r in owned if r() is not None}
+    assert survivors == kept() and len(survivors) == 2 + 4
+    lhs, rhs = square_decomposition(*inputs)
+    assert kept() == survivors
+    assert lhs.table.TA is inputs[0].edge_tables[(False,)]
+    assert iso_windowed(lhs, rhs, W2) is not None
+    refs += [weakref.ref(lhs), weakref.ref(rhs)] + [weakref.ref(E) for E in inputs]
+    del lhs, rhs, inputs
+    assert all(r() is None for r in refs + owned)
 
 
 _LAZY = """
