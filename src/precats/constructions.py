@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from . import presheaf, theta
 from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
-                       TabledPrecat, Window, discrete, empty, hom_precat, point,
-                       point_map, product, pushout, sub_precat, swap_map,
+                       TabledPrecat, Window, degeneracy_map, discrete, empty,
+                       hom_precat, identity_map, point, point_map,
+                       product, product_map, pushout, sub_precat, swap_map,
                        terminal_map)
 from .theta import ThetaMorphism, ThetaObject, object_of, vertex, zero_object
 
@@ -251,35 +252,31 @@ def upsilon_map(maps: list[PrecatMap], legacy: bool = False,
     """Functoriality of the edge complex in its morphism objects."""
     dom = upsilon([f.domain for f in maps], legacy=legacy)
     cod = upsilon([f.codomain for f in maps], legacy=legacy)
-    m = dom.n - 1
-
-    def apply(M, cell):
-        if M.length == 0:
-            return cell
-        y, values = cell
-        tail = object_of(m, M.entries[1:])
-        idx = list(_edge_indices(y[0], y[-1], legacy))
-        return (y, tuple(maps[i - 1].apply(tail, v) for i, v in zip(idx, values)))
-
-    return PrecatMap(dom, cod, apply, name=name or "U(maps)")
+    ats = [f.positions for f in maps]
+    return PrecatMap(dom, cod, name=name or "U(maps)", at=cod.table.map_from(
+        dom.table, tuple, lambda tail: {j: [(j, at[tail])] for j, at in enumerate(ats, 1)}))
 
 
-def upsilon_face(inputs: list[Precat], which, legacy: bool = False) -> PrecatMap:
+def upsilon_face(inputs: list[Precat], which, legacy: bool = False,
+                 along: PrecatMap | None = None) -> PrecatMap:
     """A principal face inclusion of the edge complex.
 
     ``which`` is ``"drop_first"``, ``"drop_last"`` or ``("merge", i)`` with
-    ``1 <= i <= k-1``; the merged edge carries the product of inputs i, i+1.
+    ``1 <= i <= k-1``; the merged edge carries the product of inputs i, i+1,
+    or else the domain of ``along``, a map into it that the face follows.
+    The legacy indexing has no ``"drop_first"`` face.
     """
     k = len(inputs)
     if k < 2:
         raise InvalidArgumentError("faces need at least two morphism objects")
     cod = upsilon(inputs, legacy=legacy)
-    m = inputs[0].n
     if which == "drop_last":
         reduced = inputs[:-1]
         rho = tuple(range(k))
         reindex = {j: (j,) for j in range(1, k)}
     elif which == "drop_first":
+        if legacy:
+            raise InvalidArgumentError("the legacy indexing has no drop_first face")
         reduced = inputs[1:]
         rho = tuple(range(1, k + 1))
         reindex = {j: (j + 1,) for j in range(1, k)}
@@ -287,30 +284,33 @@ def upsilon_face(inputs: list[Precat], which, legacy: bool = False) -> PrecatMap
         i = which[1]
         if not 1 <= i <= k - 1:
             raise InvalidArgumentError(f"merge position {i} out of range")
-        reduced = inputs[:i - 1] + [product(inputs[i - 1], inputs[i])] + inputs[i + 1:]
+        along = along or identity_map(product(inputs[i - 1], inputs[i]))
+        reduced = inputs[:i - 1] + [along.domain] + inputs[i + 1:]
         rho = tuple(v if v < i else v + 1 for v in range(k))
         reindex = {j: (j,) if j < i else ((i, i + 1) if j == i else (j + 1,))
                    for j in range(1, k)}
     else:
         raise InvalidArgumentError(f"unknown face descriptor {which!r}")
     dom = upsilon(reduced, legacy=legacy)
+    TD, a, TX = dom.table, along and along.positions, along and along.codomain.table
 
-    def apply(M, cell):
-        if M.length == 0:
-            return rho[cell]
-        y, values = cell
-        new_y = tuple(rho[v] for v in y)
-        placed = {}
-        for pos, j in enumerate(_edge_indices(y[0], y[-1], legacy)):
-            targets = reindex[j]
-            if len(targets) == 2:
-                placed[targets[0]], placed[targets[1]] = values[pos]
-            else:
-                placed[targets[0]] = values[pos]
-        new_values = tuple(placed[i] for i in _edge_indices(new_y[0], new_y[-1], legacy))
-        return (new_y, new_values)
+    def sends(tail):        # each input's positions, or the factors' of its images
+        pairs = TX and (list(zip(*map(TX.pairs(tail).__getitem__, a[tail]))) or [(), ()])
+        return {j: list(zip(targets, pairs if len(targets) == 2
+                            else [range(TD.inputs[j - 1].size(tail))]))
+                for j, targets in reindex.items()}
 
-    return PrecatMap(dom, cod, apply, name=f"face:{which}")
+    return PrecatMap(dom, cod, name=f"face:{which}",
+                     at=cod.table.map_from(TD, lambda y: tuple(map(rho.__getitem__, y)), sends))
+
+
+def upsilon_cases(UW: Precat, left: tuple, right: tuple, name: str = "cases") -> PrecatMap:
+    """The map out of ``UW``, the edge complex on one pushout of P and Q,
+    that sends a cell on a class of label-minimal member ``("L", p)`` as
+    ``u`` sends its image under the face ``("merge", 1)`` along ``a``, for
+    ``left = (a: P -> X x Y, u)``; ``right`` likewise, and the rest as ``u``."""
+    return PrecatMap(UW, left[1].codomain, name=name, at=UW.table.cases(*(
+        (a.positions, a.codomain.table, u.domain.table, u.positions) for a, u in (left, right))))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +336,15 @@ def cell(i: int, n: int) -> CellData:
         raise InvalidArgumentError(f"cell index {i} out of range for dimension {n}")
     if i == 0:
         total, boundary = point(n), empty(n)
-        return CellData(total, boundary,
-                        PrecatMap(boundary, total, lambda M, c: c, name="0->pt"))
+        return CellData(total, boundary, degeneracy_map(boundary, total, name="0->pt"))
     if i <= n:
         prev = cell(i - 1, n - 1)
         incl = upsilon_map([prev.inclusion], name=f"dF{i}->F{i}")
         return CellData(incl.codomain, incl.domain, incl)
     top = cell(n, n)
     po = pushout(top.inclusion, top.inclusion, name=f"dF{n + 1}")
-    fold = po.induced(presheaf.identity_map(top.total),
-                      presheaf.identity_map(top.total), name=f"dF{n + 1}->F{n + 1}")
+    fold = po.induced(identity_map(top.total), identity_map(top.total),
+                      name=f"dF{n + 1}->F{n + 1}")
     return CellData(top.total, po.precat, fold)
 
 
@@ -469,53 +468,36 @@ def pushout_product(f: PrecatMap, g: PrecatMap) -> CornerData:
     """The corner map ``AxD u BxC -> BxD`` of two maps f: A->B, g: C->D."""
     A, B = f.domain, f.codomain
     C, D = g.domain, g.codomain
-    R = product(A, C)
-    to_ad = PrecatMap(R, product(A, D), lambda M, c: (c[0], g.apply(M, c[1])),
-                      name="idxg")
-    to_bc = PrecatMap(R, product(B, C), lambda M, c: (f.apply(M, c[0]), c[1]),
-                      name="fxid")
-    po = pushout(to_ad, to_bc, name="corner-src")
-    BD = product(B, D)
-    u = PrecatMap(to_ad.codomain, BD, lambda M, c: (f.apply(M, c[0]), c[1]), name="fx1")
-    v = PrecatMap(to_bc.codomain, BD, lambda M, c: (c[0], g.apply(M, c[1])), name="1xg")
+    R, AD, BC, BD = product(A, C), product(A, D), product(B, C), product(B, D)
+    po = pushout(product_map(identity_map(A), g, R, AD, name="idxg"),
+                 product_map(f, identity_map(C), R, BC, name="fxid"), name="corner-src")
+    u = product_map(f, identity_map(D), AD, BD, name="fx1")
+    v = product_map(identity_map(B), g, BC, BD, name="1xg")
     return CornerData(po, po.induced(u, v, name="corner"), BD)
 
 
 def q_gluing(f: PrecatMap, g: PrecatMap, legacy: bool = False) -> PushoutData:
     """Two triangles glued along their shared face: the edge complexes on
     (A,D) and (B,C) glued over the one on (A,C)."""
-    A, B = f.domain, f.codomain
-    C, D = g.domain, g.codomain
-    mid_to_ad = upsilon_map([presheaf.identity_map(A), g], legacy=legacy)
-    mid_to_bc_raw = upsilon_map([f, presheaf.identity_map(C)], legacy=legacy)
-    mid_to_bc = PrecatMap(mid_to_ad.domain, mid_to_bc_raw.codomain,
-                          mid_to_bc_raw.apply, name=mid_to_bc_raw.name)
-    return pushout(mid_to_ad, mid_to_bc, name="Q")
+    return pushout(upsilon_map([identity_map(f.domain), g], legacy=legacy),
+                   upsilon_map([f, identity_map(g.domain)], legacy=legacy), name="Q")
 
 
 def square_decomposition(B: Precat, D: Precat, legacy: bool = False) -> tuple[Precat, Precat]:
     """The product of two edge complexes against the two-triangle gluing
     along the diagonal edge complex on the product."""
     lhs = product(upsilon([B], legacy=legacy), upsilon([D], legacy=legacy))
-    merge_bd = upsilon_face([B, D], ("merge", 1), legacy=legacy)
-    merge_db = upsilon_face([D, B], ("merge", 1), legacy=legacy)
-    swap = swap_map(B, D)
-    swap_to_db = PrecatMap(merge_bd.domain, merge_db.domain,
-                           upsilon_map([swap], legacy=legacy).apply, name="U(swap)")
-    diag_to_db = PrecatMap(merge_bd.domain, merge_db.codomain,
-                           swap_to_db.then(merge_db).apply, name="diag")
-    rhs = pushout(merge_bd, diag_to_db, name="two-triangles").precat
-    return lhs, rhs
+    BD = product(B, D)
+    merge_bd = upsilon_face([B, D], ("merge", 1), legacy, identity_map(BD))
+    diag = upsilon_face([D, B], ("merge", 1), legacy, swap_map(B, D, BD))
+    return lhs, pushout(merge_bd, diag, name="two-triangles").precat
 
 
 def wedge01(X: Precat, Y: Precat, name: str = "wedge") -> PushoutData:
     """Glue vertex 1 of ``X`` to vertex 0 of ``Y`` (both one-object levels)."""
     pt = point(X.n)
-    at1 = PrecatMap(pt, X, lambda M, c: X.degeneracy(M, _vertex_object(X, 1)),
-                    name="at1")
-    at0 = PrecatMap(pt, Y, lambda M, c: Y.degeneracy(M, _vertex_object(Y, 0)),
-                    name="at0")
-    return pushout(at1, at0, name=name)
+    return pushout(point_map(X, _vertex_object(X, 1), pt, name="at1"),
+                   point_map(Y, _vertex_object(Y, 0), pt, name="at0"), name=name)
 
 
 def _vertex_object(P: Precat, o):
@@ -665,23 +647,15 @@ def claim_fold(i: PrecatMap) -> FoldData:
     E, F = i.domain, i.codomain
     n = E.n
     po = pushout(i, i, name="double")
-    fold = po.induced(presheaf.identity_map(F), presheaf.identity_map(F),
-                      name="fold")
+    fold = po.induced(identity_map(F), identity_map(F), name="fold")
     ibar = nerve(FiniteCategory.iso_interval(), n)
-    ends = discrete(n, (0, 1))
-    j = PrecatMap(ends, ibar, ibar.degeneracy, name="ends")
-    corner = pushout_product(i, j)
-
+    corner = pushout_product(i, degeneracy_map(discrete(n, (0, 1)), ibar, name="ends"))
     e_cyl = product(E, ibar)
 
-    def cap_leg(v):
-        return PrecatMap(E, e_cyl,
-                         lambda M, c, v=v: (c, ibar.degeneracy(M, v)),
-                         name=f"E@{v}")
+    def cap(v):     # the leg c -> (c, v) of cap v
+        TC, d = e_cyl.table, point_map(ibar, v, E).positions
+        leg = PrecatMap(E, e_cyl, name=f"E@{v}", at=lambda M: TC.positions(M, enumerate(d[M])))
+        return pushout(i, leg, name=f"cap{v}").inr
 
-    cap0 = pushout(PrecatMap(E, F, i.apply, name="i"), cap_leg(0), name="cap0")
-    cap1 = pushout(PrecatMap(E, F, i.apply, name="i"), cap_leg(1), name="cap1")
-    caps = pushout(PrecatMap(e_cyl, cap0.precat, cap0.inr.apply, name="mid0"),
-                   PrecatMap(e_cyl, cap1.precat, cap1.inr.apply, name="mid1"),
-                   name="caps")
+    caps = pushout(cap(0), cap(1), name="caps")
     return FoldData(po.precat, fold, corner, caps.precat)

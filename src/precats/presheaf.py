@@ -18,14 +18,14 @@ loses nothing where every window morphism is a composite of generators inside
 the window: the tests certify that for n <= 3 on small windows, and larger
 windows rest on it unchecked.  One level-by-level solver finds the levelwise
 maps commuting with the generators, each certified on its integer tables; it
-serves the isomorphism search and the enumeration of natural maps.
+serves the isomorphism search and the enumeration of natural maps.  A map,
+too, is a position list per level (``PrecatMap.at``), read off tables.
 
 A table keeps its levels and position lists without bound.  An edge
 complex's table is kept by its first input, for every edge complex on the
 same input tables and ``legacy`` (``constructions.upsilon``).  A table
-holds its parts' tables and never its own precat, so no reference cycle
-keeps a presheaf alive, unless a pushout's legs lead from an edge complex's
-later input to its first; the cycle collector frees such a cycle.
+holds its parts' tables (a pushout's, its legs' position lists too) and
+never a precat or a map, so no reference cycle keeps a presheaf alive.
 """
 
 from __future__ import annotations
@@ -139,38 +139,68 @@ class TabledPrecat(Precat):
         self.edge_tables: dict[tuple, WindowTable] = {}
 
 
+class Positions(dict):
+    """A map's position list per level, built by ``build(M)`` when first
+    asked for; ``build`` reads tables and other ``Positions``, never a map."""
+
+    def __init__(self, build: Callable[[ThetaObject], list[int]]):
+        self.build = build
+
+    def __missing__(self, M):
+        got = self[M] = self.build(M)
+        return got
+
+
 class PrecatMap:
-    """A levelwise function between two precats of the same dimension."""
+    """A levelwise function between two precats of the same dimension:
+    ``at(M)`` lists the codomain position of each domain cell over ``M``,
+    built once per level by ``at`` or else from the images under ``apply_fn``."""
 
     def __init__(self, domain: Precat, codomain: Precat,
-                 apply_fn: Callable[[ThetaObject, object], object], name: str = "map"):
+                 apply_fn: Optional[Callable[[ThetaObject, object], object]] = None,
+                 name: str = "map", at: Optional[Callable] = None):
         if domain.n != codomain.n:
             raise PresheafError("map endpoints live in different ambient dimensions")
-        self.domain = domain
-        self.codomain = codomain
-        self._apply_fn = apply_fn
-        self.name = name
+        self.domain, self.codomain, self._apply_fn, self.name = domain, codomain, apply_fn, name
+        TD, TC = domain.table, codomain.table
+
+        def listed(M):
+            index, cells = TC.level(M)[2], TD.level(M)[0]
+            got = [index.get(apply_fn(M, c), -1) for c in cells]
+            if -1 in got:
+                raise PresheafError(f"{name} sends {cells[got.index(-1)]!r} at level {M} "
+                                    f"to no cell of its codomain")
+            return got
+        self.positions = Positions(at or listed)
+
+    def at(self, M: ThetaObject) -> list[int]:
+        return self.positions[M]
 
     def apply(self, M: ThetaObject, cell):
-        return self._apply_fn(M, cell)
+        if self._apply_fn is not None:
+            return self._apply_fn(M, cell)
+        k = self.domain.table.level(M)[2].get(cell)
+        if k is None:
+            raise PresheafError(f"{cell!r} at level {M} is no cell of the domain of {self.name}")
+        return self.codomain.table.level(M)[0][self.positions[M][k]]
 
     def then(self, other: "PrecatMap") -> "PrecatMap":
         if other.domain is not self.codomain:
             raise PresheafError(f"maps do not compose: {other.name} does not "
                                 f"start where {self.name} ends")
-        return PrecatMap(self.domain, other.codomain,
-                         lambda M, c: other.apply(M, self.apply(M, c)),
-                         name=f"{self.name};{other.name}")
+        a, b = self.positions, other.positions
+        return PrecatMap(self.domain, other.codomain, name=f"{self.name};{other.name}",
+                         at=lambda M: list(map(b[M].__getitem__, a[M])))
 
     def naturality_violations(self, window: Window) -> list:
-        """Commuting failures against the window's generators."""
-        out = []
+        """Commuting failures ``(f, c, lhs, rhs)`` against the window's
+        generators, found on position lists."""
+        TD, TC, at, out = self.domain.table, self.codomain.table, self.positions, []
         for f in window.elementary(self.domain.n):
-            for c in self.domain.cells(f.target):
-                lhs = self.codomain.act(f, self.apply(f.target, c))
-                rhs = self.apply(f.source, self.domain.act(f, c))
-                if lhs != rhs:
-                    out.append((f, c, lhs, rhs))
+            act, at_s, cells = TC.act(f), at[f.source], TC.level(f.source)[0]
+            out += [(f, TD.level(f.target)[0][k], cells[act[x]], cells[at_s[y]])
+                    for k, (x, y) in enumerate(zip(at[f.target], TD.act(f)))
+                    if act[x] != at_s[y]]
         return out
 
     def __repr__(self):
@@ -178,7 +208,8 @@ class PrecatMap:
 
 
 def identity_map(P: Precat) -> PrecatMap:
-    return PrecatMap(P, P, lambda M, c: c, name="id")
+    T = P.table
+    return PrecatMap(P, P, name="id", at=lambda M: list(range(T.size(M))))
 
 
 def constant_table_precat(n: int, levels: dict, actions: dict, name: str = "table",
@@ -231,15 +262,27 @@ def empty(n: int) -> Precat:
 
 
 def terminal_map(P: Precat) -> PrecatMap:
-    return PrecatMap(P, point(P.n), lambda M, c: "pt", name="!")
+    return point_map(point(P.n), "pt", P, "!")
 
 
-def point_map(P: Precat, cell0) -> PrecatMap:
-    """The map from the point picking a level-0 cell (and its degeneracies)."""
-    if cell0 not in P.cells(zero_object(P.n)):
+def point_map(P: Precat, cell0, domain: Optional[Precat] = None,
+              name: Optional[str] = None) -> PrecatMap:
+    """The constant map at a level-0 cell, from ``domain`` or the point."""
+    zero = zero_object(P.n)
+    if cell0 not in P.cells(zero):
         raise PresheafError(f"{cell0!r} is not an object of {P.name}")
-    return PrecatMap(point(P.n), P, lambda M, c: P.degeneracy(M, cell0),
-                     name=f"pt:{cell_label(cell0)}")
+    D, TP = domain or point(P.n), P.table
+    TD, k = D.table, TP.level(zero)[2][cell0]
+    return PrecatMap(D, P, name=name or f"pt:{cell_label(cell0)}",
+                     at=lambda M: [TP.act(collapse_to_zero(M))[k]] * TD.size(M))
+
+
+def degeneracy_map(D: Precat, P: Precat, name: str = "deg") -> PrecatMap:
+    """The map from a constant presheaf ``D`` whose cells are level-0 cells
+    of P that sends each cell to its degeneracy in P."""
+    TD, TP, zero = D.table, P.table, zero_object(P.n)
+    return PrecatMap(D, P, name=name, at=lambda M: [
+        TP.act(collapse_to_zero(M))[TP.level(zero)[2][c]] for c in TD.level(M)[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +298,20 @@ def product(P: Precat, Q: Precat) -> Precat:
                         name=f"({P.name}x{Q.name})")
 
 
-def swap_map(P: Precat, Q: Precat) -> PrecatMap:
-    return PrecatMap(product(P, Q), product(Q, P),
-                     lambda M, c: (c[1], c[0]), name="swap")
+def product_map(f: PrecatMap, g: PrecatMap, domain: Precat, codomain: Precat,
+                name: str = "fxg") -> PrecatMap:
+    """``(a, b) -> (f(a), g(b))`` between products of the ends' tables."""
+    TD, TC, a, b = domain.table, codomain.table, f.positions, g.positions
+    return PrecatMap(domain, codomain, name=name, at=lambda M: TC.positions(
+        M, ((a[M][i], b[M][j]) for i, j in TD.pairs(M))))
+
+
+def swap_map(P: Precat, Q: Precat, domain: Optional[Precat] = None) -> PrecatMap:
+    """``(a, b) -> (b, a)`` from ``domain``, a product of P's and Q's tables."""
+    D, C = domain or product(P, Q), product(Q, P)
+    TD, TC = D.table, C.table
+    return PrecatMap(D, C, name="swap", at=lambda M: TC.positions(
+        M, ((j, i) for i, j in TD.pairs(M))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,33 +382,36 @@ class PushoutData:
     Cells are canonical representatives of the identification classes of the
     tagged disjoint union ``("L", p)``, ``("R", q)``; the representative is
     the label-minimal member, so dumps are reproducible.  The precat and both
-    inclusions read one ``PushoutTable``, never the pushout itself.
+    inclusions read one ``PushoutTable``, built from the legs' position lists.
     """
 
     def __init__(self, f: PrecatMap, g: PrecatMap, name: str = "po"):
-        if f.domain is not g.domain:
-            raise PresheafError("pushout legs must share one domain instance")
+        if f.domain.table is not g.domain.table:
+            raise PresheafError("pushout legs must start on one table")
         R, P, Q = f.domain, f.codomain, g.codomain
         self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q
         from .tables import PushoutTable
-        table = PushoutTable(f.apply, g.apply, R.table, P.table, Q.table)
+        table, TP = PushoutTable(f.positions, g.positions, P.table, Q.table), P.table
         self.precat = TabledPrecat(P.n, table, name=name)
-        self.inl = PrecatMap(P, self.precat,
-                             lambda M, c: table.class_of(M, ("L", c)), name="inl")
-        self.inr = PrecatMap(Q, self.precat,
-                             lambda M, c: table.class_of(M, ("R", c)), name="inr")
+        self.inl = PrecatMap(P, self.precat, name="inl", at=lambda M: table.rank(M)[:TP.size(M)])
+        self.inr = PrecatMap(Q, self.precat, name="inr", at=lambda M: table.rank(M)[TP.size(M):])
 
     def class_of(self, M: ThetaObject, tagged):
-        return self.precat.table.class_of(M, tagged)
+        return (self.inl if tagged[0] == "L" else self.inr).apply(M, tagged[1])
 
     def induced(self, u: PrecatMap, v: PrecatMap, name: str = "fold") -> PrecatMap:
-        """The map out of the pushout determined by a commuting cocone."""
+        """The map out of the pushout determined by the cocone ``(u, v)``.  At
+        each level it is first built on, ``u`` after ``f`` is compared with
+        ``v`` after ``g``; if they differ, ``PresheafError`` names the level."""
+        T, (a, b, f, g) = self.precat.table, (m.positions for m in (u, v, self.f, self.g))
 
-        def apply(M, rep):
-            side, c = rep
-            return u.apply(M, c) if side == "L" else v.apply(M, c)
-
-        return PrecatMap(self.precat, u.codomain, apply, name=name)
+        def at(M):
+            am, bm = a[M], b[M]
+            if list(map(am.__getitem__, f[M])) != list(map(bm.__getitem__, g[M])):
+                raise PresheafError(f"{name}: the cocone ({u.name}, {v.name}) does not "
+                                    f"commute at level {M}")
+            return [am[m] if m < len(am) else bm[m - len(am)] for m in T.order(M)]
+        return PrecatMap(self.precat, u.codomain, name=name, at=at)
 
 
 def pushout(f: PrecatMap, g: PrecatMap, name: str = "po") -> PushoutData:
@@ -363,8 +420,7 @@ def pushout(f: PrecatMap, g: PrecatMap, name: str = "po") -> PushoutData:
 
 def coproduct(P: Precat, Q: Precat) -> PushoutData:
     e = empty(P.n)
-    return pushout(PrecatMap(e, P, lambda M, c: c, name="0->"),
-                   PrecatMap(e, Q, lambda M, c: c, name="0->"),
+    return pushout(degeneracy_map(e, P, name="0->"), degeneracy_map(e, Q, name="0->"),
                    name=f"({P.name}+{Q.name})")
 
 
@@ -525,17 +581,8 @@ def is_cofibration(u: PrecatMap, window: Window) -> bool:
 
     The top level is exempt: for dimension 0 (sets) nothing is required.
     """
-    n = u.domain.n
-    for M in window.objects(n):
-        if M.length >= n:
-            continue
-        seen = {}
-        for c in u.domain.cells(M):
-            img = u.apply(M, c)
-            if img in seen and seen[img] != c:
-                return False
-            seen[img] = c
-    return True
+    return all(len(set(u.at(M))) == len(u.at(M))
+               for M in window.objects(u.domain.n) if M.length < u.domain.n)
 
 
 def check_functoriality(P: Precat, window: Window) -> list:
@@ -631,7 +678,8 @@ def _lazy_product(pools: list):
 
 def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     """Every levelwise map ``P -> Q`` commuting with the window's generators,
-    as ``{level: {cell: image}}`` with levels in window order.
+    as ``{level: positions}`` with levels in window order: the position in
+    Q of the image of each cell of P, in P's order.
 
     Backtracking over levels ordered by (length, entry sum).  A level's cells
     are forced along the generators out of it into already-matched levels;
@@ -738,10 +786,9 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
 
     def solve(i: int):
         if i == len(objs):
-            if _certified(TP, TQ, window.elementary(P.n), dict(zip(objs, assigned))):
-                yield {M: dict(zip(TP.level(M)[0],
-                                   [TQ.level(M)[0][d] for d in assigned[j]]))
-                       for j, M in enumerate(objs)}
+            phi = dict(zip(objs, assigned))
+            if _certified(TP, TQ, window.elementary(P.n), phi):
+                yield phi
             return
         if i == len(levels):
             compile_level(i)
@@ -758,18 +805,16 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         del solve
 
 
-def _window_map(P: Precat, Q: Precat, window: Window, components: dict,
+def _window_map(P: Precat, Q: Precat, window: Window, positions: dict,
                 name: str) -> PrecatMap:
-    """The map given by the solver's ``{level: {cell: image}}`` components;
-    a level outside the window or a non-cell raises ``PresheafError``."""
-    def apply(M, c):
-        try:
-            return components[M][c]
-        except KeyError:
-            raise PresheafError(f"{name} is not defined on {c!r} at level {M}: "
-                                f"it maps the cells of window B={window.B} only") from None
-
-    return PrecatMap(P, Q, apply, name=name)
+    """The map of the solver's ``{level: positions}``, named ``name[B=..]``;
+    at a level outside the window it raises ``PresheafError``."""
+    def at(M):
+        if M not in positions:
+            raise PresheafError(f"{name} is not defined at level {M}: it maps the "
+                                f"cells of window B={window.B} only")
+        return positions[M]
+    return PrecatMap(P, Q, name=f"{name}[B={window.B}]", at=at)
 
 
 def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
@@ -786,7 +831,7 @@ def iso_windowed(P: Precat, Q: Precat, window: Window) -> Optional[PrecatMap]:
     components = next(_natural_components(P, Q, window, bijective=True), None)
     if components is None:
         return None
-    return _window_map(P, Q, window, components, f"iso[{window.B}]")
+    return _window_map(P, Q, window, components, "iso")
 
 
 def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatMap]:
@@ -808,14 +853,14 @@ def dump_window(P: Precat, window: Window) -> dict:
     T = P.table
     levels = []
     for M in window.objects(P.n):
-        labels = T.level(M)[1]
+        labels = T.labels(M)
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise PresheafError(f"cells of level {M} share the label {a!r}")
         levels.append({"object": list(M.entries), "cells": labels})
     actions = []
     for s, t, mors in window.morphisms(P.n):
-        source, target = T.level(s)[1], T.level(t)[1]
+        source, target = T.labels(s), T.labels(t)
         for f in mors:
             actions.append({"morphism": f.to_dict(), "map": {
                 d: source[k] for d, k in zip(target, T.act(f))}})

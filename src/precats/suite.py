@@ -61,19 +61,13 @@ def _inclusions():
     """The canonical inclusions among empty, point, two points, interval nerve."""
     fam = _one_precats()
     emp, pt, two, ni = fam["empty"], fam["point"], fam["two"], fam["NI"]
-
-    def deg_incl(dom, cod, label):
-        return ps.PrecatMap(dom, cod,
-                            lambda M, c: c if M.length == 0 else cod.degeneracy(M, c),
-                            name=label)
-
     return [
-        ps.PrecatMap(emp, pt, lambda M, c: c, name="0->*"),
-        ps.PrecatMap(emp, two, lambda M, c: c, name="0->2*"),
-        ps.PrecatMap(emp, ni, lambda M, c: c, name="0->NI"),
-        ps.PrecatMap(pt, two, lambda M, c: 0, name="*->2*"),
-        ps.PrecatMap(pt, ni, lambda M, c: ni.degeneracy(M, 0), name="*->NI"),
-        deg_incl(two, ni, "2*->NI"),
+        ps.degeneracy_map(emp, pt, name="0->*"),
+        ps.degeneracy_map(emp, two, name="0->2*"),
+        ps.degeneracy_map(emp, ni, name="0->NI"),
+        ps.point_map(two, 0, pt, name="*->2*"),
+        ps.point_map(ni, 0, pt, name="*->NI"),
+        ps.degeneracy_map(two, ni, name="2*->NI"),
     ]
 
 
@@ -100,16 +94,8 @@ def wedge_identity(f: ps.PrecatMap, g: ps.PrecatMap, window: ps.Window):
     left = cn.wedge01(UA, UD, "left")
     right = cn.wedge01(UB, UC, "right")
     target = cn.wedge01(UB, UD, "target")
-    m2l = ps.PrecatMap(mid.precat, left.precat, mid.induced(
-        ps.PrecatMap(UA, left.precat, left.inl.apply, name="l"),
-        ps.PrecatMap(UC, left.precat,
-                     lambda M, c: left.inr.apply(M, Ug.apply(M, c)), name="gr"),
-    ).apply, name="m2l")
-    m2r = ps.PrecatMap(mid.precat, right.precat, mid.induced(
-        ps.PrecatMap(UA, right.precat,
-                     lambda M, c: right.inl.apply(M, Uf.apply(M, c)), name="fl"),
-        ps.PrecatMap(UC, right.precat, right.inr.apply, name="r"),
-    ).apply, name="m2r")
+    m2l = mid.induced(left.inl, Ug.then(left.inr), name="m2l")
+    m2r = mid.induced(Uf.then(right.inl), right.inr, name="m2r")
     lhs = ps.pushout(m2l, m2r, name="wedge-lhs").precat
     return ps.iso_windowed(lhs, target.precat, window)
 
@@ -119,38 +105,15 @@ def corner_split_identity(f: ps.PrecatMap, g: ps.PrecatMap, window: ps.Window):
     the edge complex on the corner pushout."""
     A, B = f.domain, f.codomain
     C, D = g.domain, g.codomain
-    W = cn.pushout_product(f, g).source.precat
+    corner = cn.pushout_product(f, g).source      # AxD and BxC glued
     Q1 = cn.q_gluing(f, g)     # inl: edges (A,D); inr: edges (B,C)
     Q2 = cn.q_gluing(g, f)     # inl: edges (C,B); inr: edges (D,A)
-    UW = cn.upsilon([W])
-    merge = {
-        ("A", "D"): cn.upsilon_face([A, D], ("merge", 1)),
-        ("B", "C"): cn.upsilon_face([B, C], ("merge", 1)),
-        ("C", "B"): cn.upsilon_face([C, B], ("merge", 1)),
-        ("D", "A"): cn.upsilon_face([D, A], ("merge", 1)),
-    }
+    UW = cn.upsilon([corner.precat])
 
-    def into(q, route):
-        def apply(M, cell):
-            leg0, merge0, _ = route["L"]
-            if M.length == 0:
-                return leg0.apply(M, merge0.apply(M, cell))
-            y, values = cell
-            if not values:
-                return leg0.apply(M, merge0.apply(M, (y, ())))
-            side, pair = values[0]
-            leg, mrg, tr = route[side]
-            return leg.apply(M, mrg.apply(M, (y, (tr(pair),))))
-        return apply
-
-    keep = lambda p: p
-    swap = lambda p: (p[1], p[0])
-    y_to_q1 = ps.PrecatMap(UW, Q1.precat, into(Q1, {
-        "L": (Q1.inl, merge[("A", "D")], keep),
-        "R": (Q1.inr, merge[("B", "C")], keep)}), name="Y->Q1")
-    y_to_q2 = ps.PrecatMap(UW, Q2.precat, into(Q2, {
-        "L": (Q2.inr, merge[("D", "A")], swap),
-        "R": (Q2.inl, merge[("C", "B")], swap)}), name="Y->Q2")
+    y_to_q1 = cn.upsilon_cases(UW, (ps.identity_map(corner.P), Q1.inl),
+                               (ps.identity_map(corner.Q), Q1.inr), name="Y->Q1")
+    y_to_q2 = cn.upsilon_cases(UW, (ps.swap_map(A, D, corner.P), Q2.inr),
+                               (ps.swap_map(B, C, corner.Q), Q2.inl), name="Y->Q2")
     rhs = ps.pushout(y_to_q1, y_to_q2, name="corner-rhs").precat
     lhs = cn.pushout_product(cn.upsilon_map([f], name="Uf"),
                              cn.upsilon_map([g], name="Ug")).source.precat

@@ -3,16 +3,18 @@
 ``product``, ``PushoutData``, ``constructions.upsilon`` and ``delooping``
 each return a ``presheaf.TabledPrecat`` that owns one of these tables,
 built from its parts' tables.  A product's cell is a pair of positions, a
-pushout's a class of ``quotient`` on the positions of its two sides, an
-edge complex's a vertex path with a position for each covered input, a
-delooping's a copy with a position of its input.  Their labels are
-composed from the parts' labels, and they restrict through the parts'
-position lists.  ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or
-a ``SliceTable``, which read their parent's levels and position lists as
-they are.  A table holds its parts' tables, never a precat of its own.
-Edge complexes on the same input tables and ``legacy`` are distinct precats
-over one ``UpsilonTable``, which their first input keeps.  This module is
-imported only when such a table is first built.
+pushout's a class of ``quotient`` on the positions of its two sides, joined
+along its legs' position lists, an edge complex's a vertex path with a
+position for each covered input, a delooping's a copy with a position of
+its input.  Labels are composed from the parts' labels, restrictions and
+the maps between these tables are read off the parts' position lists, and
+member cells are built only for ``level`` or to break a label tie.
+``sub_precat`` and ``slice_precat`` own a ``SubTable`` or a ``SliceTable``,
+which read their parent's levels and position lists as they are.  A table
+holds its parts' tables, never a precat or a map.  Edge complexes on the
+same input tables and ``legacy`` are distinct precats over one
+``UpsilonTable``, which their first input keeps.  This module is imported
+only when such a table is first built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from typing import Callable
 
-from .presheaf import WindowTable, _label_key, _within, quotient
+from .presheaf import Positions, WindowTable, _label_key, _within, quotient
 from .theta import (ThetaObject, collapse_to_zero, object_of, prepend_prefix,
                     tail_morphism)
 
@@ -34,12 +36,12 @@ class CompiledTable(WindowTable):
     with ``_tabulate(M)`` giving ``(order, rank, labels)``, where
     ``order[k]`` is the member of the ``k``-th cell in label order and
     ``rank[m]`` the position of member ``m``'s cell.  Several members may
-    share a cell (a pushout class).  ``_restrict(f)``, called once both ends
-    are tabulated, lists the member of ``f.source`` that each member of
-    ``f.target`` restricts to, and ``_members(M)`` the members' cells, built
-    once for label ties in ``_tabulate`` and once for ``level``, which keeps
-    the cells.  Labels are composed from the parts' labels and equal
-    ``cell_label`` of the cells.
+    share a cell (a pushout class, which ``_act`` restricts itself).
+    ``_restrict(f)``, called once both ends are tabulated, lists the member
+    of ``f.source`` that each member of ``f.target`` restricts to, and
+    ``_members(M)`` the members' cells, built only for ``level`` and for
+    label ties in ``_tabulate``.  Labels are composed from the parts' labels
+    and equal ``cell_label`` of the cells.
     """
 
     def __init__(self):
@@ -51,6 +53,12 @@ class CompiledTable(WindowTable):
         if got is None:
             got = self._tabled[M] = self._tabulate(M)
         return got
+
+    def order(self, M: ThetaObject) -> list[int]:      # each cell's member
+        return self._table(M)[0]
+
+    def rank(self, M: ThetaObject) -> list[int]:       # each member's position
+        return self._table(M)[1]
 
     def _cells_of(self, M: ThetaObject) -> Callable[[int], object]:
         """Member ``m``'s cell over ``M``, the members built at the first call."""
@@ -72,6 +80,9 @@ class CompiledTable(WindowTable):
 
     def labels(self, M: ThetaObject) -> list[str]:
         return self._table(M)[2]
+
+    def size(self, M: ThetaObject) -> int:
+        return len(self._table(M)[2])
 
     def _level(self, M):
         order, _, labels = self._table(M)
@@ -104,33 +115,33 @@ class ProductTable(CompiledTable):
         width, b = self.TB.size(f.source), self.TB.act(f)
         return [i * width + j for i in self.TA.act(f) for j in b]
 
+    def pairs(self, M: ThetaObject) -> list[tuple[int, int]]:
+        """The positions ``(i, j)`` in A and B of each cell over ``M``, in order."""
+        width = self.TB.size(M)
+        return [divmod(m, width) for m in self.order(M)]
+
+    def positions(self, M: ThetaObject, pairs) -> list[int]:
+        """The position over ``M`` of the cell of each pair of positions."""
+        width, rank = self.TB.size(M), self.rank(M)
+        return [rank[i * width + j] for i, j in pairs]
+
 
 class PushoutTable(CompiledTable):
     """The pushout of ``f: R -> P`` and ``g: R -> Q``, given by the legs'
-    ``apply`` functions and the tables of R, P and Q: members are the cells
-    of P, then those of Q, by position; ``quotient`` joins them along the
-    legs, applied once to each cell of R.  A class is named by, and
-    restricts as, its label-minimal member."""
+    ``Positions`` ``F`` and ``G`` and the tables of P and Q: members are the
+    cells of P, then those of Q, by position; ``quotient`` joins
+    ``F[M][r]`` with ``|P| + G[M][r]`` for each position ``r`` of R.  A
+    class is named by, and restricts as, its label-minimal member."""
 
-    def __init__(self, f: Callable, g: Callable,
-                 TR: WindowTable, TP: WindowTable, TQ: WindowTable):
+    def __init__(self, F: Positions, G: Positions, TP: WindowTable, TQ: WindowTable):
         super().__init__()
-        self.f, self.g, self.TR, self.TP, self.TQ = f, g, TR, TP, TQ
-
-    def class_of(self, M: ThetaObject, tagged):
-        """The cell of the class of ``("L", p)`` or ``("R", q)``."""
-        side, c = tagged
-        m = (self.TP.level(M)[2][c] if side == "L"
-             else self.TP.size(M) + self.TQ.level(M)[2][c])
-        return self.level(M)[0][self._table(M)[1][m]]
+        self.F, self.G, self.TP, self.TQ = F, G, TP, TQ
 
     def _tabulate(self, M):
         raw = (["(L," + c + ")" for c in self.TP.labels(M)]
                + ["(R," + c + ")" for c in self.TQ.labels(M)])
-        at_p, at_q, shift = self.TP.level(M)[2], self.TQ.level(M)[2], len(self.TP.labels(M))
-        f, g, cell = self.f, self.g, self._cells_of(M)
-        rep = quotient(range(len(raw)),
-                       ((at_p[f(M, r)], shift + at_q[g(M, r)]) for r in self.TR.level(M)[0]),
+        shift, cell = self.TP.size(M), self._cells_of(M)
+        rep = quotient(range(len(raw)), zip(self.F[M], [shift + y for y in self.G[M]]),
                        raw.__getitem__, cell)
         labels = {m: raw[m] for m in set(rep.values())}
         order = sorted(labels, key=_label_key(labels, cell))
@@ -141,9 +152,10 @@ class PushoutTable(CompiledTable):
         return ([("L", c) for c in self.TP.level(M)[0]]
                 + [("R", c) for c in self.TQ.level(M)[0]])
 
-    def _restrict(self, e):
-        shift = self.TP.size(e.source)
-        return self.TP.act(e) + [shift + j for j in self.TQ.act(e)]
+    def _act(self, e):       # each class restricts as its label-minimal member
+        p, q, rank = self.TP.act(e), self.TQ.act(e), self.rank(e.source)
+        cut, shift = self.TP.size(e.target), self.TP.size(e.source)
+        return [rank[p[m]] if m < cut else rank[shift + q[m - cut]] for m in self.order(e.target)]
 
 
 class UpsilonTable(CompiledTable):
@@ -204,7 +216,7 @@ class UpsilonTable(CompiledTable):
     def _restrict(self, f):
         source, target = f.source, f.target
         if source.length:
-            _, index, kept_of = self._shape(source.entries[0])
+            _, index, _ = self._shape(source.entries[0])
             starts = self._starts[source]
 
         def degenerate(o):
@@ -220,19 +232,64 @@ class UpsilonTable(CompiledTable):
             for y, a, b in zip(ys, ends, ends[1:]):
                 image += [degenerate(y[comp0[0]])] * (b - a)
             return image
-        g, along = tail_morphism(f), operator.itemgetter(*comp0)
-        acts = [T.act(g) for T in self.inputs]
-        sizes = [T.size(g.source) for T in self.inputs]
+        g = tail_morphism(f)
+        return self._moved(source, g.source, ys, covers, operator.itemgetter(*comp0),
+                           {i: [(i, T.act(g))] for i, T in enumerate(self.inputs, 1)})
+
+    def _moved(self, M: ThetaObject, tail: ThetaObject, ys: list, covers: list,
+               path: Callable, sends: dict) -> list[int]:
+        """The member over ``M`` (of tail ``tail``) of each member of a level
+        laid out in paths ``ys`` covering ``covers``, block by block: path
+        ``y`` lands in ``path(y)``, and position ``x`` of its input ``j`` on
+        ``act[x]`` of input ``t`` for each ``(t, act)`` in ``sends[j]``."""
+        _, index, kept_of = self._shape(M.entries[0])
+        starts, sizes = self._starts[M], [T.size(tail) for T in self.inputs]
         image = []
-        for y, cover in zip(ys, covers):
-            z = index[along(y)]
+        for z, cover in zip(map(index.__getitem__, map(path, ys)), covers):
             kept, block = kept_of[z], [starts[z]]
-            for i in cover:
-                stride = math.prod(sizes[i:kept.stop - 1]) if i in kept else 0
-                step = [stride * x for x in acts[i - 1]]
+            for j in cover:
+                step = None
+                for t, act in sends[j]:
+                    s = math.prod(sizes[t:kept.stop - 1]) if t in kept else 0
+                    step = ([s * x for x in act] if step is None
+                            else [a + s * x for a, x in zip(step, act)])
                 block = [a + b for a in block for b in step]
             image += block
         return image
+
+    def map_from(self, D: "UpsilonTable", path: Callable, sends: Callable) -> Callable:
+        """The position lists of a map from the edge complex of table ``D``
+        that moves paths by ``path`` and inputs by ``sends(tail)``."""
+        def at(M):
+            order, rank = D.order(M), self.rank(M)
+            if M.length == 0:
+                return [rank[path((o,))[0]] for o in order]
+            ys, _, covers = D._shape(M.entries[0])
+            tail = object_of(M.n - 1, M.entries[1:])
+            moved = self._moved(M, tail, ys, covers, path, sends(tail))
+            return [rank[moved[m]] for m in order]
+        return at
+
+    def cases(self, left: tuple, right: tuple) -> Callable:
+        """The position lists of ``constructions.upsilon_cases`` out of this
+        edge complex on one pushout, a side given by ``(a, X x Y, U(X, Y), u)``."""
+        TW = self.inputs[0]
+
+        def at(M):
+            order, (_, _, TL, lu) = self.order(M), left
+            if M.length == 0:       # the merge face sends vertex v to 2v
+                return [lu[M][TL.rank(M)[2 * o]] for o in order]
+            tail = object_of(M.n - 1, M.entries[1:])
+            (lu, lr, ls, lo), (ru, rr, rs, ro) = (
+                (u[M], T.rank(M), T._starts[M], list(map(TX.order(tail).__getitem__, a[tail])))
+                for a, TX, T, u in (left, right))
+            index, shift, image = TL._shape(M.entries[0])[1], TW.TP.size(tail), []
+            for y, cover in zip(*self._shape(M.entries[0])[::2]):
+                z = index[tuple(2 * v for v in y)]
+                image += ([lu[lr[ls[z] + lo[m]]] if m < shift else ru[rr[rs[z] + ro[m - shift]]]
+                           for m in TW.order(tail)] if cover else [lu[lr[ls[z]]]])
+            return [image[m] for m in order]
+        return at
 
 
 class DeloopingTable(CompiledTable):

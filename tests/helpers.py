@@ -856,3 +856,131 @@ def table_violations(T, oracle, window, generators_only=False):
                  [f for _, _, mors in window.morphisms(oracle.n) for f in mors])
     return out + [("act", f) for f in morphisms if T.act(f) != [
         index[f.source].get(oracle.act(f, c)) for c in order[f.target]]]
+
+
+# ---------------------------------------------------------------------------
+# cell-level maps (dual routes for the position lists of maps)
+# ---------------------------------------------------------------------------
+
+def upsilon_map_oracle(maps, legacy=False):
+    """The edge complex map of ``maps`` cell by cell: the path stays, and
+    each covered input's cell goes through its map's ``apply``."""
+    from precats import object_of
+    from precats.constructions import _edge_indices
+
+    def apply(M, cell):
+        if M.length == 0:
+            return cell
+        y, values = cell
+        tail = object_of(M.n - 1, M.entries[1:])
+        idx = _edge_indices(y[0], y[-1], legacy)
+        return (y, tuple(maps[i - 1].apply(tail, v) for i, v in zip(idx, values)))
+
+    return apply
+
+
+def upsilon_face_oracle(k, which, legacy=False, along=None):
+    """The face ``which`` of the edge complex on ``k`` inputs cell by cell:
+    the path through ``rho``, each value placed on its new input, a merged
+    value (first sent through ``along``) split into its two factors."""
+    from precats import object_of
+    from precats.constructions import _edge_indices
+
+    if which == "drop_last":
+        rho, reindex = tuple(range(k)), {j: (j,) for j in range(1, k)}
+    elif which == "drop_first":
+        rho, reindex = tuple(range(1, k + 1)), {j: (j + 1,) for j in range(1, k)}
+    else:
+        i = which[1]
+        rho = tuple(v if v < i else v + 1 for v in range(k))
+        reindex = {j: (j,) if j < i else ((i, i + 1) if j == i else (j + 1,))
+                   for j in range(1, k)}
+
+    def apply(M, cell):
+        if M.length == 0:
+            return rho[cell]
+        y, values = cell
+        tail = object_of(M.n - 1, M.entries[1:])
+        placed = {}
+        for pos, j in enumerate(_edge_indices(y[0], y[-1], legacy)):
+            targets = reindex[j]
+            if len(targets) == 2:
+                pair = values[pos] if along is None else along.apply(tail, values[pos])
+                placed[targets[0]], placed[targets[1]] = pair
+            else:
+                placed[targets[0]] = values[pos]
+        new_y = tuple(rho[v] for v in y)
+        return (new_y, tuple(placed[t] for t in _edge_indices(new_y[0], new_y[-1], legacy)))
+
+    return apply
+
+
+def pushout_maps_oracle(po):
+    """``(inl, inr, induced)`` of the pushout ``po`` cell by cell: a tagged
+    cell goes to the label-minimal member of its class (found by BFS over
+    the legs' cell images), and ``induced(u, v)`` sends a class as its
+    member's side does."""
+    classes = {}
+
+    def rep(M, tagged):
+        got = classes.get(M)
+        if got is None:
+            members = ([("L", c) for c in po.P.cells(M)]
+                       + [("R", c) for c in po.Q.cells(M)])
+            got = classes[M] = closure_classes(members, [
+                (("L", po.f.apply(M, r)), ("R", po.g.apply(M, r))) for r in po.R.cells(M)])
+        return got[tagged]
+
+    def induced(u, v):
+        return lambda M, c: (u if c[0] == "L" else v)(M, c[1])
+
+    return (lambda M, c: rep(M, ("L", c)), lambda M, c: rep(M, ("R", c)), induced)
+
+
+def generator_naturality_violations(m, window, apply=None):
+    """Commuting failures ``(f, c, lhs, rhs)`` of a map against the window's
+    generators, cell by cell through ``apply`` (the map's own by default)."""
+    apply = apply or m.apply
+    out = []
+    for f in window.elementary(m.domain.n):
+        for c in m.domain.cells(f.target):
+            lhs = m.codomain.act(f, apply(f.target, c))
+            rhs = apply(f.source, m.domain.act(f, c))
+            if lhs != rhs:
+                out.append((f, c, lhs, rhs))
+    return out
+
+
+def map_violations(m, apply, window):
+    """Where the map ``m`` differs from the cell-level ``apply`` on the
+    window: ``("at", M)`` for a level whose position list is not that of the
+    images under ``apply``, and the generator failures of ``apply``."""
+    out = []
+    for M in window.objects(m.domain.n):
+        index = m.codomain.table.level(M)[2]
+        if m.at(M) != [index.get(apply(M, c)) for c in m.domain.table.level(M)[0]]:
+            out.append(("at", M))
+    return out + generator_naturality_violations(m, window, apply)
+
+
+def upsilon_cases_oracle(left, right):
+    """``constructions.upsilon_cases`` cell by cell, each side ``(a, u)``
+    given by two cell-level functions: a cell on the class of ``(side, p)``
+    goes through the face ``("merge", 1)`` (vertex ``v`` to ``2 v``) on
+    ``a(p)``, then through that side's ``u``; any other cell through the
+    left side's."""
+    from precats import object_of
+
+    def apply(M, cell):
+        u = left[1]
+        if M.length == 0:
+            return u(M, 2 * cell)
+        y, values = cell
+        merged = tuple(2 * v for v in y)
+        if not values:
+            return u(M, (merged, ()))
+        (side, p), = values
+        a, u = left if side == "L" else right
+        return u(M, (merged, a(object_of(M.n - 1, M.entries[1:]), p)))
+
+    return apply
