@@ -26,7 +26,7 @@ from typing import Callable
 
 from .presheaf import Positions, WindowTable, _label_key, _within, quotient
 from .theta import (ThetaObject, collapse_to_zero, object_of, prepend_prefix,
-                    tail_morphism)
+                    tail_morphism, tail_object)
 
 
 class CompiledTable(WindowTable):
@@ -192,7 +192,7 @@ class UpsilonTable(CompiledTable):
     def _tabulate(self, M):
         if M.length == 0:
             return self._sort(M, [repr(o) for o in range(len(self.inputs) + 1)])
-        tail = object_of(M.n - 1, M.entries[1:])
+        tail = tail_object(M)
         labels = [T.labels(tail) for T in self.inputs]
         ys, _, covers = self._shape(M.entries[0])
         starts = self._starts[M] = []
@@ -207,7 +207,7 @@ class UpsilonTable(CompiledTable):
     def _members(self, M):
         if M.length == 0:
             return list(range(len(self.inputs) + 1))
-        tail = object_of(M.n - 1, M.entries[1:])
+        tail = tail_object(M)
         cells = [T.level(tail)[0] for T in self.inputs]
         ys, _, covers = self._shape(M.entries[0])
         return [(y, values) for y, cover in zip(ys, covers)
@@ -265,7 +265,7 @@ class UpsilonTable(CompiledTable):
             if M.length == 0:
                 return [rank[path((o,))[0]] for o in order]
             ys, _, covers = D._shape(M.entries[0])
-            tail = object_of(M.n - 1, M.entries[1:])
+            tail = tail_object(M)
             moved = self._moved(M, tail, ys, covers, path, sends(tail))
             return [rank[moved[m]] for m in order]
         return at
@@ -279,7 +279,7 @@ class UpsilonTable(CompiledTable):
             order, (_, _, TL, lu) = self.order(M), left
             if M.length == 0:       # the merge face sends vertex v to 2v
                 return [lu[M][TL.rank(M)[2 * o]] for o in order]
-            tail = object_of(M.n - 1, M.entries[1:])
+            tail = tail_object(M)
             (lu, lr, ls, lo), (ru, rr, rs, ro) = (
                 (u[M], T.rank(M), T._starts[M], list(map(TX.order(tail).__getitem__, a[tail])))
                 for a, TX, T, u in (left, right))
@@ -309,7 +309,7 @@ class DeloopingTable(CompiledTable):
         """The tail of ``M``, the kept positions there and the base's."""
         got = self._kept.get(M)
         if got is None:
-            tail = object_of(M.n - 1, M.entries[1:])
+            tail = tail_object(M)
             c = collapse_to_zero(tail)
             b = self.TX.act(c)[self.TX.level(c.target)[2][self.base]]
             got = self._kept[M] = (tail, [k for k in range(self.TX.size(tail)) if k != b], b)

@@ -14,19 +14,22 @@ presheaves for ``n = 1`` are exactly simplicial sets: the two constant
 self-maps of ``{0,1}`` stay distinct.
 
 Objects and morphisms are hash-consed (Filliâtre & Conchon 2006): equal
-forms are identical, kept in per-class tables for the whole process, so
-presheaf cache lookups compare keys by identity.  Equality, ordering and the
-hash stay content-based, so a copy made outside the tables compares equal;
-each form stores its hash once (``_hash``, ignored by equality, ordering and
-repr).  The surgery used by the lower-dimensional constructions,
-``tail_morphism`` and ``prepend_prefix``, is memoized.
+forms are identical, kept in per-class tables for the whole process, and
+every form is built through its class's table (``copy``, ``deepcopy`` and
+``pickle`` too), so no second form of one content exists.  A form therefore
+hashes by identity (``object.__hash__``), and a table lookup keyed by forms
+runs no Python frame; ordering and repr stay content-based.  Each form keeps
+its own surgery results, filled on first use: an object its ``tail_object``,
+``collapse_to_zero`` and ``identity``, a morphism its ``tail_morphism``.
+``prepend_prefix`` is memoized process-wide.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -56,6 +59,10 @@ class _HashConsed(type):
         return form
 
 
+# a slot for a surgery result, filled on first use
+_memo = partial(field, default=None, init=False, repr=False, compare=False)
+
+
 # ---------------------------------------------------------------------------
 # objects
 # ---------------------------------------------------------------------------
@@ -66,8 +73,12 @@ class ThetaObject(metaclass=_HashConsed):
 
     n: int
     entries: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    length: int = field(init=False, repr=False, compare=False)
+    _tail: ThetaObject | None = _memo()
+    _collapse: ThetaMorphism | None = _memo()
+    _identity: ThetaMorphism | None = _memo()
     _forms = {}
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if self.n < 0:
@@ -77,14 +88,10 @@ class ThetaObject(metaclass=_HashConsed):
                 f"length {len(self.entries)} exceeds ambient dimension {self.n}")
         if any(e < 1 for e in self.entries):
             raise InvalidObjectError(f"entries must be positive: {self.entries}")
-        object.__setattr__(self, "_hash", hash((self.n, self.entries)))
+        object.__setattr__(self, "length", len(self.entries))
 
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
+    def __reduce__(self):
+        return ThetaObject, (self.n, self.entries)
 
     def padded(self, i: int) -> int:
         """Entry at 0-based position ``i`` of the zero-padded representative."""
@@ -144,9 +151,9 @@ def _check_component(source: ThetaObject, target: ThetaObject, i: int,
     a, b = source.padded(i), target.padded(i)
     if len(comp) != a + 1:
         raise InvalidMorphismError(f"component {i} has wrong arity for [{a}]")
-    if any(v < 0 or v > b for v in comp):
+    if min(comp) < 0 or max(comp) > b:
         raise InvalidMorphismError(f"component {i} leaves [{b}]")
-    if any(comp[j] > comp[j + 1] for j in range(len(comp) - 1)):
+    if not all(map(operator.le, comp, comp[1:])):
         raise InvalidMorphismError(f"component {i} is not order-preserving")
 
 
@@ -163,8 +170,10 @@ class ThetaMorphism(metaclass=_HashConsed):
     source: ThetaObject
     target: ThetaObject
     components: tuple[tuple[int, ...], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+    _tail: ThetaMorphism | None = _memo()
     _forms = {}
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if self.source.n != self.target.n:
@@ -180,15 +189,10 @@ class ThetaMorphism(metaclass=_HashConsed):
         if len(self.components) < n and (
                 not self.components or not _is_constant(self.components[-1])):
             raise InvalidMorphismError("normal form must end with the first constant component")
-        object.__setattr__(self, "_hash",
-                           hash((self.source, self.target, self.components)))
+        object.__setattr__(self, "n", n)
 
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return self.source.n
+    def __reduce__(self):
+        return ThetaMorphism, (self.source, self.target, self.components)
 
     def lift(self) -> tuple[tuple[int, ...], ...]:
         """Canonical full lift: stored components, then constant-0 maps."""
@@ -198,7 +202,7 @@ class ThetaMorphism(metaclass=_HashConsed):
         return tuple(comps)
 
     def is_identity(self) -> bool:
-        return self == identity(self.source)
+        return self is identity(self.source)
 
     def to_dict(self) -> dict:
         return {
@@ -237,10 +241,11 @@ def normalize_morphism(source: ThetaObject, target: ThetaObject,
     return f
 
 
-@lru_cache(maxsize=None)
 def identity(obj: ThetaObject) -> ThetaMorphism:
-    return normalize_morphism(obj, obj, [tuple(range(obj.padded(i) + 1))
-                                         for i in range(obj.n)])
+    if obj._identity is None:
+        object.__setattr__(obj, "_identity", normalize_morphism(
+            obj, obj, [tuple(range(obj.padded(i) + 1)) for i in range(obj.n)]))
+    return obj._identity
 
 
 def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
@@ -249,7 +254,7 @@ def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
     Computed on canonical lifts and renormalized; the result does not depend
     on the choice of lifts.
     """
-    if g.target != f.source:
+    if g.target is not f.source:
         raise CompositionError(f"cannot compose {f} after {g}: endpoint mismatch")
     gl, fl = g.lift(), f.lift()
     comps = [tuple(fl[i][v] for v in gl[i]) for i in range(g.n)]
@@ -258,8 +263,10 @@ def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
 
 def collapse_to_zero(obj: ThetaObject) -> ThetaMorphism:
     """The unique morphism ``obj -> 0``."""
-    return normalize_morphism(obj, zero_object(obj.n),
-                              [(0,) * (obj.padded(i) + 1) for i in range(obj.n)])
+    if obj._collapse is None:
+        object.__setattr__(obj, "_collapse", normalize_morphism(
+            obj, zero_object(obj.n), [(0,) * (obj.padded(i) + 1) for i in range(obj.n)]))
+    return obj._collapse
 
 
 def vertex(obj: ThetaObject, v: int, d: int = 0) -> ThetaMorphism:
@@ -333,13 +340,21 @@ def segal_faces(M: ThetaObject, d: int = 0) -> list[ThetaMorphism]:
 # morphism surgery used by presheaf constructions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def tail_object(obj: ThetaObject) -> ThetaObject:
+    """Strip the first direction: the object of the later entries, one dimension down."""
+    if obj._tail is None:
+        object.__setattr__(obj, "_tail", object_of(obj.n - 1, obj.entries[1:]))
+    return obj._tail
+
+
 def tail_morphism(f: ThetaMorphism) -> ThetaMorphism:
     """Strip the first direction: the induced morphism between tail objects."""
-    if f.n == 0:
-        raise InvalidMorphismError("no tail in ambient dimension 0")
-    return normalize_morphism(object_of(f.n - 1, f.source.entries[1:]),
-                              object_of(f.n - 1, f.target.entries[1:]), f.lift()[1:])
+    if f._tail is None:
+        if f.n == 0:
+            raise InvalidMorphismError("no tail in ambient dimension 0")
+        object.__setattr__(f, "_tail", normalize_morphism(
+            tail_object(f.source), tail_object(f.target), f.lift()[1:]))
+    return f._tail
 
 
 @lru_cache(maxsize=None)
@@ -373,11 +388,10 @@ def _elementary_from(obj: ThetaObject, max_entry: int) -> Iterator[ThetaMorphism
                                   for rep in range(m)]))
         for entry, comps in moves:
             tgt = object_of(n, pad[:pos] + [entry] + pad[pos + 1:])
+            # a target truncated by an entry shrunk to 0: later components land on 0
+            rest = ident[pos + 1:] if entry else [(0,) * len(c) for c in ident[pos + 1:]]
             for comp in comps:
-                lift = ident[:pos] + [comp] + ident[pos + 1:]
-                # positions past the target's truncation keep arity via padding
-                yield normalize_morphism(obj, tgt, [tuple(min(v, tgt.padded(i)) for v in c)
-                                                    for i, c in enumerate(lift)])
+                yield normalize_morphism(obj, tgt, ident[:pos] + [comp] + rest)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,12 @@ quotient against an independent action oracle, composition and enumeration."""
 
 import copy
 import dataclasses
+import hashlib
+import os
+import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,7 +335,7 @@ def test_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# cached hashes, hash-consing and memoized surgery
+# hash-consing, identity hashes and per-form surgery memos
 # ---------------------------------------------------------------------------
 
 def _w2_site(n):
@@ -339,23 +344,26 @@ def _w2_site(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cached_hashes_equal_the_field_tuple_hash(n):
+def test_forms_hash_by_identity(n):
+    # object.__hash__ itself, not a Python method: table lookups keyed by
+    # forms then run no Python frame
+    assert ThetaObject.__hash__ is object.__hash__
+    assert ThetaMorphism.__hash__ is object.__hash__
     objs, mors = _w2_site(n)
-    for obj in objs:
-        assert hash(obj) == hash((obj.n, obj.entries))
-    for f in mors:
-        assert hash(f) == hash((f.source, f.target, f.components))
+    for form in objs + mors:
+        assert hash(form) == object.__hash__(form)
+        assert {form: 1}[type(form)(*form.__reduce__()[1])] == 1
 
 
-def test_cached_hash_is_invisible_to_eq_order_and_repr():
-    # copies made outside the intern tables, so the shared forms stay intact
-    a, b = o(2, [1, 2]), copy.copy(o(2, [1, 2]))
-    object.__setattr__(b, "_hash", hash(b) + 1)
-    assert a == b and not a < b and not b < a and repr(a) == repr(b)
-    assert o(2, [1]) < b and "_hash" not in repr(b)
-    f, g = identity(a), copy.copy(identity(o(2, [1, 2])))
-    object.__setattr__(g, "_hash", hash(g) + 1)
-    assert f == g and repr(f) == repr(g) and "_hash" not in repr(g)
+def test_order_and_repr_stay_content_based():
+    a = o(2, [1, 2])
+    # filled memo slots take no part in order or repr
+    th.tail_object(a), th.collapse_to_zero(a), th.tail_morphism(identity(a))
+    assert o(2, [1]) < a < o(2, [2, 1]) and not a < a
+    assert sorted(reversed(window_objects(2, 2))) == sorted(window_objects(2, 2))
+    assert repr(a) == "Obj(1, 2)@2"
+    assert repr(identity(a)) == "Mor(1, 2)->(1, 2)[01,012]"
+    assert repr(th.collapse_to_zero(a)) == "Mor(1, 2)->()[00]"
 
 
 def test_equal_forms_are_identical():
@@ -405,34 +413,63 @@ def test_invalid_forms_raise_every_time_and_are_not_stored():
     assert (a, a, ((0, 0), (0, 1))) not in ThetaMorphism._forms
 
 
-def test_copies_outside_the_tables_compare_and_hash_equal():
+def test_copies_and_pickles_are_the_interned_form():
     obj = o(2, [1, 2])
-    for form in (obj, identity(obj), th.collapse_to_zero(obj)):
-        twin = copy.copy(form)
-        assert twin is not form
-        assert twin == form and hash(twin) == hash(form)
-        assert {form: 1}[twin] == 1
-    assert copy.copy(identity(obj)).is_identity()
+    generator = th.elementary_morphisms(2, 2)[5]
+    for form in (obj, identity(obj), th.collapse_to_zero(obj), generator):
+        for twin in (copy.copy(form), copy.deepcopy(form),
+                     pickle.loads(pickle.dumps(form))):
+            assert twin is form
+            assert {form: 1}[twin] == 1
+    assert copy.deepcopy([generator, generator.source])[1] is generator.source
+
+
+def test_replace_cannot_build_a_second_form():
+    obj = o(2, [1, 2])
+    with pytest.raises(TypeError):
+        dataclasses.replace(obj, entries=(2, 1))
+    with pytest.raises(TypeError):
+        dataclasses.replace(identity(obj))
 
 
 def test_site_values_stay_frozen():
     obj = o(2, [1, 2])
     f = identity(obj)
-    for target, attr in ((obj, "n"), (obj, "entries"), (obj, "_hash"),
-                         (f, "source"), (f, "components"), (f, "_hash")):
+    for target, attr in ((obj, "n"), (obj, "entries"), (obj, "length"),
+                         (obj, "_tail"), (obj, "_collapse"), (obj, "_identity"),
+                         (f, "source"), (f, "components"), (f, "n"), (f, "_tail")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(target, attr, None)
 
 
+def _check_memos(objs, mors):
+    """Each memo is the interned form of a fresh normal form."""
+    for obj in objs:
+        n = obj.n
+        assert obj.length == len(obj.entries)
+        if n:
+            assert th.tail_object(obj) is ThetaObject(n - 1, obj.entries[1:])
+        assert th.collapse_to_zero(obj) is normalize_morphism(
+            obj, th.zero_object(n), [[0] * (obj.padded(i) + 1) for i in range(n)])
+        assert identity(obj) is normalize_morphism(
+            obj, obj, [list(range(obj.padded(i) + 1)) for i in range(n)])
+    for f in mors:
+        assert f.n == f.source.n
+        fresh = normalize_morphism(o(f.n - 1, f.source.entries[1:]),
+                                   o(f.n - 1, f.target.entries[1:]), f.lift()[1:])
+        assert th.tail_morphism(f) is fresh
+        assert th.tail_morphism(f) is th.tail_morphism(f)
+
+
+def test_memoized_surgery_on_the_generators():
+    gens = th.elementary_morphisms(4, 3)
+    _check_memos(sorted({M for f in gens for M in (f.source, f.target)}), gens)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_surgery_matches_fresh_normal_forms(n):
-    _, mors = _w2_site(n)
-    for f in mors:
-        src = o(n - 1, f.source.entries[1:])
-        tgt = o(n - 1, f.target.entries[1:])
-        fresh = normalize_morphism(src, tgt, f.lift()[1:])
-        assert th.tail_morphism(f) == fresh
-        assert th.tail_morphism(f) is th.tail_morphism(f)
+    objs, mors = _w2_site(n)
+    _check_memos(objs, mors)
     if n == 1:
         return
     _, lower = _w2_site(n - 1)
@@ -442,3 +479,52 @@ def test_memoized_surgery_matches_fresh_normal_forms(n):
                 o(n, prefix + g.source.entries), o(n, prefix + g.target.entries),
                 [tuple(range(e + 1)) for e in prefix] + list(g.lift()))
             assert th.prepend_prefix(prefix, g, n) == fresh
+
+
+# The count of elementary_morphisms(n, B) for n <= 4, B <= 3, and the SHA-256
+# of their reprs (one tuple per line, in (n, B) order), as they were listed
+# before forms hashed by identity
+_GENERATOR_COUNTS = {(1, 1): 3, (1, 2): 8, (1, 3): 15, (2, 1): 7, (2, 2): 36,
+                     (2, 3): 99, (3, 1): 12, (3, 2): 116, (3, 3): 468,
+                     (4, 1): 18, (4, 2): 324, (4, 3): 1926}
+_GENERATOR_SHA256 = "c5fb01e2a7a68d7a9a989b7f329fc1ba3b2cf3f03518bcd406b9489a246f7cdf"
+
+
+def test_elementary_morphisms_are_pinned():
+    assert {key: len(th.elementary_morphisms(*key)) for key in _GENERATOR_COUNTS} == \
+        _GENERATOR_COUNTS
+    text = "\n".join(repr(th.elementary_morphisms(*key)) for key in _GENERATOR_COUNTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GENERATOR_SHA256
+
+
+_DETERMINISM = """
+import os, sys
+from precats import Window, suite
+from precats.cli import main
+for name, args in (("sigma", ["sigma", "--k", "1", "--n", "2"]),
+                   ("upsilon", ["upsilon", "--inputs", "point", "point"])):
+    out = os.path.join(sys.argv[1], name + ".json")
+    assert main(["build", *args, "--window", "2", "--out", out]) == 0
+incls = suite._inclusions()
+iso = suite.corner_split_identity(incls[5], incls[4], Window(2))
+print([(M, iso.at(M)) for M in Window(2).objects(iso.domain.n)])
+"""
+
+
+def test_outputs_do_not_depend_on_hash_seed_or_addresses(tmp_path):
+    """Forms hash by address, so a set of forms iterates in another order in
+    each process: dumps and solver answers must not follow it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _DETERMINISM, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, [(out / f"{name}.json").read_bytes()
+                                   for name in ("sigma", "upsilon")]))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith("[(Obj()@2, [")
