@@ -5,8 +5,9 @@ cell to its ``p`` spine restrictions; strictness means every such map is a
 bijection on the window.  It is computed on the positions of the table
 that the presheaf owns.  Category recovery, truncation and connectivity
 read the fixed levels (0) to (3) and recurse into hom presheaves (tables
-that keep positions of their parent's), so they take no window.  Truncation
-is read cell by cell.  They are implemented for strict inputs only: a weak
+that keep positions of their parent's), so they take no window.  A
+truncation is a table over its input's table, a quotient of its positions
+at the top length.  They are implemented for strict inputs only: a weak
 input raises a typed error instead of silently approximating, since
 resolving it would need a categorical completion operation that is out of
 scope here.
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 from . import theta
 from .constructions import FiniteCategory
-from .presheaf import (Precat, PrecatMap, Window, WindowTable, hom_precat,
-                       quotient, slice_precat)
+from .presheaf import (Precat, PrecatMap, TabledPrecat, Window, WindowTable,
+                       hom_precat, quotient, slice_precat)
 from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
                     object_of, vertex, zero_object)
 
@@ -216,37 +217,15 @@ def truncate(A: Precat, k: int, name=None) -> Precat:
     """The k-dimensional truncation of a strict input.
 
     Levels of length < k are untouched; levels of length k collapse to
-    equivalence classes of the sliced lower-dimensional presheaves.
+    equivalence classes of the sliced lower-dimensional presheaves.  Tabled
+    from the input's table (``tables.TruncationTable``).
     """
     if not 0 <= k <= A.n:
         raise AnalysisError(f"truncation level {k} out of range")
-    partitions: dict[ThetaObject, dict] = {}
-
-    def partition(M: ThetaObject) -> dict:
-        got = partitions.get(M)
-        if got is None:
-            got = _tau_zero_classes(slice_precat(A, M.entries))
-            partitions[M] = got
-        return got
-
-    def eval_fn(M: ThetaObject):
-        full = object_of(A.n, M.entries)
-        if M.length < k:
-            return A.cells(full)
-        return set(partition(full).values())
-
-    def act_fn(f: ThetaMorphism, cl):
-        full_src = object_of(A.n, f.source.entries)
-        full_tgt = object_of(A.n, f.target.entries)
-        lifted = normalize_morphism(full_src, full_tgt, list(f.lift()) + [
-            (0,) * (full_src.padded(i) + 1) for i in range(k, A.n)])
-        raw = cl if f.target.length < k else min(cl, key=repr)
-        image = A.act(lifted, raw)
-        if f.source.length < k:
-            return image
-        return partition(full_src)[image]
-
-    return Precat(k, eval_fn, act_fn, name=name or f"tau<={k}({A.name})")
+    from .tables import TruncationTable
+    return TabledPrecat(k, TruncationTable(
+        A.table, A.n, k, lambda full: _tau_zero_classes(slice_precat(A, full.entries))),
+        name=name or f"tau<={k}({A.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import presheaf, theta
+from . import presheaf
 from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
                        TabledPrecat, Window, degeneracy_map, discrete, empty,
                        hom_precat, identity_map, point, point_map,
                        product, product_map, pushout, sub_precat, swap_map,
                        terminal_map)
-from .theta import ThetaMorphism, ThetaObject, object_of, vertex, zero_object
+from .theta import ThetaObject, object_of, vertex, zero_object
 
 
 class ConstructionError(ValueError):
@@ -516,34 +516,39 @@ class MonoidObject:
     """A monoid in precats: carrier with multiplication and unit maps."""
 
     carrier: Precat
-    mult: PrecatMap            # carrier x carrier -> carrier
+    mult: PrecatMap            # product(carrier, carrier) -> carrier
     unit: PrecatMap            # point -> carrier
     commutative: bool = False
 
-    def multiply(self, T: ThetaObject, x, y):
-        return self.mult.apply(T, (x, y))
-
-    def unit_cell(self, T: ThetaObject):
-        return self.unit.apply(T, "pt")
-
     def law_violations(self, window: Window) -> list:
-        out = []
-        for T in window.objects(self.carrier.n):
-            cells = self.carrier.cells(T)
-            e = self.unit_cell(T)
-            for x in cells:
-                if self.multiply(T, e, x) != x or self.multiply(T, x, e) != x:
-                    out.append(("unit", T, x))
-            for x in cells:
-                for y in cells:
-                    for z in cells:
-                        if self.multiply(T, self.multiply(T, x, y), z) != \
-                           self.multiply(T, x, self.multiply(T, y, z)):
-                            out.append(("assoc", T, x, y, z))
-                    if self.commutative and \
-                       self.multiply(T, x, y) != self.multiply(T, y, x):
-                        out.append(("comm", T, x, y))
+        """Failures ``(law, level, *cells)`` of the monoid laws, and of
+        commutativity if claimed, read off the maps' position lists."""
+        at, out = _monoid_at(self, self.commutative), []
+        for M in window.objects(self.carrier.n):
+            cells = self.carrier.table.level(M)[0]
+            out += [(law, M, *map(cells.__getitem__, xs)) for law, *xs in at(M)[2]]
         return out
+
+
+def _monoid_at(mon: MonoidObject, commutative: bool):
+    """``T -> (m, e, bad)``: ``m[x * s + y]`` is the product of the positions
+    ``x`` and ``y`` of the carrier's ``s`` cells over ``T``, ``e`` the unit,
+    and ``bad`` lists the failures ``("unit", x)``, ``("assoc", x, y, z)``
+    and, if ``commutative``, ``("comm", x, y)`` of the laws.  It keeps the
+    maps' position lists and tables, no precat."""
+    TA, TP, mult, unit = (mon.carrier.table, mon.mult.domain.table,
+                          mon.mult.positions, mon.unit.positions)
+
+    def at(T):
+        m, e, s = list(map(mult[T].__getitem__, TP.rank(T))), unit[T][0], TA.size(T)
+        bad = [("unit", x) for x in range(s) if m[e * s + x] != x or m[x * s + e] != x]
+        for x, y in itertools.product(range(s), repeat=2):
+            bad += [("assoc", x, y, z) for z in range(s)
+                    if m[m[x * s + y] * s + z] != m[x * s + m[y * s + z]]]
+            if commutative and m[x * s + y] != m[y * s + x]:
+                bad.append(("comm", x, y))
+        return m, e, bad
+    return at
 
 
 def monoid_from_table(elements, op, unit_element, commutative: bool,
@@ -568,55 +573,27 @@ def ck_monoidal(mon: MonoidObject, k: int) -> Precat:
     full grid power ``carrier(tail)^(p_1*...*p_k)``, which is exactly what
     strict comparison-map bijections force.  Restriction multiplies grid
     blocks; two or more directions need the interchange law, hence the
-    commutativity requirement for k >= 2.
+    commutativity requirement for k >= 2.  Tabled from the carrier's table
+    (``tables.MonoidalTable``), with the laws checked at each level of the
+    carrier where a level is tabulated.
     """
     if k < 1:
         raise InvalidArgumentError("need k >= 1")
     if k >= 2 and not mon.commutative:
         raise InvalidArgumentError("k >= 2 needs a commutative monoid object")
-    A = mon.carrier
-    n = A.n + k
+    from .tables import MonoidalTable
+    A, at = mon.carrier, _monoid_at(mon, k >= 2)
+    TA, name = A.table, f"c^{k}({A.name})"
 
-    def grid(entries):
-        return list(itertools.product(*[range(1, p + 1) for p in entries[:k]]))
+    def monoid(T):
+        m, e, bad = at(T)
+        if bad:
+            law, *xs = bad[0]
+            cells = tuple(map(TA.level(T)[0].__getitem__, xs))
+            raise InvalidArgumentError(f"{name}: the {law} law fails on {cells} at level {T}")
+        return m, e
 
-    def eval_fn(M: ThetaObject):
-        if M.length < k:
-            return ("pt",)
-        T = object_of(A.n, M.entries[k:])
-        pts = grid(M.entries)
-        return (tuple(zip(pts, vals))
-                for vals in itertools.product(A.cells(T), repeat=len(pts)))
-
-    def unit_grid(M: ThetaObject):
-        if M.length < k:
-            return "pt"
-        T = object_of(A.n, M.entries[k:])
-        e = mon.unit_cell(T)
-        return tuple((pt, e) for pt in grid(M.entries))
-
-    def act_fn(f: ThetaMorphism, cl):
-        comps = f.lift()
-        structural = (f.source.length >= k and f.target.length >= k and
-                      all(len(set(comps[d])) > 1 for d in range(k)))
-        if not structural:
-            return unit_grid(f.source)
-        T_src = object_of(A.n, f.source.entries[k:])
-        T_tgt = object_of(A.n, f.target.entries[k:])
-        g = theta.normalize_morphism(T_src, T_tgt, comps[k:])
-        old = {pt: A.act(g, v) for pt, v in cl}
-        e = mon.unit_cell(T_src)
-        out = []
-        for pt in grid(f.source.entries):
-            blocks = [range(comps[d][pt[d] - 1] + 1, comps[d][pt[d]] + 1)
-                      for d in range(k)]
-            val = e
-            for old_pt in itertools.product(*blocks):
-                val = mon.multiply(T_src, val, old[old_pt])
-            out.append((pt, val))
-        return tuple(out)
-
-    return Precat(n, eval_fn, act_fn, name=f"c^{k}({A.name})")
+    return TabledPrecat(A.n + k, MonoidalTable(TA, A.n, k, monoid), name=name)
 
 
 # ---------------------------------------------------------------------------

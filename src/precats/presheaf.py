@@ -6,11 +6,10 @@ A presheaf sends a site object to a finite set of cells and a morphism
 cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
 and every window check (the solver, functoriality, dumps, the Segal check)
-read it.  A presheaf given cell by cell (``Precat(n, eval_fn, act_fn)``: a
-truncation, ``ck_monoidal``, an imported dump) owns a ``CellTable``;
-nerves and constant presheaves a ``FirstEntryTable``, sorted once per first
-entry; products, pushouts, edge complexes, deloopings, subpresheaves and
-slices a table of module ``tables``, built from their parts' tables.
+read it.  A presheaf given cell by cell (``Precat(n, eval_fn, act_fn)``,
+only an imported dump) owns a ``CellTable``; nerves and constant
+presheaves a ``FirstEntryTable``, sorted once per first entry; every other
+construction a table of module ``tables``, built from its parts' tables.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -25,7 +24,8 @@ A table keeps its levels and position lists without bound.  An edge
 complex's table is kept by its first input, for every edge complex on the
 same input tables and ``legacy`` (``constructions.upsilon``).  A table
 holds its parts' tables (a pushout's, its legs' position lists too) and
-never a precat or a map, so no reference cycle keeps a presheaf alive.
+never a map, and a precat only as an input, so no reference cycle keeps a
+presheaf alive.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ _MISS = object()
 
 class Precat:
     """A finite presheaf on the site, read off the window table it owns: a
-    ``CellTable`` of ``eval_fn`` and ``act_fn`` if given cell by cell.
+    ``CellTable`` of ``eval_fn`` and ``act_fn`` if given cell by cell, as
+    only ``constant_table_precat`` (dumps and tests) does.
     ``cells(M)`` is the level's cells in label order, as a set-like view.
     ``edge_tables`` keeps the tables of the edge complexes with it as first input."""
 

@@ -1,32 +1,38 @@
 """The tables of presheaves built from other presheaves' tables.
 
-``product``, ``PushoutData``, ``constructions.upsilon`` and ``delooping``
-each return a ``presheaf.TabledPrecat`` that owns one of these tables,
-built from its parts' tables.  A product's cell is a pair of positions, a
-pushout's a class of ``quotient`` on the positions of its two sides, joined
-along its legs' position lists, an edge complex's a vertex path with a
-position for each covered input, a delooping's a copy with a position of
-its input.  Labels are composed from the parts' labels, restrictions and
+``product``, ``PushoutData``, ``constructions.upsilon``, ``delooping`` and
+``ck_monoidal`` each return a ``presheaf.TabledPrecat`` that owns one of
+these tables, built from its parts' tables.  A product's cell is a pair of
+positions, a pushout's a class of ``quotient`` on the positions of its two
+sides, joined along its legs' position lists, an edge complex's a vertex
+path with a position for each covered input, a delooping's a copy with a
+position of its input, a monoidal tower's a grid of positions of its
+carrier.  Labels are composed from the parts' labels, restrictions and
 the maps between these tables are read off the parts' position lists, and
 member cells are built only for ``level`` or to break a label tie.
 ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or a ``SliceTable``,
-which read their parent's levels and position lists as they are.  A table
-holds its parts' tables, never a precat or a map.  Edge complexes on the
-same input tables and ``legacy`` are distinct precats over one
-``UpsilonTable``, which their first input keeps.  This module is imported
-only when such a table is first built.
+which read their parent's levels and position lists as they are, and
+``analysis.truncate`` a ``TruncationTable``, a quotient of them.  A table
+holds its parts' tables and never a map; it holds a precat only as the
+input of a function it was given (a Whitehead sub's predicate, a
+truncation's classes).  Edge complexes on the same input tables and
+``legacy`` are distinct precats over one ``UpsilonTable``, which their
+first input keeps.  This module is imported only when such a table is
+first built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from typing import Callable
 
-from .presheaf import Positions, WindowTable, _label_key, _within, quotient
-from .theta import (ThetaObject, collapse_to_zero, object_of, prepend_prefix,
-                    tail_morphism, tail_object)
+from .presheaf import (Positions, WindowTable, _label_key, _label_order, _within,
+                       quotient)
+from .theta import (ThetaObject, collapse_to_zero, normalize_morphism, object_of,
+                    prepend_prefix, tail_morphism, tail_object)
 
 
 class CompiledTable(WindowTable):
@@ -345,6 +351,57 @@ class DeloopingTable(CompiledTable):
         return image
 
 
+class MonoidalTable(CompiledTable):
+    """``c^k`` of a monoid on a carrier of dimension ``m`` and table ``TA``:
+    ``monoid(T)`` is ``(m, e)``, ``m[x * s + y]`` the product of positions
+    ``x`` and ``y`` of TA at ``T`` and ``e`` the unit.  Over ``(p_1..p_k,
+    tail)`` a member is a mixed-radix number with one digit, a position at
+    ``tail``, per point of the grid ``[1..p_1] x ... x [1..p_k]`` in
+    ``itertools.product`` order; below length k it is ``"pt"``.  A
+    restriction non-constant in the first k directions maps the digits
+    along the tail morphism and folds the products, from the unit, over the
+    block of points each source point covers; any other is the unit grid."""
+
+    def __init__(self, TA: WindowTable, m: int, k: int, monoid: Callable):
+        super().__init__()
+        self.TA, self.m, self.k, self.monoid = TA, m, k, functools.cache(monoid)
+
+    def _shape(self, M: ThetaObject) -> tuple[ThetaObject, list[tuple[int, ...]]]:
+        """The tail of ``M`` and the points of its grid, none below length k."""
+        return object_of(self.m, M.entries[self.k:]), list(itertools.product(
+            *(range(1, M.padded(d) + 1) for d in range(self.k))))
+
+    def _tabulate(self, M):
+        tail, grid = self._shape(M)
+        self.monoid(tail)       # raises unless the monoid laws hold at the tail
+        return self._sort(M, ["pt"] if M.length < self.k else [
+            "(" + ",".join(c) + ")" for c in itertools.product(*(
+                ["((" + ",".join(map(repr, pt)) + ")," + v + ")" for v in self.TA.labels(tail)]
+                for pt in grid))])
+
+    def _members(self, M):
+        tail, grid = self._shape(M)
+        return ["pt"] if M.length < self.k else [
+            tuple(zip(grid, c))
+            for c in itertools.product(self.TA.level(tail)[0], repeat=len(grid))]
+
+    def _restrict(self, f):
+        (tail, grid), (to, points) = self._shape(f.source), self._shape(f.target)
+        (m, e), s, k, comps = self.monoid(tail), self.TA.size(tail), self.k, f.lift()
+        if any(len(set(c)) == 1 for c in comps[:k]):
+            return [sum(e * s ** i for i in range(len(grid)))] * self.size(f.target)
+        act = self.TA.act(normalize_morphism(tail, to, comps[k:]))
+        digits = dict(zip(points, zip(*itertools.product(act, repeat=len(points)))))
+        image = [0] * self.size(f.target)
+        for pt in grid:
+            value = [e] * len(image)
+            for q in itertools.product(*(range(comps[d][p - 1] + 1, comps[d][p] + 1)
+                                         for d, p in enumerate(pt))):
+                value = [m[v * s + x] for v, x in zip(value, digits[q])]
+            image = [u * s + v for u, v in zip(image, value)]
+        return image
+
+
 class SubTable(WindowTable):
     """The sub-presheaf of the table ``TP`` of the cells ``c`` over each
     level ``M`` with ``keep_at(M)(c)``: the kept positions of each level of
@@ -389,3 +446,39 @@ class SliceTable(WindowTable):
 
     def _act(self, g):
         return self.TA.act(prepend_prefix(self.prefix, g, self.n))
+
+
+class TruncationTable(WindowTable):
+    """The truncation at ``k`` of the ``n``-precat of table ``TA``.  Below
+    length k a level is TA's at the same entries, read as a ``SliceTable``
+    reads it; at length k, the classes of ``classes(full)`` (each cell of
+    TA at the same entries ``full`` to its class, a frozenset) in label
+    order.  A restriction is TA's along its lift to dimension ``n``; a class
+    restricts as its ``repr``-minimal member."""
+
+    def __init__(self, TA: WindowTable, n: int, k: int, classes: Callable):
+        super().__init__()
+        self.TA, self.n, self.k, self.classes = TA, n, k, classes
+        # length-k level -> (each TA position's class, each class's representative)
+        self._quotients: dict[ThetaObject, tuple[list[int], list[int]]] = {}
+
+    def _level(self, M):
+        full = object_of(self.n, M.entries)
+        if M.length < self.k:
+            return self.TA.level(full)
+        (cells, _, index), of = self.TA.level(full), self.classes(full)
+        order, _, position = got = _label_order(frozenset(of.values()))
+        self._quotients[M] = ([position[of[x]] for x in cells],
+                              [index[min(c, key=repr)] for c in order])
+        return got
+
+    def _act(self, f):
+        self.level(f.source), self.level(f.target)      # fill _quotients
+        act = self.TA.act(normalize_morphism(
+            object_of(self.n, f.source.entries), object_of(self.n, f.target.entries),
+            f.lift() + ((0,),) * (self.n - self.k)))
+        if f.target.length == self.k:
+            act = list(map(act.__getitem__, self._quotients[f.target][1]))
+        if f.source.length == self.k:
+            act = list(map(self._quotients[f.source][0].__getitem__, act))
+        return act

@@ -9,6 +9,7 @@ actions plain precomposition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -771,6 +772,87 @@ def delooping_oracle(A):
         return ("w", slot, c2)
 
     return CellOracle(n + 1, eval_fn, act_fn, f"oracle-X({X.name})")
+
+
+def right_zero_monoid(commutative=False):
+    """``x * y = y`` but for the unit ``e``: a monoid that is not
+    commutative, so a product taken in the wrong order shows."""
+    from precats import monoid_from_table
+
+    return monoid_from_table(("e", "a", "b"), lambda x, y: x if y == "e" else y, "e",
+                             commutative=commutative, name="right-zero")
+
+
+def ck_oracle(mon, k):
+    """``c^k`` of the monoid object ``mon`` read cell by cell: below length
+    k the point; over ``(p_1..p_k, tail)`` a cell pairs each grid point with
+    a carrier cell at ``tail``.  A restriction non-constant in each of the
+    first k directions pushes each value along the tail morphism and
+    multiplies, from the unit, the values of the block each source point
+    covers; any other gives the unit grid."""
+    from precats import object_of
+    from precats.theta import normalize_morphism
+
+    A = mon.carrier
+
+    def grid(entries):
+        return list(itertools.product(*[range(1, p + 1) for p in entries[:k]]))
+
+    def unit(T):
+        return mon.unit.apply(T, "pt")
+
+    def eval_fn(M):
+        if M.length < k:
+            return ("pt",)
+        pts = grid(M.entries)
+        return [tuple(zip(pts, vals)) for vals in itertools.product(
+            A.cells(object_of(A.n, M.entries[k:])), repeat=len(pts))]
+
+    def act_fn(f, cl):
+        comps = f.lift()
+        T = object_of(A.n, f.source.entries[k:])
+        if not all(len(set(comps[d])) > 1 for d in range(k)):
+            return "pt" if f.source.length < k else tuple(
+                (pt, unit(T)) for pt in grid(f.source.entries))
+        g = normalize_morphism(T, object_of(A.n, f.target.entries[k:]), comps[k:])
+        old = {pt: A.act(g, v) for pt, v in cl}
+        out = []
+        for pt in grid(f.source.entries):
+            val = unit(T)
+            for old_pt in itertools.product(*(range(comps[d][pt[d] - 1] + 1,
+                                                    comps[d][pt[d]] + 1) for d in range(k))):
+                val = mon.mult.apply(T, (val, old[old_pt]))
+            out.append((pt, val))
+        return tuple(out)
+
+    return CellOracle(A.n + k, eval_fn, act_fn, f"oracle-c^{k}({A.name})")
+
+
+def truncation_oracle(A, k):
+    """The truncation at ``k`` read cell by cell: below length k the cells of
+    A at the same entries; at length k the classes of ``_tau_zero_classes``
+    of the slice there.  A restriction is A's along the lift to A's
+    dimension, a class restricting as its ``repr``-minimal member."""
+    from precats import object_of, slice_precat
+    from precats.analysis import _tau_zero_classes
+    from precats.theta import normalize_morphism
+
+    @functools.cache
+    def classes(full):
+        return _tau_zero_classes(slice_precat(A, full.entries))
+
+    def eval_fn(M):
+        full = object_of(A.n, M.entries)
+        return A.cells(full) if M.length < k else set(classes(full).values())
+
+    def act_fn(f, cl):
+        full_src = object_of(A.n, f.source.entries)
+        lifted = normalize_morphism(full_src, object_of(A.n, f.target.entries),
+                                    list(f.lift()) + [(0,)] * (A.n - k))
+        image = A.act(lifted, cl if f.target.length < k else min(cl, key=repr))
+        return image if f.source.length < k else classes(full_src)[image]
+
+    return CellOracle(k, eval_fn, act_fn, f"oracle-tau<={k}({A.name})")
 
 
 def sub_oracle(P, keep_at, name="oracle-sub"):

@@ -1,6 +1,7 @@
 """Comparison-map analysis, recovered categories, truncation towers,
 connectivity and the dimension-0 minimal-dimension table."""
 
+import hashlib
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from precats import (FiniteCategory, PointedPrecat, Window, category_from_nerve,
                      nerve, object_of, point, product, pushout_product,
                      segal_check, segal_faces, sigma_free, tau_zero, truncate,
                      upsilon, whitehead, z2_monoid, zero_object)
-from precats.presheaf import constant_table_precat
+from precats.presheaf import constant_table_precat, dump_json
 from precats.theta import vertex
 from precats.analysis import (AnalysisError, NotStrictError,
                               TruncationUndefinedError)
@@ -169,6 +170,41 @@ def test_truncate_weak_input_raises():
     X = delooping(PointedPrecat(discrete(1, (0, 1)), 0))
     with pytest.raises(TruncationUndefinedError):
         tau_zero(X)
+
+
+# (input, k, window, SHA-256 of the truncation's dump as the cell-level
+# truncation wrote it); the hashes hold under every hash seed
+TRUNCATIONS = [
+    (lambda: nerve(FiniteCategory.interval(), 2), 1, W3,
+     "a21e01d597483159f12f0ccd4fe727fe598c0e4ae419551f1f1f20eb389a3645"),
+    (lambda: nerve(FiniteCategory.iso_interval(), 2), 1, W3,
+     "cc7aa1bf01b31c4b17b3f0f805319a4a1524a21e964ad3a791c591dc645d299f"),
+    (lambda: nerve(FiniteCategory.iso_interval(), 2), 2, W2,
+     "c982848351f884079681054561864cca7303a1ed03c4cdac7e4c4532c520a56c"),
+    (lambda: ck_monoidal(z2_monoid(), 1), 1, W3,
+     "d0c7fd4aaf21d9084aac0d7f06af918072d4aca23a1edc5348de8e9e8f2f2807"),
+    (lambda: ck_monoidal(z2_monoid(), 2), 1, W3,
+     "f69f234751040accff94214f6bf00eb83d43c32b15399112516e24d62fee4292"),
+    (lambda: ck_monoidal(z2_monoid(), 2), 2, W2,
+     "63be15ad895ed33e683470d332b355470f47a24b7dcc17e8f196ed81e3a51dbf"),
+    (lambda: sigma_free(0, 1).space, 0, W3,
+     "6eda4fcd2c6a2752e2013f3dbc768a7625fcb282c0da61c8e00e1673c6267c07"),
+    # classes of more than one cell: the objects of Ibar, the edges of U(N(Ibar))
+    (lambda: nerve(FiniteCategory.iso_interval(), 1), 0, W3,
+     "0f99694c9cf2480be7fc800b80f328349eedc890a052ad6824fc36e83c231ac5"),
+    (lambda: upsilon([nerve(FiniteCategory.iso_interval(), 1)]), 1, W3,
+     "fc00e0fa4708c8c3454e045d3cefd10ab96b1e3782b11603bda2a0d6a0f1430c"),
+    (lambda: upsilon([nerve(FiniteCategory.iso_interval(), 1), point(1)]), 1, W3,
+     "b526252da6f0854756d0045c2a9628af1e8c8281c9fffd56ee2d8d70a3ac44af"),
+]
+TRUNCATION_IDS = ["N(I)@2-1", "N(Ibar)@2-1", "N(Ibar)@2-2", "c1(Z2)-1", "c2(Z2)-1",
+                  "c2(Z2)-2", "sigma01-0", "N(Ibar)@1-0", "U(N(Ibar))-1", "U(N(Ibar),pt)-1"]
+
+
+@pytest.mark.parametrize("build, k, window, sha256", TRUNCATIONS, ids=TRUNCATION_IDS)
+def test_truncation_dumps_are_byte_identical_to_seed(build, k, window, sha256):
+    dump = dump_json(truncate(build(), k), window)
+    assert hashlib.sha256(dump.encode()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------

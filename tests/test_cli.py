@@ -235,8 +235,24 @@ def test_internal_error_exits_3(monkeypatch, capsys):
      "faeb19b58fda45a3ad052a60c1a1490b17f79c746e2a77bb339c4c1c5cf20a82"),
     (["whitehead", "--of", "nerve", "--category", "Ibar", "--k", "1", "--n", "2"],
      "d8249548af3ba748f80d92ec0c4e38dc7e426b9aa7a5b0a59eb999c4c5dbb49f"),
+    (["ck", "--k", "1"],
+     "231f796355375fb5cc90d851d090e6d75387837cfe596eeb3eb37e715b567e58"),
 ])
 def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
     out = tmp_path / "dump.json"
     assert main(["build", *args, "--window", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# SHA-256 of the monoidal towers' window-2 dumps as written by the cell-level
+# ``ck_monoidal``.  ``build ck --k 2 --window 3`` (320,342,703 bytes,
+# dbe04d4c6317f6dc63e413c6dcff22d3769a672a3fccb22338a73d93d09348ae) is too
+# large to build here.
+@pytest.mark.parametrize("k, sha256", [
+    (1, "a739446bb69ea964e0c6f68a2e290c72566bccb25b00e0e8e0fcc16bf81b87b2"),
+    (2, "66a2769a0869ed21f95e6e79144f4f98253b9cc25807cff3e7d3449ab5a7e0bb"),
+])
+def test_window2_ck_dumps_are_byte_identical_to_seed(k, sha256, tmp_path):
+    out = tmp_path / "dump.json"
+    assert main(["build", "ck", "--k", str(k), "--window", "2", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -15,6 +15,8 @@ from precats import (FiniteCategory, PointedPrecat, PrecatMap, Window, cell,
 from precats.constructions import ConstructionError, InvalidArgumentError
 from precats.theta import normalize_morphism
 
+import helpers
+
 o = object_of
 W2, W3 = Window(2), Window(3)
 
@@ -437,12 +439,39 @@ def test_ck_two_levels():
 
 
 def test_ck_needs_commutativity_for_higher_k():
-    rz = monoid_from_table(("e", "a", "b"),
-                           lambda x, y: x if y == "e" else y, "e",
-                           commutative=False, name="right-zero")
+    rz = helpers.right_zero_monoid()
     assert ck_monoidal(rz, 1) is not None
     with pytest.raises(InvalidArgumentError):
         ck_monoidal(rz, 2)
+
+
+def _subtraction():
+    """``(a - b) % 3`` with unit 0: neither unital on the left nor associative."""
+    return monoid_from_table((0, 1, 2), lambda a, b: (a - b) % 3, 0, False, name="sub3")
+
+
+def test_monoid_law_violations_on_positions():
+    z = o(0, [])
+    assert z2_monoid().law_violations(W2) == []
+    bad = _subtraction().law_violations(W2)
+    assert len(bad) == 20
+    assert bad[:4] == [("unit", z, 1), ("unit", z, 2), ("assoc", z, 0, 0, 1),
+                       ("assoc", z, 0, 0, 2)]
+    assert helpers.right_zero_monoid(False).law_violations(W2) == []
+    assert helpers.right_zero_monoid(True).law_violations(W2) == [
+        ("comm", z, "a", "b"), ("comm", z, "b", "a")]
+
+
+@pytest.mark.parametrize("mon, k, law", [
+    (_subtraction, 1, "unit"), (lambda: helpers.right_zero_monoid(True), 2, "comm")],
+    ids=["subtraction-1", "right-zero-2"])
+def test_ck_rejects_a_multiplication_that_is_no_monoid(mon, k, law):
+    """A tower on a table that breaks a monoid law would not be functorial
+    (148 and 18 violations at window 2); the ck table refuses it at the
+    first level it tabulates, naming the law and the carrier's level."""
+    with pytest.raises(InvalidArgumentError, match=f"{law}.*level Obj\\(\\)@0"):
+        c = ck_monoidal(mon(), k)
+        c.size(o(k, [1] * k))
 
 
 def test_ck_composition_multiplies():

@@ -288,7 +288,7 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from precats import constructions as cn, presheaf as ps
-A = cn.ck_monoidal(cn.z2_monoid(), 1)
+A = ps.precat_from_dump(ps.dump_window(cn.ck_monoidal(cn.z2_monoid(), 1), ps.Window(2)))
 W, _ = cn.whitehead(cn.nerve(cn.FiniteCategory.iso_interval(), 2), 0, 1)
 for P in (A, W):
     assert ps.check_functoriality(P, ps.Window(2)) == []
@@ -300,8 +300,8 @@ print(metrics["presheaf.act.calls"], metrics["presheaf.levels_evaluated"])
 
 def test_benchmark_tracer_counts_act_calls_and_levels():
     """The benchmark's tracer, installed before any input is built, counts
-    the ``Precat.act`` calls of a Whitehead sub and a monoidal tower, and
-    the levels that the tower evaluates cell by cell."""
+    the ``Precat.act`` calls of a Whitehead sub and an imported dump (of a
+    monoidal tower), and the levels that the dump evaluates cell by cell."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run([sys.executable, "-c", _TRACED, os.path.join(root, "perfbench")],
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),

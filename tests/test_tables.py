@@ -1,5 +1,6 @@
 """The tables that define products, pushouts, edge complexes, nerves,
-constant presheaves, deloopings, subpresheaves and slices, against their
+constant presheaves, deloopings, subpresheaves, slices, monoidal towers and
+truncations, against their
 cell-level oracles in ``helpers``, on every window morphism; the tables of
 imported dumps; how the tables are shared and freed; and when module
 ``tables`` is imported."""
@@ -23,10 +24,12 @@ from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
 from precats.presheaf import CellTable, FirstEntryTable, TabledPrecat, WindowTable
-from precats.tables import (CompiledTable, DeloopingTable, ProductTable,
-                            PushoutTable, SliceTable, SubTable, UpsilonTable)
+from precats.tables import (CompiledTable, DeloopingTable, MonoidalTable, ProductTable,
+                            PushoutTable, SliceTable, SubTable, TruncationTable,
+                            UpsilonTable)
 
 import helpers
+from test_analysis import TRUNCATION_IDS, TRUNCATIONS
 
 W2 = Window(2)
 TIE = (1, "1")          # two cells sharing the label "1"
@@ -711,21 +714,72 @@ def test_sub_presheaf_not_closed_under_the_action_raises_a_typed_error():
 
 
 def test_subs_slices_and_truncations_are_freed_without_the_cycle_collector():
-    """A sub, a slice, a hom fibre, a Whitehead sub and a truncation, with
-    their tables, die once the caller drops them, while their input
-    lives on: no table holds a reference cycle."""
-    A = _ibar()
+    """A sub, a slice, a hom fibre, a Whitehead sub, a truncation, a
+    monoidal tower and its truncation, with their tables, die once the
+    caller drops them, while their inputs live on: no table holds a
+    reference cycle."""
+    A, mon = _ibar(), cn.z2_monoid()
     gc.disable()
     try:
         built = [ps.sub_precat(A, lambda M: lambda c: True)[0], ps.slice_precat(A, (1,)),
                  ps.hom_precat(A, 1, (0, 1)), cn.whitehead(A, 0, 1)[0],
-                 an.truncate(A, 1)]
+                 an.truncate(A, 1), cn.ck_monoidal(mon, 2)]
+        built.append(an.truncate(built[-1], 1))
         refs = [weakref.ref(built[2].table.TP)]         # the hom fibre's slice
         for P in built:
             assert ps.check_functoriality(P, W2) == []
             refs += [weakref.ref(P), weakref.ref(P.table)]
         del built, P
         assert [r() for r in refs] == [None] * len(refs)
-        assert A.cells(ps.zero_object(2))
+        assert A.cells(ps.zero_object(2)) and mon.carrier.cells(ps.zero_object(0))
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# monoidal towers and truncations
+# ---------------------------------------------------------------------------
+
+def _join():
+    """The nerve of ``0 < 1`` under pointwise max, unit 0: a commutative
+    monoid whose carrier varies along its direction, so the towers' tail
+    morphisms move cells."""
+    carrier = cn.nerve(cn.FiniteCategory.chain(1), 1)
+
+    def join(M, c):
+        if M.length == 0:
+            return max(c)
+        return tuple((max(x[0], y[0]), max(x[1], y[1])) for x, y in zip(*c))
+
+    return cn.MonoidObject(
+        carrier, PrecatMap(product(carrier, carrier), carrier, join, name="max"),
+        PrecatMap(point(1), carrier, lambda M, c: 0 if M.length == 0
+                  else ((0, 0),) * M.entries[0], name="0"), commutative=True)
+
+
+@pytest.mark.parametrize("mon, k, B, every", [
+    (cn.z2_monoid, 1, 2, True), (cn.z2_monoid, 2, 2, True), (cn.z2_monoid, 1, 3, True),
+    (cn.z2_monoid, 2, 3, False), (helpers.right_zero_monoid, 1, 3, True), (_join, 1, 2, True),
+    (_join, 2, 2, False)],
+    ids=["Z2-1-W2", "Z2-2-W2", "Z2-1-W3", "Z2-2-W3-gen", "right-zero-1-W3", "join-1-W2",
+         "join-2-W2-gen"])
+def test_monoidal_towers_tabled_as_cell_by_cell(mon, k, B, every):
+    """A tower's table is built from its carrier's table and is the
+    cell-level tower on every window morphism (on the generators alone
+    where every morphism costs the oracle from 17 s to minutes)."""
+    m = mon()
+    assert m.law_violations(Window(B)) == []
+    c = cn.ck_monoidal(m, k)
+    assert type(c.table) is MonoidalTable and c.table.TA is m.carrier.table
+    assert helpers.table_violations(c.table, helpers.ck_oracle(m, k), Window(B),
+                                    generators_only=not every) == []
+
+
+@pytest.mark.parametrize("build, k, window, sha256", TRUNCATIONS, ids=TRUNCATION_IDS)
+def test_truncations_tabled_as_cell_by_cell(build, k, window, sha256):
+    """A truncation's table reads its input's table and is the cell-level
+    truncation on every window morphism."""
+    A = build()
+    t = an.truncate(A, k)
+    assert type(t.table) is TruncationTable and t.table.TA is A.table
+    assert helpers.table_violations(t.table, helpers.truncation_oracle(A, k), window) == []
