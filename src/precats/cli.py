@@ -18,6 +18,7 @@ Exit codes: 0 pass, 1 verified failure, 2 usage, input or domain error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -135,11 +136,10 @@ _NAMED_MAPS = {
 def cmd_build(args) -> int:
     P = build_precat(args)
     text = ps.dump_json(P, ps.Window(args.window))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # in 1 MiB slices, so that no encoded copy of a whole large dump is made
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for i in range(0, len(text), 1 << 20):
+            fh.write(text[i:i + (1 << 20)])
     return 0
 
 

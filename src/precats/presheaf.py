@@ -5,11 +5,12 @@ A presheaf sends a site object to a finite set of cells and a morphism
 ``M``.  Every precat owns exactly one table (``WindowTable``): each level's
 cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
-and every window check (the solver, functoriality, dumps, the Segal check)
-read it.  A presheaf given cell by cell (``Precat(n, eval_fn, act_fn)``,
-only an imported dump) owns a ``CellTable``; nerves and constant
-presheaves a ``FirstEntryTable``, sorted once per first entry; every other
-construction a table of module ``tables``, built from its parts' tables.
+and every window check (the solver, functoriality, the Segal check) read
+it; a dump is joined as text from each level's encoded labels.  A presheaf
+given cell by cell (``Precat(n, eval_fn, act_fn)``, only an imported dump)
+owns a ``CellTable``; nerves and constant presheaves a ``FirstEntryTable``,
+sorted once per first entry; every other construction a table of module
+``tables``, built from its parts' tables.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -848,30 +849,45 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 # canonical windowed dumps
 # ---------------------------------------------------------------------------
 
-def dump_window(P: Precat, window: Window) -> dict:
-    """Complete extensional data of the window, canonically ordered; cells are
-    keyed by label, so two cells of one level that label alike are an error."""
-    T = P.table
-    levels = []
+def _ints(xs) -> str:
+    return "[" + ",".join(map(str, xs)) + "]"
+
+
+def dump_json(P: Precat, window: Window) -> str:
+    """The text ``json.dumps`` gives the window's dump with sorted keys, no
+    spaces and ASCII escapes, joined from each level's encoded labels: its
+    cells' keys, so a label tie is a ``PresheafError``, and in ``str`` order,
+    which is key order, so labels out of order are a fault of the table."""
+    T, encode, codes = P.table, json.encoder.encode_basestring_ascii, {}
     for M in window.objects(P.n):
         labels = T.labels(M)
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise PresheafError(f"cells of level {M} share the label {a!r}")
-        levels.append({"object": list(M.entries), "cells": labels})
-    actions = []
-    for s, t, mors in window.morphisms(P.n):
-        source, target = T.labels(s), T.labels(t)
+            if a > b:
+                raise RuntimeError(f"cells of level {M} are not in label order at {b!r}")
+        codes[M] = [encode(x) for x in labels]
+    out = ['{"actions":[']
+    # make the window's morphisms, which stay interned, before any text
+    # piece: made in between, they would keep the pieces' freed pools in use
+    for s, t, mors in list(window.morphisms(P.n)):
+        source, keys = codes[s], [x + ":" for x in codes[t]]
+        ends = f'],"source":{_ints(s.entries)},"target":{_ints(t.entries)}}}}},'
         for f in mors:
-            actions.append({"morphism": f.to_dict(), "map": {
-                d: source[k] for d, k in zip(target, T.act(f))}})
-    return {"n": P.n, "window": {"B": window.B}, "levels": levels,
-            "actions": actions}
+            out += ('{"map":{', ",".join([k + source[i] for k, i in zip(keys, T.act(f))]),
+                    '},"morphism":{"components":[', ",".join(map(_ints, f.components)), ends)
+    out[-1] = out[-1].rstrip(",")
+    out.append('],"levels":[')
+    for M, cells in codes.items():
+        out += ('{"cells":[', ",".join(cells), f'],"object":{_ints(M.entries)}}},')
+    out[-1] = out[-1].rstrip(",")
+    out.append(f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n')
+    return "".join(out)
 
 
-def dump_json(P: Precat, window: Window) -> str:
-    return json.dumps(dump_window(P, window), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+def dump_window(P: Precat, window: Window) -> dict:
+    """The dump of the window as a dict, read back from ``dump_json``."""
+    return json.loads(dump_json(P, window))
 
 
 def precat_from_dump(data: dict, name: str = "dump") -> Precat:

@@ -204,13 +204,6 @@ class ThetaMorphism(metaclass=_HashConsed):
     def is_identity(self) -> bool:
         return self is identity(self.source)
 
-    def to_dict(self) -> dict:
-        return {
-            "source": list(self.source.entries),
-            "target": list(self.target.entries),
-            "components": [list(c) for c in self.components],
-        }
-
     def sort_key(self):
         return (self.source.sort_key(), self.target.sort_key(), self.components)
 

@@ -1066,3 +1066,30 @@ def upsilon_cases_oracle(left, right):
         return u(M, (merged, a(object_of(M.n - 1, M.entries[1:]), p)))
 
     return apply
+
+
+def morphism_dict(f):
+    """A dump's entry for the morphism ``f``."""
+    return {"source": list(f.source.entries), "target": list(f.target.entries),
+            "components": [list(c) for c in f.components]}
+
+
+def dump_window_oracle(P, window):
+    """The dump of the window as a dict, one dict per action with its
+    morphism's entry and a label -> label map, read off ``P.table``: the
+    reference for ``presheaf.dump_json``, whose text is this dict's
+    ``json.dumps`` with sorted keys and no spaces."""
+    T = P.table
+    levels = []
+    for M in window.objects(P.n):
+        labels = T.labels(M)
+        assert len(set(labels)) == len(labels), f"cells of level {M} share a label"
+        levels.append({"object": list(M.entries), "cells": labels})
+    actions = []
+    for s, t, mors in window.morphisms(P.n):
+        source, target = T.labels(s), T.labels(t)
+        for f in mors:
+            actions.append({"morphism": morphism_dict(f), "map": {
+                d: source[k] for d, k in zip(target, T.act(f))}})
+    return {"n": P.n, "window": {"B": window.B}, "levels": levels,
+            "actions": actions}

@@ -237,10 +237,43 @@ def test_internal_error_exits_3(monkeypatch, capsys):
      "d8249548af3ba748f80d92ec0c4e38dc7e426b9aa7a5b0a59eb999c4c5dbb49f"),
     (["ck", "--k", "1"],
      "231f796355375fb5cc90d851d090e6d75387837cfe596eeb3eb37e715b567e58"),
+    (["nerve", "--category", "Ibar", "--n", "2"],
+     "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370"),
+    (["nerve", "--category", "chain3", "--n", "1"],
+     "f3f0674762eb63e9815d8ef13cc48353fc52ea2ef81299764f85c1df537de188"),
+    (["boundary", "--k", "1", "--n", "1"],
+     "dc2aaf4d6a5eee63fe2f32596f6dcec7e9cd5b2d34fef226a595b894b5282e2b"),
+    (["delooping", "--of", "two_point", "--n", "1"],
+     "f4779643e3f31f5e3df08daebf2a872190c2968d29d39e77781dfa4d901e535c"),
 ])
 def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
     out = tmp_path / "dump.json"
     assert main(["build", *args, "--window", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# The window-2 rows of the benchmark's dump catalogue, with the same hashes.
+@pytest.mark.parametrize("args, sha256", [
+    (["sigma", "--k", "1", "--n", "2"],
+     "9299f4dab84c0cecc105072c79116639b35d6119b17773f445af33c0763d6ccd"),
+    (["suspension", "--of", "two_point", "--n", "1"],
+     "7c91be91a7991d4600bb12c9d5ddf2f3c65cfe0d7ac9a5c738efdb9ab6153666"),
+    (["nerve", "--category", "Z2", "--n", "1"],
+     "ef3e4d22ee01604deaf9b82212e940d8d6554b2c6a950040fbb9a862a1aa3037"),
+    (["nerve", "--category", "chain3", "--n", "1"],
+     "3cbe56216cbd5a0988f6db57199d2184b14b2ec0f29095c364297f3a31e1f37d"),
+    (["upsilon", "--inputs", "point", "point"],
+     "20202952a785b0205da26a308749af5589d9157a1f7c3d8ad7f0425d7e3b7903"),
+    (["cell", "--k", "1", "--n", "1"],
+     "427f455a6be63ecc1c914674ca931e7784eba6ca2116d2860a9a6c9ddd06c780"),
+    (["boundary", "--k", "1", "--n", "1"],
+     "222807ec8363af5ea68b3d14ac66f7a00320bf151e8d0de8afc5c4895cbf9a86"),
+    (["whitehead", "--of", "nerve", "--category", "Ibar", "--k", "0", "--n", "1"],
+     "7470ac1ecccf48f57fe6c8845979c61c1c989bf41c3425a2a175d9a265a59a85"),
+])
+def test_window2_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
+    out = tmp_path / "dump.json"
+    assert main(["build", *args, "--window", "2", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

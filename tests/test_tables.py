@@ -532,13 +532,72 @@ def test_imported_dumps_redump_to_the_same_bytes(args, B):
     assert ps.dump_json(back, Window(B)) == text
 
 
+_ESCAPED = ('a"b', "back\\slash", "\n", "\x7f", "\u00e9", "\U0001f600")
+
+
+def _dump_oracle_cases():
+    """Builders of each construction of the benchmark's dump catalogue, the
+    empty presheaf, an imported dump and labels that JSON must escape."""
+    cases = {name: lambda args=args: cli.build_precat(
+        cli.make_parser().parse_args(["build", *args]))
+        for name, args, _, _ in _dump_catalog()}
+    cases.update(empty=lambda: ps.empty(1), escaped=lambda: discrete(1, _ESCAPED),
+                 imported=lambda: ps.precat_from_dump(
+                     helpers.dump_window_oracle(upsilon([point(0)]), W2)))
+    return cases
+
+
+_DUMP_ORACLE_CASES = _dump_oracle_cases()
+
+
+@pytest.mark.parametrize("name", list(_DUMP_ORACLE_CASES))
+def test_dump_text_is_the_oracle_dict_dumped(name):
+    """``dump_json`` writes the text ``json.dumps`` gives the dict built one
+    action at a time, and ``dump_window`` reads that dict back."""
+    P = _DUMP_ORACLE_CASES[name]()
+    oracle = helpers.dump_window_oracle(P, W2)
+    text = ps.dump_json(P, W2)
+    assert text == json.dumps(oracle, sort_keys=True, separators=(",", ":")) + "\n"
+    assert ps.dump_window(P, W2) == oracle
+    if name == "imported":
+        assert type(P.table) is CellTable
+    if name == "escaped":
+        assert text.isascii() and "\\ud83d\\ude00" in text
+        assert sorted(oracle["levels"][0]["cells"]) == sorted(_ESCAPED)
+
+
+class _Reversed(WindowTable):
+    """Two cells ``a`` and ``b`` at every level, listed out of label order."""
+
+    def _level(self, M):
+        return ["b", "a"], ["b", "a"], {"b": 0, "a": 1}
+
+    def _act(self, f):
+        return [0, 1]
+
+
+def test_dump_of_labels_out_of_order_is_an_internal_error(monkeypatch, capsys):
+    """A dump lists an action's map in its level's order, so a table whose
+    labels are out of ``str`` order is a fault of precats (exit 3), while a
+    label tie stays a ``PresheafError``."""
+    P = TabledPrecat(1, _Reversed(), "reversed")
+    with pytest.raises(RuntimeError, match=r"level Obj\(\)@1 are not in label order") as got:
+        ps.dump_json(P, W2)
+    assert not isinstance(got.value, ValueError)
+    with pytest.raises(ps.PresheafError, match="share the label"):
+        ps.dump_json(discrete(1, (1, "1")), W2)
+    monkeypatch.setattr(cli, "build_precat", lambda args: P)
+    assert cli.main(["build", "point", "--window", "2"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: cells of level")
+
+
 def _broken_dump(fault):
     """The W2 dump of a two-cell discrete precat with one fault in the map
     of a non-identity morphism ``f``: the map left out, a cell left out of
     it, or an image outside ``f.source``."""
     data = ps.dump_window(discrete(1, ("a", "b")), W2)
     f = next(f for s, t, mors in W2.morphisms(1) for f in mors if s != t)
-    entry = next(e for e in data["actions"] if e["morphism"] == f.to_dict())
+    entry = next(e for e in data["actions"] if e["morphism"] == helpers.morphism_dict(f))
     if fault == "morphism":
         data["actions"].remove(entry)
     elif fault == "cell":

@@ -325,13 +325,13 @@ def test_vertex_rejects_points_outside_the_object():
 
 
 def test_serialization_roundtrip():
-    s, t = o(2, [1]), o(2, [1, 1])
-    for f in enumerate_morphisms(s, t):
-        d = f.to_dict()
-        assert d["source"] == [1] and d["target"] == [1, 1]
-        rebuilt = ThetaMorphism(o(2, d["source"]), o(2, d["target"]),
-                                tuple(tuple(c) for c in d["components"]))
-        assert rebuilt == f
+    """The morphism entries of a dump rebuild the window's morphisms, in order."""
+    window = Window(2)
+    data = dump_window(nerve(FiniteCategory.chain(2), 2), window)
+    rebuilt = [ThetaMorphism(o(2, m["source"]), o(2, m["target"]),
+                             tuple(tuple(c) for c in m["components"]))
+               for m in (entry["morphism"] for entry in data["actions"])]
+    assert rebuilt == [f for _, _, mors in window.morphisms(2) for f in mors]
 
 
 # ---------------------------------------------------------------------------
