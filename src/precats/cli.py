@@ -157,8 +157,8 @@ def cmd_check(args) -> int:
     if kind == "cofibration":
         _require(args.map in _NAMED_MAPS,
                  f"cofibration needs --map from {sorted(_NAMED_MAPS)}")
-        _require(args.k is not None and args.n is not None,
-                 "cofibration maps need --k and --n")
+        _require(args.map != "boundary_inclusion" or None not in (args.k, args.n),
+                 "boundary_inclusion needs --k and --n")
         u = _NAMED_MAPS[args.map](args)
         verdict = ps.is_cofibration(u, window)
         print(f"cofibration: {'pass' if verdict else 'fail'} ({args.map})")

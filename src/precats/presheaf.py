@@ -32,7 +32,6 @@ presheaf alive.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -163,7 +162,7 @@ class PrecatMap:
                  name: str = "map", at: Optional[Callable] = None):
         if domain.n != codomain.n:
             raise PresheafError("map endpoints live in different ambient dimensions")
-        self.domain, self.codomain, self._apply_fn, self.name = domain, codomain, apply_fn, name
+        self.domain, self.codomain, self.name = domain, codomain, name
         TD, TC = domain.table, codomain.table
 
         def listed(M):
@@ -179,8 +178,6 @@ class PrecatMap:
         return self.positions[M]
 
     def apply(self, M: ThetaObject, cell):
-        if self._apply_fn is not None:
-            return self._apply_fn(M, cell)
         k = self.domain.table.level(M)[2].get(cell)
         if k is None:
             raise PresheafError(f"{cell!r} at level {M} is no cell of the domain of {self.name}")
@@ -196,11 +193,12 @@ class PrecatMap:
 
     def naturality_violations(self, window: Window) -> list:
         """Commuting failures ``(f, c, lhs, rhs)`` against the window's
-        generators, found on position lists."""
+        generators, found on position lists; cells are read only to name one."""
         TD, TC, at, out = self.domain.table, self.codomain.table, self.positions, []
         for f in window.elementary(self.domain.n):
-            act, at_s, cells = TC.act(f), at[f.source], TC.level(f.source)[0]
-            out += [(f, TD.level(f.target)[0][k], cells[act[x]], cells[at_s[y]])
+            act, at_s, s = TC.act(f), at[f.source], f.source
+            out += [(f, TD.level(f.target)[0][k], TC.level(s)[0][act[x]],
+                     TC.level(s)[0][at_s[y]])
                     for k, (x, y) in enumerate(zip(at[f.target], TD.act(f)))
                     if act[x] != at_s[y]]
         return out
@@ -590,23 +588,21 @@ def is_cofibration(u: PrecatMap, window: Window) -> bool:
 def check_functoriality(P: Precat, window: Window) -> list:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
     for each window morphism ``f`` and generator ``e`` into its source; by
-    induction on generator factorisations these imply the full composition law."""
-    T = P.table
-    out = []
+    induction on generator factorisations these imply the full composition
+    law.  A level's cells are read only to name a failure there."""
+    T, out = P.table, []
     for M in window.objects(P.n):
-        cells = T.level(M)[0]
-        out += [("identity", M, cells[k])
+        out += [("identity", M, T.level(M)[0][k])
                 for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
         into.setdefault(e.target, []).append(e)
     for _, t, mors in window.morphisms(P.n):
-        cells = T.level(t)[0]
         for f in mors:
             act_f = T.act(f)
             for e in into.get(f.source, ()):
                 act_e = T.act(e)
-                out += [("composition", f, e, cells[k]) for k, (x, y)
+                out += [("composition", f, e, T.level(t)[0][k]) for k, (x, y)
                         in enumerate(zip(T.act(compose(f, e)), act_f))
                         if x != act_e[y]]
     return out
@@ -643,28 +639,28 @@ def _colours(T: WindowTable, objs, generators):
         yield list(zip(*counts)) or [()] * size
 
 
-def _coloured_permutations(images, want: list, colour: list, chosen: tuple = ()):
-    """The permutations ``p`` of ``images`` with ``colour[p[j]] == want[j]``
-    for every ``j`` that begin with ``chosen``, in ``itertools.permutations``
-    order."""
-    if len(chosen) == len(want):
-        yield chosen
-        return
-    w = want[len(chosen)]
+def _untaken(images, colour: list, want, taken: list, _chosen):
+    """The images ``d`` of colour ``want`` not yet ``taken``, each marked
+    taken while it is the cell's choice and freed when the search resumes."""
     for d in images:
-        if colour[d] == w and d not in chosen:
-            yield from _coloured_permutations(images, want, colour, chosen + (d,))
+        if colour[d] == want and not taken[d]:
+            taken[d] = True
+            yield d
+            taken[d] = False
 
 
 def _lazy_product(pools: list):
-    """``itertools.product(*(pool() for pool in pools))`` in the same order,
-    but lazily: each pool is drawn afresh under each choice from the pools
-    before it, so no pool is built whole before the first tuple.  It keeps
-    its own stack, as a level may have more groups than the recursion limit."""
+    """Every tuple whose entry ``j`` is drawn from ``pools[j](chosen)``, where
+    ``chosen`` lists the entries before it: ``itertools.product`` order if no
+    pool reads it.  A pool is drawn afresh under each prefix and resumed only
+    under it again, so it may undo a choice on resumption (Knuth, TAOCP 4B,
+    7.2.2, Algorithm B).  The stack is explicit: a search may run deeper than
+    the recursion limit."""
     if not pools:
         yield ()
         return
-    chosen, draws = [], [pools[0]()]
+    chosen = []
+    draws = [iter(pools[0](chosen))]
     while draws:
         x = next(draws[-1], _MISS)
         if x is _MISS:
@@ -675,7 +671,7 @@ def _lazy_product(pools: list):
             yield (*chosen, x)
         else:
             chosen.append(x)
-            draws.append(pools[len(draws)]())
+            draws.append(iter(pools[len(draws)](chosen)))
 
 
 def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
@@ -683,20 +679,21 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     as ``{level: positions}`` with levels in window order: the position in
     Q of the image of each cell of P, in P's order.
 
-    Backtracking over levels ordered by (length, entry sum).  A level's cells
-    are forced along the generators out of it into already-matched levels;
-    the rest are matched within groups of equal restriction signature along
-    the generators into it.  With ``bijective`` only levelwise bijections are
-    produced: each group is permuted onto an equal-sized group of ``Q``, and
-    only colour to colour (``_colours``).  Colours filter and never re-key a
-    group, so solutions come in the order of unfiltered permutation pools;
-    if a level's colours differ as multisets, nothing comes out.
+    One engine, ``_lazy_product``, chooses each level in turn, ordered by
+    (length, entry sum), and within a level each unforced cell's image in
+    turn, so nothing recurses over a level's size.  A level's cells are
+    forced along the generators out of it into earlier levels; the rest are
+    matched within groups of equal restriction signature along the
+    generators into it, groups in label order of their keys, cells and
+    images in label order.  With ``bijective`` only levelwise bijections
+    come out: groups match equal-sized groups of ``Q``, and a cell takes
+    only an untaken image of its colour (``_colours``), freed on backtrack.
+    Colours only filter, so solutions come in the order of each group's
+    permutations; a level whose colours differ as multisets ends the search.
 
-    Each level is compiled on its first visit from the table of each side:
-    its size, and each generator between it and an earlier level as
-    position lists on ``P`` and ``Q``.  The search then runs on integers;
-    cells, group keys and images are tried in label order.  With
-    ``bijective``, level sizes are compared on the tables first.  Only
+    Each level is compiled once, from both tables: its size, and each
+    generator between it and an earlier level as position lists on ``P``
+    and ``Q``; with ``bijective``, level sizes are compared first.  Only
     ``_certified`` solutions come out.
     """
     objs = window.objects(P.n)
@@ -719,27 +716,18 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
             if Counter(cp) != Counter(cq):
                 return
             colours.append((cp, cq))
-    levels: list[tuple] = []
 
-    def compile_level(i: int):
-        M = objs[i]
+    @functools.cache
+    def compiled(i: int):
         ins = [(pos[e.source], TP.act(e), TQ.act(e), TQ.labels(e.source))
                for e in into[i]]
         outs = [(pos[e.target], TP.act(e), TQ.act(e)) for e in outof[i]]
         sig_q = [tuple(q_rest[d] for _, _, q_rest, _ in ins)
-                 for d in range(TQ.size(M))]
-        levels.append((TP.size(M), ins, outs, sig_q))
+                 for d in range(TQ.size(objs[i]))]
+        return TP.size(objs[i]), ins, outs, sig_q
 
-    assigned: list[list[int]] = []
-
-    def candidates(i: int):
-        size, ins, outs, sig_q = levels[i]
-
-        def key_label(key: tuple) -> str:
-            """``cell_label`` of the signature's cells of ``Q``."""
-            return "(" + ",".join(labels[q] for (_, _, _, labels), q
-                                  in zip(ins, key)) + ")"
-
+    def candidates(i: int, assigned: list):
+        size, ins, outs, sig_q = compiled(i)
         forced = [-1] * size
         for t, p_rest, q_rest in outs:
             phi_t = assigned[t]
@@ -768,43 +756,26 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         if bijective and (set(groups) != set(qgroups) or any(
                 len(qgroups[k]) != len(g) for k, g in groups.items())):
             return
-        keys = sorted(groups, key=key_label)
-        pools = []
-        for k in keys:
-            images = qgroups.get(k, ())
-            if bijective:
-                col_p, col_q = colours[i]
-                pools.append(functools.partial(_coloured_permutations, images,
-                                               [col_p[c] for c in groups[k]], col_q))
-            else:
-                pools.append(functools.partial(itertools.product, images,
-                                               repeat=len(groups[k])))
+        keys = sorted(groups, key=lambda key: "(" + ",".join(   # cell_label in Q
+            labels[q] for (_, _, _, labels), q in zip(ins, key)) + ")")
+        cells = [(c, qgroups.get(k, ())) for k in keys for c in groups[k]]
+        if bijective:
+            (col_p, col_q), taken = colours[i], [False] * len(sig_q)
+            pools = [functools.partial(_untaken, images, col_q, col_p[c], taken)
+                     for c, images in cells]
+        else:
+            pools = [lambda _, images=images: images for _, images in cells]
         for choice in _lazy_product(pools):
             phi = list(forced)
-            for k, chosen in zip(keys, choice):
-                for c, d in zip(groups[k], chosen):
-                    phi[c] = d
+            for (c, _), d in zip(cells, choice):
+                phi[c] = d
             yield phi
 
-    def solve(i: int):
-        if i == len(objs):
-            phi = dict(zip(objs, assigned))
-            if _certified(TP, TQ, window.elementary(P.n), phi):
-                yield phi
-            return
-        if i == len(levels):
-            compile_level(i)
-        for phi in candidates(i):
-            assigned.append(phi)
-            yield from solve(i + 1)
-            assigned.pop()
-
-    # ``solve`` calls itself through its closure, a reference cycle that
-    # holds every table; break it so they are freed when the search ends.
-    try:
-        yield from solve(0)
-    finally:
-        del solve
+    for assigned in _lazy_product([functools.partial(candidates, i)
+                                for i in range(len(objs))]):
+        phi = dict(zip(objs, assigned))
+        if _certified(TP, TQ, window.elementary(P.n), phi):
+            yield phi
 
 
 def _window_map(P: Precat, Q: Precat, window: Window, positions: dict,
@@ -895,10 +866,11 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
 
     A dump missing a key or holding a value of the wrong shape raises
     ``PresheafError``: ``n`` must be an int >= 0 and the window's ``B`` an
-    int >= 1, each level's ``object`` a list of ints and its ``cells`` a
-    list of distinct strings, each action's endpoints listed levels, and
-    each action's ``map`` (kept as read) a dict from str to str.  No level
-    or morphism may be listed twice."""
+    int >= 1 whose levels are all listed, each level's ``object`` a list of
+    ints >= 1 and its ``cells`` a list of distinct strings, each action's
+    endpoints listed levels, and each action's ``map`` (kept as read) a
+    dict from str to str with no more entries than its target level has
+    cells.  No level or morphism may be listed twice."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -911,6 +883,7 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
             entries, cells = lv["object"], lv["cells"]
             require(type(entries) is list and set(map(type, entries)) <= {int},
                     f"object {entries!r} is not a list of ints")
+            require(min(entries, default=1) >= 1, f"object {entries!r} has an entry < 1")
             require(type(cells) is list and set(map(type, cells)) <= {str}
                     and len(set(cells)) == len(cells),
                     f"cells of {entries} are not a list of distinct strings")
@@ -927,10 +900,16 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
             if f in actions:
                 require(False, f"the action of {f} listed twice")
             types.update(map(type, image.values()), map(type, image))
+            if len(image) > len(levels[ends[1]]):
+                require(False, f"the map of {f} has more entries than its target has cells")
             actions[f] = image
         require(types <= {str}, "an action's map is not a dict from str to str")
         B = data["window"]["B"]
         require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
+        # count the window's levels first, so a huge B or n lists no objects
+        size = sum(B ** k for k in range(min(n, len(levels)) + 1))
+        require(size <= len(levels) and all(M in levels for M in window_objects(n, B)),
+                f"a level of window B={B} is not listed")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return constant_table_precat(n, levels, actions, name=name, B=B)

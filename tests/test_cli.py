@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -119,6 +120,15 @@ def test_check_cofibration(capsys):
     assert code == 1
 
 
+def test_check_cofibration_needs_k_only_for_boundary_inclusion(capsys):
+    code, out, _ = run(["check", "cofibration", "--map", "collapse_two",
+                        "--n", "1", "--window", "2"], capsys)
+    assert code == 1 and out == "cofibration: fail (collapse_two)\n"
+    code, _, err = run(["check", "cofibration", "--map", "boundary_inclusion",
+                        "--n", "2", "--window", "2"], capsys)
+    assert code == 2 and err == "error: boundary_inclusion needs --k and --n\n"
+
+
 def test_verify_only_casezero(capsys):
     code, out, _ = run(["verify", "--window", "2", "--only", "casezero"], capsys)
     assert code == 0
@@ -176,7 +186,13 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
                        capsys)
     assert code == 2 and err.startswith("error: ")
     level = '{"object": [1], "cells": ["a"]}'
-    for i, text in enumerate([
+    # from a W2 dump: a map with more entries than its level has cells, the
+    # level () listed as [0] or [-1], and window B=3 with B=2's levels
+    dump = ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2))
+    too_long = dump.replace('"map":{"a":"a",', '"map":{"zzz":"a","a":"a",', 1)
+    zero, negative = (re.sub(r'("(?:object|source|target)":\[)\]', rf"\g<1>{e}]", dump)
+                      for e in (0, -1))
+    for i, text in enumerate([too_long, zero, negative, dump.replace('"B":2', '"B":3'),
             '[1, 2]', '{"n": 1}', '{"n": 1, "levels": [1]}',
             '{"n": 1.0, "levels": [], "actions": []}',
             '{"n": true, "levels": [], "actions": []}',

@@ -60,7 +60,7 @@ def _cases():
     yield "identity", identity_map(NI), lambda M, c: c
     yield "then", PrecatMap(pt, two, lambda M, c: 0, name="p0").then(
         ps.degeneracy_map(two, NI)), lambda M, c: deg(M, 0)
-    yield "fallback", g, g.apply
+    yield "fallback", g, deg
     yield "terminal", terminal_map(upsilon([two, NI])), lambda M, c: "pt"
     yield "point", ps.point_map(NI, 1), lambda M, c: deg(M, 1)
     yield "point-from", ps.point_map(NI, 0, two), lambda M, c: deg(M, 0)
@@ -141,6 +141,16 @@ def test_solver_answer_raises_outside_its_window():
     assert iso.at(object_of(1, [2])) == list(range(N.size(object_of(1, [2]))))
     with pytest.raises(PresheafError, match=r"level Obj\(3,\)@1.*B=2"):
         iso.at(object_of(1, [3]))
+
+
+def test_apply_reads_positions_for_a_map_given_cell_by_cell():
+    """``apply_fn`` only lists a map's positions, and ``apply`` reads them:
+    a cell outside the domain is a ``PresheafError``, although the function
+    would map it."""
+    g = PrecatMap(discrete(1, (0, 1)), point(1), lambda M, c: "pt", name="!")
+    assert [g.apply(zero_object(1), c) for c in (0, 1)] == ["pt", "pt"]
+    with pytest.raises(PresheafError, match=r"'z' at level .* no cell of the domain of !"):
+        g.apply(zero_object(1), "z")
 
 
 def _broken_maps():

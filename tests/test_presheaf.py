@@ -1,6 +1,7 @@
 """Presheaf-core laws: evaluation, actions, products, pushouts with their
 universal property, cofibration checks, windowed isomorphism and dumps."""
 
+import functools
 import gc
 import itertools
 import json
@@ -467,34 +468,62 @@ def test_interleaved_colour_case_is_what_it_claims():
     [[0, 1]] + [[2]] * 3000,        # deeper than the recursion limit
 ])
 def test_lazy_product_keeps_product_order(pools):
-    assert list(ps._lazy_product([lambda p=p: iter(p) for p in pools])) == \
+    """Pools that ignore the prefix give ``itertools.product`` order; each
+    pool is drawn with the prefix chosen before it, here shifting its
+    entries by the prefix's length and last entry."""
+    assert list(ps._lazy_product([lambda chosen, p=p: iter(p) for p in pools])) == \
         list(itertools.product(*pools))
+
+    def shifted(p, chosen):
+        return [x + 10 * len(chosen) + (chosen[-1] if chosen else 0) for x in p]
+
+    want = [()]
+    for p in pools:
+        want = [t + (y,) for t in want for y in shifted(p, t)]
+    assert list(ps._lazy_product([functools.partial(shifted, p) for p in pools])) == want
+
+
+def _count_draws(monkeypatch) -> list:
+    """The images the bijective search draws, in order, from ``_untaken``."""
+    drawn, untaken = [], ps._untaken
+
+    def counting(*args):
+        for d in untaken(*args):
+            drawn.append(d)
+            yield d
+
+    monkeypatch.setattr(ps, "_untaken", counting)
+    return drawn
 
 
 def test_identity_of_eight_points_found_without_building_the_pool(monkeypatch):
     """Eight level-0 cells form one group of 8! permutations; the search
-    draws the first and is done, instead of building all of them."""
-    drawn = []
-    pool = ps._coloured_permutations
-
-    def counting(images, want, colour, chosen=()):
-        for p in pool(images, want, colour, chosen):
-            if not chosen:
-                drawn.append(p)
-            yield p
-
-    monkeypatch.setattr(ps, "_coloured_permutations", counting)
+    draws one image per cell and is done, instead of building all of them."""
+    drawn = _count_draws(monkeypatch)
     D = discrete(1, range(8))
     iso = iso_windowed(D, D, W2)
     assert all(iso.apply(M, c) == c for M in W2.objects(1) for c in range(8))
-    assert drawn == [tuple(range(8))]
+    assert drawn == list(range(8))
+
+
+@pytest.mark.parametrize("n, size, B", [(1, 1100, 2), (0, 3000, 1)])
+def test_iso_of_a_large_group_draws_one_image_per_cell(n, size, B, monkeypatch):
+    """A level group of thousands of cells, more than the recursion limit,
+    is searched one cell at a time on one explicit stack: the identity
+    comes out after one draw per cell."""
+    drawn, window = _count_draws(monkeypatch), Window(B)
+    D = discrete(n, range(size))
+    iso = iso_windowed(D, D, window)
+    assert all(iso.at(M) == list(range(size)) for M in window.objects(n))
+    assert drawn == list(range(size))
 
 
 @pytest.mark.parametrize("size", range(6))
 def test_coloured_permutations_filter_permutations_in_order(size):
     """Every colouring of a group of ``size`` cells with at most three
-    colours, up to renaming the colours: the colour-respecting permutations
-    in ``itertools`` order."""
+    colours, up to renaming the colours: one ``_untaken`` pool per cell
+    gives the colour-respecting permutations in ``itertools`` order, and
+    frees every image it took once it is exhausted."""
     images = [2 * d + 1 for d in range(size)]       # not positions 0..size-1
     colour = [None] * (2 * size + 1)
     for colouring in itertools.product(range(3), repeat=size):
@@ -506,9 +535,12 @@ def test_coloured_permutations_filter_permutations_in_order(size):
         if size:
             wants.add((3,) + colouring[1:])         # a colour no image has
         for want in sorted(wants):
-            got = list(ps._coloured_permutations(images, list(want), colour))
+            taken = [False] * len(colour)
+            got = list(ps._lazy_product([functools.partial(ps._untaken, images, colour,
+                                                           w, taken) for w in want]))
             assert got == [p for p in itertools.permutations(images)
                            if all(colour[d] == w for d, w in zip(p, want))]
+            assert not any(taken)
 
 
 _TWO_2_CROWNS = {(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)}

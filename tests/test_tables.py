@@ -669,6 +669,16 @@ def test_pushout_legs_into_an_edge_complex_input_make_no_cycle(legs):
         gc.enable()
 
 
+def _spy_members(monkeypatch) -> list:
+    """The levels whose member cells edge complexes and pushouts build."""
+    built = []
+    for cls in (UpsilonTable, PushoutTable):
+        real = cls._members
+        monkeypatch.setattr(cls, "_members", lambda self, M, real=real:
+                            built.append(M) or real(self, M))
+    return built
+
+
 @pytest.mark.parametrize("entry", sorted(IDENTITIES))
 def test_w3_entries_build_member_cells_only_where_cells_are_read(entry, monkeypatch):
     """The solver reads edge complexes and pushouts through their labels
@@ -676,14 +686,20 @@ def test_w3_entries_build_member_cells_only_where_cells_are_read(entry, monkeypa
     build member cells only at level 0, whose objects ``point_map``,
     ``wedge01`` and ``PointedPrecat`` read as cells; the corner split, the
     square and the cylinder build none."""
-    built = []
-    for cls in (UpsilonTable, PushoutTable):
-        real = cls._members
-        monkeypatch.setattr(cls, "_members", lambda self, M, real=real:
-                            built.append(M) or real(self, M))
+    built = _spy_members(monkeypatch)
     assert run_suite(3, only=entry).passed
     assert all(M.length == 0 for M in built)
     assert not built or entry not in ("corner_split", "square", "square_legacy", "cylinder")
+
+
+def test_passing_checks_build_no_member_cells(monkeypatch):
+    """Functoriality and naturality read a level's cells only to name a
+    failure there, so on composite tables passing checks build none."""
+    built = _spy_members(monkeypatch)
+    c = cn.cell(2, 2)
+    assert ps.check_functoriality(c.boundary, W2) == []
+    assert c.inclusion.naturality_violations(W2) == []
+    assert built == []
 
 
 def test_deloopings_and_dumps_are_freed_without_the_cycle_collector():
