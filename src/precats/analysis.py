@@ -5,12 +5,13 @@ cell to its ``p`` spine restrictions; strictness means every such map is a
 bijection on the window.  It is computed on the positions of the table
 that the presheaf owns.  Category recovery, truncation and connectivity
 read the fixed levels (0) to (3) and recurse into hom presheaves (tables
-that keep positions of their parent's), so they take no window.  A
-truncation is a table over its input's table, a quotient of its positions
-at the top length.  They are implemented for strict inputs only: a weak
-input raises a typed error instead of silently approximating, since
-resolving it would need a categorical completion operation that is out of
-scope here.
+that keep positions of their parent's), so they take no window.  One
+reading of the composition from level (2), ``_composition``, serves both
+category recovery and truncation.  A truncation is a table over its
+input's table, a quotient of its positions at the top length.  They are
+implemented for strict inputs only: a weak input raises a typed error
+instead of silently approximating, since resolving it would need a
+categorical completion operation that is out of scope here.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import theta
-from .constructions import FiniteCategory
+from .constructions import ConstructionError, FiniteCategory
 from .presheaf import (Precat, PrecatMap, TabledPrecat, Window, WindowTable,
                        hom_precat, quotient, slice_precat)
-from .theta import (ThetaMorphism, ThetaObject, normalize_morphism,
-                    object_of, vertex, zero_object)
+from .theta import (ThetaObject, normalize_morphism, object_of, vertex,
+                    zero_object)
 
 
 class AnalysisError(ValueError):
@@ -97,8 +98,15 @@ def segal_check(A: Precat, window: Window) -> SegalReport:
 # categories from strict one-directional data
 # ---------------------------------------------------------------------------
 
-def _require_strict(A: Precat) -> None:
-    """Raise unless the comparison maps at levels (2) and (3) are bijections."""
+def _composition(A: Precat) -> tuple:
+    """The category data of a strict input, read from levels (0) to (2).
+
+    Returns the objects and the arrows sorted by ``repr``, each arrow's
+    ``src`` and ``tgt``, each object's identity, and the composite of each
+    composable pair: the long face of the pair's filler at level (2).
+    Raises unless the comparison maps at the pure levels (2) and (3) are
+    bijections, which makes each filler exist and be unique.
+    """
     T = A.table
     for p in (2, 3):
         e = _segal_entry(T, object_of(A.n, (p,)), 0)
@@ -106,48 +114,27 @@ def _require_strict(A: Precat) -> None:
             raise NotStrictError(
                 f"{A.name} is not strict at {e.level}: {e.source_size} cells vs "
                 f"{e.target_size} compatible tuples")
-
-
-def _triangle_faces(n: int) -> tuple[ThetaMorphism, ...]:
-    """The faces (1) -> (2) onto the edges 01, 12 and the long edge 02."""
-    one, two = object_of(n, (1,)), object_of(n, (2,))
-    f01, f12 = theta.segal_faces(two)
-    long_face = normalize_morphism(one, two, [(0, 2)] + [(0,)] * (n - 1))
-    return f01, f12, long_face
-
-
-def category_from_nerve(A: Precat, name="C(A)") -> FiniteCategory:
-    """Recover objects, arrows and the composition table from levels <= 3.
-
-    Requires the comparison maps at the pure levels (2) and (3) to be
-    bijections; composition is the long face of the unique filler.
-    """
-    _require_strict(A)
-    zero = zero_object(A.n)
     one, two = object_of(A.n, (1,)), object_of(A.n, (2,))
-    objects = sorted(A.cells(zero), key=repr)
+    objects = sorted(A.cells(zero_object(A.n)), key=repr)
     arrows = sorted(A.cells(one), key=repr)
     vsrc, vtgt = vertex(one, 0), vertex(one, 1)
     src = {a: A.act(vsrc, a) for a in arrows}
     tgt = {a: A.act(vtgt, a) for a in arrows}
     degen = theta.collapse_to_zero(one)
     ident = {x: A.act(degen, x) for x in objects}
-    f01, f12, long_face = _triangle_faces(A.n)
-    fillers = {}
-    for c in A.cells(two):
-        fillers[(A.act(f01, c), A.act(f12, c))] = c
-    table = {}
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] != src[b]:
-                continue
-            filler = fillers.get((a, b))
-            if filler is None:
-                raise NotStrictError(f"no filler for {a!r};{b!r}")
-            table[(a, b)] = A.act(long_face, filler)
+    f01, f12 = theta.segal_faces(two)
+    long_face = normalize_morphism(one, two, [(0, 2)] + [(0,)] * (A.n - 1))
+    table = {(A.act(f01, c), A.act(f12, c)): A.act(long_face, c)
+             for c in A.cells(two)}
+    return objects, arrows, src, tgt, ident, table
+
+
+def category_from_nerve(A: Precat, name="C(A)") -> FiniteCategory:
+    """Recover objects, arrows and the composition table from levels <= 3
+    of a strict input (``_composition``)."""
     try:
-        return FiniteCategory(objects, arrows, src, tgt, ident, table, name=name)
-    except Exception as exc:
+        return FiniteCategory(*_composition(A), name=name)
+    except ConstructionError as exc:
         raise NotStrictError(f"level data is not a category: {exc}") from exc
 
 
@@ -160,41 +147,27 @@ def _tau_zero_classes(A: Precat) -> dict:
     if A.n == 0:
         return {c: frozenset([c]) for c in A.cells(zero_object(0))}
     objects = sorted(A.cells(zero_object(A.n)), key=repr)
-    one = object_of(A.n, (1,))
     arrow_class: dict = {}
     for x in objects:
         for y in objects:
-            hom = hom_precat(A, 1, (x, y))
-            sub = tau_zero(hom)
-            for cls in sub:
-                for raw in cls:
-                    arrow_class[raw] = (x, y, cls)
+            for cls in tau_zero(hom_precat(A, 1, (x, y))):
+                arrow_class.update(dict.fromkeys(cls, cls))
     try:
-        _require_strict(A)
+        _, _, src, tgt, ident, table = _composition(A)
     except NotStrictError as exc:
         raise TruncationUndefinedError(str(exc)) from exc
-    two = object_of(A.n, (2,))
-    f01, f12, long_face = _triangle_faces(A.n)
     comp: dict = {}
-    for c in A.cells(two):
-        a, b = A.act(f01, c), A.act(f12, c)
-        ka, kb = arrow_class[a][2], arrow_class[b][2]
-        kc = arrow_class[A.act(long_face, c)][2]
-        prev = comp.get((ka, kb))
-        if prev is not None and prev != kc:
+    for (a, b), c in table.items():
+        kc = arrow_class[c]
+        if comp.setdefault((arrow_class[a], arrow_class[b]), kc) != kc:
             raise TruncationUndefinedError(
                 "composition is not constant on equivalence classes")
-        comp[(ka, kb)] = kc
-    degen = theta.collapse_to_zero(one)
-    id_class = {x: arrow_class[A.act(degen, x)][2] for x in objects}
-    # two-sided inverse search over the finite arrow classes
-    iso_pairs = set()
-    for a_raw, (x, y, ka) in arrow_class.items():
-        for b_raw, (x2, y2, kb) in arrow_class.items():
-            if x2 != y or y2 != x:
-                continue
-            if comp.get((ka, kb)) == id_class[x] and comp.get((kb, ka)) == id_class[y]:
-                iso_pairs.add((x, y))
+    # a: x -> y is invertible iff some b: y -> x composes with it to both
+    # identities up to class
+    iso_pairs = {(src[a], tgt[a]) for (a, b), c in table.items()
+                 if tgt[b] == src[a]
+                 and arrow_class[c] == arrow_class[ident[src[a]]]
+                 and arrow_class[table[(b, a)]] == arrow_class[ident[tgt[a]]]}
     rep = quotient(objects, iso_pairs)
     classes: dict = {}
     for x in objects:

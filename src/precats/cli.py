@@ -8,7 +8,8 @@ Three subcommands:
   on a named build or an imported dump; exit 0 pass, 1 fail.  Functoriality
   is checked through the window's generators: exact on the windows the tests
   certify to be generated by them, resting on that claim on larger ones.
-  ``connected`` reads the fixed levels it needs and no ``--window``;
+  ``connected`` reads the fixed levels it needs and no ``--window``, and
+  reports ``undefined`` (exit 1) only for a stage that is not strict;
 * ``verify`` — run the exact-identity suite, one line per identity.
 
 Exit codes: 0 pass, 1 verified failure, 2 usage, input or domain error
@@ -55,6 +56,9 @@ _BASIC_INPUTS = {
     "three_point": lambda n: ps.discrete(n, (0, 1, 2)),
 }
 
+_CONSTRUCTIONS = ("nerve", "upsilon", "sigma", "cell", "boundary", "suspension",
+                  "delooping", "whitehead", "ck", *_BASIC_INPUTS)
+
 
 def _require(cond, msg):
     if not cond:
@@ -100,7 +104,8 @@ def build_precat(args) -> ps.Precat:
     if name == "ck":
         _require(args.k is not None, "ck needs --k")
         return cn.ck_monoidal(cn.z2_monoid(), args.k)
-    raise UsageError(f"unknown construction {name!r}")
+    raise UsageError(
+        f"unknown construction {name!r}; known: {', '.join(_CONSTRUCTIONS)}")
 
 
 def _pointed(args) -> cn.PointedPrecat:
@@ -182,7 +187,7 @@ def cmd_check(args) -> int:
         _require(args.k is not None, "connected needs --k")
         try:
             verdict = an.is_k_connected(P, args.k)
-        except an.AnalysisError as exc:
+        except an.TruncationUndefinedError as exc:
             print(f"connected: undefined ({exc})")
             return 1
         print(f"connected (k={args.k}): {'pass' if verdict else 'fail'}")
@@ -215,9 +220,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_build_args(p):
         p.add_argument("construction", nargs="?",
-                       help="construction name (nerve, upsilon, sigma, cell, "
-                            "boundary, suspension, delooping, whitehead, ck, "
-                            "point, empty, two_point, three_point)")
+                       help=f"construction name ({', '.join(_CONSTRUCTIONS)})")
         p.add_argument("--category", help="finite category name for nerves")
         p.add_argument("--inputs", nargs="*", help="morphism objects for upsilon")
         p.add_argument("--input-n", type=int, default=0,

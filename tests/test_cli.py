@@ -46,6 +46,10 @@ def test_build_unknown_name_is_usage_error(capsys):
     code, _, err = run(["build", "definitely_not_a_thing"], capsys)
     assert code == 2
     assert "unknown construction" in err
+    code, out, err = run(["build", "foo"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown construction 'foo'; known: ")
+    assert "nerve" in err and "three_point" in err
 
 
 def test_build_bad_params_is_usage_error(capsys):
@@ -100,6 +104,16 @@ def test_check_connected(capsys):
     code, out, _ = run(["check", "connected", "nerve", "--category", "Ibar",
                         "--k", "0", "--window", "2"], capsys)
     assert code == 0
+    # "undefined" only for a stage that is not strict; a truncation level
+    # out of range is a usage error, not a verdict
+    for k in ("5", "-1"):
+        code, out, err = run(["check", "connected", "nerve", "--category", "I",
+                              "--k", k], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: truncation level {k} out of range\n"
+    code, out, _ = run(["check", "connected", "delooping", "--of", "two_point",
+                        "--n", "1", "--k", "1"], capsys)
+    assert code == 1 and out.startswith("connected: undefined (")
 
 
 def test_check_functorial_on_dump(tmp_path, capsys):
