@@ -131,7 +131,9 @@ def _composition(A: Precat) -> tuple:
 
 def category_from_nerve(A: Precat, name="C(A)") -> FiniteCategory:
     """Recover objects, arrows and the composition table from levels <= 3
-    of a strict input (``_composition``)."""
+    of a strict input (``_composition``), which needs dimension n >= 1."""
+    if A.n < 1:
+        raise AnalysisError(f"category recovery needs dimension n >= 1, not {A.n}")
     try:
         return FiniteCategory(*_composition(A), name=name)
     except ConstructionError as exc:

@@ -340,18 +340,15 @@ def _label_key(labels, cell: Optional[Callable] = None):
     return lambda c: (labels[c], _typed_key(cell(c)) if counts[labels[c]] > 1 else ())
 
 
-def quotient(members: Iterable, pairs: Iterable[tuple],
-             label: Optional[Callable] = None, cell: Optional[Callable] = None) -> dict:
-    """Each member mapped to the label-minimal member of its class under the
-    equivalence generated by ``pairs``, label ties broken by ``_typed_key``.
-    Members are cells, or ids of cells with their labels given by ``label``
-    and the cells themselves by ``cell`` (needed for ties only).
+def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
+    """Each cell of ``members`` mapped to the label-minimal cell of its class
+    under the equivalence generated by ``pairs``, label ties broken by
+    ``_typed_key``.
 
     Union-find with path halving (Tarjan 1975): roots are linked plainly, and
     each class of more than one member picks its representative once at the
     end, so every member is labelled at most once.
     """
-    label = label or cell_label
     table = {x: x for x in members}
 
     def find(x):
@@ -369,8 +366,7 @@ def quotient(members: Iterable, pairs: Iterable[tuple],
         groups.setdefault(find(x), []).append(x)
     for group in groups.values():
         if len(group) > 1:
-            labels = {x: label(x) for x in group}
-            rep = min(labels, key=_label_key(labels, cell))
+            rep = min(group, key=_label_key({x: cell_label(x) for x in group}))
             for x in group:
                 table[x] = rep
     return table
@@ -742,8 +738,9 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         if bijective and len(used) != len(forced) - forced.count(-1):
             return
         groups: dict = {}
-        for c, d in enumerate(forced):
-            sig = tuple(assigned[s][p_rest[c]] for s, p_rest, _, _ in ins)
+        sigs = (list(zip(*(map(assigned[s].__getitem__, p_rest) for s, p_rest, _, _ in ins)))
+                if ins else [()] * size)       # each cell's restrictions into earlier levels
+        for c, (d, sig) in enumerate(zip(forced, sigs)):
             if d != -1:
                 if sig_q[d] != sig:
                     return

@@ -663,7 +663,8 @@ def pushout_oracle(f, g):
     """The pushout of ``f: R -> P`` and ``g: R -> Q`` read cell by cell: per
     level, one union-find over the tagged cells ``("L", p)``, ``("R", q)``,
     joined along the legs; a class is its label-minimal member and restricts
-    as that member does."""
+    as that member does.  ``classes(M)`` maps each tagged cell over ``M`` to
+    its class."""
     from precats.presheaf import quotient
 
     R, P, Q = f.domain, f.codomain, g.codomain
@@ -682,7 +683,9 @@ def pushout_oracle(f, g):
         side, c = rep
         return classes(e.source)[side, (P if side == "L" else Q).act(e, c)]
 
-    return CellOracle(P.n, lambda M: set(classes(M).values()), act, "oracle-po")
+    oracle = CellOracle(P.n, lambda M: set(classes(M).values()), act, "oracle-po")
+    oracle.classes = classes
+    return oracle
 
 
 def upsilon_oracle(inputs, legacy=False):

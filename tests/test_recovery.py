@@ -9,7 +9,7 @@ import pytest
 from precats import (FiniteCategory, Window, category_from_nerve, coproduct,
                      dump_json, is_k_connected, nerve, point,
                      precat_from_dump, segal_check, tau_zero, upsilon)
-from precats.analysis import NotStrictError, TruncationUndefinedError
+from precats.analysis import AnalysisError, NotStrictError, TruncationUndefinedError
 
 import helpers
 
@@ -54,6 +54,18 @@ def test_composition_not_constant_on_classes():
     with pytest.raises(NotStrictError) as info:
         category_from_nerve(X)
     assert str(info.value).startswith("level data is not a category: identity law fails")
+
+
+def test_recovery_needs_dimension_one():
+    """Level (1) of a 0-precat is no site object, so recovery refuses the
+    input before reading it; a point of dimension 1 is the terminal
+    category."""
+    with pytest.raises(AnalysisError) as info:
+        category_from_nerve(point(0))
+    assert type(info.value) is AnalysisError
+    assert str(info.value) == "category recovery needs dimension n >= 1, not 0"
+    C = category_from_nerve(point(1))
+    assert (C.objects, C.arrows) == (("pt",), ("pt",))
 
 
 def _iso_classes(C: FiniteCategory) -> frozenset:
