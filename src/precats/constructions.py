@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import presheaf
 from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
-                       TabledPrecat, Window, degeneracy_map, discrete, empty,
+                       TabledPrecat, Window, cell_label, degeneracy_map, discrete, empty,
                        hom_precat, identity_map, point, point_map,
                        product, product_map, pushout, sub_precat, swap_map,
                        terminal_map)
@@ -35,7 +36,8 @@ class InvalidArgumentError(ConstructionError):
 
 class FiniteCategory:
     """Objects, arrows with endpoints, identities and a total composition
-    table ``table[(a, b)] = a-then-b`` for composable ``a, b``."""
+    table ``table[(a, b)] = a-then-b`` for composable ``a, b``, checked by
+    ``validate`` on construction."""
 
     def __init__(self, objects, arrows, src, tgt, ident, table, name="C"):
         self.objects = tuple(objects)
@@ -48,52 +50,34 @@ class FiniteCategory:
         self.validate()
 
     def validate(self):
+        """Raise ``ConstructionError`` at the first failure of the category
+        laws.  Composable pairs and triples are listed along an index of
+        each object's out-arrows, in ``arrows`` order, which visits them in
+        the order of a scan of all pairs and triples."""
+        arrow_set, src, tgt, table = set(self.arrows), self.src, self.tgt, self.table
         for x in self.objects:
             i = self.ident.get(x)
-            if i is None or self.src[i] != x or self.tgt[i] != x:
+            if i is None or i not in arrow_set or src.get(i) != x or tgt.get(i) != x:
                 raise ConstructionError(f"bad identity at {x!r}")
+        out = {x: [] for x in self.objects}
         for a in self.arrows:
-            if self.src[a] not in self.objects or self.tgt[a] not in self.objects:
+            if a not in src or a not in tgt or src[a] not in self.objects \
+                    or tgt[a] not in self.objects:
                 raise ConstructionError(f"dangling arrow {a!r}")
-        arrow_set = set(self.arrows)
+            out[src[a]].append(a)
         for a in self.arrows:
-            for b in self.arrows:
-                if self.tgt[a] == self.src[b]:
-                    c = self.table.get((a, b))
-                    if c not in arrow_set or self.src[c] != self.src[a] \
-                            or self.tgt[c] != self.tgt[b]:
-                        raise ConstructionError(f"bad composite for {a!r};{b!r}")
-            if self.table[(self.ident[self.src[a]], a)] != a or \
-               self.table[(a, self.ident[self.tgt[a]])] != a:
+            for b in out[tgt[a]]:
+                c = table.get((a, b))
+                if c not in arrow_set or src[c] != src[a] or tgt[c] != tgt[b]:
+                    raise ConstructionError(f"bad composite for {a!r};{b!r}")
+            if table.get((self.ident[src[a]], a)) != a or \
+               table.get((a, self.ident[tgt[a]])) != a:
                 raise ConstructionError(f"identity law fails at {a!r}")
         for a in self.arrows:
-            for b in self.arrows:
-                if self.tgt[a] != self.src[b]:
-                    continue
-                for c in self.arrows:
-                    if self.tgt[b] != self.src[c]:
-                        continue
-                    if self.table[(self.table[(a, b)], c)] != self.table[(a, self.table[(b, c)])]:
+            for b in out[tgt[a]]:
+                for c in out[tgt[b]]:
+                    if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                         raise ConstructionError(f"associativity fails at {a!r},{b!r},{c!r}")
-
-    def compose_run(self, arrows, at_object=None):
-        """Composite of a list of composable arrows (identity if empty)."""
-        if not arrows:
-            return self.ident[at_object]
-        out = arrows[0]
-        for a in arrows[1:]:
-            out = self.table[(out, a)]
-        return out
-
-    def chains(self, p: int):
-        """All composable p-tuples of arrows."""
-        if p == 0:
-            return [()]
-        out = [(a,) for a in self.arrows]
-        for _ in range(p - 1):
-            out = [ch + (a,) for ch in out for a in self.arrows
-                   if self.tgt[ch[-1]] == self.src[a]]
-        return out
 
     # -- stock categories ---------------------------------------------------
 
@@ -158,49 +142,71 @@ class FiniteCategory:
         return FiniteCategory(objs, arrows, src, tgt, ident, table, name=name)
 
 
-def _chain_vertex(C: FiniteCategory, chain, v: int):
-    return C.src[chain[0]] if v == 0 else C.tgt[chain[v - 1]]
-
-
-def _chain_restrict(C: FiniteCategory, chain, comp):
-    """Simplicial action of a monotone map on a composable chain."""
-    out = []
-    for i in range(len(comp) - 1):
-        a, b = comp[i], comp[i + 1]
-        if a == b:
-            out.append(C.ident[_chain_vertex(C, chain, a)])
-        else:
-            out.append(C.compose_run(list(chain[a:b])))
-    return tuple(out)
-
-
 def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     """The nerve of a finite category, padded constantly to dimension ``n``.
 
     Level 0 holds the objects; a level whose first entry is ``p`` holds the
-    composable p-chains, independently of the remaining directions.  A
-    restriction reads only the first component of the morphism, so the
-    nerve is tabled once per first entry (``presheaf.FirstEntryTable``).
+    composable p-chains, independently of the remaining directions, each
+    (p-1)-chain extended along the out-arrows of its last target, in
+    ``arrows`` order.  The table (``presheaf.FirstEntryTable``) is built
+    from ``C`` once.  Each object and arrow is labelled by ``cell_label``
+    once, and a chain's label is ``"(" + ",".join(its arrows' labels) +
+    ")"``, which is ``cell_label`` of the chain by definition.  A
+    restriction reads only the first component ``comp0`` of a morphism and
+    restricts a whole level at a time: a constant ``comp0`` reads each
+    chain's vertex, and otherwise each pair of consecutive entries of
+    ``comp0`` is a run of the chain, whose column is the vertex identity if
+    it is empty, the arrow if it has one and the composite through
+    ``C.table`` if it is longer.
     """
     if n < 1:
         raise ConstructionError("nerve needs ambient dimension >= 1")
+    src, tgt, ident, table = C.src, C.tgt, C.ident, C.table
+    objects = list(dict.fromkeys(C.objects))
+    names = [cell_label(x) for x in objects]
+    label = {a: cell_label(a) for a in C.arrows}
+    out = {x: [] for x in objects}
+    for a, name in label.items():
+        out[src[a]].append((a, name))
 
-    def cells(p):
-        return C.objects if p is None else C.chains(p)
+    def chains(p: int) -> tuple[list[tuple], list[str]]:
+        cells, labels = [(a,) for a in label], ["(" + name + ")" for name in label.values()]
+        for _ in range(p - 1):
+            longer, texts = [], []
+            for chain, text in zip(cells, labels):
+                for a, name in out[tgt[chain[-1]]]:
+                    longer.append(chain + (a,))
+                    texts.append(text[:-1] + "," + name + ")")
+            cells, labels = longer, texts
+        return cells, labels
 
-    def restrict(p, q, comp0, cell):
-        """The restriction of ``cell`` over first entry ``q`` to first entry
-        ``p`` along the first component ``comp0``."""
+    def vertices(cells: list[tuple], v: int) -> list:
+        return (list(map(src.__getitem__, map(itemgetter(0), cells))) if v == 0
+                else list(map(tgt.__getitem__, map(itemgetter(v - 1), cells))))
+
+    def restrict(p, q, comp0, cells):
+        """The restrictions of ``cells`` over first entry ``q`` to first
+        entry ``p`` along the first component ``comp0``."""
         if q is None:
-            x = cell
+            xs = cells
         elif len(set(comp0)) == 1:
-            x = _chain_vertex(C, cell, comp0[0])
+            xs = vertices(cells, comp0[0])
         else:
-            return _chain_restrict(C, cell, comp0)
-        return x if p is None else (C.ident[x],) * p
+            runs = []
+            for a, b in zip(comp0, comp0[1:]):
+                if a == b:
+                    runs.append(list(map(ident.__getitem__, vertices(cells, a))))
+                    continue
+                run = list(map(itemgetter(a), cells))
+                for j in range(a + 1, b):
+                    run = list(map(table.__getitem__, zip(run, map(itemgetter(j), cells))))
+                runs.append(run)
+            return list(zip(*runs))
+        return xs if p is None else [(ident[x],) * p for x in xs]
 
-    return TabledPrecat(n, FirstEntryTable(cells, restrict),
-                        name=f"N({C.name})@{n}")
+    return TabledPrecat(n, FirstEntryTable(
+        lambda p: (objects, names) if p is None else chains(p), restrict),
+        name=f"N({C.name})@{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and every window check (the solver, functoriality, the Segal check) read
 it; a dump is joined as text from each level's encoded labels.  A presheaf
 given cell by cell (``Precat(n, eval_fn, act_fn)``, only an imported dump)
 owns a ``CellTable``; nerves and constant presheaves a ``FirstEntryTable``,
-sorted once per first entry; every other construction a table of module
+sorted once per first entry from cells labelled by their builder (a
+nerve's chain labels are joined from its arrows' labels) and restricted a
+whole level per key; every other construction a table of module
 ``tables``, built from its parts' tables.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
@@ -245,7 +247,10 @@ def discrete(n: int, labels: Iterable) -> Precat:
     if n < 0:
         raise PresheafError(f"ambient dimension {n} is negative")
     labels = tuple(labels)
-    return TabledPrecat(n, FirstEntryTable(lambda p: labels, lambda p, q, comp0, c: c),
+    cells = list(frozenset(labels))
+    names = list(map(cell_label, cells))
+    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names),
+                                           lambda p, q, comp0, cells: cells),
                         name=f"discrete{labels}")
 
 
@@ -506,11 +511,16 @@ def _within(got: list[int], f: ThetaMorphism, cells: list, name: str = "") -> li
     return got
 
 
-def _label_order(cells: frozenset) -> tuple[list, list[str], dict]:
-    """``cells`` in label order, their labels, and each cell's position."""
-    labels = {c: cell_label(c) for c in cells}
-    order = sorted(labels, key=_label_key(labels))
-    return order, [labels[c] for c in order], {c: k for k, c in enumerate(order)}
+def _label_order(cells: Iterable, labels: Optional[list[str]] = None
+                 ) -> tuple[list, list[str], dict]:
+    """The distinct ``cells`` in label order, their labels (``labels``,
+    listed as ``cells`` are, else ``cell_label``'s) and each cell's position."""
+    cells = list(cells)
+    if labels is None:
+        labels = list(map(cell_label, cells))
+    order = sorted(range(len(cells)), key=_label_key(labels, cells.__getitem__))
+    cells = [cells[k] for k in order]
+    return cells, [labels[k] for k in order], {c: k for k, c in enumerate(cells)}
 
 
 class CellTable(WindowTable):
@@ -532,20 +542,24 @@ class CellTable(WindowTable):
 
 class FirstEntryTable(WindowTable):
     """The table of a presheaf whose level over ``M`` depends only on its
-    first entry ``p`` (``None`` at length 0): its cells are ``cells(p)``,
-    and the restriction of a cell ``c`` over ``M'`` along ``f: M -> M'`` is
-    ``restrict(p, p', f.components[0], c)``, the component being ``None``
-    when ``M'`` has length 0: nerves padded constantly and constant
-    presheaves.  Lemma: the position list of ``f`` depends only on its key
-    ``(p, p', component)``, since both label orders depend only on ``p``
-    and ``p'`` and ``restrict`` sees nothing of ``f`` but the key.  So each
-    level is sorted once per first entry, each position list computed once
-    per key, and every level and morphism with that entry or key shares it.
+    first entry ``p`` (``None`` at length 0): nerves padded constantly and
+    constant presheaves.  ``level(p)`` gives the level's distinct cells
+    and their ``cell_label``s, listed alike in any order, and
+    ``restrict(p, p', comp0, cells)`` the restrictions along ``f: M -> M'``
+    of the cells ``cells`` over ``M'``, in their order, where ``comp0`` is
+    ``f.components[0]`` (``None`` when ``M'`` has length 0).  Lemma: the
+    position list of ``f`` depends only on its key ``(p, p', comp0)``,
+    since both label orders depend only on ``p`` and ``p'`` and ``restrict``
+    sees nothing of ``f`` but the key.  So each level is sorted once per
+    first entry, each position list computed by one call per key, for a
+    whole level, and every level and morphism with that entry or key
+    shares it.
     """
 
-    def __init__(self, cells: Callable[[Optional[int]], Iterable], restrict: Callable):
+    def __init__(self, level: Callable[[Optional[int]], tuple[list, list[str]]],
+                 restrict: Callable[..., list]):
         super().__init__()
-        self._cells, self._restrict = cells, restrict
+        self._labelled, self._restrict = level, restrict
         self._by_entry: dict[Optional[int], tuple[list, list, dict]] = {}
         self._by_key: dict[tuple, list[int]] = {}
 
@@ -553,7 +567,7 @@ class FirstEntryTable(WindowTable):
         p = M.entries[0] if M.entries else None
         got = self._by_entry.get(p)
         if got is None:
-            got = self._by_entry[p] = _label_order(frozenset(self._cells(p)))
+            got = self._by_entry[p] = _label_order(*self._labelled(p))
         return got
 
     def _act(self, f):
@@ -564,7 +578,7 @@ class FirstEntryTable(WindowTable):
         if got is None:
             index, cells = self.level(f.source)[2], self.level(f.target)[0]
             got = self._by_key[key] = _within(
-                [index.get(self._restrict(*key, c), -1) for c in cells], f, cells)
+                [index.get(c, -1) for c in self._restrict(*key, cells)], f, cells)
         return got
 
 
@@ -718,8 +732,8 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         ins = [(pos[e.source], TP.act(e), TQ.act(e), TQ.labels(e.source))
                for e in into[i]]
         outs = [(pos[e.target], TP.act(e), TQ.act(e)) for e in outof[i]]
-        sig_q = [tuple(q_rest[d] for _, _, q_rest, _ in ins)
-                 for d in range(TQ.size(objs[i]))]
+        sig_q = (list(zip(*(q_rest for _, _, q_rest, _ in ins)))
+                 if ins else [()] * TQ.size(objs[i]))     # each image's restrictions
         return TP.size(objs[i]), ins, outs, sig_q
 
     def candidates(i: int, assigned: list):

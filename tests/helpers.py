@@ -124,11 +124,12 @@ def _candidate_tables(objects, arrows, src, tgt, ident):
         yield table
 
 
-def enumerate_small_categories(limit: int = 10, max_objects: int = 3,
-                               max_nonid: int = 2):
-    """First ``limit`` categories of an exhaustive bounded enumeration,
-    deduplicated up to isomorphism, in a deterministic order."""
-    found = []
+def candidate_categories(max_objects: int = 3, max_nonid: int = 2):
+    """Every ``(objects, arrows, src, tgt, ident, table)`` of a bounded
+    enumeration, in a deterministic order: up to ``max_nonid`` generators
+    between up to ``max_objects`` objects, with each choice of composites
+    of composable generators of the right ends.  A table need not be
+    associative."""
     for n_arr in range(0, max_nonid + 1):
         for n_obj in range(1, max_objects + 1):
             objects = tuple(range(n_obj))
@@ -142,16 +143,26 @@ def enumerate_small_categories(limit: int = 10, max_objects: int = 3,
                 for g, (s, t) in zip(gens, ends):
                     src[g], tgt[g] = s, t
                 for table in _candidate_tables(objects, arrows, src, tgt, ident):
-                    try:
-                        cat = FiniteCategory(objects, arrows, src, tgt, ident,
-                                             table, name=f"enum{len(found)}")
-                    except Exception:
-                        continue
-                    if any(categories_isomorphic(cat, old) for old in found):
-                        continue
-                    found.append(cat)
-                    if len(found) >= limit:
-                        return found
+                    yield objects, arrows, src, tgt, ident, table
+
+
+def enumerate_small_categories(limit: int = 10, max_objects: int = 3,
+                               max_nonid: int = 2):
+    """First ``limit`` categories of ``candidate_categories``, deduplicated
+    up to isomorphism, in a deterministic order."""
+    found = []
+    for objects, arrows, src, tgt, ident, table in candidate_categories(max_objects,
+                                                                        max_nonid):
+        try:
+            cat = FiniteCategory(objects, arrows, src, tgt, ident, table,
+                                 name=f"enum{len(found)}")
+        except Exception:
+            continue
+        if any(categories_isomorphic(cat, old) for old in found):
+            continue
+        found.append(cat)
+        if len(found) >= limit:
+            return found
     return found
 
 
@@ -631,20 +642,30 @@ def discrete_oracle(n, labels):
 def nerve_oracle(C, n=1):
     """The nerve of ``C`` padded to dimension ``n``, read cell by cell: level
     0 holds the objects and a level of first entry ``p`` the composable
-    p-chains; a cell restricts along the first component of each morphism."""
-    from precats.constructions import _chain_restrict, _chain_vertex
-
+    p-chains, found by a scan of all arrows; a cell restricts along the
+    first component of each morphism, one run of the chain at a time."""
     def eval_fn(M):
-        return C.objects if M.length == 0 else C.chains(M.entries[0])
+        if M.length == 0:
+            return C.objects
+        chains = [()]
+        for _ in range(M.entries[0]):
+            chains = [ch + (a,) for ch in chains for a in C.arrows
+                      if not ch or C.tgt[ch[-1]] == C.src[a]]
+        return chains
+
+    def vertex(chain, v):
+        return C.src[chain[0]] if v == 0 else C.tgt[chain[v - 1]]
 
     def act_fn(f, cell):
         comp0 = f.components[0]
         if f.target.length == 0:
             x = cell
         elif len(set(comp0)) == 1:
-            x = _chain_vertex(C, cell, comp0[0])
+            x = vertex(cell, comp0[0])
         else:
-            return _chain_restrict(C, cell, comp0)
+            return tuple(C.ident[vertex(cell, a)] if a == b else
+                         functools.reduce(lambda u, w: C.table[(u, w)], cell[a:b])
+                         for a, b in zip(comp0, comp0[1:]))
         if f.source.length == 0:
             return x
         return (C.ident[x],) * f.source.entries[0]

@@ -2,6 +2,8 @@
 suspension and delooping, the Whitehead operation, corner maps and the
 monoidal towers."""
 
+import itertools
+
 import pytest
 
 from precats import (FiniteCategory, PointedPrecat, PrecatMap, Window, cell,
@@ -32,6 +34,60 @@ def test_category_validation_catches_bad_tables():
                        {(("id", 0), ("id", 0)): ("id", 0),
                         (("id", 0), "g"): "g", ("g", ("id", 0)): "g",
                         ("g", "g"): ("id", 0) if False else "missing"})
+
+
+@pytest.mark.parametrize("arrows, src, tgt, table, message", [
+    (("f",), {"f": 0, "i": 0}, {"f": 0, "i": 0}, {("f", "f"): "f", ("f", "i"): "f"},
+     "bad identity at 0"),
+    (("i",), {}, {"i": 0}, {("i", "i"): "i"}, "bad identity at 0"),
+    (("i", "f"), {"i": 0}, {"i": 0}, {("i", "i"): "i"}, "dangling arrow 'f'"),
+    (("i", "f"), {"i": 0, "f": 0}, {"i": 0}, {("i", "i"): "i"}, "dangling arrow 'f'"),
+], ids=["identity-not-an-arrow", "identity-without-src", "arrow-without-ends",
+        "arrow-without-tgt"])
+def test_category_with_missing_entries_raises_construction_error(arrows, src, tgt,
+                                                                 table, message):
+    """An identity that is no arrow or has no source, and an arrow without
+    an end, are construction errors, not bare ``KeyError``s."""
+    with pytest.raises(ConstructionError, match=message):
+        FiniteCategory((0,), arrows, src, tgt, {0: "i"}, table)
+
+
+def _first_law_failure(objects, arrows, src, tgt, ident, table):
+    """The category laws checked by a scan of all pairs and all triples of
+    arrows: the message of the first failure, or None."""
+    for a in arrows:
+        for b in arrows:
+            if tgt[a] == src[b]:
+                c = table.get((a, b))
+                if c not in arrows or src[c] != src[a] or tgt[c] != tgt[b]:
+                    return f"bad composite for {a!r};{b!r}"
+        if table.get((ident[src[a]], a)) != a or table.get((a, ident[tgt[a]])) != a:
+            return f"identity law fails at {a!r}"
+    for a, b, c in itertools.product(arrows, repeat=3):
+        if tgt[a] == src[b] and tgt[b] == src[c] and \
+                table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            return f"associativity fails at {a!r},{b!r},{c!r}"
+    return None
+
+
+def test_category_validation_matches_a_scan_of_all_pairs_and_triples():
+    """``validate`` accepts exactly the tables a scan of all pairs and
+    triples accepts, and names the same first failure: on every candidate
+    table of up to three objects and two generators, and on each such
+    table with one entry dropped."""
+    seen = failed = 0
+    for objects, arrows, src, tgt, ident, table in helpers.candidate_categories():
+        for drop in [None, *table]:
+            entries = {k: v for k, v in table.items() if k != drop}
+            want = _first_law_failure(objects, arrows, src, tgt, ident, entries)
+            try:
+                FiniteCategory(objects, arrows, src, tgt, ident, entries)
+                got = None
+            except ConstructionError as exc:
+                got, failed = str(exc), failed + 1
+            assert got == want, (arrows, src, tgt, drop)
+            seen += 1
+    assert seen > 3000 and 0 < failed < seen
 
 
 def test_nerve_chain_counts():

@@ -347,6 +347,96 @@ def test_nerves_tabled_as_cell_by_cell(category, n, B):
     assert set(map(len, shared.values())) == {1}
 
 
+def _random_poset(rng, size):
+    """A seeded random poset on ``0..size-1``: a random relation along a
+    random order of the elements, transitively closed."""
+    order = rng.sample(range(size), size)
+    less = {(order[i], order[j]) for i in range(size) for j in range(i + 1, size)
+            if rng.random() < 0.3}
+    while True:
+        more = {(x, z) for x, y in less for w, z in less if w == y} - less
+        if not more:
+            return helpers.poset(less, size)
+        less |= more
+
+
+def _tied_monoid():
+    """Z/2 on the unit ``1`` and the element ``"1"``: both arrows, and so
+    every chain of one length, share one label.  ``"1"`` is listed first,
+    so chains are found in the reverse of their ``_typed_key`` order."""
+    return cn.FiniteCategory.monoid(
+        ("1", 1), lambda a, b: b if a == 1 else a if b == 1 else 1, 1, name="tied")
+
+
+@pytest.mark.parametrize("family", ["enumerated", "random-posets", "tied-labels"])
+def test_nerves_of_category_families_tabled_as_cell_by_cell(family):
+    """Nerve tables are their cell-level oracles on the ten enumerated small
+    categories (n = 1 at window 3, n = 2 at window 2), on 30 seeded random
+    posets of 5-7 elements (n = 1, window 2), and on a category whose
+    arrows ``1`` and ``"1"`` tie, so that chains of one length tie too."""
+    if family == "enumerated":
+        cases = [(C, n, B) for C in helpers.enumerate_small_categories(limit=10)
+                 for n, B in ((1, 3), (2, 2))]
+    elif family == "random-posets":
+        rng = random.Random(1972)
+        cases = [(_random_poset(rng, rng.randint(5, 7)), 1, 2) for _ in range(30)]
+        assert len({(len(C.objects), len(C.arrows)) for C, _, _ in cases}) > 10
+    else:
+        cases = [(_tied_monoid(), 1, 3), (_tied_monoid(), 2, 2)]
+        assert cn.nerve(_tied_monoid(), 1).table.labels(cn.object_of(1, (2,))) == ["(1,1)"] * 4
+    for C, n, B in cases:
+        T = cn.nerve(C, n).table
+        assert helpers.table_violations(T, helpers.nerve_oracle(C, n), Window(B)) == [], C.name
+
+
+def test_nerve_labels_each_arrow_once_and_restricts_a_level_per_key(monkeypatch):
+    """A nerve calls ``cell_label`` once per object and arrow of its
+    category, however many chains its levels hold, and ``restrict`` once
+    per key, for the whole level."""
+    labelled = []
+
+    def counted(cell, label=ps.cell_label):
+        labelled.append(cell)
+        return label(cell)
+    monkeypatch.setattr(ps, "cell_label", counted)
+    monkeypatch.setattr(cn, "cell_label", counted)
+    C, window = cn.FiniteCategory.iso_interval(), Window(3)
+    T = cn.nerve(C, 2).table
+    restricted, restrict = [], T._restrict
+
+    def spied(*key_and_cells):
+        restricted.append(key_and_cells[:3])
+        return restrict(*key_and_cells)
+    T._restrict = spied
+    chains = sum(T.size(M) for M in window.objects(2))
+    assert sorted(labelled, key=repr) == sorted(C.objects + C.arrows, key=repr)
+    assert chains > 10 * len(labelled)
+    keys = set()
+    for s, t, mors in window.morphisms(2):
+        for f in mors:
+            T.act(f)
+            keys.add((s.entries[0] if s.length else None, t.entries[0] if t.length else None,
+                      f.components[0] if t.length else None))
+    assert len(restricted) == len(keys) and set(restricted) == keys
+
+
+def test_nerves_are_freed_without_the_cycle_collector():
+    """A nerve, its table and the closures that build its levels hold no
+    reference cycle, so the nerves of an iso question are freed as soon as
+    it is answered."""
+    gc.collect()
+    gc.disable()
+    try:
+        A, B = cn.nerve(cn.FiniteCategory.chain(2), 1), cn.nerve(cn.FiniteCategory.chain(2), 1)
+        assert iso_windowed(A, B, Window(3)) is not None
+        refs = [weakref.ref(x) for x in (A, A.table, B, B.table)]
+        del A, B
+        assert all(r() is None for r in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("build, n, labels", [
     (discrete, 1, TIE),
     (discrete, 2, (0, 1)),
