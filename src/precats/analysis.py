@@ -7,11 +7,13 @@ that the presheaf owns.  Category recovery, truncation and connectivity
 read the fixed levels (0) to (3) and recurse into hom presheaves (tables
 that keep positions of their parent's), so they take no window.  One
 reading of the composition from level (2), ``_composition``, serves both
-category recovery and truncation.  A truncation is a table over its
-input's table, a quotient of its positions at the top length.  They are
-implemented for strict inputs only: a weak input raises a typed error
-instead of silently approximating, since resolving it would need a
-categorical completion operation that is out of scope here.
+category recovery and truncation.  ``tau_zero`` joins the objects along
+two-sided inverses by ``presheaf.join``, the pushouts' union-find.  A
+truncation is a table over its input's table, a quotient of its positions
+at the top length.  They are implemented for strict inputs only: a weak
+input raises a typed error instead of silently approximating, since
+resolving it would need a categorical completion operation that is out of
+scope here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from . import theta
 from .constructions import ConstructionError, FiniteCategory
 from .presheaf import (Precat, PrecatMap, TabledPrecat, Window, WindowTable,
-                       hom_precat, quotient, slice_precat)
+                       hom_precat, join, slice_precat)
 from .theta import (ThetaObject, normalize_morphism, object_of, vertex,
                     zero_object)
 
@@ -166,15 +168,13 @@ def _tau_zero_classes(A: Precat) -> dict:
                 "composition is not constant on equivalence classes")
     # a: x -> y is invertible iff some b: y -> x composes with it to both
     # identities up to class
-    iso_pairs = {(src[a], tgt[a]) for (a, b), c in table.items()
-                 if tgt[b] == src[a]
-                 and arrow_class[c] == arrow_class[ident[src[a]]]
-                 and arrow_class[table[(b, a)]] == arrow_class[ident[tgt[a]]]}
-    rep = quotient(objects, iso_pairs)
-    classes: dict = {}
-    for x in objects:
-        classes.setdefault(rep[x], set()).add(x)
-    return {x: frozenset(classes[rep[x]]) for x in objects}
+    at = {x: i for i, x in enumerate(objects)}
+    root = join(len(objects), [(at[src[a]], at[tgt[a]]) for (a, b), c in table.items()
+                               if tgt[b] == src[a]
+                               and arrow_class[c] == arrow_class[ident[src[a]]]
+                               and arrow_class[table[(b, a)]] == arrow_class[ident[tgt[a]]]])
+    classes = {r: frozenset(x for x, s in zip(objects, root) if s == r) for r in set(root)}
+    return {x: classes[r] for x, r in zip(objects, root)}
 
 
 def tau_zero(A: Precat) -> frozenset:

@@ -502,15 +502,8 @@ def square_decomposition(B: Precat, D: Precat, legacy: bool = False) -> tuple[Pr
 def wedge01(X: Precat, Y: Precat, name: str = "wedge") -> PushoutData:
     """Glue vertex 1 of ``X`` to vertex 0 of ``Y`` (both one-object levels)."""
     pt = point(X.n)
-    return pushout(point_map(X, _vertex_object(X, 1), pt, name="at1"),
-                   point_map(Y, _vertex_object(Y, 0), pt, name="at0"), name=name)
-
-
-def _vertex_object(P: Precat, o):
-    objs = P.cells(zero_object(P.n))
-    if o not in objs:
-        raise ConstructionError(f"{P.name} has no object {o!r}")
-    return o
+    return pushout(point_map(X, 1, pt, name="at1"), point_map(Y, 0, pt, name="at0"),
+                   name=name)
 
 
 # ---------------------------------------------------------------------------

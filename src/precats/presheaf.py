@@ -12,7 +12,8 @@ owns a ``CellTable``; nerves and constant presheaves a ``FirstEntryTable``,
 sorted once per first entry from cells labelled by their builder (a
 nerve's chain labels are joined from its arrows' labels) and restricted a
 whole level per key; every other construction a table of module
-``tables``, built from its parts' tables.
+``tables``, built from its parts' tables.  One union-find, ``join``, gives
+the classes of a pushout's levels and of ``analysis.tau_zero``.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -345,36 +346,23 @@ def _label_key(labels, cell: Optional[Callable] = None):
     return lambda c: (labels[c], _typed_key(cell(c)) if counts[labels[c]] > 1 else ())
 
 
-def quotient(members: Iterable, pairs: Iterable[tuple]) -> dict:
-    """Each cell of ``members`` mapped to the label-minimal cell of its class
-    under the equivalence generated by ``pairs``, label ties broken by
-    ``_typed_key``.
-
-    Union-find with path halving (Tarjan 1975): roots are linked plainly, and
-    each class of more than one member picks its representative once at the
-    end, so every member is labelled at most once.
-    """
-    table = {x: x for x in members}
-
-    def find(x):
-        while table[x] != x:
-            table[x] = table[table[x]]
-            x = table[x]
-        return x
-
+def join(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of ``0..size-1`` under the equivalence generated by
+    ``pairs``, the least member of its class: a union-find with path halving
+    (Tarjan 1975) links the larger root under the smaller, so ``up[i] <= i``
+    and one pass in increasing order sets each ``up[i]`` to ``up[up[i]]``."""
+    up = list(range(size))
     for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            table[rx] = ry
-    groups: dict = {}
-    for x in table:
-        groups.setdefault(find(x), []).append(x)
-    for group in groups.values():
-        if len(group) > 1:
-            rep = min(group, key=_label_key({x: cell_label(x) for x in group}))
-            for x in group:
-                table[x] = rep
-    return table
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        while up[y] != y:
+            up[y] = y = up[up[y]]
+        if x < y:
+            x, y = y, x
+        up[x] = y
+    for i in range(size):
+        up[i] = up[up[i]]
+    return up
 
 
 class PushoutData:

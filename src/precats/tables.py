@@ -4,8 +4,8 @@
 ``ck_monoidal`` each return a ``presheaf.TabledPrecat`` that owns one of
 these tables, built from its parts' tables.  A product's cell is a pair of
 positions, a pushout's a class of the positions of its two sides, joined
-along its legs' position lists by a union-find on their ranks in label
-order, an edge complex's a vertex path with a position for each covered
+along its legs' position lists by ``presheaf.join`` on their ranks in
+label order, an edge complex's a vertex path with a position for each covered
 input, a delooping's a copy with a position of its input, a monoidal
 tower's a grid of positions of its carrier.  Labels are composed from the
 parts' labels, restrictions and the maps between these tables are read off
@@ -30,7 +30,7 @@ import math
 import operator
 from typing import Callable
 
-from .presheaf import Positions, WindowTable, _label_key, _label_order, _within
+from .presheaf import Positions, WindowTable, _label_key, _label_order, _within, join
 from .theta import (ThetaObject, collapse_to_zero, normalize_morphism, object_of,
                     prepend_prefix, tail_morphism, tail_object)
 
@@ -136,11 +136,11 @@ class PushoutTable(CompiledTable):
     """The pushout of ``f: R -> P`` and ``g: R -> Q``, given by the legs'
     ``Positions`` ``F`` and ``G`` and the tables of P and Q: members are the
     cells of P, then those of Q, by position, ranked by label (ties, only
-    within a side, by position: ``_typed_key`` order).  A union-find on
-    ranks joins ``F[M][r]`` with ``|P| + G[M][r]`` for each position ``r``
-    of R, linking the larger root under the smaller, so each root is its
-    class's label-minimal member, which names the class and restricts as
-    it, and one pass over the ranks lists the classes in label order."""
+    within a side, by position: ``_typed_key`` order).  ``presheaf.join``
+    on ranks joins ``F[M][r]`` with ``|P| + G[M][r]`` for each position
+    ``r`` of R, so each root is its class's least rank, its label-minimal
+    member, which names the class and restricts as it, and one pass over
+    the ranks lists the classes in label order."""
 
     def __init__(self, F: Positions, G: Positions, TP: WindowTable, TQ: WindowTable):
         super().__init__()
@@ -151,16 +151,10 @@ class PushoutTable(CompiledTable):
                + ["(R," + c + ")" for c in self.TQ.labels(M)])
         by_label = sorted(range(len(raw)), key=raw.__getitem__)    # ties by position
         at, shift = sorted(range(len(raw)), key=by_label.__getitem__), self.TP.size(M)
-        up = list(range(len(raw)))      # union-find on ranks: a root is its class's least
-        for x, y in zip(map(at.__getitem__, self.F[M]), [at[shift + y] for y in self.G[M]]):
-            while up[x] != x:
-                up[x] = x = up[up[x]]
-            while up[y] != y:
-                up[y] = y = up[up[y]]
-            up[max(x, y)] = min(x, y)
+        root = join(len(raw), zip(map(at.__getitem__, self.F[M]),
+                                  [at[shift + y] for y in self.G[M]]))
         order, rank = [], [0] * len(raw)
-        for i, m in enumerate(by_label):    # up[i] <= i, so up[up[i]] is i's root
-            r = up[i] = up[up[i]]
+        for i, (m, r) in enumerate(zip(by_label, root)):
             rank[m] = rank[by_label[r]] if r < i else len(order)
             if r == i:
                 order.append(m)

@@ -21,7 +21,8 @@ hashes by identity (``object.__hash__``), and a table lookup keyed by forms
 runs no Python frame; ordering and repr stay content-based.  Each form keeps
 its own surgery results, filled on first use: an object its ``tail_object``,
 ``collapse_to_zero`` and ``identity``, a morphism its ``tail_morphism``.
-``prepend_prefix`` is memoized process-wide.
+``prepend_prefix`` keeps nothing: each slice's table keeps its own
+position lists.
 """
 
 from __future__ import annotations
@@ -350,7 +351,6 @@ def tail_morphism(f: ThetaMorphism) -> ThetaMorphism:
     return f._tail
 
 
-@lru_cache(maxsize=None)
 def prepend_prefix(prefix: tuple[int, ...], g: ThetaMorphism, n: int) -> ThetaMorphism:
     """Extend ``g`` by identities on ``prefix`` directions, as a morphism in
     ambient dimension ``n`` from ``prefix + g.source`` to ``prefix + g.target``."""

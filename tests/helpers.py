@@ -14,6 +14,7 @@ import itertools
 from collections import deque
 
 from precats import FiniteCategory, cell_label
+from precats.presheaf import _typed_key
 
 
 def monotone_tuples(a: int, b: int):
@@ -461,7 +462,8 @@ def natural_components_by_object(P, Q, window, bijective):
 
 def closure_classes(members, pairs):
     """Each member mapped to the label-minimal member of its connected
-    component in the undirected graph of ``pairs``, found by BFS."""
+    component in the undirected graph of ``pairs``, found by BFS, label ties
+    broken by ``_typed_key``."""
     members = list(members)
     neighbours = {x: [] for x in members}
     for x, y in pairs:
@@ -479,7 +481,7 @@ def closure_classes(members, pairs):
                     seen.add(y)
                     component.append(y)
                     queue.append(y)
-        rep = min(component, key=cell_label)
+        rep = min(component, key=lambda c: (cell_label(c), _typed_key(c)))
         for y in component:
             table[y] = rep
     return table
@@ -682,19 +684,17 @@ def product_oracle(P, Q):
 
 def pushout_oracle(f, g):
     """The pushout of ``f: R -> P`` and ``g: R -> Q`` read cell by cell: per
-    level, one union-find over the tagged cells ``("L", p)``, ``("R", q)``,
-    joined along the legs; a class is its label-minimal member and restricts
-    as that member does.  ``classes(M)`` maps each tagged cell over ``M`` to
-    its class."""
-    from precats.presheaf import quotient
-
+    level, a BFS closure (``closure_classes``) over the tagged cells
+    ``("L", p)``, ``("R", q)``, joined along the legs; a class is its
+    label-minimal member and restricts as that member does.  ``classes(M)``
+    maps each tagged cell over ``M`` to its class."""
     R, P, Q = f.domain, f.codomain, g.codomain
     tables = {}
 
     def classes(M):
         got = tables.get(M)
         if got is None:
-            got = tables[M] = quotient(
+            got = tables[M] = closure_classes(
                 itertools.chain((("L", c) for c in P.cells(M)),
                                 (("R", c) for c in Q.cells(M))),
                 ((("L", f.apply(M, r)), ("R", g.apply(M, r))) for r in R.cells(M)))

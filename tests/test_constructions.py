@@ -12,9 +12,10 @@ from precats import (FiniteCategory, PointedPrecat, PrecatMap, Window, cell,
                      is_cofibration, iso_windowed, monoid_from_table, nerve,
                      object_of, point, pushout_product, sigma_free,
                      slice_precat, square_decomposition, suspension, upsilon,
-                     upsilon_face, upsilon_map, whitehead, z2_monoid,
-                     zero_object)
+                     upsilon_face, upsilon_map, wedge01, whitehead,
+                     z2_monoid, zero_object)
 from precats.constructions import ConstructionError, InvalidArgumentError
+from precats.presheaf import PresheafError
 from precats.theta import normalize_morphism
 
 import helpers
@@ -324,6 +325,17 @@ def test_delooping_level_two_is_the_wedge():
     wedge = pushout(at_a, at_a2)
     lhs = slice_precat(X, (2,))
     assert iso_windowed(lhs, wedge.precat, W2) is not None
+
+
+@pytest.mark.parametrize("X, Y, vertex", [("point", "point", 1),
+                                           ("point", "interval", 1),
+                                           ("interval", "point", 0)])
+def test_wedge_of_a_missing_vertex_raises_presheaf_error(X, Y, vertex):
+    """``wedge01`` names its vertices to ``point_map``, which rejects a
+    vertex that is not an object: 1 of the left input, 0 of the right."""
+    spaces = {"point": point(1), "interval": nerve(FiniteCategory.interval(), 1)}
+    with pytest.raises(PresheafError, match=f"^{vertex} is not an object of point$"):
+        wedge01(spaces[X], spaces[Y])
 
 
 def test_delooping_is_the_suspension():

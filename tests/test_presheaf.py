@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -349,6 +350,37 @@ def test_pushout_classes_match_bfs_closure(diagram):
         assert po.precat.cells(M) == frozenset(want.values())
 
 
+def _join_cases():
+    rng = random.Random(1975)
+    yield 0, []
+    yield 1, [(0, 0)]
+    yield 5, []
+    for size in range(1, 41):
+        pairs = [(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.randrange(2 * size + 1))]
+        pairs += [(x, x) for x in rng.sample(range(size), rng.randint(0, min(size, 3)))]
+        pairs += rng.sample(pairs, min(len(pairs), 3))
+        rng.shuffle(pairs)
+        yield size, pairs
+
+
+@pytest.mark.parametrize("size, pairs", list(_join_cases()))
+def test_join_matches_bfs_closure(size, pairs):
+    """``join``'s classes are the BFS components of the pairs (self-pairs
+    and repeated pairs included), and each root is its class's least
+    member, so no index lies below its root."""
+    root = ps.join(size, pairs)
+    want = helpers.closure_classes(range(size), pairs)
+    classes: dict = {}
+    for i in range(size):
+        classes.setdefault(want[i], set()).add(i)
+    assert len(root) == size
+    assert ({frozenset(i for i in range(size) if root[i] == r) for r in set(root)}
+            == set(map(frozenset, classes.values())))
+    assert all(root[i] <= i for i in range(size))
+    assert all(root[i] == min(classes[want[i]]) for i in range(size))
+
+
 @pytest.mark.parametrize("diagram", ["span", "fold", "vertex"])
 def test_window_table_agrees_with_the_precat(diagram):
     """A table's levels are the cells in label order, and its position lists
@@ -405,6 +437,42 @@ def test_iso_search_finds_exactly_the_oracle_bijections(other, iso):
                         for M, phi in comp.items())]
     assert bool(bijective) is iso
     assert (iso_windowed(P, Q, W2) is not None) is iso
+
+
+def _bipartite_poset(edges, k=5):
+    """The height-2 poset of a bipartite graph on ``k + k`` vertices: bottom
+    ``b`` below top ``k + t`` for each edge ``(b, t)``, as a category."""
+    return helpers.poset({(b, k + t) for b, t in edges}, 2 * k)
+
+
+C10 = [(i, i) for i in range(5)] + [(i, (i + 1) % 5) for i in range(5)]
+C4_C6 = ([(0, 0), (0, 1), (1, 0), (1, 1)]
+         + [(i, i) for i in (2, 3, 4)] + [(i, 2 + (i - 1) % 3) for i in (2, 3, 4)])
+
+
+def test_iso_search_effort_on_regular_bipartite_posets(monkeypatch):
+    """C10 against C4+C6, both 2-regular, as W2 nerves of height-2 posets:
+    colours cannot tell them apart, so the search runs to exhaustion.  Its
+    effort is counted, not timed: the images drawn through ``_untaken``.
+    A relabelled C10 against C10 gets a bijection."""
+    draws = [0]
+    untaken = ps._untaken
+
+    def counting(*args):
+        for d in untaken(*args):
+            draws[0] += 1
+            yield d
+
+    monkeypatch.setattr(ps, "_untaken", counting)
+    c10 = nerve(_bipartite_poset(C10), 1)
+    assert iso_windowed(c10, nerve(_bipartite_poset(C4_C6), 1), W2) is None
+    assert draws[0] == 39325
+    swap = {0: 3, 1: 0, 2: 4, 3: 1, 4: 2}          # bottoms and tops alike
+    relabelled = nerve(_bipartite_poset([(swap[b], swap[t]) for b, t in C10]), 1)
+    iso = iso_windowed(c10, relabelled, W2)
+    assert iso is not None
+    for M in W2.objects(1):
+        assert sorted(iso.at(M)) == list(range(relabelled.size(M)))
 
 
 def _solver_cases():
