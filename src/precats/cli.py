@@ -128,9 +128,8 @@ def _pointed(args) -> cn.PointedPrecat:
 
 _NAMED_MAPS = {
     "boundary_inclusion": lambda args: cn.cell(args.k, args.n).inclusion,
-    "collapse_two": lambda args: ps.PrecatMap(
-        ps.discrete(args.n or 0, (0, 1)), ps.point(args.n or 0),
-        lambda M, c: "pt", name="2*->*"),
+    "collapse_two": lambda args: ps.point_map(
+        ps.point(args.n or 0), "pt", ps.discrete(args.n or 0, (0, 1)), name="2*->*"),
 }
 
 

@@ -168,17 +168,17 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     out = {x: [] for x in objects}
     for a, name in label.items():
         out[src[a]].append((a, name))
+    levels = [([(a,) for a in label], ["(" + name + ")" for name in label.values()])]
 
     def chains(p: int) -> tuple[list[tuple], list[str]]:
-        cells, labels = [(a,) for a in label], ["(" + name + ")" for name in label.values()]
-        for _ in range(p - 1):
+        while len(levels) < p:      # each level once, extending the one below
             longer, texts = [], []
-            for chain, text in zip(cells, labels):
+            for chain, text in zip(*levels[-1]):
                 for a, name in out[tgt[chain[-1]]]:
                     longer.append(chain + (a,))
                     texts.append(text[:-1] + "," + name + ")")
-            cells, labels = longer, texts
-        return cells, labels
+            levels.append((longer, texts))
+        return levels[p - 1]
 
     def vertices(cells: list[tuple], v: int) -> list:
         return (list(map(src.__getitem__, map(itemgetter(0), cells))) if v == 0

@@ -6,14 +6,15 @@ A presheaf sends a site object to a finite set of cells and a morphism
 cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
 and every window check (the solver, functoriality, the Segal check) read
-it; a dump is joined as text from each level's encoded labels.  A presheaf
-given cell by cell (``Precat(n, eval_fn, act_fn)``, only an imported dump)
-owns a ``CellTable``; nerves and constant presheaves a ``FirstEntryTable``,
-sorted once per first entry from cells labelled by their builder (a
-nerve's chain labels are joined from its arrows' labels) and restricted a
-whole level per key; every other construction a table of module
-``tables``, built from its parts' tables.  One union-find, ``join``, gives
-the classes of a pushout's levels and of ``analysis.tau_zero``.
+it; a dump is joined as text from each level's encoded labels, and
+imported as position lists, checked in full.  Only outside callers (tests,
+the benchmark's tracer) give a presheaf cell by cell, ``Precat(n, eval_fn,
+act_fn)`` owning a ``CellTable``.  Nerves and constant presheaves own a
+``FirstEntryTable``, sorted once per first entry from cells labelled by
+their builder (a nerve's chain labels are joined from its arrows' labels)
+and restricted a whole level per key; every other construction a table of
+module ``tables``, built from its parts' tables.  One union-find, ``join``,
+gives the classes of a pushout's levels and of ``analysis.tau_zero``.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -74,13 +75,13 @@ def cell_label(cell) -> str:
 
 @dataclass(frozen=True)
 class Window:
-    """The levels whose entries are all <= B."""
+    """The levels whose entries are all <= B, an int >= 1."""
 
     B: int
 
     def __post_init__(self):
-        if self.B < 1:
-            raise PresheafError("window entry bound must be >= 1")
+        if type(self.B) is not int or self.B < 1:
+            raise PresheafError(f"window entry bound {self.B!r} is not an int >= 1")
 
     def objects(self, n: int) -> list[ThetaObject]:
         return window_objects(n, self.B)
@@ -100,9 +101,8 @@ _MISS = object()
 
 
 class Precat:
-    """A finite presheaf on the site, read off the window table it owns: a
-    ``CellTable`` of ``eval_fn`` and ``act_fn`` if given cell by cell, as
-    only ``constant_table_precat`` (dumps and tests) does.
+    """A finite presheaf on the site, read off the window table it owns (a
+    ``CellTable`` of ``eval_fn`` and ``act_fn`` only for outside callers).
     ``cells(M)`` is the level's cells in label order, as a set-like view.
     ``edge_tables`` keeps the tables of the edge complexes with it as first input."""
 
@@ -215,35 +215,11 @@ def identity_map(P: Precat) -> PrecatMap:
     return PrecatMap(P, P, name="id", at=lambda M: list(range(T.size(M))))
 
 
-def constant_table_precat(n: int, levels: dict, actions: dict, name: str = "table",
-                          B: Optional[int] = None) -> Precat:
-    """Precat of explicit cells and maps (dumps and adversarial tests):
-    ``levels[M]`` holds the cells over ``M`` and ``actions[f]`` maps each
-    cell of ``f.target`` to its restriction.  A missing level (named with
-    the window bound ``B`` of a dump, if given), morphism or cell raises
-    ``PresheafError``."""
-    where = "" if B is None else f" of window B={B}"
-
-    def eval_fn(M):
-        if M not in levels:
-            raise PresheafError(f"{name}{where} has no level {M}")
-        return levels[M]
-
-    def act_fn(f, c):
-        try:
-            return actions[f][c]
-        except KeyError as exc:
-            on = "" if exc.args[0] is f else f" on {exc.args[0]!r}"
-            raise PresheafError(f"{name} has no action entry for {f}{on}") from None
-
-    return Precat(n, eval_fn, act_fn, name=name)
-
-
 # ---------------------------------------------------------------------------
 # basic presheaves
 # ---------------------------------------------------------------------------
 
-def discrete(n: int, labels: Iterable) -> Precat:
+def discrete(n: int, labels: Iterable, name: Optional[str] = None) -> Precat:
     """Constant presheaf on a finite set; every cell is fully degenerate."""
     if n < 0:
         raise PresheafError(f"ambient dimension {n} is negative")
@@ -252,19 +228,15 @@ def discrete(n: int, labels: Iterable) -> Precat:
     names = list(map(cell_label, cells))
     return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names),
                                            lambda p, q, comp0, cells: cells),
-                        name=f"discrete{labels}")
+                        name=name or f"discrete{labels}")
 
 
 def point(n: int) -> Precat:
-    p = discrete(n, ("pt",))
-    p.name = "point"
-    return p
+    return discrete(n, ("pt",), "point")
 
 
 def empty(n: int) -> Precat:
-    e = discrete(n, ())
-    e.name = "empty"
-    return e
+    return discrete(n, (), "empty")
 
 
 def terminal_map(P: Precat) -> PrecatMap:
@@ -443,6 +415,9 @@ def hom_precat(A: Precat, p: int, points: tuple, name: str | None = None) -> Pre
     """The fiber of the level-``p`` slice over a ``p+1``-tuple of objects."""
     if len(points) != p + 1:
         raise PresheafError("need one base object per vertex")
+    for x in points:
+        if x not in A.cells(zero_object(A.n)):
+            raise PresheafError(f"{x!r} is not an object of {A.name}")
     base, TA = slice_precat(A, (p,)), A.table
 
     def keep_at(T: ThetaObject):
@@ -464,12 +439,19 @@ class WindowTable:
     in ``cell_label`` order, their labels and each cell's position;
     ``labels(M)`` the labels alone and ``size(M)`` their number; ``act(f)``
     the position in ``f.source`` of the restriction of each cell of
-    ``f.target``, in that order.  A subclass builds a level in ``_level``
-    and a position list in ``_act``, each once, when first asked for."""
+    ``f.target``, in that order.  A table given them in full (a dump's,
+    named by ``where``) has no other; a subclass builds a level in
+    ``_level`` and a position list in ``_act``, each once, when asked for."""
 
-    def __init__(self):
-        self._levels: dict[ThetaObject, tuple[list, list, dict]] = {}
-        self._acts: dict[ThetaMorphism, list[int]] = {}
+    def __init__(self, levels: Optional[dict] = None, acts: Optional[dict] = None,
+                 where: str = "table"):
+        self._levels, self._acts, self._where = levels or {}, acts or {}, where
+
+    def _level(self, M):
+        raise PresheafError(f"{self._where} has no level {M}")
+
+    def _act(self, f):
+        raise PresheafError(f"{self._where} has no action entry for {f}")
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         got = self._levels.get(M)
@@ -860,16 +842,35 @@ def dump_window(P: Precat, window: Window) -> dict:
     return json.loads(dump_json(P, window))
 
 
-def precat_from_dump(data: dict, name: str = "dump") -> Precat:
-    """Rebuild a window-backed precat from a canonical dump.
+def _positions(f: ThetaMorphism, image, target: dict, source: dict) -> list[int]:
+    """``image``, a dump's map of ``f``, as a position list, where ``target``
+    and ``source`` index the cells of ``f``'s ends; else its first fault."""
+    try:
+        if len(image) == len(target):
+            return [source[image[c]] for c in target]
+    except (KeyError, TypeError):
+        pass
+    what = f"malformed dump: the map of {f}"
+    for k in image:
+        if k not in target:
+            raise PresheafError(f"{what} has the key {k!r}, no cell of level {f.target}")
+    for c in target:
+        if c not in image:
+            raise PresheafError(f"{what} gives the cell {c!r} no image")
+    x = next(x for x in image.values() if type(x) is not str or x not in source)
+    raise (ActionDomainError if type(x) is str else PresheafError)(
+        f"{what} has the image {x!r}, no cell of level {f.source}")
 
-    A dump missing a key or holding a value of the wrong shape raises
-    ``PresheafError``: ``n`` must be an int >= 0 and the window's ``B`` an
-    int >= 1 whose levels are all listed, each level's ``object`` a list of
-    ints >= 1 and its ``cells`` a list of distinct strings, each action's
-    endpoints listed levels, and each action's ``map`` (kept as read) a
-    dict from str to str with no more entries than its target level has
-    cells.  No level or morphism may be listed twice."""
+
+def precat_from_dump(data: dict, name: str = "dump") -> Precat:
+    """A canonical dump as a ``WindowTable`` of position lists, equal lists
+    stored once, checked in full: a dump missing a key or holding a value of
+    the wrong shape raises ``PresheafError``.  ``n`` must be an int >= 0 and
+    the window's ``B`` an int >= 1 whose levels and morphisms are all listed,
+    each level's ``object`` a list of ints >= 1 and its ``cells`` a list of
+    distinct strings, each action's ends listed levels and its ``map`` a dict
+    sending each target cell to a source cell (else ``ActionDomainError``).
+    No level or morphism may be listed twice."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -888,27 +889,26 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                     f"cells of {entries} are not a list of distinct strings")
             M = objects[tuple(entries)] = object_of(n, entries)
             require(M not in levels, f"level {M} listed twice")
-            levels[M] = tuple(cells)
-        actions, types = {}, set()
-        for entry in data["actions"]:
-            m, image = entry["morphism"], entry["map"]
-            ends = [objects.get(tuple(m[end])) for end in ("source", "target")]
-            if None in ends:
-                require(False, f"an end of morphism {m!r} is not a listed level")
-            f = theta.ThetaMorphism(*ends, tuple(tuple(c) for c in m["components"]))
-            if f in actions:
-                require(False, f"the action of {f} listed twice")
-            types.update(map(type, image.values()), map(type, image))
-            if len(image) > len(levels[ends[1]]):
-                require(False, f"the map of {f} has more entries than its target has cells")
-            actions[f] = image
-        require(types <= {str}, "an action's map is not a dict from str to str")
+            levels[M] = _label_order(cells, cells)
         B = data["window"]["B"]
         require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
         # count the window's levels first, so a huge B or n lists no objects
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
         require(size <= len(levels) and all(M in levels for M in window_objects(n, B)),
                 f"a level of window B={B} is not listed")
+        acts, shared = {}, {}
+        for entry in data["actions"]:
+            m, image = entry["morphism"], entry["map"]
+            ends = [objects.get(tuple(m[end])) for end in ("source", "target")]
+            if None in ends:
+                require(False, f"an end of morphism {m!r} is not a listed level")
+            f = theta.ThetaMorphism(*ends, tuple(tuple(c) for c in m["components"]))
+            if f in acts:
+                require(False, f"the action of {f} listed twice")
+            got = _positions(f, image, levels[ends[1]][2], levels[ends[0]][2])
+            acts[f] = shared.setdefault(tuple(got), got)
+        missing = [f for _, _, mors in Window(B).morphisms(n) for f in mors if f not in acts]
+        require(not missing, f"the action of {missing and missing[0]} is not listed")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
-    return constant_table_precat(n, levels, actions, name=name, B=B)
+    return TabledPrecat(n, WindowTable(levels, acts, f"{name} of window B={B}"), name)

@@ -188,7 +188,7 @@ def _over_inclusion_pairs(identity, window: ps.Window):
 def _entry_cylinder(window: ps.Window):
     E = ps.discrete(1, (0, 1))
     F = ps.discrete(1, (0, 1, 2))
-    i = ps.PrecatMap(E, F, lambda M, c: c, name="2*->3*")
+    i = ps.degeneracy_map(E, F, name="2*->3*")
     iso = cn.claim_fold(i).decomposition_agrees(ps.Window(max(window.B, 3)))
     return iso is not None, "two caps over the cylinder match the corner source"
 

@@ -14,7 +14,13 @@ import itertools
 from collections import deque
 
 from precats import FiniteCategory, cell_label
-from precats.presheaf import _typed_key
+from precats.presheaf import Precat, _typed_key
+
+
+def table_precat(n: int, levels: dict, actions: dict, name: str = "table") -> Precat:
+    """A precat given cell by cell: ``levels[M]`` lists the cells over ``M``
+    and ``actions[f][c]`` restricts the cell ``c`` along ``f``."""
+    return Precat(n, levels.__getitem__, lambda f, c: actions[f][c], name=name)
 
 
 def monotone_tuples(a: int, b: int):

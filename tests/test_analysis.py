@@ -12,7 +12,7 @@ from precats import (FiniteCategory, PointedPrecat, Window, category_from_nerve,
                      nerve, object_of, point, product, pushout_product,
                      segal_check, segal_faces, sigma_free, tau_zero, truncate,
                      upsilon, whitehead, z2_monoid, zero_object)
-from precats.presheaf import constant_table_precat, dump_json
+from precats.presheaf import dump_json
 from precats.theta import vertex
 from precats.analysis import (AnalysisError, NotStrictError,
                               TruncationUndefinedError)
@@ -58,7 +58,7 @@ def _incompatible_spines():
     actions = {v0: {"a": "x", "b": "x"}, v1: {"a": "y", "b": "x"}}
     for f in (f01, f12):
         actions[f] = {"t": "a", "s": "b"}
-    return constant_table_precat(1, levels, actions, name="incompatible")
+    return helpers.table_precat(1, levels, actions, name="incompatible")
 
 
 def _segal_inputs():

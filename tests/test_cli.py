@@ -237,6 +237,47 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
             assert "listed twice" in err
 
 
+def _faulty_map(entry, fault):
+    image = entry["map"]
+    if fault == "no image":
+        del image["b"]
+    elif fault == "stray key":
+        image["zz"] = image.pop("b")
+    elif fault == "stray image":
+        image["a"] = "z"
+    else:
+        image["a"] = 0 if fault == "int image" else ["a"]
+
+
+@pytest.mark.parametrize("fault, error, what", [
+    ("no image", ps.PresheafError, "gives the cell 'b' no image"),
+    ("stray key", ps.PresheafError, "has the key 'zz', no cell of level"),
+    ("stray image", ps.ActionDomainError, "has the image 'z', no cell of level"),
+    ("int image", ps.PresheafError, "has the image 0, no cell of level"),
+    ("list image", ps.PresheafError, r"has the image \['a'\], no cell of level"),
+    ("unlisted", ps.PresheafError, "is not listed")])
+def test_dump_maps_are_checked_in_full_at_import(fault, error, what, tmp_path, capsys):
+    """Each map of a dump lists every cell of its target level once and sends
+    it to a cell of its source level, and every window morphism is listed;
+    a fault in one non-identity map is found at import, before any check
+    reads it, and the command line exits 2 on it."""
+    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    entry = next(e for e in data["actions"] if e["morphism"]["target"] == [2]
+                 and e["morphism"]["source"] == [1])
+    if fault == "unlisted":
+        data["actions"].remove(entry)
+    else:
+        _faulty_map(entry, fault)
+    with pytest.raises(ps.PresheafError, match=f"malformed dump: .*{what}") as got:
+        ps.precat_from_dump(data)
+    assert got.type is error and "(1,)->(2,)" in str(got.value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for check in ("segal", "functorial"):
+        code, _, err = run(["check", check, "--in", str(bad), "--window", "2"], capsys)
+        assert code == 2 and err.startswith("error: malformed dump")
+
+
 def test_pointed_input_without_objects_is_usage_error(capsys):
     code, _, err = run(["check", "segal", "delooping", "--of", "empty",
                         "--n", "1"], capsys)

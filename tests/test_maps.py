@@ -4,12 +4,14 @@ every generator; the cocone check of ``induced``; the solver's answer
 outside its window; and naturality failures found on positions."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from precats import (FiniteCategory, PrecatMap, PresheafError, Window, discrete,
                      identity_map, iso_windowed, nerve, object_of, point, pushout,
                      terminal_map, upsilon, zero_object)
+from precats import cli, suite
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.theta import collapse_to_zero
@@ -169,3 +171,22 @@ def test_naturality_failures_found_on_positions_are_the_cell_level_ones(m):
     got = m.naturality_violations(W2)
     assert got and got == helpers.generator_naturality_violations(m, W2)
     assert set(got) <= set(helpers.all_morphism_naturality_violations(m, W2))
+
+
+def test_named_maps_from_positions_match_their_cell_given_forms(monkeypatch):
+    """The cylinder entry's ``2*->3*`` and the command line's ``collapse_two``,
+    built from positions, list the positions of the maps given cell by cell
+    on every level of window 3."""
+    W3, built = Window(3), []
+    monkeypatch.setattr(suite.cn, "claim_fold", lambda i: built.append(i) or SimpleNamespace(
+        decomposition_agrees=lambda window: None))
+    suite._entry_cylinder(W3)
+    (i,) = built
+    pairs = [(i, PrecatMap(i.domain, i.codomain, lambda M, c: c))]
+    for n in (0, 1, 2):
+        u = cli._NAMED_MAPS["collapse_two"](SimpleNamespace(n=n))
+        pairs.append((u, PrecatMap(discrete(n, (0, 1)), point(n), lambda M, c: "pt")))
+    for got, cells in pairs:
+        assert got.name in ("2*->3*", "2*->*")
+        for M in W3.objects(got.domain.n):
+            assert got.at(M) == cells.at(M), (got.name, M)

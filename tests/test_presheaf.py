@@ -26,8 +26,7 @@ from precats.constructions import (PointedPrecat, cell, ck_monoidal,
 from precats import presheaf as ps
 from precats import suite as suite_mod
 from precats.presheaf import (ActionDomainError, CellTable, PresheafError,
-                              _certified, _natural_components,
-                              constant_table_precat)
+                              _certified, _natural_components)
 from precats.theta import enumerate_morphisms, identity
 
 import helpers
@@ -290,7 +289,7 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from precats import constructions as cn, presheaf as ps
-A = ps.precat_from_dump(ps.dump_window(cn.ck_monoidal(cn.z2_monoid(), 1), ps.Window(2)))
+A = ps.Precat(1, lambda M: ("c",), lambda f, c: c, name="cells")
 W, _ = cn.whitehead(cn.nerve(cn.FiniteCategory.iso_interval(), 2), 0, 1)
 for P in (A, W):
     assert ps.check_functoriality(P, ps.Window(2)) == []
@@ -302,8 +301,8 @@ print(metrics["presheaf.act.calls"], metrics["presheaf.levels_evaluated"])
 
 def test_benchmark_tracer_counts_act_calls_and_levels():
     """The benchmark's tracer, installed before any input is built, counts
-    the ``Precat.act`` calls of a Whitehead sub and an imported dump (of a
-    monoidal tower), and the levels that the dump evaluates cell by cell."""
+    the ``Precat.act`` calls of a Whitehead sub, and the levels that a
+    precat given cell by cell evaluates."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run([sys.executable, "-c", _TRACED, os.path.join(root, "perfbench")],
                           env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
@@ -702,7 +701,7 @@ def test_iso_needs_naturality_not_just_counts():
         if flip:
             for f in verts:
                 acts[f] = {"a": "b", "b": "a"}
-        return constant_table_precat(n, levels, acts, name=f"tbl{flip}")
+        return helpers.table_precat(n, levels, acts, name=f"tbl{flip}")
 
     straight, flipped = tables(False), tables(True)
     assert not check_functoriality(straight, W2)
@@ -771,7 +770,7 @@ def test_functoriality_negative_control():
             for f in enumerate_morphisms(s, t)}
     bad_mor = enumerate_morphisms(objs[0], objs[1])[0]
     acts[bad_mor] = {"a": "b", "b": "b"}
-    corrupted = constant_table_precat(n, levels, acts, name="bad")
+    corrupted = helpers.table_precat(n, levels, acts, name="bad")
     violations = check_functoriality(corrupted, W2)
     assert violations
     assert any(bad_mor in v for v in violations)
@@ -784,8 +783,8 @@ def _corrupted_table(bad_mor):
     acts = {f: {"a": "a", "b": "b"} for s in objs for t in objs
             for f in enumerate_morphisms(s, t)}
     acts[bad_mor] = {"a": "b", "b": "b"}
-    return constant_table_precat(1, {M: ("a", "b") for M in objs}, acts,
-                                 name="bad")
+    return helpers.table_precat(1, {M: ("a", "b") for M in objs}, acts,
+                                name="bad")
 
 
 @pytest.mark.parametrize("bad_mor, is_generator", [
@@ -902,6 +901,21 @@ def test_hom_precat_fibers():
     assert h01.cells(o(0, [])) == frozenset({("u",)})
     h00 = hom_precat(NIb, 1, (0, 0))
     assert h00.cells(o(0, [])) == frozenset({("id0",)})
+
+
+def test_hom_precat_needs_objects_of_its_precat():
+    """A base point that is no object is named, not read as an empty fiber."""
+    NI = nerve(FiniteCategory.interval(), 1)
+    with pytest.raises(PresheafError, match="'nope' is not an object of N"):
+        hom_precat(NI, 1, (0, "nope"))
+    assert hom_precat(NI, 1, (1, 0)).size(o(0, [])) == 0
+
+
+@pytest.mark.parametrize("B", [True, 2.5, "2", 0, -1, None])
+def test_window_bound_is_an_int_at_least_one(B):
+    """The rule ``precat_from_dump`` applies to a dump's ``B``."""
+    with pytest.raises(PresheafError, match="not an int >= 1"):
+        Window(B)
 
 
 def test_degeneracy_of_object_is_identity_chain():

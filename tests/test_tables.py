@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -24,7 +25,7 @@ from precats import analysis as an
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import CellTable, FirstEntryTable, TabledPrecat, WindowTable
+from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
 from precats.tables import (CompiledTable, DeloopingTable, MonoidalTable, ProductTable,
                             PushoutTable, SliceTable, SubTable, TruncationTable,
                             UpsilonTable)
@@ -677,12 +678,16 @@ _REDUMPED = ([(name, args, 2) for name, args, B, _ in _dump_catalog() if B == 2]
 @pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _REDUMPED],
                          ids=[f"{name}@W{B}" for name, _, B in _REDUMPED])
 def test_imported_dumps_redump_to_the_same_bytes(args, B):
-    """A dump re-imported is read cell by cell off its maps, and dumping
-    it again gives the same bytes."""
+    """A dump re-imported is a table of position lists, one list per
+    distinct content and no map kept, and dumping it again gives the same
+    bytes."""
     parsed = cli.make_parser().parse_args(["build", *args, "--window", str(B)])
     text = ps.dump_json(cli.build_precat(parsed), Window(B))
     back = ps.precat_from_dump(json.loads(text))
-    assert type(back.table) is CellTable
+    acts = back.table._acts
+    assert type(back.table) is WindowTable
+    assert all(type(a) is list and set(map(type, a)) <= {int} for a in acts.values())
+    assert len({id(a) for a in acts.values()}) == len({tuple(a) for a in acts.values()})
     assert ps.dump_json(back, Window(B)) == text
 
 
@@ -714,7 +719,7 @@ def test_dump_text_is_the_oracle_dict_dumped(name):
     assert text == json.dumps(oracle, sort_keys=True, separators=(",", ":")) + "\n"
     assert ps.dump_window(P, W2) == oracle
     if name == "imported":
-        assert type(P.table) is CellTable
+        assert type(P.table) is WindowTable
     if name == "escaped":
         assert text.isascii() and "\\ud83d\\ude00" in text
         assert sorted(oracle["levels"][0]["cells"]) == sorted(_ESCAPED)
@@ -766,29 +771,29 @@ def _broken_dump(fault):
     ("image", ps.ActionDomainError)])
 def test_broken_dumps_raise_typed_errors(fault, error, tmp_path, capsys):
     """A missing morphism or cell is a ``PresheafError`` and an image
-    outside its level an ``ActionDomainError``, whether the table, a check
-    or the command line meets it; the command line exits 2."""
+    outside its level an ``ActionDomainError``, raised at import, before
+    any check reads the dump; the command line exits 2."""
     data, f = _broken_dump(fault)
-    P = ps.precat_from_dump(data)
-    with pytest.raises(ps.PresheafError) as got:
-        P.table.act(f)
-    assert got.type is error
-    with pytest.raises(ps.PresheafError) as got:
-        ps.check_functoriality(P, W2)
+    with pytest.raises(ps.PresheafError, match=f"malformed dump: .*{re.escape(str(f))}") as got:
+        ps.precat_from_dump(data)
     assert got.type is error
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert cli.main(["check", "functorial", "--in", str(path), "--window", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: malformed dump")
 
 
 def test_dump_levels_outside_its_window_name_the_window(tmp_path, capsys):
     """A W2 dump checked on window 3 is an input error naming ``B=2`` and
-    the level; a window bound that is not an int >= 1 is a malformed dump."""
+    the level or morphism; a window bound that is not an int >= 1 is a
+    malformed dump."""
     P = discrete(1, ("a", "b"))
     data = ps.dump_window(P, W2)
     with pytest.raises(ps.PresheafError, match=r"B=2.*\(3,\)"):
         ps.precat_from_dump(data).table.level(ps.object_of(1, [3]))
+    f = Window(3).elementary(1)[-1]
+    with pytest.raises(ps.PresheafError, match=rf"B=2 has no action entry for {re.escape(str(f))}"):
+        ps.precat_from_dump(data).table.act(f)
     path = tmp_path / "w2.json"
     path.write_text(ps.dump_json(P, W2))
     assert cli.main(["check", "segal", "--in", str(path), "--window", "3"]) == 2

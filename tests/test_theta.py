@@ -381,22 +381,14 @@ def test_composites_and_tails_are_the_interned_forms(n):
         assert th.tail_morphism(f).target is o(n - 1, f.target.entries[1:])
 
 
-def test_dump_import_rebuilds_the_interned_morphisms(monkeypatch):
+def test_dump_import_rebuilds_the_interned_morphisms():
     window = Window(2)
     data = dump_window(nerve(FiniteCategory.chain(2), 2), window)
-    seen = {}
-    real = ps.constant_table_precat
-
-    def spy(n, levels, actions, **kwargs):
-        seen.update(levels=levels, actions=actions)
-        return real(n, levels, actions, **kwargs)
-
-    monkeypatch.setattr(ps, "constant_table_precat", spy)
-    ps.precat_from_dump(data)
+    table = ps.precat_from_dump(data).table
     objs = window.objects(2)
-    assert [M for M in objs if M in seen["levels"]] == objs
-    assert all(any(M is N for N in objs) for M in seen["levels"])
-    rebuilt = set(seen["actions"])
+    assert [M for M in objs if M in table._levels] == objs
+    assert all(any(M is N for N in objs) for M in table._levels)
+    rebuilt = set(table._acts)
     assert len(rebuilt) == sum(len(m) for _, _, m in window.morphisms(2))
     for f in rebuilt:
         assert any(f is g for g in enumerate_morphisms(f.source, f.target))
