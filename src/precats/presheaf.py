@@ -145,7 +145,8 @@ class TabledPrecat(Precat):
 
 class Positions(dict):
     """A map's position list per level, built by ``build(M)`` when first
-    asked for; ``build`` reads tables and other ``Positions``, never a map."""
+    asked for; ``build`` reads tables and other ``Positions``, never a map.
+    ``dump_json`` keeps its texts in one too, keyed by what they encode."""
 
     def __init__(self, build: Callable[[ThetaObject], list[int]]):
         self.build = build
@@ -805,12 +806,18 @@ def _ints(xs) -> str:
     return "[" + ",".join(map(str, xs)) + "]"
 
 
+def _map_text(keys: list[str], source: list[str], act: tuple[int, ...]) -> str:
+    return ",".join([k + source[i] for k, i in zip(keys, act)])
+
+
 def dump_json(P: Precat, window: Window) -> str:
     """The text ``json.dumps`` gives the window's dump with sorted keys, no
     spaces and ASCII escapes, joined from each level's encoded labels: its
     cells' keys, so a label tie is a ``PresheafError``, and in ``str`` order,
-    which is key order, so labels out of order are a fault of the table."""
-    T, encode, codes = P.table, json.encoder.encode_basestring_ascii, {}
+    which is key order, so labels out of order are a fault of the table.
+    Each int tuple's text is built once, and each map's once per position
+    list within a pair of levels."""
+    T, encode, codes, ints = P.table, json.encoder.encode_basestring_ascii, {}, Positions(_ints)
     for M in window.objects(P.n):
         labels = T.labels(M)
         for a, b in zip(labels, labels[1:]):
@@ -823,15 +830,16 @@ def dump_json(P: Precat, window: Window) -> str:
     # make the window's morphisms, which stay interned, before any text
     # piece: made in between, they would keep the pieces' freed pools in use
     for s, t, mors in list(window.morphisms(P.n)):
-        source, keys = codes[s], [x + ":" for x in codes[t]]
-        ends = f'],"source":{_ints(s.entries)},"target":{_ints(t.entries)}}}}},'
+        keys = [x + ":" for x in codes[t]]
+        maps = Positions(functools.partial(_map_text, keys, codes[s]))
+        ends = f'],"source":{ints[s.entries]},"target":{ints[t.entries]}}}}},'
         for f in mors:
-            out += ('{"map":{', ",".join([k + source[i] for k, i in zip(keys, T.act(f))]),
-                    '},"morphism":{"components":[', ",".join(map(_ints, f.components)), ends)
+            out += ('{"map":{', maps[tuple(T.act(f))], '},"morphism":{"components":[',
+                    ",".join(map(ints.__getitem__, f.components)), ends)
     out[-1] = out[-1].rstrip(",")
     out.append('],"levels":[')
     for M, cells in codes.items():
-        out += ('{"cells":[', ",".join(cells), f'],"object":{_ints(M.entries)}}},')
+        out += ('{"cells":[', ",".join(cells), f'],"object":{ints[M.entries]}}},')
     out[-1] = out[-1].rstrip(",")
     out.append(f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n')
     return "".join(out)
@@ -896,19 +904,28 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
         require(size <= len(levels) and all(M in levels for M in window_objects(n, B)),
                 f"a level of window B={B} is not listed")
-        acts, shared = {}, {}
+        acts, shared, run = {}, {}, None
         for entry in data["actions"]:
             m, image = entry["morphism"], entry["map"]
-            ends = [objects.get(tuple(m[end])) for end in ("source", "target")]
-            if None in ends:
-                require(False, f"an end of morphism {m!r} is not a listed level")
-            f = theta.ThetaMorphism(*ends, tuple(tuple(c) for c in m["components"]))
+            if (m["source"], m["target"]) != run:    # resolve the ends once per run
+                run = m["source"], m["target"]
+                ends = [objects.get(tuple(end)) for end in run]
+                if None in ends:
+                    require(False, f"an end of morphism {m!r} is not a listed level")
+                source, target = levels[ends[0]][2], levels[ends[1]][2]
+            f = theta.ThetaMorphism(*ends, tuple(map(tuple, m["components"])))
             if f in acts:
                 require(False, f"the action of {f} listed twice")
-            got = _positions(f, image, levels[ends[1]][2], levels[ends[0]][2])
+            got = _positions(f, image, target, source)
             acts[f] = shared.setdefault(tuple(got), got)
-        missing = [f for _, _, mors in Window(B).morphisms(n) for f in mors if f not in acts]
-        require(not missing, f"the action of {missing and missing[0]} is not listed")
+        # count the listed actions of the window against its morphisms: only
+        # a shortfall lists them, to name the first one missing
+        window = set(window_objects(n, B))
+        listed = sum(f.source in window and f.target in window for f in acts)
+        if listed < sum(theta.count_morphisms(s, t) for s in window for t in window):
+            missing = next(f for _, _, mors in Window(B).morphisms(n) for f in mors
+                           if f not in acts)
+            require(False, f"the action of {missing} is not listed")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return TabledPrecat(n, WindowTable(levels, acts, f"{name} of window B={B}"), name)

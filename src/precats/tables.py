@@ -350,9 +350,10 @@ class DeloopingTable(CompiledTable):
         # copy 1's image: member 0 for the base, else 1 + its kept index
         block = [0 if x == b else x + (x < b)
                  for x in map(act.__getitem__, self._kept_at(f.target)[1])]
-        image, width = [0], len(kept)
-        for i in range(1, f.target.entries[0] + 1):
-            slot = next((j for j in range(1, len(comp0)) if comp0[j - 1] < i <= comp0[j]), 0)
+        image, width, slots = [0], len(kept), [0] * (f.target.entries[0] + 1)
+        for l in range(1, len(comp0)):
+            slots[comp0[l - 1] + 1:comp0[l] + 1] = [l] * (comp0[l] - comp0[l - 1])
+        for slot in slots[1:]:
             image += [y and y + (slot - 1) * width for y in block] if slot else [0] * len(block)
         return image
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 
 from precats import FiniteCategory, cell_label
 from precats.presheaf import Precat, _typed_key
+from precats.theta import InvalidMorphismError
 
 
 def table_precat(n: int, levels: dict, actions: dict, name: str = "table") -> Precat:
@@ -106,6 +108,17 @@ def lifts_act_equal(n: int, src_padded, tgt_padded, lift1, lift2) -> bool:
 def raw_compose(lift_f, lift_g):
     """Componentwise composite f-after-g of raw lifts."""
     return tuple(tuple(fc[v] for v in gc) for fc, gc in zip(lift_f, lift_g))
+
+
+def check_component(a: int, b: int, i: int, comp) -> None:
+    """Reject a component ``i`` that is not monotone ``[a] -> [b]``, by three
+    checks in turn: arity, range, order."""
+    if len(comp) != a + 1:
+        raise InvalidMorphismError(f"component {i} has wrong arity for [{a}]")
+    if min(comp) < 0 or max(comp) > b:
+        raise InvalidMorphismError(f"component {i} leaves [{b}]")
+    if not all(map(operator.le, comp, comp[1:])):
+        raise InvalidMorphismError(f"component {i} is not order-preserving")
 
 
 # ---------------------------------------------------------------------------

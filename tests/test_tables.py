@@ -646,8 +646,10 @@ def _interval():
 
 @pytest.mark.parametrize("pointed, B", [
     (_two, 2), (_interval, 2), (lambda: cn.sigma_free(1, 1), 2), (_two, 3),
+    (_interval, 3), (lambda: cn.sigma_free(1, 1), 3),
     (lambda: cn.PointedPrecat(discrete(1, (*TIE, "x")), "x"), 2)],
-    ids=["two-W2", "N(I)-W2", "sigma-1-1-W2", "two-W3", "ties-W2"])
+    ids=["two-W2", "N(I)-W2", "sigma-1-1-W2", "two-W3", "N(I)-W3", "sigma-1-1-W3",
+         "ties-W2"])
 def test_deloopings_tabled_as_cell_by_cell(pointed, B):
     """A delooping's table is built from its input's own table and is its
     cell-level oracle on every window morphism."""
@@ -675,20 +677,64 @@ _REDUMPED = ([(name, args, 2) for name, args, B, _ in _dump_catalog() if B == 2]
              + [("delooping-two_point", ["delooping", "--of", "two_point", "--n", "1"], 3)])
 
 
+def _build(args, B):
+    return cli.build_precat(cli.make_parser().parse_args(["build", *args, "--window", str(B)]))
+
+
 @pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _REDUMPED],
                          ids=[f"{name}@W{B}" for name, _, B in _REDUMPED])
 def test_imported_dumps_redump_to_the_same_bytes(args, B):
     """A dump re-imported is a table of position lists, one list per
     distinct content and no map kept, and dumping it again gives the same
     bytes."""
-    parsed = cli.make_parser().parse_args(["build", *args, "--window", str(B)])
-    text = ps.dump_json(cli.build_precat(parsed), Window(B))
+    text = ps.dump_json(_build(args, B), Window(B))
     back = ps.precat_from_dump(json.loads(text))
     acts = back.table._acts
     assert type(back.table) is WindowTable
     assert all(type(a) is list and set(map(type, a)) <= {int} for a in acts.values())
     assert len({id(a) for a in acts.values()}) == len({tuple(a) for a in acts.values()})
     assert ps.dump_json(back, Window(B)) == text
+
+
+@pytest.mark.parametrize("args, maps", [
+    (["nerve", "--category", "Ibar", "--n", "2"], 1777),
+    (["delooping", "--of", "two_point", "--n", "1"], 1465)], ids=["Ibar-n2", "two_point"])
+def test_dump_encodes_each_text_once(args, maps, monkeypatch):
+    """At W3 the writer builds one text per distinct position list of a pair
+    of levels, not one per morphism (10,282), and one per int tuple: the 69
+    distinct components and the object entries that are none of them."""
+    P, W3 = _build(args, 3), Window(3)
+    text = ps.dump_json(P, W3)
+    built = {"_map_text": [], "_ints": []}
+    for name, calls in built.items():
+        real = getattr(ps, name)
+        monkeypatch.setattr(ps, name, lambda *a, real=real, calls=calls:
+                            calls.append(a[-1]) or real(*a))
+    assert ps.dump_json(P, W3) == text
+    assert len(built["_map_text"]) == maps
+    comps = {c for _, _, mors in W3.morphisms(P.n) for f in mors for c in f.components}
+    assert len(comps) == 69
+    assert len(built["_ints"]) == len(set(built["_ints"]))
+    assert set(built["_ints"]) == comps | {M.entries for M in W3.objects(P.n)}
+
+
+def test_import_counts_the_window_instead_of_listing_it(monkeypatch):
+    """Import checks that every window morphism is listed by counting them
+    per pair of levels: the Ibar n = 2 dump at W3 lists no morphism."""
+    text = ps.dump_json(_build(["nerve", "--category", "Ibar", "--n", "2"], 3), Window(3))
+    data, calls = json.loads(text), []
+    for module in (ps, ps.theta):
+        real = module.enumerate_morphisms
+        monkeypatch.setattr(module, "enumerate_morphisms",
+                            lambda s, t, real=real: calls.append((s, t)) or real(s, t))
+    back = ps.precat_from_dump(data)
+    assert calls == []
+    assert ps.dump_json(back, Window(3)) == text
+    m = data["actions"].pop(5)["morphism"]
+    f = ps.theta.ThetaMorphism(*[ps.theta.object_of(2, m[end]) for end in ("source", "target")],
+                               tuple(map(tuple, m["components"])))
+    with pytest.raises(ps.PresheafError, match=re.escape(f"the action of {f} is not listed")):
+        ps.precat_from_dump(data)
 
 
 _ESCAPED = ('a"b', "back\\slash", "\n", "\x7f", "\u00e9", "\U0001f600")

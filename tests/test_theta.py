@@ -4,6 +4,7 @@ quotient against an independent action oracle, composition and enumeration."""
 import copy
 import dataclasses
 import hashlib
+import itertools
 import os
 import pickle
 import re
@@ -94,6 +95,29 @@ def test_normalize_rejects_non_monotone(entries, lift, message):
         normalize_morphism(a, a, lift)
 
 
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_component_check_agrees_with_the_three_step_oracle():
+    """The one-comparison check accepts exactly the components that the
+    arity, range and order checks accept, and rejects every other with the
+    same class and message, at the first position and a later one."""
+    comps = [c for k in range(1, 6) for c in itertools.product(range(-1, 5), repeat=k)]
+    for n, i in ((1, 0), (2, 1)):
+        for a in range(4):
+            for b in range(4):
+                s, t = o(n, [1] * i + [a]), o(n, [1] * i + [b])
+                assert (s.padded(i), t.padded(i)) == (a, b)
+                for comp in comps:
+                    assert (_outcome(th._check_component, s, t, i, comp)
+                            == _outcome(helpers.check_component, a, b, i, comp))
+
+
 def test_normal_form_shape_is_validated():
     a = o(2, [1, 1])
     with pytest.raises(InvalidMorphismError):
@@ -168,6 +192,18 @@ def test_enumeration_counts():
     assert len(enumerate_morphisms(o(1, [1]), o(1, [1]))) == 3
     assert len(enumerate_morphisms(o(1, [1]), o(1, [2]))) == 6
     assert len(enumerate_morphisms(o(2, [1]), o(2, [1, 1]))) == 4
+
+
+@pytest.mark.parametrize("n, B", [(0, 1), (1, 3), (2, 3), (3, 2), (4, 2)])
+def test_count_morphisms_matches_enumeration(n, B):
+    """``count_morphisms`` counts the normal forms of every pair of window
+    levels without building them."""
+    objs = window_objects(n, B)
+    for s in objs:
+        for t in objs:
+            assert th.count_morphisms(s, t) == len(enumerate_morphisms(s, t))
+    with pytest.raises(InvalidMorphismError):
+        th.count_morphisms(o(1, [1]), o(2, [1]))
 
 
 def test_dimension_one_is_the_simplex_category():
