@@ -139,11 +139,9 @@ _NAMED_MAPS = {
 
 def cmd_build(args) -> int:
     P = build_precat(args)
-    text = ps.dump_json(P, ps.Window(args.window))
-    # in 1 MiB slices, so that no encoded copy of a whole large dump is made
+    chunks = ps.dump_chunks(P, ps.Window(args.window))      # never the whole text at once
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        for i in range(0, len(text), 1 << 20):
-            fh.write(text[i:i + (1 << 20)])
+        fh.writelines(chunks)
     return 0
 
 

@@ -17,7 +17,7 @@ from . import presheaf
 from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
                        TabledPrecat, Window, cell_label, degeneracy_map, discrete, empty,
                        hom_precat, identity_map, point, point_map,
-                       product, product_map, pushout, sub_precat, swap_map,
+                       derived, product, product_map, pushout, sub_precat, swap_map,
                        terminal_map)
 from .theta import ThetaObject, object_of, vertex, zero_object
 
@@ -149,15 +149,15 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     composable p-chains, independently of the remaining directions, each
     (p-1)-chain extended along the out-arrows of its last target, in
     ``arrows`` order.  The table (``presheaf.FirstEntryTable``) is built
-    from ``C`` once.  Each object and arrow is labelled by ``cell_label``
-    once, and a chain's label is ``"(" + ",".join(its arrows' labels) +
-    ")"``, which is ``cell_label`` of the chain by definition.  A
-    restriction reads only the first component ``comp0`` of a morphism and
-    restricts a whole level at a time: a constant ``comp0`` reads each
-    chain's vertex, and otherwise each pair of consecutive entries of
-    ``comp0`` is a run of the chain, whose column is the vertex identity if
-    it is empty, the arrow if it has one and the composite through
-    ``C.table`` if it is longer.
+    from ``C`` once, interned at its first composite by all it reads, typed
+    by label.  Each object and arrow is labelled by ``cell_label`` once, and
+    a chain's label is ``"(" + ",".join(its arrows' labels) + ")"``, which
+    is ``cell_label`` of the chain by definition.  A restriction reads only
+    the first component ``comp0`` of a morphism and restricts a whole level
+    at a time: a constant ``comp0`` reads each chain's vertex, and otherwise
+    each pair of consecutive entries of ``comp0`` is a run of the chain,
+    whose column is the vertex identity if it is empty, the arrow if it has
+    one and the composite through ``C.table`` if it is longer.
     """
     if n < 1:
         raise ConstructionError("nerve needs ambient dimension >= 1")
@@ -204,9 +204,11 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
             return list(zip(*runs))
         return xs if p is None else [(ident[x],) * p for x in xs]
 
-    return TabledPrecat(n, FirstEntryTable(
-        lambda p: (objects, names) if p is None else chains(p), restrict),
-        name=f"N({C.name})@{n}")
+    P = TabledPrecat(n, FirstEntryTable(
+        lambda p: (objects, names) if p is None else chains(p), restrict), f"N({C.name})@{n}")
+    P.content = lambda: (n, tuple(zip(objects, names)),      # all of C the table reads, typed
+                         *(tuple(d.items()) for d in (label, src, tgt, ident, table)))
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +243,10 @@ def upsilon(inputs: list[Precat], legacy: bool = False, name: str | None = None)
     m = inputs[0].n
     if any(E.n != m for E in inputs):
         raise InvalidArgumentError("all morphism objects must share one dimension")
-    # the first input keeps one table per ``legacy`` and other inputs'
-    # tables; the table keeps those alive, so no key's id is reused
-    key = (legacy, *(id(E.table) for E in inputs[1:]))
-    table = inputs[0].edge_tables.get(key)
-    if table is None:
-        from .tables import UpsilonTable
-        table = inputs[0].edge_tables[key] = UpsilonTable(
-            [E.table for E in inputs], lambda y: _edge_indices(y[0], y[-1], legacy))
-    return TabledPrecat(m + 1, table, name=name or
-                        "U(" + ",".join(E.name for E in inputs) + ")")
+    from .tables import UpsilonTable
+    return derived(inputs[0], inputs[1:], legacy, lambda: UpsilonTable(
+        [E.table for E in inputs], lambda y: _edge_indices(y[0], y[-1], legacy)),
+        m + 1, name or "U(" + ",".join(E.name for E in inputs) + ")")
 
 
 def upsilon_map(maps: list[PrecatMap], legacy: bool = False,

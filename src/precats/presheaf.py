@@ -25,21 +25,22 @@ maps commuting with the generators, each certified on its integer tables; it
 serves the isomorphism search and the enumeration of natural maps.  A map,
 too, is a position list per level (``PrecatMap.at``), read off tables.
 
-A table keeps its levels and position lists without bound.  An edge
-complex's table is kept by its first input, for every edge complex on the
-same input tables and ``legacy`` (``constructions.upsilon``).  A table
-holds its parts' tables (a pushout's, its legs' position lists too) and
-never a map, and a precat only as an input, so no reference cycle keeps a
-presheaf alive.
+A table keeps its levels and position lists without bound.  Equal inputs
+share it: from its first composite on, a nerve or constant presheaf reads
+the table of the first live one of equal typed content (``derived``), and a
+product or edge complex is kept in the memo of its first input's table,
+which only precats hold.  No table holds a memo, a map, or a precat but as
+an input: no reference cycle keeps a table past the last precat over it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import theta
 from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
@@ -98,19 +99,21 @@ class Window:
 
 
 _MISS = object()
+_BASES: "weakref.WeakValueDictionary[object, Precat]" = weakref.WeakValueDictionary()
 
 
 class Precat:
-    """A finite presheaf on the site, read off the window table it owns (a
+    """A finite presheaf on the site, read off its window table (a private
     ``CellTable`` of ``eval_fn`` and ``act_fn`` only for outside callers).
     ``cells(M)`` is the level's cells in label order, as a set-like view.
-    ``edge_tables`` keeps the tables of the edge complexes with it as first input."""
+    ``memo`` keeps the tables derived from its table, for all precats over
+    it; ``derived`` interns a base's table by its ``content()`` first."""
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
                  name: str = "precat"):
         self.n, self.name, self.table = n, name, CellTable(eval_fn, act_fn, name)
-        self.edge_tables: dict[tuple, WindowTable] = {}
+        self.memo, self.content = {}, None
 
     def cells(self, M: ThetaObject):
         if M.n != self.n:
@@ -136,11 +139,26 @@ class Precat:
 
 
 class TabledPrecat(Precat):
-    """A precat defined by a table of its own (``FirstEntryTable``, module ``tables``)."""
+    """A precat defined by a table (``FirstEntryTable``, module ``tables``)."""
 
     def __init__(self, n: int, table, name: str):
-        self.n, self.name, self.table = n, name, table
-        self.edge_tables: dict[tuple, WindowTable] = {}
+        self.n, self.name, self.table, self.memo, self.content = n, name, table, {}, None
+
+
+def derived(P: Precat, others: list, tag, build: Callable, n: int, name: str) -> Precat:
+    """A precat named ``name`` over the table P's memo keeps under ``tag`` and
+    the ``others``' tables, else over ``build()``.  A base among them first
+    takes the memo and table of the first live base of equal ``content()``."""
+    for E in (P, *others):
+        if E.content is not None:
+            content, E.content = E.content(), None
+            first = _BASES.setdefault(content, E)
+            E.memo, E.table = first.memo, first.table
+    key = (tag, *(E.table for E in others))
+    got = P.memo.get(key) or P.memo.setdefault(key, (build(), {}))
+    Q = TabledPrecat(n, got[0], name)
+    Q.memo = got[1]
+    return Q
 
 
 class Positions(dict):
@@ -227,9 +245,10 @@ def discrete(n: int, labels: Iterable, name: Optional[str] = None) -> Precat:
     labels = tuple(labels)
     cells = list(frozenset(labels))
     names = list(map(cell_label, cells))
-    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names),
-                                           lambda p, q, comp0, cells: cells),
-                        name=name or f"discrete{labels}")
+    P = TabledPrecat(n, FirstEntryTable(lambda p: (cells, names), lambda p, q, c, cells: cells),
+                     name or f"discrete{labels}")
+    P.content = lambda: ("discrete", n, labels, repr(labels))  # repr: 1, True, 1.0 differ
+    return P
 
 
 def point(n: int) -> Precat:
@@ -273,8 +292,8 @@ def product(P: Precat, Q: Precat) -> Precat:
     if P.n != Q.n:
         raise PresheafError("product factors live in different ambient dimensions")
     from .tables import ProductTable
-    return TabledPrecat(P.n, ProductTable(P.table, Q.table),
-                        name=f"({P.name}x{Q.name})")
+    return derived(P, [Q], "x", lambda: ProductTable(P.table, Q.table),
+                   P.n, f"({P.name}x{Q.name})")
 
 
 def product_map(f: PrecatMap, g: PrecatMap, domain: Precat, codomain: Precat,
@@ -666,16 +685,17 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     forced along the generators out of it into earlier levels; the rest are
     matched within groups of equal restriction signature along the
     generators into it, groups in label order of their keys, cells and
-    images in label order.  With ``bijective`` only levelwise bijections
-    come out: groups match equal-sized groups of ``Q``, and a cell takes
-    only an untaken image of its colour (``_colours``), freed on backtrack.
+    images in label order.  With ``bijective`` only bijections come out:
+    groups match equal-sized groups of the images of Q no earlier level
+    reaches (the forced cells take those, by colours), and a cell takes only
+    an untaken image of its colour (``_colours``), freed on backtrack.
     Colours only filter, so solutions come in the order of each group's
     permutations; a level whose colours differ as multisets ends the search.
 
-    Each level is compiled once, from both tables: its size, and each
-    generator between it and an earlier level as position lists on ``P``
-    and ``Q``; with ``bijective``, level sizes are compared first.  Only
-    ``_certified`` solutions come out.
+    Each level is compiled once, from both tables: its size, each generator
+    between it and an earlier level as position lists on ``P`` and ``Q``,
+    and Q's groups; with ``bijective``, level sizes are compared first.
+    Only ``_certified`` solutions come out.
     """
     objs = window.objects(P.n)
     pos = {M: i for i, M in enumerate(objs)}
@@ -705,10 +725,15 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
         outs = [(pos[e.target], TP.act(e), TQ.act(e)) for e in outof[i]]
         sig_q = (list(zip(*(q_rest for _, _, q_rest, _ in ins)))
                  if ins else [()] * TQ.size(objs[i]))     # each image's restrictions
-        return TP.size(objs[i]), ins, outs, sig_q
+        reached = {d for _, _, q_rest in outs for d in q_rest} if bijective else ()
+        qgroups: dict = {}          # the images left to choose, by signature
+        for d, sig in enumerate(sig_q):
+            if d not in reached:
+                qgroups.setdefault(sig, []).append(d)
+        return TP.size(objs[i]), ins, outs, sig_q, qgroups
 
     def candidates(i: int, assigned: list):
-        size, ins, outs, sig_q = compiled(i)
+        size, ins, outs, sig_q, qgroups = compiled(i)
         forced = [-1] * size
         for t, p_rest, q_rest in outs:
             phi_t = assigned[t]
@@ -731,10 +756,6 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
                     return
                 continue
             groups.setdefault(sig, []).append(c)
-        qgroups: dict = {}
-        for d, sig in enumerate(sig_q):
-            if not (bijective and d in used):
-                qgroups.setdefault(sig, []).append(d)
         if bijective and (set(groups) != set(qgroups) or any(
                 len(qgroups[k]) != len(g) for k, g in groups.items())):
             return
@@ -810,13 +831,13 @@ def _map_text(keys: list[str], source: list[str], act: tuple[int, ...]) -> str:
     return ",".join([k + source[i] for k, i in zip(keys, act)])
 
 
-def dump_json(P: Precat, window: Window) -> str:
+def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
     """The text ``json.dumps`` gives the window's dump with sorted keys, no
-    spaces and ASCII escapes, joined from each level's encoded labels: its
-    cells' keys, so a label tie is a ``PresheafError``, and in ``str`` order,
-    which is key order, so labels out of order are a fault of the table.
-    Each int tuple's text is built once, and each map's once per position
-    list within a pair of levels."""
+    spaces and ASCII escapes, a chunk per pair of levels, then the levels,
+    joined from each level's encoded labels: its cells' keys, so a tie is a
+    ``PresheafError``, in ``str`` order, key order, so labels out of order
+    are a fault of the table.  Every fault raises before the first chunk.
+    Each int tuple's text is built once, each map's once per list and pair."""
     T, encode, codes, ints = P.table, json.encoder.encode_basestring_ascii, {}, Positions(_ints)
     for M in window.objects(P.n):
         labels = T.labels(M)
@@ -826,23 +847,28 @@ def dump_json(P: Precat, window: Window) -> str:
             if a > b:
                 raise RuntimeError(f"cells of level {M} are not in label order at {b!r}")
         codes[M] = [encode(x) for x in labels]
-    out = ['{"actions":[']
-    # make the window's morphisms, which stay interned, before any text
-    # piece: made in between, they would keep the pieces' freed pools in use
-    for s, t, mors in list(window.morphisms(P.n)):
-        keys = [x + ":" for x in codes[t]]
-        maps = Positions(functools.partial(_map_text, keys, codes[s]))
-        ends = f'],"source":{ints[s.entries]},"target":{ints[t.entries]}}}}},'
-        for f in mors:
-            out += ('{"map":{', maps[tuple(T.act(f))], '},"morphism":{"components":[',
-                    ",".join(map(ints.__getitem__, f.components)), ends)
-    out[-1] = out[-1].rstrip(",")
-    out.append('],"levels":[')
-    for M, cells in codes.items():
-        out += ('{"cells":[', ",".join(cells), f'],"object":{ints[M.entries]}}},')
-    out[-1] = out[-1].rstrip(",")
-    out.append(f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n')
-    return "".join(out)
+    # morphisms and position lists first: made between text pieces, they'd pin freed pools
+    pairs = [(s, t, mors, list(map(T.act, mors))) for s, t, mors in window.morphisms(P.n)]
+
+    def chunks():
+        sep = '{"actions":['
+        for s, t, mors, acts in pairs:
+            maps = Positions(functools.partial(_map_text, [x + ":" for x in codes[t]], codes[s]))
+            ends = f'],"source":{ints[s.entries]},"target":{ints[t.entries]}}}}}'
+            out = []
+            for f, act in zip(mors, acts):
+                out += (sep, '{"map":{', maps[tuple(act)], '},"morphism":{"components":[',
+                        ",".join(map(ints.__getitem__, f.components)), ends)
+                sep = ","
+            yield "".join(out)
+        yield '],"levels":[' + ",".join(
+            '{"cells":[' + ",".join(cells) + f'],"object":{ints[M.entries]}}}'
+            for M, cells in codes.items()) + f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n'
+    return chunks()
+
+
+def dump_json(P: Precat, window: Window) -> str:
+    return "".join(dump_chunks(P, window))
 
 
 def dump_window(P: Precat, window: Window) -> dict:

@@ -1,8 +1,8 @@
 """The tables of presheaves built from other presheaves' tables.
 
 ``product``, ``PushoutData``, ``constructions.upsilon``, ``delooping`` and
-``ck_monoidal`` each return a ``presheaf.TabledPrecat`` that owns one of
-these tables, built from its parts' tables.  A product's cell is a pair of
+``ck_monoidal`` each return a ``presheaf.TabledPrecat`` over one of these
+tables, built from its parts' tables.  A product's cell is a pair of
 positions, a pushout's a class of the positions of its two sides, joined
 along its legs' position lists by ``presheaf.join`` on their ranks in
 label order, an edge complex's a vertex path with a position for each covered
@@ -14,12 +14,12 @@ or to break a label tie.
 ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or a ``SliceTable``,
 which read their parent's levels and position lists as they are, and
 ``analysis.truncate`` a ``TruncationTable``, a quotient of them.  A table
-holds its parts' tables and never a map; it holds a precat only as the
-input of a function it was given (a Whitehead sub's predicate, a
-truncation's classes).  Edge complexes on the same input tables and
-``legacy`` are distinct precats over one ``UpsilonTable``, which their
-first input keeps.  This module is imported only when such a table is
-first built.
+holds its parts' tables, never a map or a ``presheaf.Memo``, and a precat
+only as the input of a function it was given (a Whitehead sub's
+predicate, a truncation's classes).  Products and edge complexes on the
+same input tables (and ``legacy``) are precats over one table, kept in the
+memo of their first input's table while a precat over that table lives.
+This module is imported only when such a table is first built.
 """
 
 from __future__ import annotations

@@ -15,8 +15,28 @@ import operator
 from collections import deque
 
 from precats import FiniteCategory, cell_label
-from precats.presheaf import Precat, _typed_key
+from precats.presheaf import Precat, WindowTable, _typed_key
 from precats.theta import InvalidMorphismError
+
+
+def shared_tables(precats) -> set[int]:
+    """The ids of the tables that ``precats`` keep: each one's own, and the
+    tables its memo keeps, derived or in a key, each with its parts.  A
+    lifetime check takes the bases alive before it (``presheaf._BASES``),
+    whose tables precats it did not make keep alive."""
+    ids, memos, todo = set(), [P.memo for P in precats], [P.table for P in precats]
+    while memos:
+        for key, (table, memo) in memos.pop().items():
+            todo += [*key, table]
+            memos.append(memo)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, list)):
+            todo += x
+        elif isinstance(x, WindowTable) and id(x) not in ids:
+            ids.add(id(x))
+            todo += vars(x).values()
+    return ids
 
 
 def table_precat(n: int, levels: dict, actions: dict, name: str = "table") -> Precat:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -289,7 +290,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(P, window):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(ps, "dump_json", broken)
+    monkeypatch.setattr(ps, "dump_chunks", broken)
     code, _, err = run(["build", "point", "--window", "2"], capsys)
     assert code == 3
     assert err.strip() == "internal error: RuntimeError: boom"
@@ -321,6 +322,27 @@ def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
     out = tmp_path / "dump.json"
     assert main(["build", *args, "--window", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_build_writes_its_dump_a_chunk_at_a_time(tmp_path):
+    """``build`` writes ``dump_chunks``, one chunk per pair of levels, and
+    never the whole text, so the memory it traces at its peak, tables
+    included, stays below the size of the dump it writes: here the 4.1 MB
+    Ibar n=2 W3 dump, byte-identical to the seed's.  A first build fills
+    the site's morphism caches, which outlive it."""
+    out = tmp_path / "dump.json"
+    argv = ["build", "nerve", "--category", "Ibar", "--n", "2", "--window", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370")
 
 
 # The window-2 rows of the benchmark's dump catalogue, with the same hashes.

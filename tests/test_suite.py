@@ -1,8 +1,11 @@
 """The identity suite end to end: every entry passes at the default window,
 results are deterministic, and the bad inputs are rejected."""
 
+import hashlib
+
 import pytest
 
+from precats import presheaf as ps
 from precats.suite import IDENTITIES, run_suite
 
 
@@ -37,3 +40,25 @@ def test_result_serialization():
     assert entry["verdict"] == "pass"
     assert entry["window"] == 2
     assert isinstance(entry["seconds"], float)
+
+
+def test_w2_iso_bijections_are_pinned(monkeypatch):
+    """Every answer ``iso_windowed`` gives to the suite's W2 iso questions,
+    in call order, hashed with SHA-256: for each window level its entries,
+    the bijection's positions and both sides' labels, or ``None``.  Sharing
+    or re-tabling a part moves no position and no label."""
+    digest, questions, real = hashlib.sha256(), [], ps.iso_windowed
+
+    def hashed(P, Q, window):
+        iso = real(P, Q, window)
+        questions.append(iso is not None)
+        digest.update(repr(None if iso is None else [
+            (M.entries, iso.at(M), P.table.labels(M), Q.table.labels(M))
+            for M in window.objects(P.n)]).encode() + b";")
+        return iso
+
+    monkeypatch.setattr(ps, "iso_windowed", hashed)
+    assert run_suite(2).passed
+    assert (len(questions), questions.count(True)) == (96, 95)
+    assert digest.hexdigest() == ("5ff6a0ce1f0031a51ce7aa267a3620e8"
+                                  "187d81bde3fdee8eccdc4dd2444fe2a5")

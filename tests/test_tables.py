@@ -499,9 +499,9 @@ def test_tables_share_the_parts_of_one_check():
 
 def test_edge_complexes_on_the_same_input_tables_share_one_table():
     """An edge complex's table depends only on its inputs' tables and on
-    ``legacy``: the same ones give one table, under each call's own precat
-    and name; another ``legacy`` (the square_legacy control) or other
-    input tables give another table."""
+    ``legacy``: the same ones, or equal inputs built again, give one table,
+    under each call's own precat and name; another ``legacy`` (the
+    square_legacy control) or other input tables give another table."""
     A, D = discrete(1, (0, 1)), cn.nerve(cn.FiniteCategory.interval(), 1)
     X = upsilon([A, D])
     Y = upsilon([A, D], name="again")
@@ -512,11 +512,65 @@ def test_edge_complexes_on_the_same_input_tables_share_one_table():
     assert legacy.table is not X.table
     assert upsilon([A, D], legacy=True).table is legacy.table
     assert ps.dump_window(legacy, W2) != ps.dump_window(X, W2)
+    again = upsilon([discrete(1, (0, 1)), cn.nerve(cn.FiniteCategory.interval(), 1)])
+    assert again.table is X.table and again.memo is X.memo
     others = [upsilon([A, discrete(1, (0, 1))]), upsilon([D, A]), upsilon([A]),
-              upsilon([A, D, D]), upsilon([discrete(1, (0, 1)), D])]
+              upsilon([A, D, D]), upsilon([discrete(1, (0, 2)), D])]
     assert len({id(X.table), *(id(Z.table) for Z in others)}) == 1 + len(others)
     u = cn.upsilon_map([identity_map(A), identity_map(D)])
     assert u.domain is not u.codomain and u.domain.table is u.codomain.table is X.table
+
+
+def _interned(*bases):
+    """The bases, each interned by its first composite."""
+    for D in bases:
+        upsilon([D])
+    return bases
+
+
+def test_base_tables_are_interned_by_typed_content():
+    """Equal constant presheaves or nerves built twice share one table and
+    memo, under precats and names of their own, from their first composite
+    on.  Labels that are equal but of another type, another ``n``, or
+    categories that differ only in their composition get another table."""
+    ones = _interned(*(discrete(1, (x,)) for x in (1, True, 1.0, "1")))
+    assert len({id(D.table) for D in ones}) == len(ones)
+    again = discrete(1, (1,), name="again")
+    assert again.table is not ones[0].table         # not yet the base of a composite
+    _interned(again)
+    assert again is not ones[0] and again.table is ones[0].table and again.memo is ones[0].memo
+    assert again.name == "again" and ones[0].name == "discrete(1,)"
+    assert _interned(discrete(2, (1,)))[0].table is not ones[0].table
+    A, B, A2 = _interned(*(cn.nerve(cn.FiniteCategory.interval(), n) for n in (1, 1, 2)))
+    assert A is not B and A.table is B.table and A.memo is B.memo
+    assert A2.table is not A.table
+    X = discrete(1, ("x",))
+    assert product(X, A).table is product(X, cn.nerve(cn.FiniteCategory.interval(), 1)).table
+    z2, bool_or = _interned(*(cn.nerve(cn.FiniteCategory.monoid((0, 1), op, 0), 1) for op in (
+        lambda a, b: (a + b) % 2, max)))
+    assert z2.table is not bool_or.table
+    assert ps.dump_json(z2, W2) != ps.dump_json(bool_or, W2)
+
+
+def test_base_and_derived_tables_die_with_the_last_precat_over_the_base():
+    """With the cycle collector off, a base table and the edge complexes and
+    products kept in its memo and theirs live while a precat over it lives,
+    here a second one of equal content, and die when the last is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        A, B = discrete(1, ("life", 0)), discrete(1, ("life", 0))
+        U, X = upsilon([A, A]), product(upsilon([A]), upsilon([B]))
+        assert iso_windowed(U, upsilon([B, B]), W2) is not None
+        assert X.table.TA is X.table.TB and iso_windowed(X, X, W2) is not None
+        refs = [weakref.ref(T) for T in (A.table, U.table, X.table, X.table.TA)]
+        del A, U, X
+        assert all(r() is not None for r in refs)
+        del B
+        assert all(r() is None for r in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("face", [False, True], ids=["upsilon-A-D-W3", "merge-face-W2"])
@@ -545,9 +599,10 @@ def test_shared_edge_complex_tables_against_their_oracle(face):
 @pytest.mark.parametrize("build", ["corner", "square", "shared"])
 def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypatch):
     """Every table, composite or first-direction, dies with the composites
-    once the caller drops them after a check: no table holds a reference
-    cycle.  With the inputs kept ("shared"), the tables of the edge
-    complexes on them outlive the composites, serve a second instance, and
+    once the caller drops them after a check, but for those that precats
+    alive before the check share: no table holds a reference cycle.  With
+    the inputs kept ("shared"), the tables of the edge complexes and
+    products on them outlive the composites, serve a second instance, and
     die with the inputs."""
     owned = []
     real_init = TabledPrecat.__init__
@@ -566,6 +621,8 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
         lhs, rhs = square_decomposition(discrete(1, (0, 1)), point(1))
         return lhs, lhs, rhs
 
+    before = list(ps._BASES.values())
+    gc.collect()
     gc.disable()
     try:
         if build == "shared":
@@ -575,20 +632,24 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
         assert iso_windowed(lhs, rhs, W2) is not None
         refs = [weakref.ref(x) for x in (data, lhs, rhs)]
         del data, lhs, rhs
-        assert owned and all(r() is None for r in refs + owned)
+        shared = helpers.shared_tables(before)
+        assert owned and all(r() is None for r in refs)
+        assert all(r() is None or id(r()) in shared for r in owned)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def _shared_tables_live_as_long_as_their_first_inputs(owned):
-    """Two square instances on the same inputs B, D: the tables of
-    ``upsilon([B])``, ``upsilon([D])``, ``upsilon([B, D])`` and
-    ``upsilon([D, B])`` survive the first and are the second's."""
-    inputs = [discrete(1, (0, 1)), point(1)]
+    """Two square instances on the same inputs B, D, of content no other
+    precat has: the tables of ``upsilon([B])``, ``upsilon([D])``,
+    ``upsilon([B, D])``, ``upsilon([D, B])``, ``upsilon([B x D])``, ``B x
+    D``, ``D x B`` and ``upsilon([B]) x upsilon([D])``, kept in the memos
+    of B's and D's tables, survive the first and are the second's."""
+    inputs = [discrete(1, ("shared", 1)), discrete(1, ("shared",))]
 
     def kept():
-        return {id(E.table) for E in inputs} | {
-            id(T) for E in inputs for T in E.edge_tables.values()}
+        return helpers.shared_tables(inputs)
 
     lhs, rhs = square_decomposition(*inputs)
     assert iso_windowed(lhs, rhs, W2) is not None
@@ -596,10 +657,11 @@ def _shared_tables_live_as_long_as_their_first_inputs(owned):
     del lhs, rhs
     assert all(r() is None for r in refs)
     survivors = {id(r()) for r in owned if r() is not None}
-    assert survivors == kept() and len(survivors) == 2 + 4
+    assert survivors == kept() and len(survivors) == 2 + 8
     lhs, rhs = square_decomposition(*inputs)
     assert kept() == survivors
-    assert lhs.table.TA is inputs[0].edge_tables[(False,)]
+    assert lhs.table.TA is inputs[0].memo[(False,)][0]
+    assert lhs.table is inputs[0].memo[(False,)][1][("x", lhs.table.TB)][0]
     assert iso_windowed(lhs, rhs, W2) is not None
     refs += [weakref.ref(lhs), weakref.ref(rhs)] + [weakref.ref(E) for E in inputs]
     del lhs, rhs, inputs
@@ -855,16 +917,17 @@ def test_dump_levels_outside_its_window_name_the_window(tmp_path, capsys):
 @pytest.mark.parametrize("legs", ["cell by cell", "combinators"])
 def test_pushout_legs_into_an_edge_complex_input_make_no_cycle(legs):
     """An edge complex whose later input is a pushout with a leg into its
-    first input X: X keeps the edge complex's table, which keeps the
+    first input X: X's memo keeps the edge complex's table, which keeps the
     pushout's table, which keeps its legs' position lists and never the
-    legs, so X's table is freed without the cycle collector."""
+    legs, so X's table is freed without the cycle collector.  X's content
+    is its own, so no other precat shares its table."""
     gc.disable()
     try:
-        R, X = point(1), discrete(1, (0, 1))
+        R, X = point(1), discrete(1, ("legs", 1))
         if legs == "cell by cell":
-            f, g = PrecatMap(R, X, lambda M, c: 0), PrecatMap(R, R, lambda M, c: c)
+            f, g = PrecatMap(R, X, lambda M, c: 1), PrecatMap(R, R, lambda M, c: c)
         else:
-            f, g = ps.point_map(X, 0, R), identity_map(R)
+            f, g = ps.point_map(X, 1, R), identity_map(R)
         U = upsilon([X, pushout(f, g).precat])
         assert U.size(ps.object_of(2, [2, 1])) == 23 and f.positions and g.positions
         ref = weakref.ref(X.table)
@@ -897,6 +960,26 @@ def test_w3_entries_build_member_cells_only_where_cells_are_read(entry, monkeypa
     assert not built or entry not in ("corner_split", "square", "square_legacy", "cylinder")
 
 
+def test_corner_split_effort_at_window_two(monkeypatch):
+    """The levels the corner split tabulates over its 36 pairs at W2, by
+    table class: counted, not timed, so a lost share shows as a count.  The
+    six inclusions' four inputs live through the entry, so their products
+    and edge complexes are tabulated once for all pairs; the pushouts, and
+    the edge complex on each pair's corner pushout, once per pair.  A
+    fresh intern keeps the precats of other tests out."""
+    monkeypatch.setattr(ps, "_BASES", weakref.WeakValueDictionary())
+    tabulated = dict.fromkeys(("ProductTable", "UpsilonTable", "PushoutTable"), 0)
+    for cls in (ProductTable, UpsilonTable, PushoutTable):
+        real = cls._tabulate
+
+        def counted(self, M, real=real, name=cls.__name__):
+            tabulated[name] += 1
+            return real(self, M)
+        monkeypatch.setattr(cls, "_tabulate", counted)
+    assert run_suite(2, only="corner_split").passed
+    assert tabulated == {"ProductTable": 150, "UpsilonTable": 385, "PushoutTable": 1116}
+
+
 def test_passing_checks_build_no_member_cells(monkeypatch):
     """Functoriality and naturality read a level's cells only to name a
     failure there, so on composite tables passing checks build none."""
@@ -909,16 +992,20 @@ def test_passing_checks_build_no_member_cells(monkeypatch):
 
 def test_deloopings_and_dumps_are_freed_without_the_cycle_collector():
     """A delooping and an imported dump, with their tables, die once the
-    caller drops them: neither table holds a reference cycle."""
+    caller drops them: neither table holds a reference cycle.  The input
+    nerve's table dies too, unless precats alive before share it."""
+    before = list(ps._BASES.values())
     gc.disable()
     try:
         X = cn.delooping(_interval())
         D = ps.precat_from_dump(ps.dump_window(X, W2))
         assert ps.check_functoriality(X, W2) == ps.check_functoriality(D, W2) == []
         assert ps.iso_windowed(X, D, W2) is not None
-        refs = [weakref.ref(x) for x in (X, X.table, X.table.TX, D, D.table)]
+        refs = [weakref.ref(x) for x in (X, X.table, D, D.table)]
+        nerve = weakref.ref(X.table.TX)
         del X, D
         assert [r() for r in refs] == [None] * len(refs)
+        assert nerve() is None or id(nerve()) in helpers.shared_tables(before)
     finally:
         gc.enable()
 
