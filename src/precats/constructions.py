@@ -148,20 +148,20 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     Level 0 holds the objects; a level whose first entry is ``p`` holds the
     composable p-chains, independently of the remaining directions, each
     (p-1)-chain extended along the out-arrows of its last target, in
-    ``arrows`` order.  The table (``presheaf.FirstEntryTable``) is built
-    from ``C`` once, interned at its first composite by all it reads, typed
-    by label.  Each object and arrow is labelled by ``cell_label`` once, and
-    a chain's label is ``"(" + ",".join(its arrows' labels) + ")"``, which
-    is ``cell_label`` of the chain by definition.  A restriction reads only
-    the first component ``comp0`` of a morphism and restricts a whole level
-    at a time: a constant ``comp0`` reads each chain's vertex, and otherwise
-    each pair of consecutive entries of ``comp0`` is a run of the chain,
-    whose column is the vertex identity if it is empty, the arrow if it has
-    one and the composite through ``C.table`` if it is longer.
+    ``arrows`` order.  The table (``presheaf.FirstEntryTable``) is built once
+    from a copy of ``C``, interned at its first composite by all it reads,
+    typed by label.  Each object and arrow is labelled by ``cell_label``
+    once, and a chain's label is ``"(" + ",".join(its arrows' labels) +
+    ")"``, which is ``cell_label`` of the chain by definition.  A restriction
+    reads only the first component ``comp0`` of a morphism and restricts a
+    whole level at a time: a constant ``comp0`` reads each chain's vertex,
+    and otherwise each pair of consecutive entries of ``comp0`` is a run of
+    the chain, whose column is the vertex identity if it is empty, the arrow
+    if it has one and the composite through ``C.table`` if it is longer.
     """
     if n < 1:
         raise ConstructionError("nerve needs ambient dimension >= 1")
-    src, tgt, ident, table = C.src, C.tgt, C.ident, C.table
+    src, tgt, ident, table = dict(C.src), dict(C.tgt), dict(C.ident), dict(C.table)
     objects = list(dict.fromkeys(C.objects))
     names = [cell_label(x) for x in objects]
     label = {a: cell_label(a) for a in C.arrows}
@@ -204,11 +204,10 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
             return list(zip(*runs))
         return xs if p is None else [(ident[x],) * p for x in xs]
 
-    P = TabledPrecat(n, FirstEntryTable(
-        lambda p: (objects, names) if p is None else chains(p), restrict), f"N({C.name})@{n}")
-    P.content = lambda: (n, tuple(zip(objects, names)),      # all of C the table reads, typed
-                         *(tuple(d.items()) for d in (label, src, tgt, ident, table)))
-    return P
+    return TabledPrecat(n, FirstEntryTable(
+        lambda p: (objects, names) if p is None else chains(p), restrict), f"N({C.name})@{n}",
+        lambda: (n, tuple(zip(objects, names)),      # all of C the table reads, typed
+                 *(tuple(d.items()) for d in (label, src, tgt, ident, table))))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ serves the isomorphism search and the enumeration of natural maps.  A map,
 too, is a position list per level (``PrecatMap.at``), read off tables.
 
 A table keeps its levels and position lists without bound.  Equal inputs
-share it: from its first composite on, a nerve or constant presheaf reads
-the table of the first live one of equal typed content (``derived``), and a
-product or edge complex is kept in the memo of its first input's table,
-which only precats hold.  No table holds a memo, a map, or a precat but as
-an input: no reference cycle keeps a table past the last precat over it.
+share it: a nerve or constant presheaf, from its first composite or pushout
+leg on, reads the table of the first live one of equal typed content
+(``interned``); a product or edge complex is kept in the memo of its first
+input's table, which only precats hold.  No table holds a memo, a map, or a
+precat but as an input, so no reference cycle keeps a table alive.
 """
 
 from __future__ import annotations
@@ -106,14 +106,13 @@ class Precat:
     """A finite presheaf on the site, read off its window table (a private
     ``CellTable`` of ``eval_fn`` and ``act_fn`` only for outside callers).
     ``cells(M)`` is the level's cells in label order, as a set-like view.
-    ``memo`` keeps the tables derived from its table, for all precats over
-    it; ``derived`` interns a base's table by its ``content()`` first."""
+    ``memo`` keeps the tables derived from its table for all precats over it."""
+    content: Optional[Callable] = None      # a base's intern key, until ``interned``
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
                  name: str = "precat"):
-        self.n, self.name, self.table = n, name, CellTable(eval_fn, act_fn, name)
-        self.memo, self.content = {}, None
+        self.n, self.name, self.table, self.memo = n, name, CellTable(eval_fn, act_fn, name), {}
 
     def cells(self, M: ThetaObject):
         if M.n != self.n:
@@ -141,24 +140,27 @@ class Precat:
 class TabledPrecat(Precat):
     """A precat defined by a table (``FirstEntryTable``, module ``tables``)."""
 
-    def __init__(self, n: int, table, name: str):
-        self.n, self.name, self.table, self.memo, self.content = n, name, table, {}, None
+    def __init__(self, n: int, table, name: str, content: Optional[Callable] = None,
+                 memo: Optional[dict] = None):
+        self.n, self.name, self.table, self.content = n, name, table, content
+        self.memo = {} if memo is None else memo
+
+
+def interned(P: Precat) -> Precat:
+    """P, over the table and memo of the first live base of its content."""
+    if P.content is not None:
+        first = _BASES.setdefault(P.content(), P)
+        P.memo, P.table, P.content = first.memo, first.table, None
+    return P
 
 
 def derived(P: Precat, others: list, tag, build: Callable, n: int, name: str) -> Precat:
     """A precat named ``name`` over the table P's memo keeps under ``tag`` and
-    the ``others``' tables, else over ``build()``.  A base among them first
-    takes the memo and table of the first live base of equal ``content()``."""
-    for E in (P, *others):
-        if E.content is not None:
-            content, E.content = E.content(), None
-            first = _BASES.setdefault(content, E)
-            E.memo, E.table = first.memo, first.table
-    key = (tag, *(E.table for E in others))
-    got = P.memo.get(key) or P.memo.setdefault(key, (build(), {}))
-    Q = TabledPrecat(n, got[0], name)
-    Q.memo = got[1]
-    return Q
+    the ``others``' tables, else over ``build()``, each input ``interned``."""
+    interned(P)
+    key = (tag, *(interned(E).table for E in others))
+    table, memo = P.memo.get(key) or P.memo.setdefault(key, (build(), {}))
+    return TabledPrecat(n, table, name, memo=memo)
 
 
 class Positions(dict):
@@ -245,10 +247,9 @@ def discrete(n: int, labels: Iterable, name: Optional[str] = None) -> Precat:
     labels = tuple(labels)
     cells = list(frozenset(labels))
     names = list(map(cell_label, cells))
-    P = TabledPrecat(n, FirstEntryTable(lambda p: (cells, names), lambda p, q, c, cells: cells),
-                     name or f"discrete{labels}")
-    P.content = lambda: ("discrete", n, labels, repr(labels))  # repr: 1, True, 1.0 differ
-    return P
+    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names), lambda p, q, c, cells: cells),
+                        name or f"discrete{labels}",
+                        lambda: ("discrete", n, labels, repr(labels)))  # repr: 1, True, 1.0 differ
 
 
 def point(n: int) -> Precat:
@@ -367,7 +368,7 @@ class PushoutData:
     """
 
     def __init__(self, f: PrecatMap, g: PrecatMap, name: str = "po"):
-        if f.domain.table is not g.domain.table:
+        if interned(f.domain).table is not interned(g.domain).table:
             raise PresheafError("pushout legs must start on one table")
         R, P, Q = f.domain, f.codomain, g.codomain
         self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q

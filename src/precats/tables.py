@@ -14,8 +14,8 @@ or to break a label tie.
 ``sub_precat`` and ``slice_precat`` own a ``SubTable`` or a ``SliceTable``,
 which read their parent's levels and position lists as they are, and
 ``analysis.truncate`` a ``TruncationTable``, a quotient of them.  A table
-holds its parts' tables, never a map or a ``presheaf.Memo``, and a precat
-only as the input of a function it was given (a Whitehead sub's
+holds its parts' tables, never a map or a memo (``Precat.memo``), and a
+precat only as the input of a function it was given (a Whitehead sub's
 predicate, a truncation's classes).  Products and edge complexes on the
 same input tables (and ``legacy``) are precats over one table, kept in the
 memo of their first input's table while a precat over that table lives.
