@@ -26,11 +26,13 @@ serves the isomorphism search and the enumeration of natural maps.  A map,
 too, is a position list per level (``PrecatMap.at``), read off tables.
 
 A table keeps its levels and position lists without bound.  Equal inputs
-share it: a nerve or constant presheaf, from its first composite or pushout
-leg on, reads the table of the first live one of equal typed content
-(``interned``); a product or edge complex is kept in the memo of its first
-input's table, which only precats hold.  No table holds a memo, a map, or a
-precat but as an input, so no reference cycle keeps a table alive.
+share it: a nerve or constant presheaf, from its first composite, pushout
+leg or map key on, reads the table of the first live one of equal typed
+content (``interned``), which names it in keys; a product, an edge complex
+or a pushout along two keyed maps (point and degeneracy maps, keyed by
+their ends and point) is kept in the memo of its first input's table, which
+only precats hold.  No table holds a memo, a map, or a precat but as an
+input, so no reference cycle keeps a table alive.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ class Window:
 
 
 _MISS = object()
+_CHUNK_MAPS = 64    # a chunk's pieces and text are alive together: bound them
 _BASES: "weakref.WeakValueDictionary[object, Precat]" = weakref.WeakValueDictionary()
 
 
@@ -107,7 +110,7 @@ class Precat:
     ``CellTable`` of ``eval_fn`` and ``act_fn`` only for outside callers).
     ``cells(M)`` is the level's cells in label order, as a set-like view.
     ``memo`` keeps the tables derived from its table for all precats over it."""
-    content: Optional[Callable] = None      # a base's intern key, until ``interned``
+    content = None      # a base's intern key: a function of it until ``interned``
 
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
@@ -148,10 +151,16 @@ class TabledPrecat(Precat):
 
 def interned(P: Precat) -> Precat:
     """P, over the table and memo of the first live base of its content."""
-    if P.content is not None:
-        first = _BASES.setdefault(P.content(), P)
-        P.memo, P.table, P.content = first.memo, first.table, None
+    if callable(P.content):
+        P.content = P.content()
+        first = _BASES.setdefault(P.content, P)
+        P.memo, P.table = first.memo, first.table
     return P
+
+
+def _named(P: Precat):
+    """P in a map's key: a base by its typed content, else by its table."""
+    return interned(P).content or P.table
 
 
 def derived(P: Precat, others: list, tag, build: Callable, n: int, name: str) -> Precat:
@@ -179,14 +188,15 @@ class Positions(dict):
 class PrecatMap:
     """A levelwise function between two precats of the same dimension:
     ``at(M)`` lists the codomain position of each domain cell over ``M``,
-    built once per level by ``at`` or else from the images under ``apply_fn``."""
+    built once per level by ``at`` or else from the images under ``apply_fn``.
+    A canonical map out of a constant presheaf has a ``key``: all ``at`` reads."""
 
     def __init__(self, domain: Precat, codomain: Precat,
                  apply_fn: Optional[Callable[[ThetaObject, object], object]] = None,
-                 name: str = "map", at: Optional[Callable] = None):
+                 name: str = "map", at: Optional[Callable] = None, key: Optional[tuple] = None):
         if domain.n != codomain.n:
             raise PresheafError("map endpoints live in different ambient dimensions")
-        self.domain, self.codomain, self.name = domain, codomain, name
+        self.domain, self.codomain, self.name, self.key = domain, codomain, name, key
         TD, TC = domain.table, codomain.table
 
         def listed(M):
@@ -270,17 +280,19 @@ def point_map(P: Precat, cell0, domain: Optional[Precat] = None,
     zero = zero_object(P.n)
     if cell0 not in P.cells(zero):
         raise PresheafError(f"{cell0!r} is not an object of {P.name}")
-    D, TP = domain or point(P.n), P.table
-    TD, k = D.table, TP.level(zero)[2][cell0]
+    D = domain or point(P.n)
+    key = ("pt", _named(D), _named(P), P.table.level(zero)[2][cell0])
+    TD, TP, k = D.table, P.table, key[3]
     return PrecatMap(D, P, name=name or f"pt:{cell_label(cell0)}",
-                     at=lambda M: [TP.act(collapse_to_zero(M))[k]] * TD.size(M))
+                     at=lambda M: [TP.act(collapse_to_zero(M))[k]] * TD.size(M), key=key)
 
 
 def degeneracy_map(D: Precat, P: Precat, name: str = "deg") -> PrecatMap:
     """The map from a constant presheaf ``D`` whose cells are level-0 cells
     of P that sends each cell to its degeneracy in P."""
+    key = ("deg", _named(D), _named(P))
     TD, TP, zero = D.table, P.table, zero_object(P.n)
-    return PrecatMap(D, P, name=name, at=lambda M: [
+    return PrecatMap(D, P, name=name, key=key, at=lambda M: [
         TP.act(collapse_to_zero(M))[TP.level(zero)[2][c]] for c in TD.level(M)[0]])
 
 
@@ -373,8 +385,12 @@ class PushoutData:
         R, P, Q = f.domain, f.codomain, g.codomain
         self.f, self.g, self.R, self.P, self.Q = f, g, R, P, Q
         from .tables import PushoutTable
-        table, TP = PushoutTable(f.positions, g.positions, P.table, Q.table), P.table
-        self.precat = TabledPrecat(P.n, table, name=name)
+
+        def build():        # along keyed legs, kept in P's memo (``derived``)
+            return PushoutTable(f.positions, g.positions, P.table, Q.table)
+        self.precat = (derived(P, [Q], ("po", f.key, g.key), build, P.n, name)
+                       if f.key and g.key else TabledPrecat(P.n, build(), name))
+        table, TP = self.precat.table, P.table
         self.inl = PrecatMap(P, self.precat, name="inl", at=lambda M: table.rank(M)[:TP.size(M)])
         self.inr = PrecatMap(Q, self.precat, name="inr", at=lambda M: table.rank(M)[TP.size(M):])
 
@@ -384,7 +400,12 @@ class PushoutData:
     def induced(self, u: PrecatMap, v: PrecatMap, name: str = "fold") -> PrecatMap:
         """The map out of the pushout determined by the cocone ``(u, v)``.  At
         each level it is first built on, ``u`` after ``f`` is compared with
-        ``v`` after ``g``; if they differ, ``PresheafError`` names the level."""
+        ``v`` after ``g``; if they differ, ``PresheafError`` names the level.
+        A cocone not from P and Q to one precat raises at once."""
+        if [interned(X).table for X in (u.domain, v.domain, u.codomain)] != [
+                interned(X).table for X in (self.P, self.Q, v.codomain)]:
+            raise PresheafError(f"{name}: the cocone ({u.name}, {v.name}) does not run "
+                                f"from {self.P.name} and {self.Q.name} to one precat")
         T, (a, b, f, g) = self.precat.table, (m.positions for m in (u, v, self.f, self.g))
 
         def at(M):
@@ -834,11 +855,12 @@ def _map_text(keys: list[str], source: list[str], act: tuple[int, ...]) -> str:
 
 def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
     """The text ``json.dumps`` gives the window's dump with sorted keys, no
-    spaces and ASCII escapes, a chunk per pair of levels, then the levels,
-    joined from each level's encoded labels: its cells' keys, so a tie is a
-    ``PresheafError``, in ``str`` order, key order, so labels out of order
-    are a fault of the table.  Every fault raises before the first chunk.
-    Each int tuple's text is built once, each map's once per list and pair."""
+    spaces and ASCII escapes, chunks of ``_CHUNK_MAPS`` maps of a pair of
+    levels at most, then the levels, joined from each level's encoded
+    labels: its cells' keys, so a tie is a ``PresheafError``, in ``str``
+    order, key order, so labels out of order are a fault of the table.
+    Every fault raises before the first chunk.  Each int tuple's text is
+    built once, each map's once per list and pair."""
     T, encode, codes, ints = P.table, json.encoder.encode_basestring_ascii, {}, Positions(_ints)
     for M in window.objects(P.n):
         labels = T.labels(M)
@@ -856,12 +878,13 @@ def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
         for s, t, mors, acts in pairs:
             maps = Positions(functools.partial(_map_text, [x + ":" for x in codes[t]], codes[s]))
             ends = f'],"source":{ints[s.entries]},"target":{ints[t.entries]}}}}}'
-            out = []
-            for f, act in zip(mors, acts):
-                out += (sep, '{"map":{', maps[tuple(act)], '},"morphism":{"components":[',
-                        ",".join(map(ints.__getitem__, f.components)), ends)
-                sep = ","
-            yield "".join(out)
+            for i in range(0, len(mors), _CHUNK_MAPS):
+                out = []
+                for f, act in zip(mors[i:i + _CHUNK_MAPS], acts[i:i + _CHUNK_MAPS]):
+                    out += (sep, '{"map":{', maps[tuple(act)], '},"morphism":{"components":[',
+                            ",".join(map(ints.__getitem__, f.components)), ends)
+                    sep = ","
+                yield "".join(out)
         yield '],"levels":[' + ",".join(
             '{"cells":[' + ",".join(cells) + f'],"object":{ints[M.entries]}}}'
             for M, cells in codes.items()) + f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n'

@@ -17,8 +17,9 @@ which read their parent's levels and position lists as they are, and
 holds its parts' tables, never a map or a memo (``Precat.memo``), and a
 precat only as the input of a function it was given (a Whitehead sub's
 predicate, a truncation's classes).  Products and edge complexes on the
-same input tables (and ``legacy``) are precats over one table, kept in the
-memo of their first input's table while a precat over that table lives.
+same input tables (and ``legacy``), and pushouts along equal keyed legs, are
+precats over one table, kept in the memo of their first input's table while
+a precat over that table lives; a kept pushout holds its legs' ``Positions``.
 This module is imported only when such a table is first built.
 """
 

@@ -15,13 +15,14 @@ import operator
 from collections import deque
 
 from precats import FiniteCategory, cell_label
-from precats.presheaf import Precat, WindowTable, _typed_key
+from precats.presheaf import Positions, Precat, WindowTable, _typed_key
 from precats.theta import InvalidMorphismError
 
 
 def shared_tables(precats) -> set[int]:
     """The ids of the tables that ``precats`` keep: each one's own, and the
-    tables its memo keeps, derived or in a key, each with its parts.  A
+    tables its memo keeps, derived or in a key, each with its parts, a
+    kept pushout's with the tables its legs' ``Positions`` read.  A
     lifetime check takes the bases alive before it (``presheaf._BASES``),
     whose tables precats it did not make keep alive."""
     ids, memos, todo = set(), [P.memo for P in precats], [P.table for P in precats]
@@ -33,6 +34,8 @@ def shared_tables(precats) -> set[int]:
         x = todo.pop()
         if isinstance(x, (tuple, list)):
             todo += x
+        elif isinstance(x, Positions):
+            todo += [cell.cell_contents for cell in x.build.__closure__ or ()]
         elif isinstance(x, WindowTable) and id(x) not in ids:
             ids.add(id(x))
             todo += vars(x).values()

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from precats import constructions as cn
 from precats import presheaf as ps
 from precats.cli import main
 
@@ -325,8 +326,8 @@ def test_window3_dumps_are_byte_identical_to_seed(args, sha256, tmp_path):
 
 
 def test_build_writes_its_dump_a_chunk_at_a_time(tmp_path):
-    """``build`` writes ``dump_chunks``, one chunk per pair of levels, and
-    never the whole text, so the memory it traces at its peak, tables
+    """``build`` writes ``dump_chunks``, a bounded number of maps at a time,
+    and never the whole text, so the memory it traces at its peak, tables
     included, stays below the size of the dump it writes: here the 4.1 MB
     Ibar n=2 W3 dump, byte-identical to the seed's.  A first build fills
     the site's morphism caches, which outlive it."""
@@ -342,6 +343,18 @@ def test_build_writes_its_dump_a_chunk_at_a_time(tmp_path):
         tracemalloc.stop()
     assert peak < out.stat().st_size
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370")
+
+
+def test_dump_chunks_hold_at_most_their_cap_of_maps():
+    """No chunk of the Ibar n=2 W3 dump holds more than ``_CHUNK_MAPS``
+    maps, though one pair of its levels has 1,089; the chunks joined are
+    the seed's text."""
+    P = cn.nerve(cn.FiniteCategory.iso_interval(), 2)
+    chunks = list(ps.dump_chunks(P, ps.Window(3)))
+    counts = [chunk.count('{"map":{') for chunk in chunks]
+    assert max(counts) == ps._CHUNK_MAPS < 1089 and sum(counts) == 10282
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
         "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370")
 
 

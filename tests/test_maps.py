@@ -137,6 +137,23 @@ def test_induced_map_checks_its_cocone():
     assert good.at(zero_object(1)) == [0] * po.precat.size(zero_object(1))
 
 
+def test_induced_map_needs_a_cocone_from_the_pushout_sides_to_one_precat():
+    """A cocone whose legs end on two precats, or start elsewhere than the
+    pushout's sides, raises at once, naming the map: it would read
+    positions of one codomain as another's.  Legs into two precats of
+    equal content end on one."""
+    P, Q = discrete(1, (0, 1)), discrete(1, ("a", "b", "c"))
+    co = ps.coproduct(P, Q)
+    for u, v in [(identity_map(P), identity_map(Q)),
+                 (identity_map(Q), identity_map(P)),
+                 (identity_map(P), terminal_map(P))]:
+        with pytest.raises(PresheafError, match="fold: the cocone .* to one precat"):
+            co.induced(u, v)
+    fold = co.induced(terminal_map(P), terminal_map(Q))
+    assert fold.at(object_of(1, [2])) == [0] * 5
+    assert fold.naturality_violations(Window(2)) == []
+
+
 def test_solver_answer_raises_outside_its_window():
     N = nerve(I, 1)
     iso = iso_windowed(N, N, W2)

@@ -570,6 +570,52 @@ def test_pushout_legs_from_equal_domains_start_on_one_table(first):
         pushout(f, identity_map(other))
 
 
+def _wedge_inputs():
+    return upsilon([discrete(1, (0, 1))]), upsilon([cn.nerve(cn.FiniteCategory.interval(), 1)])
+
+
+def test_wedges_and_coproducts_on_equal_inputs_share_one_table():
+    """Pushouts along two keyed legs (point and degeneracy maps) are kept
+    in the memo of P's table.  Two ``wedge01`` calls on the same inputs,
+    each with a point of its own that is gone before the next, give
+    precats over one table, under each call's name; another vertex, other
+    inputs, or one leg given cell by cell give another table.  Coproducts
+    of equal inputs share one table."""
+    X, Y = _wedge_inputs()
+    first = cn.wedge01(X, Y)
+    W, point_ref = first.precat, weakref.ref(first.R)
+    del first
+    assert point_ref() is None
+    again = cn.wedge01(X, Y, "again")
+    assert again.precat.table is W.table
+    assert (W.name, again.precat.name) == ("wedge", "again")
+    pt = point(X.n)
+    others = [pushout(ps.point_map(X, 0, pt), ps.point_map(Y, 0, pt)).precat,
+              cn.wedge01(Y, X).precat, cn.wedge01(X, X).precat,
+              pushout(PrecatMap(pt, X, lambda M, c: X.degeneracy(M, 1)),
+                      ps.point_map(Y, 0, pt)).precat]
+    assert len({id(W.table), *(id(Z.table) for Z in others)}) == 1 + len(others)
+    P, Q = discrete(1, (0, 1)), discrete(1, ("a", "b", "c"))
+    co = coproduct(P, Q).precat
+    assert coproduct(P, Q).precat.table is co.table
+    assert coproduct(discrete(1, (0, 1)), discrete(1, ("a", "b", "c"))).precat.table is co.table
+    assert coproduct(Q, P).precat.table is not co.table
+
+
+def test_shared_wedge_table_against_its_oracle():
+    """A wedge reached a second time, after its first user tabled the
+    generators of window 2, is still its cell-level oracle, built from the
+    second call's legs, on every window-3 morphism."""
+    X, Y = _wedge_inputs()
+    first = cn.wedge01(X, Y).precat
+    for e in W2.elementary(first.n):
+        first.table.act(e)
+    second = cn.wedge01(X, Y, "second")
+    assert second.precat.table is first.table
+    assert helpers.table_violations(second.precat.table,
+                                    helpers.pushout_oracle(second.f, second.g), Window(3)) == []
+
+
 def test_a_category_changed_after_its_nerve_leaves_the_nerve_as_it_was():
     """A nerve reads a copy of its category, so a composition changed after
     the nerve is built reaches neither it nor the nerves of an unchanged
@@ -629,14 +675,14 @@ def test_shared_edge_complex_tables_against_their_oracle(face):
     assert helpers.table_violations(X.table, helpers.upsilon_oracle([A, D]), window) == []
 
 
-@pytest.mark.parametrize("build", ["corner", "square", "shared"])
+@pytest.mark.parametrize("build", ["corner", "square", "shared", "wedge"])
 def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypatch):
     """Every table, composite or first-direction, dies with the composites
     once the caller drops them after a check, but for those that precats
     alive before the check share: no table holds a reference cycle.  With
-    the inputs kept ("shared"), the tables of the edge complexes and
-    products on them outlive the composites, serve a second instance, and
-    die with the inputs."""
+    the inputs kept ("shared", "wedge"), the tables of the edge complexes,
+    products and wedges on them outlive the composites, serve a second
+    instance, and die with the inputs."""
     owned = []
     real_init = TabledPrecat.__init__
 
@@ -660,6 +706,10 @@ def test_composite_tables_are_freed_without_the_cycle_collector(build, monkeypat
     try:
         if build == "shared":
             _shared_tables_live_as_long_as_their_first_inputs(owned)
+            return
+        if build == "wedge":
+            monkeypatch.setattr(ps, "_BASES", weakref.WeakValueDictionary())
+            _kept_wedges_live_as_long_as_their_inputs(owned)
             return
         data, lhs, rhs = sides()
         assert iso_windowed(lhs, rhs, W2) is not None
@@ -698,6 +748,31 @@ def _shared_tables_live_as_long_as_their_first_inputs(owned):
     assert iso_windowed(lhs, rhs, W2) is not None
     refs += [weakref.ref(lhs), weakref.ref(rhs)] + [weakref.ref(E) for E in inputs]
     del lhs, rhs, inputs
+    assert all(r() is None for r in refs + owned)
+
+
+def _kept_wedges_live_as_long_as_their_inputs(owned):
+    """Two wedge instances on the edge complexes of the same inputs: the
+    tables of the inputs, of their edge complexes, of the wedge kept in the
+    memo of the first edge complex's table and of the point its legs read
+    survive the first instance, are the second's, and die with the inputs."""
+    inputs = [discrete(1, ("kept", 1)), discrete(1, ("kept",))]
+
+    def wedges():
+        X, Y = (upsilon([D]) for D in inputs)
+        return cn.wedge01(X, Y).precat, cn.wedge01(X, Y, "again").precat
+
+    first, again = wedges()
+    assert first.table is again.table and iso_windowed(first, again, W2) is not None
+    refs = [weakref.ref(first), weakref.ref(again)]
+    del first, again
+    assert all(r() is None for r in refs)
+    survivors = {id(r()) for r in owned if r() is not None}
+    assert survivors == helpers.shared_tables(inputs) and len(survivors) == 2 + 2 + 1 + 1
+    first, again = wedges()
+    assert id(first.table) in survivors and helpers.shared_tables(inputs) == survivors
+    refs += [weakref.ref(first), weakref.ref(again)] + [weakref.ref(E) for E in inputs]
+    del first, again, inputs
     assert all(r() is None for r in refs + owned)
 
 
@@ -993,12 +1068,8 @@ def test_w3_entries_build_member_cells_only_where_cells_are_read(entry, monkeypa
     assert not built or entry not in ("corner_split", "square", "square_legacy", "cylinder")
 
 
-def test_corner_split_effort_at_window_two(monkeypatch):
-    """The levels the corner split tabulates over its 36 pairs at W2, by
-    table class: counted, not timed, so a lost share shows as a count.  The
-    six inclusions' four inputs live through the entry, so their products
-    and edge complexes are tabulated once for all pairs; the pushouts, and
-    the edge complex on each pair's corner pushout, once per pair.  A
+def _tabulated(monkeypatch, entry: str) -> dict:
+    """The levels suite entry ``entry`` tabulates at W2, by table class: a
     fresh intern keeps the precats of other tests out."""
     monkeypatch.setattr(ps, "_BASES", weakref.WeakValueDictionary())
     tabulated = dict.fromkeys(("ProductTable", "UpsilonTable", "PushoutTable"), 0)
@@ -1009,8 +1080,29 @@ def test_corner_split_effort_at_window_two(monkeypatch):
             tabulated[name] += 1
             return real(self, M)
         monkeypatch.setattr(cls, "_tabulate", counted)
-    assert run_suite(2, only="corner_split").passed
-    assert tabulated == {"ProductTable": 150, "UpsilonTable": 385, "PushoutTable": 1116}
+    assert run_suite(2, only=entry).passed
+    return tabulated
+
+
+def test_corner_split_effort_at_window_two(monkeypatch):
+    """The levels the corner split tabulates over its 36 pairs at W2, by
+    table class: counted, not timed, so a lost share shows as a count.  The
+    six inclusions' four inputs live through the entry, so their products
+    and edge complexes are tabulated once for all pairs; the pushouts, and
+    the edge complex on each pair's corner pushout, once per pair."""
+    assert _tabulated(monkeypatch, "corner_split") == {
+        "ProductTable": 150, "UpsilonTable": 385, "PushoutTable": 1116}
+
+
+def test_wedge_effort_at_window_two(monkeypatch):
+    """The levels the wedge entry tabulates over its 36 pairs at W2.  Its
+    144 ``wedge01`` pushouts glue 16 distinct pairs of the four inputs'
+    edge complexes, which live through the entry, along keyed point maps,
+    so each of the 16 is tabulated once (1,260 pushout levels when every
+    wedge had a table of its own); each pair's ``wedge-lhs`` pushout, along
+    induced maps, is tabulated once per pair."""
+    assert _tabulated(monkeypatch, "wedge") == {
+        "ProductTable": 0, "UpsilonTable": 28, "PushoutTable": 364}
 
 
 def test_passing_checks_build_no_member_cells(monkeypatch):
