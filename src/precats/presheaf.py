@@ -38,6 +38,7 @@ input, so no reference cycle keeps a table alive.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import weakref
 from collections import Counter
@@ -926,9 +927,10 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     the wrong shape raises ``PresheafError``.  ``n`` must be an int >= 0 and
     the window's ``B`` an int >= 1 whose levels and morphisms are all listed,
     each level's ``object`` a list of ints >= 1 and its ``cells`` a list of
-    distinct strings, each action's ends listed levels and its ``map`` a dict
-    sending each target cell to a source cell (else ``ActionDomainError``).
-    No level or morphism may be listed twice."""
+    distinct strings, each action's ends listed levels, its components a
+    normal form of ints and its ``map`` a dict sending each target cell to a
+    source cell (else ``ActionDomainError``).  No level or morphism may be
+    listed twice."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -954,7 +956,7 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
         require(size <= len(levels) and all(M in levels for M in window_objects(n, B)),
                 f"a level of window B={B} is not listed")
-        acts, shared, run = {}, {}, None
+        acts, shared, run, listed = {}, {}, None, []
         for entry in data["actions"]:
             m, image = entry["morphism"], entry["map"]
             if (m["source"], m["target"]) != run:    # resolve the ends once per run
@@ -963,11 +965,20 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                 if None in ends:
                     require(False, f"an end of morphism {m!r} is not a listed level")
                 source, target = levels[ends[0]][2], levels[ends[1]][2]
-            f = theta.ThetaMorphism(*ends, tuple(map(tuple, m["components"])))
+            listed.append(m["components"])
+            f = theta.ThetaMorphism(*ends, tuple(map(tuple, listed[-1])))
             if f in acts:
                 require(False, f"the action of {f} listed twice")
             got = _positions(f, image, target, source)
             acts[f] = shared.setdefault(tuple(got), got)
+        # ThetaMorphism checks the values of a form it makes; one it finds
+        # may have been asked for by equal floats or bools, so every value of
+        # every component is checked here, in one pass
+        chain = itertools.chain.from_iterable
+        if not set(map(type, chain(chain(listed)))) <= {int}:
+            for comps, entry in zip(listed, data["actions"]):
+                require(set(map(type, chain(comps))) <= {int},
+                        f"morphism {entry['morphism']!r} has a component value that is not an int")
         # count the listed actions of the window against its morphisms: only
         # a shortfall lists them, to name the first one missing
         window = set(window_objects(n, B))
@@ -976,6 +987,6 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
             missing = next(f for _, _, mors in Window(B).morphisms(n) for f in mors
                            if f not in acts)
             require(False, f"the action of {missing} is not listed")
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, theta.ThetaError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return TabledPrecat(n, WindowTable(levels, acts, f"{name} of window B={B}"), name)

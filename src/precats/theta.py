@@ -24,6 +24,23 @@ its own surgery results, filled on first use: an object its ``tail_object``,
 ``prepend_prefix`` keeps nothing: each slice's table keeps its own
 position lists.  A well-formed component is validated by one comparison;
 only a rejected one runs the checks that name its fault.
+
+Forms come in two ways.  ``ThetaObject(...)`` and ``ThetaMorphism(...)``
+take outside input (dump import, tests, users) and check it in full before
+they store a form: every number an exact int, every component monotone and
+in range, and the shape a normal form; ``normalize_morphism`` reads an
+outside lift through them.  (A call equal to a stored form returns it, so
+``ThetaObject(1, (1.0,))`` is ``Obj(1,)@1`` once that exists; only checked
+ints are ever stored.)  The site's own operations build from parts already
+checked, through ``_assembled``, each component checked once where it is
+made, and each result a normal form by construction:
+
+* ``enumerate_morphisms``: non-constant maps (each checked once per pool)
+  up to one constant map, or ``n`` non-constant ones;
+* ``compose``: stored components composed in turn, up to the first
+  constant composite, which a constant component of either factor forces;
+* ``tail_morphism``: a form's stored components after the first, a suffix
+  of a normal form, whose first constant one is still its last.
 """
 
 from __future__ import annotations
@@ -53,17 +70,24 @@ class CompositionError(ThetaError):
 
 
 class _HashConsed(type):
-    """A call with the arguments of a form already built returns that form."""
+    """A call with the arguments of a form already built returns that form;
+    any other call checks its arguments (the class's ``_check``) before it
+    makes and stores one, so a rejected form is never stored."""
 
     def __call__(cls, *args):
         form = cls._forms.get(args)
         if form is None:
+            cls._check(*args)
             form = cls._forms[args] = super().__call__(*args)
         return form
 
 
 # a slot for a surgery result, filled on first use
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
+
+# the one type a form's numbers may have: a float or bool equal to an int
+# would find that int's form in a table, or be stored in its place
+_INT = frozenset((int,))
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +107,20 @@ class ThetaObject(metaclass=_HashConsed):
     _forms = {}
     __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InvalidObjectError("ambient dimension must be >= 0")
-        if len(self.entries) > self.n:
+    @staticmethod
+    def _check(n, entries):
+        if type(n) is not int or not set(map(type, entries)) <= _INT:
             raise InvalidObjectError(
-                f"length {len(self.entries)} exceeds ambient dimension {self.n}")
-        if any(e < 1 for e in self.entries):
-            raise InvalidObjectError(f"entries must be positive: {self.entries}")
+                f"ambient dimension and entries must be ints: {n!r}, {entries}")
+        if n < 0:
+            raise InvalidObjectError("ambient dimension must be >= 0")
+        if len(entries) > n:
+            raise InvalidObjectError(
+                f"length {len(entries)} exceeds ambient dimension {n}")
+        if any(e < 1 for e in entries):
+            raise InvalidObjectError(f"entries must be positive: {entries}")
+
+    def __post_init__(self):
         object.__setattr__(self, "length", len(self.entries))
 
     def __reduce__(self):
@@ -110,10 +140,12 @@ class ThetaObject(metaclass=_HashConsed):
 def object_of(n: int, entries: Iterable[int]) -> ThetaObject:
     """Class representative of ``entries``: truncate at the first zero.
 
-    A zero entry collapses everything after it; negative entries and
-    too-long results are rejected.
+    A zero entry collapses everything after it; entries that are not ints,
+    negative entries and too-long results are rejected.
     """
     entries = tuple(entries)
+    if not set(map(type, entries)) <= _INT:
+        raise InvalidObjectError(f"entries must be ints: {entries}")
     if any(e < 0 for e in entries):
         raise InvalidObjectError(f"negative entry in {entries}")
     kept = []
@@ -151,7 +183,11 @@ def _is_constant(comp: tuple[int, ...]) -> bool:
 def _check_component(source: ThetaObject, target: ThetaObject, i: int,
                      comp: tuple[int, ...]) -> None:
     """Reject a component ``i`` that is not monotone ``[a] -> [b]`` on padded entries."""
-    a, b = source.padded(i), target.padded(i)
+    _check_map(source.padded(i), target.padded(i), i, comp)
+
+
+def _check_map(a: int, b: int, i, comp: tuple[int, ...]) -> None:
+    """Reject ``comp``, named component ``i``, unless it is monotone ``[a] -> [b]``."""
     if len(comp) == a + 1 and comp[0] >= 0 and comp[-1] <= b and sorted(comp) == list(comp):
         return
     if len(comp) != a + 1:
@@ -180,21 +216,25 @@ class ThetaMorphism(metaclass=_HashConsed):
     _forms = {}
     __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.source.n != self.target.n:
+    @staticmethod
+    def _check(source, target, components):
+        if source.n != target.n:
             raise InvalidMorphismError("source and target live in different ambient dimensions")
-        n = self.source.n
-        if len(self.components) > n:
+        n = source.n
+        if len(components) > n:
             raise InvalidMorphismError("more components than ambient positions")
-        for i, comp in enumerate(self.components):
-            _check_component(self.source, self.target, i, comp)
-        for i, comp in enumerate(self.components[:-1]):
+        if not set(map(type, itertools.chain.from_iterable(components))) <= _INT:
+            raise InvalidMorphismError(f"component values must be ints: {components!r}")
+        for i, comp in enumerate(components):
+            _check_component(source, target, i, comp)
+        for i, comp in enumerate(components[:-1]):
             if _is_constant(comp):
                 raise InvalidMorphismError("constant component before the last stored one")
-        if len(self.components) < n and (
-                not self.components or not _is_constant(self.components[-1])):
+        if len(components) < n and (not components or not _is_constant(components[-1])):
             raise InvalidMorphismError("normal form must end with the first constant component")
-        object.__setattr__(self, "n", n)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.source.n)
 
     def __reduce__(self):
         return ThetaMorphism, (self.source, self.target, self.components)
@@ -215,6 +255,7 @@ class ThetaMorphism(metaclass=_HashConsed):
     def __repr__(self):
         comps = ",".join("".join(map(str, c)) for c in self.components)
         return f"Mor{self.source.entries}->{self.target.entries}[{comps}]"
+
 
 
 def normalize_morphism(source: ThetaObject, target: ThetaObject,
@@ -246,17 +287,36 @@ def identity(obj: ThetaObject) -> ThetaMorphism:
     return obj._identity
 
 
+def _assembled(source: ThetaObject, target: ThetaObject,
+               components: tuple[tuple[int, ...], ...]) -> ThetaMorphism:
+    """The form of a normal form whose components its maker has checked:
+    looked up or stored in ``ThetaMorphism``'s table, with no ``_check``."""
+    key = (source, target, components)
+    form = ThetaMorphism._forms.get(key)
+    if form is None:        # made as ``_HashConsed.__call__`` makes one, unchecked
+        form = ThetaMorphism._forms[key] = type.__call__(ThetaMorphism, *key)
+    return form
+
+
 def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
     """Composite ``f after g`` (``g`` maps into ``f``'s source).
 
-    Computed on canonical lifts and renormalized; the result does not depend
-    on the choice of lifts.
+    Composed componentwise on the stored components, each checked as it is
+    made, up to the first constant one: a constant component of either
+    factor makes the composite's constant, so the stored ones reach it, and
+    the result does not depend on the choice of lifts.
     """
     if g.target is not f.source:
         raise CompositionError(f"cannot compose {f} after {g}: endpoint mismatch")
-    gl, fl = g.lift(), f.lift()
-    comps = [tuple(fl[i][v] for v in gl[i]) for i in range(g.n)]
-    return normalize_morphism(g.source, f.target, comps)
+    source, target = g.source, f.target
+    comps = []
+    for i, (fc, gc) in enumerate(zip(f.components, g.components)):
+        comp = tuple(map(fc.__getitem__, gc))
+        _check_component(source, target, i, comp)
+        comps.append(comp)
+        if comp[0] == comp[-1]:     # monotone: constant when its ends agree
+            break
+    return _assembled(source, target, tuple(comps))
 
 
 def collapse_to_zero(obj: ThetaObject) -> ThetaMorphism:
@@ -285,9 +345,12 @@ def vertex(obj: ThetaObject, v: int, d: int = 0) -> ThetaMorphism:
 
 @lru_cache(maxsize=None)
 def _nonconstant_maps(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """All non-constant monotone maps [a] -> [b] as image tuples."""
-    return tuple(m for m in itertools.combinations_with_replacement(range(b + 1), a + 1)
+    """All non-constant monotone maps [a] -> [b] as image tuples, each checked."""
+    pool = tuple(m for m in itertools.combinations_with_replacement(range(b + 1), a + 1)
                  if not _is_constant(m))
+    for m in pool:
+        _check_map(a, b, "of a pool", m)
+    return pool
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +360,7 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
         raise InvalidMorphismError("objects live in different ambient dimensions")
     n = source.n
     if n == 0:
-        return (ThetaMorphism(source, target, ()),)
+        return (_assembled(source, target, ()),)
     out = []
     # non-constant prefix of length j-1, then the first constant at position j
     for j in range(1, n + 1):
@@ -307,14 +370,16 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
             continue
         arity = source.padded(j - 1) + 1
         consts = [(v,) * arity for v in range(target.padded(j - 1) + 1)]
+        for comp in consts:
+            _check_component(source, target, j - 1, comp)
         for prefix in itertools.product(*prefix_pools):
             for comp in consts:
-                out.append(ThetaMorphism(source, target, prefix + (comp,)))
+                out.append(_assembled(source, target, prefix + (comp,)))
     # no constant component at all: only possible with all n positions live
     pools = [_nonconstant_maps(source.padded(i), target.padded(i)) for i in range(n)]
     if all(pools):
         for comps in itertools.product(*pools):
-            out.append(ThetaMorphism(source, target, comps))
+            out.append(_assembled(source, target, comps))
     out.sort(key=operator.attrgetter("components"))     # the ends are fixed
     return tuple(out)
 
@@ -360,12 +425,20 @@ def tail_object(obj: ThetaObject) -> ThetaObject:
 
 
 def tail_morphism(f: ThetaMorphism) -> ThetaMorphism:
-    """Strip the first direction: the induced morphism between tail objects."""
+    """Strip the first direction: the induced morphism between tail objects.
+
+    Its components are ``f``'s after the first.  When ``f`` stores just one
+    (a constant, unless it is the only direction), the tail's canonical lift
+    is all constant 0, and its first component is the one stored.
+    """
     if f._tail is None:
         if f.n == 0:
             raise InvalidMorphismError("no tail in ambient dimension 0")
-        object.__setattr__(f, "_tail", normalize_morphism(
-            tail_object(f.source), tail_object(f.target), f.lift()[1:]))
+        comps = f.components[1:]
+        if not comps and f.n > 1:
+            comps = ((0,) * (f.source.padded(1) + 1),)
+        object.__setattr__(f, "_tail", _assembled(
+            tail_object(f.source), tail_object(f.target), comps))
     return f._tail
 
 

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import json
 import os
 import pickle
 import re
@@ -27,6 +28,7 @@ import helpers
 
 
 o = object_of
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +511,145 @@ def test_memoized_surgery_matches_fresh_normal_forms(n):
             assert th.prepend_prefix(prefix, g, n) == fresh
 
 
+# ---------------------------------------------------------------------------
+# the site's own operations against normalize_morphism as the oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, B", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_enumerated_forms_are_their_normalized_lifts(n, B):
+    """``enumerate_morphisms`` builds its forms from checked parts, with no
+    normalization: each is the form ``normalize_morphism`` gives its lift."""
+    for f in _window_morphisms(n, B):
+        assert f is normalize_morphism(f.source, f.target, f.lift())
+
+
+def test_tails_are_their_normalized_lifts():
+    for f in _window_morphisms(2, 3):
+        assert th.tail_morphism(f) is normalize_morphism(
+            th.tail_object(f.source), th.tail_object(f.target), f.lift()[1:])
+
+
+@pytest.mark.parametrize("n, B", [(2, 2), (3, 2)])
+def test_composites_are_their_normalized_composed_lifts(n, B):
+    """Every composite of a generator and a window morphism, either way
+    round, is the normal form of the composed canonical lifts."""
+    mors = _window_morphisms(n, B)
+    lifts = {f: f.lift() for f in mors}
+    into, out = {}, {}
+    for f in mors:
+        into.setdefault(f.target, []).append(f)
+        out.setdefault(f.source, []).append(f)
+    gens = th.elementary_morphisms(n, B)
+    pairs = ([(f, g) for g in gens for f in out[g.target]]
+             + [(g, f) for g in gens for f in into[g.source]])
+    assert len(pairs) == {(2, 2): 5512, (3, 2): 114665}[n, B]
+    for f, g in pairs:
+        assert compose(f, g) is normalize_morphism(
+            g.source, f.target, helpers.raw_compose(lifts[f], lifts[g]))
+
+
+_NO_NORMALIZING = """
+from precats import theta as th
+gens = th.elementary_morphisms(2, 2)
+objs = th.window_objects(2, 2)
+calls = {"normalize_morphism": 0, "ThetaMorphism._check": 0}
+
+def counted(name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+th.normalize_morphism = counted("normalize_morphism", th.normalize_morphism)
+th.ThetaMorphism._check = staticmethod(counted("ThetaMorphism._check", th.ThetaMorphism._check))
+mors = [f for s in objs for t in objs for f in th.enumerate_morphisms(s, t)]
+made = [th.compose(f, g) for g in gens for f in mors if f.source is g.target]
+made += [th.compose(g, f) for g in gens for f in mors if f.target is g.source]
+made += [th.tail_morphism(f) for f in mors]
+print(calls, len(mors), len(made))
+"""
+
+
+def test_enumerating_composing_and_taking_tails_never_normalize():
+    """In a fresh interpreter, where no form of the window and no tail is
+    built yet, enumerating its forms, composing each with every generator
+    and taking every tail call neither ``normalize_morphism`` nor the
+    full check of ``ThetaMorphism(...)``."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", _NO_NORMALIZING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "{'normalize_morphism':", "0,", "'ThetaMorphism._check':", "0}", "515", "6027"]
+
+
+# ---------------------------------------------------------------------------
+# values that equal ints but are not ints
+# ---------------------------------------------------------------------------
+
+_NON_INTS = """
+import json, sys
+from precats import Window, point, presheaf as ps, theta as th
+clean = open(sys.argv[1]).read()
+bad = json.loads(clean)
+entry = next(e for e in bad["actions"] if e["morphism"]["components"] == [[0, 1]])
+entry["morphism"]["components"] = [[0.0, 1]]
+out = {}
+
+def outcome(key, fn, *args):
+    try:
+        fn(*args)
+        out[key] = None
+    except Exception as exc:
+        out[key] = [type(exc).__name__, str(exc)]
+
+outcome("object_of", th.object_of, 2, [1.0, True])
+outcome("object n", th.ThetaObject, 2.0, (1,))
+outcome("object entry", th.ThetaObject, 2, (True,))
+one = th.object_of(2, [1])
+outcome("morphism", th.ThetaMorphism, one, one, ((0, 1), (False,)))
+out["window"] = repr(th.window_objects(2, 1))
+out["identity"] = repr(th.identity(th.window_objects(2, 1)[-1]))
+outcome("import fresh", ps.precat_from_dump, bad)
+out["dump"] = ps.dump_json(point(1), Window(1)) == clean
+outcome("import again", ps.precat_from_dump, bad)
+
+def ints(value):
+    if type(value) is tuple:
+        return all(map(ints, value))
+    return type(value) is int or type(value) is th.ThetaObject
+
+out["objects stored"] = all(map(ints, th.ThetaObject._forms))
+out["morphisms stored"] = all(map(ints, th.ThetaMorphism._forms))
+print(json.dumps(out))
+"""
+
+
+def test_floats_and_bools_never_enter_the_site_tables(tmp_path):
+    """A float or bool equals an int and hashes alike, so a form made of one
+    would be found in place of the int form.  In a fresh interpreter the
+    checked constructors reject them, a dump holding one is malformed both
+    before and after its int form exists, and the process's later dumps
+    stay byte-identical."""
+    clean = tmp_path / "clean.json"
+    clean.write_text(ps.dump_json(ps.point(1), Window(1)))
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", _NON_INTS, str(clean)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out.pop("window") == "[Obj()@2, Obj(1,)@2, Obj(1, 1)@2]"
+    assert out.pop("identity") == "Mor(1, 1)->(1, 1)[01,01]"
+    assert out.pop("dump") and out.pop("objects stored") and out.pop("morphisms stored")
+    assert {key: exc[0] for key, exc in out.items()} == {
+        "object_of": "InvalidObjectError", "object n": "InvalidObjectError",
+        "object entry": "InvalidObjectError", "morphism": "InvalidMorphismError",
+        "import fresh": "PresheafError", "import again": "PresheafError"}
+    assert all("must be ints" in exc[1] for key, exc in out.items() if "import" not in key)
+    assert all(exc[1].startswith("malformed dump: ") and "int" in exc[1]
+               for key, exc in out.items() if "import" in key)
+
+
 # The count of elementary_morphisms(n, B) for n <= 4, B <= 3, and the SHA-256
 # of their reprs (one tuple per line, in (n, B) order), as they were listed
 # before forms hashed by identity
@@ -542,8 +683,7 @@ print([(M, iso.at(M)) for M in Window(2).objects(iso.domain.n)])
 def test_outputs_do_not_depend_on_hash_seed_or_addresses(tmp_path):
     """Forms hash by address, so a set of forms iterates in another order in
     each process: dumps and solver answers must not follow it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
+    src = _SRC
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / seed
