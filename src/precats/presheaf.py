@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -956,7 +957,7 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
         require(size <= len(levels) and all(M in levels for M in window_objects(n, B)),
                 f"a level of window B={B} is not listed")
-        acts, shared, run, listed = {}, {}, None, []
+        acts, shared, run = {}, {}, None
         for entry in data["actions"]:
             m, image = entry["morphism"], entry["map"]
             if (m["source"], m["target"]) != run:    # resolve the ends once per run
@@ -965,20 +966,22 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                 if None in ends:
                     require(False, f"an end of morphism {m!r} is not a listed level")
                 source, target = levels[ends[0]][2], levels[ends[1]][2]
-            listed.append(m["components"])
-            f = theta.ThetaMorphism(*ends, tuple(map(tuple, listed[-1])))
+            f = theta.ThetaMorphism(*ends, tuple(map(tuple, m["components"])))
             if f in acts:
                 require(False, f"the action of {f} listed twice")
             got = _positions(f, image, target, source)
             acts[f] = shared.setdefault(tuple(got), got)
         # ThetaMorphism checks the values of a form it makes; one it finds
         # may have been asked for by equal floats or bools, so every value of
-        # every component is checked here, in one pass
+        # every component is checked here, in one pass with no Python frame
         chain = itertools.chain.from_iterable
-        if not set(map(type, chain(chain(listed)))) <= {int}:
-            for comps, entry in zip(listed, data["actions"]):
-                require(set(map(type, chain(comps))) <= {int},
-                        f"morphism {entry['morphism']!r} has a component value that is not an int")
+        comps = map(operator.itemgetter("components"),
+                    map(operator.itemgetter("morphism"), data["actions"]))
+        if not set(map(type, chain(chain(comps)))) <= {int}:
+            for entry in data["actions"]:
+                m = entry["morphism"]
+                require(set(map(type, chain(m["components"]))) <= {int},
+                        f"morphism {m!r} has a component value that is not an int")
         # count the listed actions of the window against its morphisms: only
         # a shortfall lists them, to name the first one missing
         window = set(window_objects(n, B))
