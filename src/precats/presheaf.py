@@ -38,9 +38,7 @@ input, so no reference cycle keeps a table alive.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -929,9 +927,10 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
     the window's ``B`` an int >= 1 whose levels and morphisms are all listed,
     each level's ``object`` a list of ints >= 1 and its ``cells`` a list of
     distinct strings, each action's ends listed levels, its components a
-    normal form of ints and its ``map`` a dict sending each target cell to a
-    source cell (else ``ActionDomainError``).  No level or morphism may be
-    listed twice."""
+    normal form of ints (as ``ThetaMorphism`` checks them: a form the process
+    already holds is found by equal values) and its ``map`` a dict sending
+    each target cell to a source cell (else ``ActionDomainError``).  No level
+    or morphism may be listed twice."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
@@ -971,17 +970,6 @@ def precat_from_dump(data: dict, name: str = "dump") -> Precat:
                 require(False, f"the action of {f} listed twice")
             got = _positions(f, image, target, source)
             acts[f] = shared.setdefault(tuple(got), got)
-        # ThetaMorphism checks the values of a form it makes; one it finds
-        # may have been asked for by equal floats or bools, so every value of
-        # every component is checked here, in one pass with no Python frame
-        chain = itertools.chain.from_iterable
-        comps = map(operator.itemgetter("components"),
-                    map(operator.itemgetter("morphism"), data["actions"]))
-        if not set(map(type, chain(chain(comps)))) <= {int}:
-            for entry in data["actions"]:
-                m = entry["morphism"]
-                require(set(map(type, chain(m["components"]))) <= {int},
-                        f"morphism {m!r} has a component value that is not an int")
         # count the listed actions of the window against its morphisms: only
         # a shortfall lists them, to name the first one missing
         window = set(window_objects(n, B))

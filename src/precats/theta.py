@@ -183,7 +183,8 @@ def _is_constant(comp: tuple[int, ...]) -> bool:
 def _check_component(source: ThetaObject, target: ThetaObject, i: int,
                      comp: tuple[int, ...]) -> None:
     """Reject a component ``i`` that is not monotone ``[a] -> [b]`` on padded entries."""
-    _check_map(source.padded(i), target.padded(i), i, comp)
+    _check_map(source.entries[i] if i < source.length else 0,
+               target.entries[i] if i < target.length else 0, i, comp)
 
 
 def _check_map(a: int, b: int, i, comp: tuple[int, ...]) -> None:
@@ -372,18 +373,17 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
         consts = [(v,) * arity for v in range(target.padded(j - 1) + 1)]
         for comp in consts:
             _check_component(source, target, j - 1, comp)
-        for prefix in itertools.product(*prefix_pools):
-            for comp in consts:
-                out.append(_assembled(source, target, prefix + (comp,)))
+        out += [_assembled(source, target, comps)
+                for comps in itertools.product(*prefix_pools, consts)]
     # no constant component at all: only possible with all n positions live
     pools = [_nonconstant_maps(source.padded(i), target.padded(i)) for i in range(n)]
     if all(pools):
-        for comps in itertools.product(*pools):
-            out.append(_assembled(source, target, comps))
+        out += [_assembled(source, target, comps) for comps in itertools.product(*pools)]
     out.sort(key=operator.attrgetter("components"))     # the ends are fixed
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def count_morphisms(source: ThetaObject, target: ThetaObject) -> int:
     """``len(enumerate_morphisms(source, target))``, by the same case split,
     with no form built: ``comb(a + b + 1, a + 1) - (b + 1)`` non-constant
