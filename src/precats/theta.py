@@ -383,7 +383,6 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def count_morphisms(source: ThetaObject, target: ThetaObject) -> int:
     """``len(enumerate_morphisms(source, target))``, by the same case split,
     with no form built: ``comb(a + b + 1, a + 1) - (b + 1)`` non-constant
