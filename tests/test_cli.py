@@ -1,7 +1,9 @@
 """Command-line surface: build dumps, checks with exit codes, verify suite."""
 
+import ast
 import hashlib
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -10,6 +12,8 @@ import pytest
 from precats import constructions as cn
 from precats import presheaf as ps
 from precats.cli import main
+
+_WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run(argv, capsys):
@@ -344,6 +348,71 @@ def test_build_writes_its_dump_a_chunk_at_a_time(tmp_path):
     assert peak < out.stat().st_size
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370")
+
+
+def test_dump_import_holds_no_json_tree():
+    """``precat_from_dump`` reads a dump's text a member and an action at a
+    time and keeps each action as tuples stored once: importing the 4.1 MB
+    Ibar n=2 W3 dump peaks at no more than 6 MB traced above the text it
+    holds (a whole-tree ``json.loads`` peaked at 20.7 MB), and the imported
+    table keeps at most 1 MB."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
+    tracemalloc.start()
+    try:
+        P = ps.precat_from_dump(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000 and kept <= 1_000_000, (peak, kept)
+    assert P.size(ps.object_of(2, [3, 3])) == len(P.table.labels(ps.object_of(2, [3, 3])))
+
+
+def _dump_catalogue():
+    """The benchmark's ``DUMP_CATALOG``, read from its source."""
+    tree = ast.parse(_WORKLOADS.read_text())
+    rows = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "DUMP_CATALOG")
+    return [pytest.param(args, B, id=f"{name}@W{B}") for name, args, B, _ in rows]
+
+
+@pytest.mark.parametrize("args, B", _dump_catalogue())
+def test_catalogue_dumps_import_in_any_member_order(args, B, tmp_path):
+    """Every dump of the benchmark's catalogue imports from its text, from
+    the same dump indented or with its members in another order (levels, n
+    and window before actions, morphism before map), and from its dict; each
+    re-dumps to the text byte for byte."""
+    out = tmp_path / "dump.json"
+    assert main(["build", *args, "--window", str(B), "--out", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    reordered = {key: data[key] for key in ("levels", "n", "window")}
+    reordered["actions"] = [{"morphism": e["morphism"], "map": e["map"]}
+                            for e in data["actions"]]
+    for dump in (text, json.dumps(data, indent=1), json.dumps(reordered), data):
+        assert ps.dump_json(ps.precat_from_dump(dump), ps.Window(B)) == text
+
+
+def test_dump_text_faults_exit_2(tmp_path, capsys):
+    """``check --in`` reads its dump as text: a truncated text or one with
+    text after the dump is bad JSON, and a value that is no object a
+    malformed dump; each exits 2.  An ``actions`` member that is no list is
+    malformed, as text or as a dict."""
+    text = ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2))
+    faults = [(text[:len(text) // 2], "error: "), (text[:text.index(',"levels"')], "error: "),
+              (text.rstrip()[:-1], "error: "), (text + "{}", "error: Extra data"),
+              (text + " x", "error: Extra data"), ("[1, 2]", "error: malformed dump"),
+              ('"dump"', "error: malformed dump"), ("", "error: Expecting value")]
+    for i, (bad, error) in enumerate(faults):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(bad)
+        code, _, err = run(["check", "segal", "--in", str(path), "--window", "2"], capsys)
+        assert code == 2 and err.startswith(error), (bad[-20:], err)
+        assert error != "error: " or "malformed" not in err
+    data = json.loads(text)
+    for actions in ({}, 3, "[]", None):
+        for dump in (dict(data, actions=actions), json.dumps(dict(data, actions=actions))):
+            with pytest.raises(ps.PresheafError, match="malformed dump: actions is"):
+                ps.precat_from_dump(dump)
 
 
 def test_dump_chunks_hold_at_most_their_cap_of_maps():

@@ -648,6 +648,50 @@ def test_floats_and_bools_never_enter_the_site_tables(tmp_path):
     assert out["import"][1].startswith("malformed dump: InvalidMorphismError: ")
 
 
+_HISTORY_FREE = """
+import json, sys
+from precats import Window, point, presheaf as ps
+clean = open(sys.argv[1]).read()
+identity = '"components":[[0,1]],"source":[1]'
+bad = {kind: clean.replace(identity, values, 1) for kind, values in (
+    ("float", '"components":[[0.0,1]],"source":[1]'),
+    ("bool", '"components":[[false,true]],"source":[1]'),
+    ("bool end", '"components":[[0,1]],"source":[true]'))}
+out = []
+for when in ("before", "after"):
+    if when == "after":
+        out.append(ps.dump_json(point(1), Window(1)) == clean)
+    for kind, text in bad.items():
+        for form, dump in (("text", text), ("dict", json.loads(text))):
+            try:
+                ps.precat_from_dump(dump)
+                out.append([when, kind, form, "imported"])
+            except ps.PresheafError as exc:
+                out.append([when, kind, form, str(exc)])
+print(json.dumps(out))
+"""
+
+
+def test_import_refuses_floats_and_bools_whatever_forms_exist(tmp_path):
+    """Whether a dump imports does not depend on what the process built
+    before: in a fresh interpreter, a ``point(1)`` W1 dump whose identity's
+    components read ``[[0.0, 1]]`` or ``[[false, true]]``, or whose source
+    reads ``[true]``, as text or as a dict, is malformed both before and
+    after ``dump_json`` has made the int forms those values equal."""
+    clean = tmp_path / "clean.json"
+    clean.write_text(ps.dump_json(ps.point(1), Window(1)))
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", _HISTORY_FREE, str(clean)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out.pop(6) is True and len(out) == 12
+    for when, kind, form, error in out:
+        assert error.startswith("malformed dump: "), (when, kind, form, error)
+        assert ("the number 0.0 is not an int" if (kind, form) == ("float", "text")
+                else "must be ints") in error, (when, kind, form, error)
+
+
 # The count of elementary_morphisms(n, B) for n <= 4, B <= 3, and the SHA-256
 # of their reprs (one tuple per line, in (n, B) order), as they were listed
 # before forms hashed by identity
