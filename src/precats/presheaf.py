@@ -7,15 +7,15 @@ cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
 and every window check (the solver, functoriality, the Segal check) read
 it; a dump is joined as text from each level's encoded labels, and read
-back an action at a time, with no JSON tree, as position lists checked in
-full.  Only outside callers (tests, the benchmark's tracer) give a presheaf
-cell by cell, ``Precat(n, eval_fn, act_fn)`` owning a ``CellTable``.
-Nerves and constant presheaves own a ``FirstEntryTable``, sorted once per
-first entry from cells labelled by their builder (a nerve's chain labels
-are joined from its arrows' labels) and restricted a whole level per key;
-every other construction a table of module ``tables``, built from its
-parts' tables.  One union-find, ``join``, gives the classes of a pushout's
-levels and of ``analysis.tau_zero``.
+back by module ``dumps`` an action at a time, with no JSON tree, as position
+lists checked in full.  Only outside callers (tests, the benchmark's
+tracer) give a presheaf cell by cell, ``Precat(n, eval_fn, act_fn)`` owning
+a ``CellTable``.  Nerves and constant presheaves own a ``FirstEntryTable``,
+sorted once per first entry from cells labelled by their builder (a nerve's
+chain labels are joined from its arrows' labels) and restricted a whole
+level per key; every other construction a table of module ``tables``, built
+from its parts' tables.  One union-find, ``join``, gives the classes of a
+pushout's levels and of ``analysis.tau_zero``.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -40,11 +40,9 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import theta
@@ -903,163 +901,9 @@ def dump_window(P: Precat, window: Window) -> dict:
     return json.loads(dump_json(P, window))
 
 
-def _positions(f: ThetaMorphism, image, target: dict, source: dict) -> list[int]:
-    """``image``, a dump's map of ``f``, as a position list, where ``target``
-    and ``source`` index the cells of ``f``'s ends; else its first fault."""
-    try:
-        if len(image) == len(target):
-            return [source[image[c]] for c in target]
-    except (KeyError, TypeError):
-        pass
-    what = f"malformed dump: the map of {f}"
-    for k in image:
-        if k not in target:
-            raise PresheafError(f"{what} has the key {k!r}, no cell of level {f.target}")
-    for c in target:
-        if c not in image:
-            raise PresheafError(f"{what} gives the cell {c!r} no image")
-    x = next(x for x in image.values() if type(x) is not str or x not in source)
-    raise (ActionDomainError if type(x) is str else PresheafError)(
-        f"{what} has the image {x!r}, no cell of level {f.source}")
-
-
-def _no_float(number: str):
-    raise PresheafError(f"malformed dump: the number {number} is not an int")
-
-
-_DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
-_SPACE, _COLON, _COMMA = (re.compile(rf"[ \t\n\r]*{c}[ \t\n\r]*").match for c in ("", ":", ","))
-
-
-def _members(text: str) -> Iterator[tuple[str, object]]:
-    """The members of the JSON object ``text`` in order, each value decoded
-    whole but a list ``actions``: an iterator of its entries, decoded one at
-    a time and run out before the next member.  Bad JSON, trailing text
-    included, raises ``json.JSONDecodeError``; a float or a value that is no
-    object, a malformed-dump ``PresheafError``."""
-    at = [_SPACE(text).end()]       # where the last item read ends
-    if not text.startswith("{", at[0]):
-        raise PresheafError(f"malformed dump: a {type(_DECODER.decode(text)).__name__}, not an object")
-
-    def items(close: str):          # each item, decoded (a member's key if ``close`` is "}")
-        pos = _SPACE(text, at[0] + 1).end()
-        if not text.startswith(close, pos):
-            while True:
-                try:
-                    got, at[0] = _DECODER.scan_once(text, pos)
-                except StopIteration as stop:
-                    raise json.JSONDecodeError("Expecting value", text, stop.value) from None
-                yield got
-                if not (sep := _COMMA(text, at[0])):
-                    break
-                pos = sep.end()
-            pos = _SPACE(text, at[0]).end()
-        if not text.startswith(close, pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        at[0] = pos + 1
-
-    for key in items("}"):
-        if not (type(key) is str and (sep := _COLON(text, at[0]))):
-            raise json.JSONDecodeError("Expecting a key and ':'", text, at[0])
-        if key == "actions" and text.startswith("[", sep.end()):
-            at[0] = sep.end()
-            yield key, items("]")
-        else:
-            value, at[0] = _DECODER.raw_decode(text, sep.end())
-            yield key, value
-    if _SPACE(text, at[0]).end() < len(text):
-        raise json.JSONDecodeError("Extra data", text, at[0])
-
-
 def precat_from_dump(data: str | dict, name: str = "dump") -> Precat:
-    """A canonical dump, its JSON text or a dict, as a ``WindowTable`` of
-    position lists, equal lists stored once, checked in full: a dump missing
-    a key or holding a value of the wrong shape raises ``PresheafError``.
-    ``n`` must be an int >= 0 and the window's ``B`` an int >= 1 whose levels
-    and morphisms are all listed, each level's ``object`` a list of ints >= 1
-    and its ``cells`` a list of distinct strings, each action's ends listed
-    levels, its components a normal form of ints and its ``map`` a dict
-    sending each target cell to a source cell (else ``ActionDomainError``).
-    No level or morphism may be listed twice.  Text is read with no JSON
-    tree (``_members``).  Each action is kept in its run of equal ends as
-    its components and its map's keys and images, equal tuples stored once;
-    each distinct map of a run becomes a position list once.  Whatever forms
-    the process holds, a float is refused, and so is a bool among the ends
-    and components of a dict or of a text holding ``true`` or ``false``."""
-    def require(ok: bool, what: str):
-        if not ok:
-            raise PresheafError(f"malformed dump: {what}")
-
-    try:
-        text = isinstance(data, str)
-        strict, top, runs, tuples, run = not text or "true" in data or "false" in data, {}, [], {}, None
-        for key, value in _members(data) if text else data.items():
-            top[key] = value
-            if key != "actions":
-                continue
-            require(isinstance(value, (list, Iterator)), f"actions is a {type(value).__name__}")
-            for entry in value:
-                m, image = entry["morphism"], entry["map"]
-                if run != (m["source"], m["target"]):
-                    run = m["source"], m["target"]
-                    runs.append((tuple(map(tuple, run)), group := []))
-                comps = tuple(map(tuple, m["components"]))
-                if strict and not set(map(type, chain(m["source"], m["target"], *comps))) <= {int}:
-                    raise theta.InvalidMorphismError(f"morphism values must be ints: {m!r}")
-                try:    # a map that is no dict or has an unhashable image: _positions names it
-                    image = tuples.setdefault(pair := (tuple(image), tuple(image.values())), pair)
-                except (TypeError, AttributeError):
-                    image = None, image
-                group.append((tuples.setdefault(comps, comps), image))
-        n = top["n"]
-        require(type(n) is int and n >= 0, f"n is {n!r}, not an int >= 0")
-        levels, objects = {}, {}
-        for lv in top["levels"]:
-            entries, cells = lv["object"], lv["cells"]
-            require(type(entries) is list and set(map(type, entries)) <= {int},
-                    f"object {entries!r} is not a list of ints")
-            require(min(entries, default=1) >= 1, f"object {entries!r} has an entry < 1")
-            require(type(cells) is list and set(map(type, cells)) <= {str}
-                    and len(set(cells)) == len(cells),
-                    f"cells of {entries} are not a list of distinct strings")
-            M = objects[tuple(entries)] = object_of(n, entries)
-            require(M not in levels, f"level {M} listed twice")
-            levels[M] = _label_order(cells, cells)
-        B = top["window"]["B"]
-        require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
-        # count the window's levels first, so a huge B or n lists no objects
-        size = sum(B ** k for k in range(min(n, len(levels)) + 1))
-        window = size <= len(levels) and set(window_objects(n, B))
-        require(window and all(M in levels for M in window), f"a level of window B={B} is not listed")
-        acts, shared, resolved = {}, {}, {}
-        for ends, group in runs:
-            E = [objects.get(end) for end in ends]
-            if None in E:
-                require(False, f"an end of the morphism {ends} is not a listed level")
-            source, (_, order, target) = levels[E[0]][2], levels[E[1]]
-            order, done = tuple(order), resolved.setdefault(ends, {})   # each distinct map once
-            for comps, image in group:
-                f = theta.ThetaMorphism(*E, comps)
-                if f in acts:
-                    require(False, f"the action of {f} listed twice")
-                got = done.get(id(image))
-                if got is None:
-                    keys, images = image
-                    try:    # a map listing the target's cells in order, onto source cells
-                        got = [source[x] for x in images] if keys == order else None
-                    except (KeyError, TypeError):
-                        pass
-                    got = got or _positions(f, images if keys is None else dict(zip(keys, images)),
-                                            target, source)
-                    got = done[id(image)] = shared.setdefault(tuple(got), got)
-                acts[f] = got
-        # count the listed actions of the window against its morphisms: only
-        # a shortfall lists them, to name the first one missing
-        listed = sum(f.source in window and f.target in window for f in acts)
-        if listed < sum(theta.count_morphisms(s, t) for s in window for t in window):
-            missing = next(f for _, _, mors in Window(B).morphisms(n) for f in mors
-                           if f not in acts)
-            require(False, f"the action of {missing} is not listed")
-    except (KeyError, TypeError, AttributeError, theta.ThetaError) as exc:
-        raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
-    return TabledPrecat(n, WindowTable(levels, acts, f"{name} of window B={B}"), name)
+    """A canonical dump, its JSON text or its dict, as a precat over a table
+    of position lists, checked in full (module ``dumps``, imported on the
+    first import)."""
+    from .dumps import read
+    return read(data, name)
