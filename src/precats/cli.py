@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -210,6 +211,7 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache    # built once a process: main may run many times in one
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precats", description="exact finite presheaf constructions and checks")

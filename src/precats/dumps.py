@@ -1,14 +1,6 @@
-"""Canonical dumps read back as tables of position lists, checked in full.
-
-``read`` (``presheaf.precat_from_dump``) takes a dump's JSON text or its
-dict.  Text is decoded with no JSON tree, a member and an action at a time
-(``_members``).  Each action is kept as its components and its map's keys
-and images, in a run of equal ends, equal tuples stored once; once the
-levels are read, each distinct map of a run becomes a position list once.
-Imported only when a dump is first read.
-"""
-
-from __future__ import annotations
+"""Canonical dumps read back as tables of position lists, checked in full,
+from their text a member and an action at a time, with no JSON tree.
+Loaded by the first ``presheaf.precat_from_dump``."""
 
 import json
 import re
@@ -18,7 +10,6 @@ from typing import Iterator
 from . import theta
 from .presheaf import (ActionDomainError, Precat, PresheafError, TabledPrecat, Window,
                        WindowTable, _label_order)
-from .theta import object_of, window_objects
 
 
 def _positions(f: theta.ThetaMorphism, image, target: dict, source: dict) -> list[int]:
@@ -50,43 +41,41 @@ _SPACE, _COLON, _COMMA = (re.compile(rf"[ \t\n\r]*{c}[ \t\n\r]*").match for c in
 
 
 def _members(text: str) -> Iterator[tuple[str, object]]:
-    """The members of the JSON object ``text`` in order, each value decoded
-    whole but a list ``actions``: an iterator of its entries, decoded one at
-    a time and run out before the next member.  Bad JSON, trailing text
-    included, raises ``json.JSONDecodeError``; a float or a value that is no
-    object, a malformed-dump ``PresheafError``."""
-    at = [_SPACE(text).end()]       # where the last item read ends
-    if not text.startswith("{", at[0]):
-        raise PresheafError(f"malformed dump: a {type(_DECODER.decode(text)).__name__}, not an object")
+    """The members of the JSON object ``text``, each value decoded whole but
+    a list ``actions``: an iterator of its entries, decoded one at a time and
+    run out before the next member.  Bad JSON, trailing text included, raises
+    ``json.JSONDecodeError``; a value that is no object, ``PresheafError``."""
+    at = _SPACE(text).end()         # where the text not yet read starts
 
-    def items(close: str):          # each item, decoded (a member's key if ``close`` is "}")
-        pos = _SPACE(text, at[0] + 1).end()
+    def items(close: str):          # each item of the list or object opened at ``at``
+        nonlocal at
+        pos = _SPACE(text, at + 1).end()
         if not text.startswith(close, pos):
             while True:
-                try:
-                    got, at[0] = _DECODER.scan_once(text, pos)
-                except StopIteration as stop:
-                    raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+                got, at = _DECODER.raw_decode(text, pos)
                 yield got
-                if not (sep := _COMMA(text, at[0])):
+                if not (sep := _COMMA(text, at)):
                     break
                 pos = sep.end()
-            pos = _SPACE(text, at[0]).end()
+            pos = _SPACE(text, at).end()
         if not text.startswith(close, pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        at[0] = pos + 1
+            raise json.JSONDecodeError(f"Expecting ',' or {close!r}", text, pos)
+        at = pos + 1
 
+    if not text.startswith("{", at):
+        kind = type(_DECODER.decode(text)).__name__     # bad JSON raises here
+        raise PresheafError(f"malformed dump: a {kind}, not an object")
     for key in items("}"):
-        if not (type(key) is str and (sep := _COLON(text, at[0]))):
-            raise json.JSONDecodeError("Expecting a key and ':'", text, at[0])
+        if not (type(key) is str and (sep := _COLON(text, at))):
+            raise json.JSONDecodeError("Expecting a key and ':'", text, at)
         if key == "actions" and text.startswith("[", sep.end()):
-            at[0] = sep.end()
+            at = sep.end()
             yield key, items("]")
         else:
-            value, at[0] = _DECODER.raw_decode(text, sep.end())
+            value, at = _DECODER.raw_decode(text, sep.end())
             yield key, value
-    if _SPACE(text, at[0]).end() < len(text):
-        raise json.JSONDecodeError("Extra data", text, at[0])
+    if _SPACE(text, at).end() < len(text):
+        raise json.JSONDecodeError("Extra data", text, at)
 
 
 def read(data: str | dict, name: str = "dump") -> Precat:
@@ -106,14 +95,14 @@ def read(data: str | dict, name: str = "dump") -> Precat:
             raise PresheafError(f"malformed dump: {what}")
 
     try:
-        text = isinstance(data, str)
-        strict, top, runs, tuples, run = not text or "true" in data or "false" in data, {}, [], {}, None
-        for key, value in _members(data) if text else data.items():
+        strict = not isinstance(data, str) or "true" in data or "false" in data
+        top, runs, tuples, run = {}, [], {}, None
+        for key, value in _members(data) if isinstance(data, str) else data.items():
             top[key] = value
             if key != "actions":
                 continue
             require(isinstance(value, (list, Iterator)), f"actions is a {type(value).__name__}")
-            for entry in value:
+            for entry in value:     # kept as tuples stored once, in runs of equal ends
                 m, image = entry["morphism"], entry["map"]
                 if run != (m["source"], m["target"]):
                     run = m["source"], m["target"]
@@ -137,28 +126,29 @@ def read(data: str | dict, name: str = "dump") -> Precat:
             require(type(cells) is list and set(map(type, cells)) <= {str}
                     and len(set(cells)) == len(cells),
                     f"cells of {entries} are not a list of distinct strings")
-            M = objects[tuple(entries)] = object_of(n, entries)
+            M = objects[tuple(entries)] = theta.object_of(n, entries)
             require(M not in levels, f"level {M} listed twice")
             levels[M] = _label_order(cells, cells)
         B = top["window"]["B"]
         require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
         # count the window's levels first, so a huge B or n lists no objects
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
-        window = size <= len(levels) and set(window_objects(n, B))
-        require(window and all(M in levels for M in window), f"a level of window B={B} is not listed")
-        acts, shared, resolved = {}, {}, {}
+        window = size <= len(levels) and set(theta.window_objects(n, B))
+        require(window and all(M in levels for M in window),
+                f"a level of window B={B} is not listed")
+        acts, shared, listed = {}, {}, 0
         for ends, group in runs:
             E = [objects.get(end) for end in ends]
             if None in E:
                 require(False, f"an end of the morphism {ends} is not a listed level")
-            source, (_, order, target) = levels[E[0]][2], levels[E[1]]
-            order, done = tuple(order), resolved.setdefault(ends, {})   # each distinct map once
+            listed += len(group) if E[0] in window and E[1] in window else 0
+            source, (_, order, target), done = levels[E[0]][2], levels[E[1]], {}
+            order = tuple(order)
             for comps, image in group:
                 f = theta.ThetaMorphism(*E, comps)
                 if f in acts:
                     require(False, f"the action of {f} listed twice")
-                got = done.get(id(image))
-                if got is None:
+                if (got := done.get(id(image))) is None:    # each distinct map of a run once
                     keys, images = image
                     try:    # a map listing the target's cells in order, onto source cells
                         got = [source[x] for x in images] if keys == order else None
@@ -170,7 +160,6 @@ def read(data: str | dict, name: str = "dump") -> Precat:
                 acts[f] = got
         # count the listed actions of the window against its morphisms: only
         # a shortfall lists them, to name the first one missing
-        listed = sum(f.source in window and f.target in window for f in acts)
         if listed < sum(theta.count_morphisms(s, t) for s in window for t in window):
             missing = next(f for _, _, mors in Window(B).morphisms(n) for f in mors
                            if f not in acts)

@@ -903,7 +903,6 @@ def dump_window(P: Precat, window: Window) -> dict:
 
 def precat_from_dump(data: str | dict, name: str = "dump") -> Precat:
     """A canonical dump, its JSON text or its dict, as a precat over a table
-    of position lists, checked in full (module ``dumps``, imported on the
-    first import)."""
+    of position lists, checked in full by ``dumps.read`` (loaded on first use)."""
     from .dumps import read
     return read(data, name)

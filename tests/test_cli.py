@@ -11,7 +11,7 @@ import pytest
 
 from precats import constructions as cn
 from precats import presheaf as ps
-from precats.cli import main
+from precats.cli import main, make_parser
 
 _WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -56,6 +56,15 @@ def test_build_unknown_name_is_usage_error(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: unknown construction 'foo'; known: ")
     assert "nerve" in err and "three_point" in err
+
+
+def test_main_reuses_one_parser(capsys):
+    """``main`` builds its parser once a process; a call that fails to
+    parse leaves nothing behind for the next."""
+    assert make_parser() is make_parser()
+    assert run(["check", "segal", "--window", "x"], capsys)[0] == 2
+    code, out, _ = run(["build", "nerve", "--category", "Z2", "--n", "1", "--window", "1"], capsys)
+    assert code == 0 and json.loads(out)["window"] == {"B": 1}
 
 
 def test_build_bad_params_is_usage_error(capsys):
