@@ -149,7 +149,7 @@ def cmd_build(args) -> int:
 def _load_target(args) -> ps.Precat:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
-            return ps.precat_from_dump(fh.read())
+            return ps.precat_from_dump(fh)      # read a block at a time
     _require(args.construction, "check needs a construction name or --in")
     return build_precat(args)
 

@@ -1,11 +1,12 @@
 """Canonical dumps read back as tables of position lists, checked in full,
-from their text a member and an action at a time, with no JSON tree.
-Loaded by the first ``presheaf.precat_from_dump``."""
+from their text or file a block, a member and an action at a time, with no
+JSON tree.  Loaded by the first ``presheaf.precat_from_dump``."""
 
 import json
 import re
+from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from . import theta
 from .presheaf import (ActionDomainError, Precat, PresheafError, TabledPrecat, Window,
@@ -37,67 +38,107 @@ def _no_float(number: str):
 
 
 _DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
-_SPACE, _COLON, _COMMA = (re.compile(rf"[ \t\n\r]*{c}[ \t\n\r]*").match for c in ("", ":", ","))
+_SCAN = _DECODER.scan_once
+_SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match    # whitespace, at most one separator
+_BLOCK = 1 << 18    # characters read from a dump file at a time
+_BOOLS = ("true", "false")
 
 
-def _members(text: str) -> Iterator[tuple[str, object]]:
-    """The members of the JSON object ``text``, each value decoded whole but
-    a list ``actions``: an iterator of its entries, decoded one at a time and
-    run out before the next member.  Bad JSON, trailing text included, raises
-    ``json.JSONDecodeError``; a value that is no object, ``PresheafError``."""
-    at = _SPACE(text).end()         # where the text not yet read starts
+def _members(data: str | TextIO, bools: list) -> Iterator[tuple[str, object]]:
+    """The members of the JSON object ``data``, a text or an open text file
+    read ``_BLOCK`` characters at a time, each value decoded whole but a list
+    ``actions``: an iterator of its entries, decoded one at a time and run out
+    before the next member.  ``bools`` gets an entry once a block holds true
+    or false.  Bad JSON, trailing text included, raises ``json.JSONDecodeError``
+    placed in the whole text; a value that is no object, ``PresheafError``."""
+    blocks = iter((data,)) if isinstance(data, str) else iter(partial(data.read, _BLOCK), "")
+    # the text held, the last end a step may take in it (a number ends 3 characters
+    # before the text does: ``1e+5``), and the length and newlines of the text dropped
+    buf, limit, gone, lines, last_nl = "", -1, 0, 0, -1
+
+    def doc() -> str:       # the text dropped, blanked but for its newlines, then the text held
+        return " " * (last_nl + 1 - lines) + "\n" * lines + " " * (gone - last_nl - 1) + buf
+
+    def take(step, start: int):     # ``step(buf, start)``, a value and its end, once whole
+        nonlocal buf, limit, gone, lines, last_nl
+        while True:
+            try:
+                got, end = step(buf, start)
+                if end <= limit:
+                    return got, end
+            except (StopIteration, ValueError):
+                if limit == len(buf):   # the text is run out: the whole text's fault
+                    _DECODER.raw_decode(doc(), gone + start)
+            if (nl := buf.rfind("\n", 0, start)) >= 0:
+                lines, last_nl = lines + buf.count("\n", 0, nl + 1), gone + nl
+            gone, seam, buf = gone + start, buf[-4:], buf[start:]   # dropped before the read
+            block = next(blocks, "")
+            if not bools and any(w in t for t in (block, seam + block[:4]) for w in _BOOLS):
+                bools.append(True)
+            buf, start = buf + block, 0
+            limit = len(buf) - 3 if block else len(buf)
+
+    def sep(text: str, start: int):     # whitespace and at most one separator, as a step
+        return (m := _SEP(text, start)), m.end()
 
     def items(close: str):          # each item of the list or object opened at ``at``
         nonlocal at
-        pos = _SPACE(text, at + 1).end()
-        if not text.startswith(close, pos):
+        if (m := take(sep, at + 1)[0])[1] != close:
+            at = m.start(1)
             while True:
-                got, at = _DECODER.raw_decode(text, pos)
+                got, at = take(_SCAN, at)
                 yield got
-                if not (sep := _COMMA(text, at)):
+                if buf.startswith(",{", at):    # the next object follows at once
+                    at += 1
+                elif (m := take(sep, at)[0])[1] == ",":
+                    at = m.end()
+                else:
                     break
-                pos = sep.end()
-            pos = _SPACE(text, at).end()
-        if not text.startswith(close, pos):
-            raise json.JSONDecodeError(f"Expecting ',' or {close!r}", text, pos)
-        at = pos + 1
+            if m[1] != close:
+                raise json.JSONDecodeError(f"Expecting ',' or {close!r}", doc(), gone + m.start(1))
+        at = m.start(1) + 1
 
-    if not text.startswith("{", at):
-        kind = type(_DECODER.decode(text)).__name__     # bad JSON raises here
-        raise PresheafError(f"malformed dump: a {kind}, not an object")
-    for key in items("}"):
-        if not (type(key) is str and (sep := _COLON(text, at))):
-            raise json.JSONDecodeError("Expecting a key and ':'", text, at)
-        if key == "actions" and text.startswith("[", sep.end()):
-            at = sep.end()
+    at = take(sep, 0)[0].start(1)   # where the text not yet read starts
+    if other := not buf.startswith("{", at):    # a value that is no object: decoded whole
+        got, at = take(_SCAN, at)
+    for key in () if other else items("}"):
+        m = take(sep, at)[0]        # starts at ``at``, wherever a refill moved it
+        if type(key) is not str or m[1] != ":":
+            raise json.JSONDecodeError("Expecting a key and ':'", doc(), gone + m.start())
+        if key == "actions" and buf.startswith("[", m.end()):
+            at = m.end()
             yield key, items("]")
         else:
-            value, at = _DECODER.raw_decode(text, sep.end())
-            yield key, value
-    if _SPACE(text, at).end() < len(text):
-        raise json.JSONDecodeError("Extra data", text, at)
+            got, at = take(_SCAN, m.end())
+            yield key, got
+    if (m := take(sep, at)[0]).start(1) < len(buf):   # json.loads: past the whitespace
+        raise json.JSONDecodeError("Extra data", doc(), gone + m.start(1 if other else 0))
+    if other:
+        raise PresheafError(f"malformed dump: a {type(got).__name__}, not an object")
 
 
-def read(data: str | dict, name: str = "dump") -> Precat:
-    """A canonical dump, its JSON text or a dict, as a ``WindowTable`` of
-    position lists, equal lists stored once, checked in full: a dump missing
-    a key or holding a value of the wrong shape raises ``PresheafError``.
-    ``n`` must be an int >= 0 and the window's ``B`` an int >= 1 whose levels
-    and morphisms are all listed, each level's ``object`` a list of ints >= 1
-    and its ``cells`` a list of distinct strings, each action's ends listed
-    levels, its components a normal form of ints and its ``map`` a dict
-    sending each target cell to a source cell (else ``ActionDomainError``).
-    No level or morphism may be listed twice.  Whatever forms the process
-    holds, a float is refused, and so is a bool among the ends and
-    components, type-checked for a dict or a text holding true or false."""
+def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
+    """A canonical dump, its JSON text, an open text file or a dict, as a
+    ``WindowTable`` of position lists, equal lists stored once, checked in
+    full: a dump missing a key or holding a value of the wrong shape raises
+    ``PresheafError``.  ``n`` must be an int >= 0 and the window's ``B`` an
+    int >= 1 whose levels and morphisms are all listed, each level's
+    ``object`` a list of ints >= 1 and its ``cells`` a list of distinct
+    strings, each action's ends listed levels, its components a normal form
+    of ints and its ``map`` a dict sending each target cell to a source
+    cell (else ``ActionDomainError``).  No level or morphism may be listed
+    twice.  Whatever forms the process holds, a float is refused, and so is
+    a bool among the ends and components, type-checked for a dict, and for
+    a text from its first block holding true or false (a block read with
+    the previous one's tail)."""
     def require(ok: bool, what: str):
         if not ok:
             raise PresheafError(f"malformed dump: {what}")
 
     try:
-        strict = not isinstance(data, str) or "true" in data or "false" in data
+        bools = [True] if isinstance(data, dict) else []     # whether to type-check
         top, runs, tuples, run = {}, [], {}, None
-        for key, value in _members(data) if isinstance(data, str) else data.items():
+        for key, value in data.items() if isinstance(data, dict) else _members(data, bools):
             top[key] = value
             if key != "actions":
                 continue
@@ -108,7 +149,7 @@ def read(data: str | dict, name: str = "dump") -> Precat:
                     run = m["source"], m["target"]
                     runs.append((tuple(map(tuple, run)), group := []))
                 comps = tuple(map(tuple, m["components"]))
-                if strict and not set(map(type, chain(m["source"], m["target"], *comps))) <= {int}:
+                if bools and not set(map(type, chain(m["source"], m["target"], *comps))) <= {int}:
                     raise theta.InvalidMorphismError(f"morphism values must be ints: {m!r}")
                 try:    # a map that is no dict or has an unhashable image: _positions names it
                     image = tuples.setdefault(pair := (tuple(image), tuple(image.values())), pair)

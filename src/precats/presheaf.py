@@ -43,7 +43,7 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import theta
 from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
@@ -901,8 +901,9 @@ def dump_window(P: Precat, window: Window) -> dict:
     return json.loads(dump_json(P, window))
 
 
-def precat_from_dump(data: str | dict, name: str = "dump") -> Precat:
-    """A canonical dump, its JSON text or its dict, as a precat over a table
-    of position lists, checked in full by ``dumps.read`` (loaded on first use)."""
+def precat_from_dump(data: str | dict | TextIO, name: str = "dump") -> Precat:
+    """A canonical dump, its JSON text, an open text file (read a block at a
+    time) or its dict, as a precat over a table of position lists, checked
+    in full by ``dumps.read`` (loaded on first use)."""
     from .dumps import read
     return read(data, name)

@@ -471,10 +471,12 @@ def _elementary_from(obj: ThetaObject, max_entry: int) -> Iterator[ThetaMorphism
                                   for rep in range(m)]))
         for entry, comps in moves:
             tgt = object_of(n, pad[:pos] + [entry] + pad[pos + 1:])
-            # a target truncated by an entry shrunk to 0: later components land on 0
-            rest = ident[pos + 1:] if entry else [(0,) * len(c) for c in ident[pos + 1:]]
             for comp in comps:
-                yield normalize_morphism(obj, tgt, ident[:pos] + [comp] + rest)
+                _check_map(m, entry, pos, comp)
+                # the normal form: the lift up to its first constant component
+                lift = ident[:pos] + [comp] + ident[pos + 1:]
+                keep = next((i for i, c in enumerate(lift) if c[0] == c[-1]), n - 1) + 1
+                yield _assembled(obj, tgt, tuple(lift[:keep]))
 
 
 @lru_cache(maxsize=None)

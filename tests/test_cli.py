@@ -2,18 +2,24 @@
 
 import ast
 import hashlib
+import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from precats import constructions as cn
+from precats import dumps
 from precats import presheaf as ps
 from precats.cli import main, make_parser
 
-_WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_WORKLOADS = _ROOT / "perfbench" / "workloads.py"
 
 
 def run(argv, capsys):
@@ -422,6 +428,117 @@ def test_dump_text_faults_exit_2(tmp_path, capsys):
         for dump in (dict(data, actions=actions), json.dumps(dict(data, actions=actions))):
             with pytest.raises(ps.PresheafError, match="malformed dump: actions is"):
                 ps.precat_from_dump(dump)
+
+
+@pytest.mark.parametrize("args, B", _dump_catalogue())
+def test_catalogue_dumps_import_a_block_at_a_time(args, B, tmp_path, monkeypatch):
+    """Read a few characters at a time (7 or 61 for a W2 dump, 4 Ki for a W3
+    one), every dump of the benchmark's catalogue imports from its file; a W2
+    dump also from its text broken over lines with its members in another
+    order, read through ``io.StringIO``.  Each re-dumps to the file's text
+    byte for byte."""
+    out = tmp_path / "dump.json"
+    assert main(["build", *args, "--window", str(B), "--out", str(out)]) == 0
+    text = out.read_text()
+    sources = [lambda: open(out, encoding="utf-8")]
+    if B == 2:
+        data = json.loads(text)
+        reordered = {key: data[key] for key in ("levels", "n", "window")}
+        reordered["actions"] = [{"morphism": e["morphism"], "map": e["map"]}
+                                for e in data["actions"]]
+        spread = json.dumps(reordered, separators=(",\n  ", ": "))
+        sources.append(lambda: io.StringIO(spread))
+    for block in (7, 61) if B == 2 else (4096,):
+        monkeypatch.setattr(dumps, "_BLOCK", block)
+        for source in sources:
+            with source() as fh:
+                assert ps.dump_json(ps.precat_from_dump(fh), ps.Window(B)) == text
+
+
+def _outcome(dump):
+    try:
+        ps.precat_from_dump(dump)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return "imported"
+
+
+def test_block_ends_split_no_value(monkeypatch):
+    """Read a block at a time, a dump imports, or fails with the type and
+    message its whole text gives, wherever the blocks end: a bool in the last
+    action, its ``true`` split across two blocks for some sizes, is refused,
+    and a number split at a block end (``"B":23``, ``"n":1e+0``) is read
+    whole, not as its first digits.  A key with no ``:`` after its
+    whitespace is placed where the whole text places it."""
+    text = ps.dump_json(ps.point(1), ps.Window(2))
+    last = text.rindex("[[2,2,2]]")
+    cases = [(text, "imported"), (text[:last] + "[[true,2,2]]" + text[last + 9:], "PresheafError"),
+             (text.replace('"B":2}', '"B":23}'), "PresheafError"),
+             (text.replace('"n":1', '"n":1e+0'), "PresheafError"),
+             (text.replace('"n":1', '"n"  \n    1'), "JSONDecodeError")]
+    for dump, kind in cases:
+        whole = _outcome(dump)
+        assert (whole if kind == "imported" else whole[0]) == kind, whole
+        for block in (*range(1, 12), 61, 64, 4096):
+            monkeypatch.setattr(dumps, "_BLOCK", block)
+            assert _outcome(io.StringIO(dump)) == whole, (block, whole)
+
+
+def test_text_faults_past_the_first_block_read_as_in_the_text(tmp_path, monkeypatch, capsys):
+    """A truncated action (on a second line), trailing text and a bad line
+    of an indented dump, each past the first of 64-character blocks:
+    importing the file raises what importing the text raises, with its line,
+    column and character in the whole text, and ``check --in`` prints it as
+    its error line."""
+    monkeypatch.setattr(dumps, "_BLOCK", 64)
+    text = ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2))
+    lines = json.dumps(json.loads(text), indent=1).splitlines()
+    k = next(k for k in range(300, len(lines)) if '"' in lines[k])
+    lines[k] = lines[k].replace('"', "'", 1)
+    path = tmp_path / "bad.json"
+    for bad in ("\n" + text[:len(text) * 3 // 4], text + " x", "\n".join(lines)):
+        with pytest.raises(json.JSONDecodeError) as whole:
+            ps.precat_from_dump(bad)
+        err = whole.value
+        assert err.pos > 64 and (err.lineno, err.colno) == (
+            bad.count("\n", 0, err.pos) + 1, err.pos - bad.rfind("\n", 0, err.pos))
+        path.write_text(bad)
+        with open(path, encoding="utf-8") as fh:
+            assert _outcome(fh) == ("JSONDecodeError", str(err))
+        code, _, stderr = run(["check", "segal", "--in", str(path), "--window", "2"], capsys)
+        assert (code, stderr) == (2, f"error: {err}\n")
+
+
+def test_check_in_never_holds_its_dump_whole(tmp_path):
+    """``check --in`` reads its dump a block at a time: checking the 4.1 MB
+    Ibar n=2 W3 dump traces a peak of at most 3 MB, the imported table
+    included (8.3 MB when the file was read whole).  A first check fills
+    the site's caches, which outlive it."""
+    out = tmp_path / "dump.json"
+    assert main(["build", "nerve", "--category", "Ibar", "--n", "2", "--window", "3",
+                 "--out", str(out)]) == 0
+    argv = ["check", "segal", "--in", str(out), "--window", "3"]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000 < out.stat().st_size, peak
+
+
+def test_python_dash_m_precats_is_the_command_line(tmp_path, capsys):
+    """``python -m precats`` runs ``cli.main`` on its arguments and exits
+    with its code."""
+    path = tmp_path / "dump.json"
+    path.write_text(ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2)))
+    argv = ["check", "segal", "--in", str(path), "--window", "2"]
+    done = subprocess.run([sys.executable, "-m", "precats", *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")))
+    assert (done.returncode, done.stdout) == run(argv, capsys)[:2]
+    assert done.returncode == 0 and done.stdout.startswith("segal: pass")
 
 
 def test_dump_chunks_hold_at_most_their_cap_of_maps():

@@ -548,10 +548,9 @@ def test_composites_are_their_normalized_composed_lifts(n, B):
             g.source, f.target, helpers.raw_compose(lifts[f], lifts[g]))
 
 
-_NO_NORMALIZING = """
-from precats import theta as th
-gens = th.elementary_morphisms(2, 2)
-objs = th.window_objects(2, 2)
+# counts the calls of ``normalize_morphism`` and of the full check of
+# ``ThetaMorphism(...)`` made after it runs
+_COUNT_CALLS = """
 calls = {"normalize_morphism": 0, "ThetaMorphism._check": 0}
 
 def counted(name, fn):
@@ -562,6 +561,13 @@ def counted(name, fn):
 
 th.normalize_morphism = counted("normalize_morphism", th.normalize_morphism)
 th.ThetaMorphism._check = staticmethod(counted("ThetaMorphism._check", th.ThetaMorphism._check))
+"""
+
+_NO_NORMALIZING = """
+from precats import theta as th
+gens = th.elementary_morphisms(2, 2)
+objs = th.window_objects(2, 2)
+""" + _COUNT_CALLS + """
 mors = [f for s in objs for t in objs for f in th.enumerate_morphisms(s, t)]
 made = [th.compose(f, g) for g in gens for f in mors if f.source is g.target]
 made += [th.compose(g, f) for g in gens for f in mors if f.target is g.source]
@@ -581,6 +587,26 @@ def test_enumerating_composing_and_taking_tails_never_normalize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "{'normalize_morphism':", "0,", "'ThetaMorphism._check':", "0}", "515", "6027"]
+
+
+_GENERATORS_FROM_PARTS = "from precats import theta as th\n" + _COUNT_CALLS + """
+gens = [th.elementary_morphisms(n, 3) for n in range(1, 5)]
+print(calls["normalize_morphism"], calls["ThetaMorphism._check"], sum(map(len, gens)),
+      sum(len(th.window_objects(n, 3)) for n in range(1, 5)))
+"""
+
+
+def test_generators_are_built_from_checked_parts():
+    """In a fresh interpreter, building the W3 generators for n = 1..4
+    (2,508 of them) calls ``normalize_morphism`` and the full check of
+    ``ThetaMorphism(...)`` only for the identity of each window object, not
+    once per generator."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", _GENERATORS_FROM_PARTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    normalized, checked, generators, objects = map(int, done.stdout.split())
+    assert generators == 2508 and normalized <= objects and checked <= objects, done.stdout
 
 
 # ---------------------------------------------------------------------------
