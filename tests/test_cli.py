@@ -13,6 +13,7 @@ import tracemalloc
 
 import pytest
 
+from precats import analysis
 from precats import constructions as cn
 from precats import dumps
 from precats import presheaf as ps
@@ -526,6 +527,145 @@ def test_check_in_never_holds_its_dump_whole(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000 < out.stat().st_size, peak
+
+
+def _spy(monkeypatch, name) -> list:
+    """Arguments of each call to ``dumps.<name>``, still called through."""
+    calls, real = [], getattr(dumps, name)
+    monkeypatch.setattr(dumps, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _imported(dump):
+    """The levels and the position list of every morphism of an import."""
+    T = ps.precat_from_dump(dump).table
+    return T._levels, T._acts
+
+
+@pytest.mark.parametrize("args, B", _dump_catalogue())
+def test_canonical_and_general_steps_import_alike(args, B, tmp_path, monkeypatch):
+    """Every dump of the benchmark's catalogue imports to equal levels and
+    position lists from its text, whose actions are looked up by the texts
+    of their parts, from its file read a block at a time, from its text with
+    a space after each separator, whose every action is decoded in full and
+    converted by ``dumps._entry``, and from its dict; so all four re-dump as
+    the text does, byte for byte.  (The indented text, which the C encoder
+    does not write, imports as the text does in
+    ``test_catalogue_dumps_import_in_any_member_order``.)"""
+    out = tmp_path / "dump.json"
+    assert main(["build", *args, "--window", str(B), "--out", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    entries = _spy(monkeypatch, "_entry")
+    P = ps.precat_from_dump(text)
+    want = P.table._levels, P.table._acts
+    assert entries == [] and ps.dump_json(P, ps.Window(B)) == text
+    for block in (7, 61, 4096) if B == 2 else (4096, 3 * 4096 + 5):
+        monkeypatch.setattr(dumps, "_BLOCK", block)
+        with open(out, encoding="utf-8") as fh:
+            assert _imported(fh) == want, block
+    monkeypatch.undo()
+    entries = _spy(monkeypatch, "_entry")
+    assert _imported(json.dumps(data, separators=(", ", ": "))) == want
+    assert len(entries) == len(data["actions"])
+    assert _imported(data) == want
+
+
+def test_canonical_parts_are_decoded_once(monkeypatch):
+    """Importing the Ibar n=2 W3 dump decodes each distinct text of a map,
+    of components and of a pair of ends once, under 4,000 texts for its
+    10,282 actions, and converts no action with ``dumps._entry``."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
+    actions = json.loads(text)["actions"]
+    # a canonical dump writes equal values as equal texts
+    texts = sum(len(set(map(part, actions))) for part in (
+        lambda e: tuple(e["map"].items()),
+        lambda e: tuple(map(tuple, e["morphism"]["components"])),
+        lambda e: (tuple(e["morphism"]["source"]), tuple(e["morphism"]["target"]))))
+    scans, entries = _spy(monkeypatch, "_SCAN"), _spy(monkeypatch, "_entry")
+    ps.precat_from_dump(text)
+    assert entries == [] and len(actions) == 10_282
+    # the top-level keys and the values of levels, n and window: 7 more
+    assert len(scans) <= texts + 7 < 4_000, (len(scans), texts)
+
+
+def test_brace_labels_import_through_the_general_step(tmp_path, monkeypatch):
+    """A truncation of the Ibar nerve labels cells like ``{(u)}``, so no
+    map holding such a label matches the canonical grammar: those actions
+    are decoded in full and converted by ``dumps._entry``, and the dump
+    re-dumps byte for byte from its text and its file."""
+    P = analysis.truncate(cn.nerve(cn.FiniteCategory.iso_interval(), 2), 1)
+    for B in (2, 3):
+        text = ps.dump_json(P, ps.Window(B))
+        braced = sum("}" in "".join(e["map"]) + "".join(e["map"].values())
+                     for e in json.loads(text)["actions"])
+        path = tmp_path / f"w{B}.json"
+        path.write_text(text)
+        for source in (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8")):
+            entries = _spy(monkeypatch, "_entry")
+            with source() as fh:
+                assert ps.dump_json(ps.precat_from_dump(fh), ps.Window(B)) == text
+            assert braced > 0 and len(entries) == braced, (B, braced, len(entries))
+            monkeypatch.undo()
+
+
+def _fault_outcome(dump):
+    """What importing ``dump`` raises, with a JSON error by its message
+    alone, after checking it is placed where ``json.loads`` places it."""
+    try:
+        ps.precat_from_dump(dump)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(dump)
+        assert str(exc) == str(whole.value)
+        return "JSONDecodeError", exc.msg
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return "imported"
+
+
+@pytest.mark.parametrize("fault", [
+    '"components":[[01]]', '"components":[[-1,0]]', '"components":[[true,2,2]]',
+    '"map":{"a":"a","b":1.5}', '"map":{}', '"map":{"a":"a","b":"b","a":"z"}'])
+def test_faults_in_a_canonical_action_read_as_in_the_general_step(fault):
+    """A fault written into one action of a canonical dump raises the type
+    and message the same fault raises in that action written with a space
+    (``{ "map"``), which the canonical grammar refuses, and in the dump
+    indented, where JSON can hold the fault; neither imports."""
+    text = ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2))
+    action = '{"map":{"a":"a","b":"b"},"morphism":{"components":[[0,0]],"source":[1],"target":[2]}}'
+    assert text.count(action) == 1
+    key = fault[:fault.index(":")]
+    part = re.search(rf'{key}:(\{{[^}}]*\}}|\[\[0,0\]\])', action).group()
+    faulty = action.replace(part, fault)
+    bad = text.replace(action, faulty)
+    got = _fault_outcome(bad)
+    assert got != "imported" and got == _fault_outcome(text.replace(action, "{ " + faulty[1:]))
+    if "01" not in fault and fault.count('"a"') < 3:   # no leading zero or duplicate key
+        assert _fault_outcome(json.dumps(json.loads(bad), indent=1)) == got
+
+
+def test_canonical_dump_file_imports_with_no_decode_error(tmp_path, monkeypatch):
+    """The reader holds a few Ki characters past each step it takes, so no
+    value of the Ibar n=2 W3 dump file is cut by a block end and its import
+    builds no ``JSONDecodeError`` (13 when each cut action was decoded and
+    refused); a fault still builds one."""
+    built = []
+
+    class Counted(json.decoder.JSONDecodeError):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(json.decoder, "JSONDecodeError", Counted)
+    with pytest.raises(ValueError):
+        dumps._SCAN("[01]", 0)
+    assert len(built) == 1
+    path = tmp_path / "dump.json"
+    path.write_text(ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3)))
+    with open(path, encoding="utf-8") as fh:
+        P = ps.precat_from_dump(fh)
+    assert len(built) == 1 and P.n == 2 and path.stat().st_size > 8 * dumps._BLOCK
 
 
 def test_python_dash_m_precats_is_the_command_line(tmp_path, capsys):
