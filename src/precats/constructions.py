@@ -205,7 +205,7 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
         return xs if p is None else [(ident[x],) * p for x in xs]
 
     return TabledPrecat(n, FirstEntryTable(
-        lambda p: (objects, names) if p is None else chains(p), restrict), f"N({C.name})@{n}",
+        lambda p: (objects, names) if p is None else chains(p), restrict, 1), f"N({C.name})@{n}",
         lambda: (n, tuple(zip(objects, names)),      # all of C the table reads, typed
                  *(tuple(d.items()) for d in (label, src, tgt, ident, table))))
 

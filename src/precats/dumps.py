@@ -45,6 +45,7 @@ _ACTION = re.compile(r'\{"map":(\{[^}]*\}),"morphism":\{"components":(\[(?:\[[0-
                      r'("source":\[[0-9,]*\],"target":\[[0-9,]*\])\}\}').match
 _BLOCK = 1 << 18    # characters read from a dump file at a time
 _AHEAD = 1 << 12    # characters held past a step's start, unless the text is run out
+_PAST = 12          # the most the decoder reads past a fault's place: ``\\uXXXX\\uXXXX``
 
 
 def _entry(entry, seen: dict) -> tuple:     # a decoded action's ends, components and map
@@ -106,9 +107,13 @@ def _members(data: str | TextIO, seen: _Parts) -> Iterator[tuple[str, object]]:
                 got, end = step(buf, start)
                 if end <= limit:
                     return got, end
-            except (StopIteration, ValueError):
-                if limit == len(buf):   # run out: the whole text's fault, else the step's
-                    _DECODER.raw_decode(doc(), gone + start)
+            except (StopIteration, ValueError) as exc:
+                # a decode fault more text cannot change: run out, or placed
+                # _PAST before the text held and no unterminated string
+                at = exc.value if isinstance(exc, StopIteration) else getattr(exc, "pos", None)
+                if limit == len(buf) or at is not None and at + _PAST < len(buf) \
+                        and not str(exc).startswith("Unterminated string"):
+                    _DECODER.raw_decode(doc(), gone + start)    # the whole text's fault
                     raise
             ahead = len(buf) - start + 1
 

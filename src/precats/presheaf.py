@@ -17,6 +17,11 @@ level per key; every other construction a table of module ``tables``, built
 from its parts' tables.  One union-find, ``join``, gives the classes of a
 pushout's levels and of ``analysis.tau_zero``.
 
+Every table has a ``depth``, the leading entries its levels depend on, and
+reads each level and position list at ``theta.truncated(., depth)``: 0 for
+a constant presheaf, 1 for a nerve; module ``tables`` gives the rest.  A
+``CellTable``, a dump's table, a sub and a truncation make no cut.
+
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
 loses nothing where every window morphism is a composite of generators inside
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -48,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 from . import theta
 from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
                     elementary_morphisms, enumerate_morphisms, identity,
-                    object_of, vertex, window_objects, zero_object)
+                    object_of, truncated, vertex, window_objects, zero_object)
 
 
 class PresheafError(ValueError):
@@ -258,7 +264,8 @@ def discrete(n: int, labels: Iterable, name: Optional[str] = None) -> Precat:
     labels = tuple(labels)
     cells = list(frozenset(labels))
     names = list(map(cell_label, cells))
-    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names), lambda p, q, c, cells: cells),
+    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names),
+                                           lambda p, q, c, cells: cells, 0),
                         name or f"discrete{labels}",
                         lambda: ("discrete", n, labels, repr(labels)))  # repr: 1, True, 1.0 differ
 
@@ -484,7 +491,15 @@ class WindowTable:
     the position in ``f.source`` of the restriction of each cell of
     ``f.target``, in that order.  A table given them in full (a dump's,
     named by ``where``) has no other; a subclass builds a level in
-    ``_level`` and a position list in ``_act``, each once, when asked for."""
+    ``_level`` and a position list in ``_act``, each once, when asked for.
+
+    ``depth`` is the number of leading entries the table depends on: a
+    level and a position list are read at ``theta.truncated(., depth)``,
+    so only those are built and kept.  A subclass computes it from its
+    input tables; a table that makes no cut (a dump's, a ``CellTable``)
+    keeps ``math.inf``."""
+
+    depth = math.inf
 
     def __init__(self, levels: Optional[dict] = None, acts: Optional[dict] = None,
                  where: str = "table"):
@@ -497,12 +512,16 @@ class WindowTable:
         raise PresheafError(f"{self._where} has no action entry for {f}")
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
+        if M.length > self.depth:
+            M = truncated(M, self.depth)
         got = self._levels.get(M)
         if got is None:
             got = self._levels[M] = self._level(M)
         return got
 
     def act(self, f: ThetaMorphism) -> list[int]:
+        if f.source.length > self.depth or f.target.length > self.depth:
+            f = truncated(f, self.depth)
         got = self._acts.get(f)
         if got is None:
             got = self._acts[f] = self._act(f)
@@ -554,45 +573,31 @@ class CellTable(WindowTable):
 
 
 class FirstEntryTable(WindowTable):
-    """The table of a presheaf whose level over ``M`` depends only on its
-    first entry ``p`` (``None`` at length 0): nerves padded constantly and
-    constant presheaves.  ``level(p)`` gives the level's distinct cells
-    and their ``cell_label``s, listed alike in any order, and
-    ``restrict(p, p', comp0, cells)`` the restrictions along ``f: M -> M'``
-    of the cells ``cells`` over ``M'``, in their order, where ``comp0`` is
-    ``f.components[0]`` (``None`` when ``M'`` has length 0).  Lemma: the
-    position list of ``f`` depends only on its key ``(p, p', comp0)``,
-    since both label orders depend only on ``p`` and ``p'`` and ``restrict``
-    sees nothing of ``f`` but the key.  So each level is sorted once per
-    first entry, each position list computed by one call per key, for a
-    whole level, and every level and morphism with that entry or key
-    shares it.
-    """
+    """The table of a presheaf of depth 1 or 0 (``depth``): nerves padded
+    constantly and constant presheaves.  ``level(p)`` gives the distinct
+    cells over a level of first entry ``p`` (``None`` at length 0) and
+    their ``cell_label``s, listed alike in any order, and ``restrict(p,
+    p', comp0, cells)`` the restrictions along ``f: M -> M'`` of the cells
+    ``cells`` over ``M'``, in their order, where ``comp0`` is
+    ``f.components[0]`` (``None`` when ``M'`` has length 0).  A morphism
+    truncated at depth 1 is its key ``(p, p', comp0)``, so each level is
+    sorted once per first entry, and each position list computed by one
+    call per key, for a whole level."""
 
     def __init__(self, level: Callable[[Optional[int]], tuple[list, list[str]]],
-                 restrict: Callable[..., list]):
+                 restrict: Callable[..., list], depth: int):
         super().__init__()
-        self._labelled, self._restrict = level, restrict
-        self._by_entry: dict[Optional[int], tuple[list, list, dict]] = {}
-        self._by_key: dict[tuple, list[int]] = {}
+        self._labelled, self._restrict, self.depth = level, restrict, depth
 
     def _level(self, M):
-        p = M.entries[0] if M.entries else None
-        got = self._by_entry.get(p)
-        if got is None:
-            got = self._by_entry[p] = _label_order(*self._labelled(p))
-        return got
+        return _label_order(*self._labelled(M.entries[0] if M.entries else None))
 
     def _act(self, f):
         source, target = f.source.entries, f.target.entries
-        key = (source[0] if source else None, target[0] if target else None,
-               f.components[0] if target else None)
-        got = self._by_key.get(key)
-        if got is None:
-            index, cells = self.level(f.source)[2], self.level(f.target)[0]
-            got = self._by_key[key] = _within(
-                [index.get(c, -1) for c in self._restrict(*key, cells)], f, cells)
-        return got
+        index, cells = self.level(f.source)[2], self.level(f.target)[0]
+        return _within([index.get(c, -1) for c in self._restrict(
+            source[0] if source else None, target[0] if target else None,
+            f.components[0] if target else None, cells)], f, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -718,24 +723,30 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     Each level is compiled once, from both tables: its size, each generator
     between it and an earlier level as position lists on ``P`` and ``Q``,
     and Q's groups; with ``bijective``, level sizes are compared first.
-    Only ``_certified`` solutions come out.
+    Only the levels of length <= the larger depth of the two tables are
+    searched, along the generators among them: by the depth lemma
+    (``theta.truncated``) a natural map is fixed there.  Each solution is
+    extended to every window level through the truncation, and only those
+    ``_certified`` on every generator of the full window come out.
     """
-    objs = window.objects(P.n)
+    TP, TQ = P.table, Q.table
+    cut = min(max(TP.depth, TQ.depth), P.n)
+    objs = [M for M in window.objects(P.n) if M.length <= cut]
+    gens = [e for e in window.elementary(P.n)
+            if e.source.length <= cut and e.target.length <= cut]
     pos = {M: i for i, M in enumerate(objs)}
     into: list[list] = [[] for _ in objs]    # generators from earlier levels
     outof: list[list] = [[] for _ in objs]   # generators to earlier levels
-    for e in window.elementary(P.n):
+    for e in gens:
         s, t = pos[e.source], pos[e.target]
         if s < t:
             into[t].append(e)
         elif t < s:
             outof[s].append(e)
-    TP, TQ = P.table, Q.table
     if bijective and any(TP.size(M) != TQ.size(M) for M in objs):
         return
     colours = []
     if bijective:       # level by level, so a mismatch skips the later tables
-        gens = window.elementary(P.n)
         for cp, cq in zip(_colours(TP, objs, gens), _colours(TQ, objs, gens)):
             if Counter(cp) != Counter(cq):
                 return
@@ -800,6 +811,8 @@ def _natural_components(P: Precat, Q: Precat, window: Window, bijective: bool):
     for assigned in _lazy_product([functools.partial(candidates, i)
                                 for i in range(len(objs))]):
         phi = dict(zip(objs, assigned))
+        phi = {M: phi[M] if M.length <= cut else phi[truncated(M, cut)]
+               for M in window.objects(P.n)}
         if _certified(TP, TQ, window.elementary(P.n), phi):
             yield phi
 

@@ -20,6 +20,12 @@ predicate, a truncation's classes).  Products and edge complexes on the
 same input tables (and ``legacy``), and pushouts along equal keyed legs, are
 precats over one table, kept in the memo of their first input's table while
 a precat over that table lives; a kept pushout holds its legs' ``Positions``.
+Each table's ``depth`` is computed from its parts': the larger of the two
+for a product or a pushout (a pushout's legs are natural, so their
+classes at ``M`` are those at its truncation), one more than the inputs
+for an edge complex or a delooping, ``k`` more than the carrier for a
+monoidal tower, the parent's less the prefix for a slice.  A sub and a
+truncation make no cut: a sub's predicate need not respect one.
 This module is imported only when such a table is first built.
 """
 
@@ -33,7 +39,7 @@ from typing import Callable
 
 from .presheaf import Positions, WindowTable, _label_key, _label_order, _within, join
 from .theta import (ThetaObject, collapse_to_zero, normalize_morphism, object_of,
-                    prepend_prefix, tail_morphism, tail_object)
+                    prepend_prefix, tail_morphism, tail_object, truncated)
 
 
 class CompiledTable(WindowTable):
@@ -56,6 +62,8 @@ class CompiledTable(WindowTable):
         self._tabled: dict[ThetaObject, tuple[list, list, list]] = {}
 
     def _table(self, M: ThetaObject) -> tuple[list[int], list[int], list[str]]:
+        if M.length > self.depth:
+            M = truncated(M, self.depth)
         got = self._tabled.get(M)
         if got is None:
             got = self._tabled[M] = self._tabulate(M)
@@ -107,7 +115,7 @@ class ProductTable(CompiledTable):
 
     def __init__(self, TA: WindowTable, TB: WindowTable):
         super().__init__()
-        self.TA, self.TB = TA, TB
+        self.TA, self.TB, self.depth = TA, TB, max(TA.depth, TB.depth)
 
     def _tabulate(self, M):
         right = self.TB.labels(M)
@@ -146,6 +154,7 @@ class PushoutTable(CompiledTable):
     def __init__(self, F: Positions, G: Positions, TP: WindowTable, TQ: WindowTable):
         super().__init__()
         self.F, self.G, self.TP, self.TQ = F, G, TP, TQ
+        self.depth = max(TP.depth, TQ.depth)
 
     def _tabulate(self, M):
         raw = (["(L," + c + ")" for c in self.TP.labels(M)]
@@ -188,6 +197,7 @@ class UpsilonTable(CompiledTable):
         super().__init__()
         # covered(y): the range of indices (from 1) of the inputs along the path y
         self.inputs, self.covered = inputs, covered
+        self.depth = 1 + max(T.depth for T in inputs)
         # first entry -> (paths, each path's index, the inputs each covers)
         self._shapes: dict[int, tuple[list, dict, list]] = {}
         # level -> the first member of each path's block
@@ -201,6 +211,12 @@ class UpsilonTable(CompiledTable):
             got = self._shapes[p] = (ys, {y: z for z, y in enumerate(ys)},
                                      [self.covered(y) for y in ys])
         return got
+
+    def starts(self, M: ThetaObject) -> list[int]:
+        """The first member of each path's block over ``M``, kept at the
+        level ``M`` is read at."""
+        self._table(M)
+        return self._starts[truncated(M, self.depth) if M.length > self.depth else M]
 
     def _tabulate(self, M):
         if M.length == 0:
@@ -256,7 +272,7 @@ class UpsilonTable(CompiledTable):
         ``y`` lands in ``path(y)``, and position ``x`` of its input ``j`` on
         ``act[x]`` of input ``t`` for each ``(t, act)`` in ``sends[j]``."""
         _, index, kept_of = self._shape(M.entries[0])
-        starts, sizes = self._starts[M], [T.size(tail) for T in self.inputs]
+        starts, sizes = self.starts(M), [T.size(tail) for T in self.inputs]
         image = []
         for z, cover in zip(map(index.__getitem__, map(path, ys)), covers):
             kept, block = kept_of[z], [starts[z]]
@@ -294,7 +310,7 @@ class UpsilonTable(CompiledTable):
                 return [lu[M][TL.rank(M)[2 * o]] for o in order]
             tail = tail_object(M)
             (lu, lr, ls, lo), (ru, rr, rs, ro) = (
-                (u[M], T.rank(M), T._starts[M], list(map(TX.order(tail).__getitem__, a[tail])))
+                (u[M], T.rank(M), T.starts(M), list(map(TX.order(tail).__getitem__, a[tail])))
                 for a, TX, T, u in (left, right))
             index, shift, image = TL._shape(M.entries[0])[1], TW.TP.size(tail), []
             for y, cover in zip(*self._shape(M.entries[0])[::2]):
@@ -316,7 +332,7 @@ class DeloopingTable(CompiledTable):
 
     def __init__(self, TX: WindowTable, base):
         super().__init__()
-        self.TX, self.base, self._kept = TX, base, {}
+        self.TX, self.base, self._kept, self.depth = TX, base, {}, TX.depth + 1
 
     def _kept_at(self, M: ThetaObject) -> tuple[ThetaObject, list[int], int]:
         """The tail of ``M``, the kept positions there and the base's."""
@@ -373,6 +389,7 @@ class MonoidalTable(CompiledTable):
     def __init__(self, TA: WindowTable, m: int, k: int, monoid: Callable):
         super().__init__()
         self.TA, self.m, self.k, self.monoid = TA, m, k, functools.cache(monoid)
+        self.depth = k + TA.depth
 
     def _shape(self, M: ThetaObject) -> tuple[ThetaObject, list[tuple[int, ...]]]:
         """The tail of ``M`` and the points of its grid, none below length k."""
@@ -448,6 +465,7 @@ class SliceTable(WindowTable):
     def __init__(self, TA: WindowTable, prefix: tuple[int, ...], n: int):
         super().__init__()
         self.TA, self.prefix, self.n = TA, prefix, n
+        self.depth = max(TA.depth - len(prefix), 0)
 
     def _level(self, T):
         return self.TA.level(object_of(self.n, self.prefix + T.entries))

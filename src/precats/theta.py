@@ -22,7 +22,7 @@ runs no Python frame; ordering and repr stay content-based.  Each form keeps
 its own surgery results, filled on first use: an object its ``tail_object``,
 ``collapse_to_zero`` and ``identity``, a morphism its ``tail_morphism``.
 ``prepend_prefix`` keeps nothing: each slice's table keeps its own
-position lists.  A well-formed component is validated by one comparison;
+position lists.  ``truncated`` keeps each form's truncation per depth.  A well-formed component is validated by one comparison;
 only a rejected one runs the checks that name its fault.
 
 Forms come in two ways.  ``ThetaObject(...)`` and ``ThetaMorphism(...)``
@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
@@ -450,6 +451,37 @@ def prepend_prefix(prefix: tuple[int, ...], g: ThetaMorphism, n: int) -> ThetaMo
     tgt = object_of(n, prefix + g.target.entries)
     lift = [tuple(range(e + 1)) for e in prefix] + list(g.lift())
     return normalize_morphism(src, tgt, lift)
+
+
+# depth d -> {form: truncated(form, d)}, filled on first use and kept, as forms are
+_CUTS: dict[int, dict] = defaultdict(dict)
+
+
+def truncated(x: ThetaObject | ThetaMorphism, d: int) -> ThetaObject | ThetaMorphism:
+    """``x``, an object or a morphism, with its entries and components after
+    the first ``d`` dropped: a retraction of the site onto the objects of
+    length <= d.  A morphism's first ``d`` components are kept; if it
+    stores more, all of them are non-constant, and its component ``d``
+    becomes the constant ``[0] -> [0]``.
+
+    The depth lemma: a presheaf ``X`` whose levels and actions are read at
+    ``truncated(., d)`` is fixed, as is any natural map between two such,
+    by its levels of length <= d.  The degeneracy ``M -> truncated(M, d)``
+    and its section at vertex 0 truncate to identities, so they act as
+    identities on ``X``, and naturality along them sends a map's component
+    at ``M`` to its component at ``truncated(M, d)``."""
+    cuts = _CUTS[d]
+    got = cuts.get(x)
+    if got is None:
+        if isinstance(x, ThetaObject):
+            got = x if x.length <= d else ThetaObject(x.n, x.entries[:d])
+        else:
+            comps = x.components
+            if len(comps) > d:
+                comps = comps[:d] + ((0,),)
+            got = _assembled(truncated(x.source, d), truncated(x.target, d), comps)
+        cuts[x] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -394,8 +394,9 @@ def _dump_catalogue():
 @pytest.mark.parametrize("args, B", _dump_catalogue())
 def test_catalogue_dumps_import_in_any_member_order(args, B, tmp_path):
     """Every dump of the benchmark's catalogue imports from its text, from
-    the same dump indented or with its members in another order (levels, n
-    and window before actions, morphism before map), and from its dict; each
+    the same dump indented (a newline and a space after each comma, written
+    by the C encoder) or with its members in another order (levels, n and
+    window before actions, morphism before map), and from its dict; each
     re-dumps to the text byte for byte."""
     out = tmp_path / "dump.json"
     assert main(["build", *args, "--window", str(B), "--out", str(out)]) == 0
@@ -404,7 +405,7 @@ def test_catalogue_dumps_import_in_any_member_order(args, B, tmp_path):
     reordered = {key: data[key] for key in ("levels", "n", "window")}
     reordered["actions"] = [{"morphism": e["morphism"], "map": e["map"]}
                             for e in data["actions"]]
-    for dump in (text, json.dumps(data, indent=1), json.dumps(reordered), data):
+    for dump in (text, json.dumps(data, separators=(",\n ", ": ")), json.dumps(reordered), data):
         assert ps.dump_json(ps.precat_from_dump(dump), ps.Window(B)) == text
 
 
@@ -508,6 +509,30 @@ def test_text_faults_past_the_first_block_read_as_in_the_text(tmp_path, monkeypa
             assert _outcome(fh) == ("JSONDecodeError", str(err))
         code, _, stderr = run(["check", "segal", "--in", str(path), "--window", "2"], capsys)
         assert (code, stderr) == (2, f"error: {err}\n")
+
+
+def test_a_fault_early_in_a_large_dump_file_reads_no_further(tmp_path):
+    """A stray ``#`` at character 1,000 of the 4.1 MB Ibar n=2 W3 dump is a
+    fault that no later block can change: importing the file raises it from
+    the first block, tracing a peak under 1 MB (8.6 MB when the rest of the
+    file was read first), with the place importing the text gives it."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
+    bad = text[:1000] + "#" + text[1001:]
+    with pytest.raises(json.JSONDecodeError) as whole:
+        ps.precat_from_dump(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    del text, bad
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as read:
+            ps.precat_from_dump(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert [(e.msg, e.pos, e.lineno, e.colno) for e in (read.value, whole.value)] == [
+        ("Expecting ':' delimiter", 1000, 1, 1001)] * 2
 
 
 def test_check_in_never_holds_its_dump_whole(tmp_path):

@@ -42,11 +42,16 @@ def test_result_serialization():
     assert isinstance(entry["seconds"], float)
 
 
-def test_w2_iso_bijections_are_pinned(monkeypatch):
-    """Every answer ``iso_windowed`` gives to the suite's W2 iso questions,
-    in call order, hashed with SHA-256: for each window level its entries,
-    the bijection's positions and both sides' labels, or ``None``.  Sharing
-    or re-tabling a part moves no position and no label."""
+@pytest.mark.parametrize("B, sha256", [
+    (2, "5ff6a0ce1f0031a51ce7aa267a3620e8187d81bde3fdee8eccdc4dd2444fe2a5"),
+    (3, "33ef3fa50d531f13a9905a7068937eafbba3497392c230423f49f75d77b5777c"),
+], ids=["W2", "W3"])
+def test_iso_bijections_are_pinned(B, sha256, monkeypatch):
+    """Every answer ``iso_windowed`` gives to the suite's iso questions at
+    window B, in call order, hashed with SHA-256: for each window level its
+    entries, the bijection's positions and both sides' labels, or ``None``.
+    Sharing or re-tabling a part, or searching only the levels up to the
+    sides' depth, moves no position and no label."""
     digest, questions, real = hashlib.sha256(), [], ps.iso_windowed
 
     def hashed(P, Q, window):
@@ -58,7 +63,6 @@ def test_w2_iso_bijections_are_pinned(monkeypatch):
         return iso
 
     monkeypatch.setattr(ps, "iso_windowed", hashed)
-    assert run_suite(2).passed
+    assert run_suite(B).passed
     assert (len(questions), questions.count(True)) == (96, 95)
-    assert digest.hexdigest() == ("5ff6a0ce1f0031a51ce7aa267a3620e8"
-                                  "187d81bde3fdee8eccdc4dd2444fe2a5")
+    assert digest.hexdigest() == sha256

@@ -26,6 +26,7 @@ from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
 from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
+from precats.theta import truncated
 from precats.tables import (CompiledTable, DeloopingTable, MonoidalTable, ProductTable,
                             PushoutTable, SliceTable, SubTable, TruncationTable,
                             UpsilonTable)
@@ -301,23 +302,31 @@ def test_compiled_upsilon_against_grouped_route(inputs):
 
 @pytest.mark.parametrize("build", ["product", "pushout", "upsilon"])
 def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
-    """A composite table corrupted along one non-generator morphism differs
-    from its oracle there and nowhere else; functoriality and dumps read the
-    table, so they see the fault too."""
+    """A composite table corrupted along one non-generator morphism, in the
+    entry it reads that morphism at (its truncation at the table's depth:
+    the identity of level 0 for the product and the pushout of constant
+    presheaves, the morphism itself for the edge complex), differs from its
+    oracle on exactly the morphisms read there; functoriality and dumps read
+    the table, so they see the fault too."""
     D = discrete(1, ("a", "b"))
     P = {"product": lambda: product(D, D),
          "pushout": lambda: pushout(identity_map(D), identity_map(D)).precat,
          "upsilon": lambda: upsilon([discrete(0, ("a", "b"))])}[build]()
     T, gens = P.table, set(W2.elementary(P.n))
+    assert T.depth == {"product": 0, "pushout": 0, "upsilon": 1}[build]
     assert helpers.table_violations(T, oracles[T], W2) == []
     assert ps.check_functoriality(P, W2) == []
     good = ps.dump_window(P, W2)
     f = next(f for s, t, mors in W2.morphisms(P.n) for f in mors
              if f not in gens and s != t and T.size(s) > 1 and T.size(t))
+    read = truncated(f, T.depth)
     wrong = list(T.act(f))
     wrong[0] = (wrong[0] + 1) % T.size(f.source)
-    T._acts[f] = wrong
-    assert helpers.table_violations(T, oracles[T], W2) == [("act", f)]
+    T._acts[read] = wrong
+    faulty = [("act", g) for _, _, mors in W2.morphisms(P.n) for g in mors
+              if truncated(g, T.depth) is read]
+    assert ("act", f) in faulty and (build == "upsilon") == (faulty == [("act", f)])
+    assert helpers.table_violations(T, oracles[T], W2) == faulty
     assert ps.check_functoriality(P, W2)
     assert ps.dump_window(P, W2) != good
 
@@ -1089,9 +1098,12 @@ def test_corner_split_effort_at_window_two(monkeypatch):
     table class: counted, not timed, so a lost share shows as a count.  The
     six inclusions' four inputs live through the entry, so their products
     and edge complexes are tabulated once for all pairs; the pushouts, and
-    the edge complex on each pair's corner pushout, once per pair."""
+    the edge complex on each pair's corner pushout, once per pair.  Each
+    table tabulates only the levels it is read at, those truncated at its
+    depth (150, 385 and 1,116 levels when every table read the whole
+    window)."""
     assert _tabulated(monkeypatch, "corner_split") == {
-        "ProductTable": 150, "UpsilonTable": 385, "PushoutTable": 1116}
+        "ProductTable": 96, "UpsilonTable": 301, "PushoutTable": 954}
 
 
 def test_wedge_effort_at_window_two(monkeypatch):
@@ -1100,9 +1112,11 @@ def test_wedge_effort_at_window_two(monkeypatch):
     edge complexes, which live through the entry, along keyed point maps,
     so each of the 16 is tabulated once (1,260 pushout levels when every
     wedge had a table of its own); each pair's ``wedge-lhs`` pushout, along
-    induced maps, is tabulated once per pair."""
+    induced maps, is tabulated once per pair.  Each table tabulates only
+    the levels truncated at its depth (28 edge complex and 364 pushout
+    levels when every table read the whole window)."""
     assert _tabulated(monkeypatch, "wedge") == {
-        "ProductTable": 0, "UpsilonTable": 28, "PushoutTable": 364}
+        "ProductTable": 0, "UpsilonTable": 16, "PushoutTable": 292}
 
 
 def test_passing_checks_build_no_member_cells(monkeypatch):
@@ -1271,3 +1285,87 @@ def test_truncations_tabled_as_cell_by_cell(build, k, window, sha256):
     t = an.truncate(A, k)
     assert type(t.table) is TruncationTable and t.table.TA is A.table
     assert helpers.table_violations(t.table, helpers.truncation_oracle(A, k), window) == []
+
+
+# ---------------------------------------------------------------------------
+# depths: each table read at its truncation
+# ---------------------------------------------------------------------------
+
+def _depth_cases():
+    """A table of each kind that cuts, with its cell-level oracle and its
+    depth, in dimension 2, so window 2 holds levels longer than the depth."""
+    D, Ibar = discrete(2, ("a", "b")), cn.FiniteCategory.iso_interval()
+    N = cn.nerve(Ibar, 2)
+    c1, c2 = cn.cell(1, 2), cn.cell(2, 3).total
+    collapse = terminal_map(c1.boundary)
+    mon = cn.monoid_from_table((0, 1), lambda a, b: (a + b) % 2, 0, True, n=1, name="Z2")
+    X = cn.delooping(_two())
+    return [
+        ("discrete", D, helpers.discrete_oracle(2, ("a", "b")), 0),
+        ("nerve", N, helpers.nerve_oracle(Ibar, 2), 1),
+        ("product", product(N, D), helpers.product_oracle(N, D), 1),
+        ("pushout", pushout(c1.inclusion, collapse).precat,
+         helpers.pushout_oracle(c1.inclusion, collapse), 1),
+        ("upsilon", c1.total, helpers.upsilon_oracle([point(1)]), 1),
+        ("delooping", X, helpers.delooping_oracle(_two()), 1),
+        ("monoidal", cn.ck_monoidal(mon, 1), helpers.ck_oracle(mon, 1), 1),
+        ("slice", ps.slice_precat(c2, (2,)), helpers.slice_oracle(c2, (2,)), 1),
+    ]
+
+
+def test_tables_that_cut_are_their_oracles_and_depths_are_pinned():
+    """Each kind of table whose depth is below its dimension is its
+    cell-level oracle on every morphism of window 2, where levels and
+    morphisms longer than the depth are read at their truncation, and keeps
+    only levels no longer than its depth.  A cell and a free generator have
+    the depth of their index, a delooping one more than its input, a
+    monoidal tower k more than its carrier, a nerve 1 and a constant
+    presheaf 0; a sub, a truncation and a dump make no cut."""
+    for kind, P, oracle, depth in _depth_cases():
+        T = P.table
+        assert (T.depth, P.n) == (depth, 2), kind
+        assert helpers.table_violations(T, oracle, W2) == [], kind
+        assert max(M.length for M in T._levels) == depth, kind
+    assert [[cn.cell(k, n).total.table.depth for k in range(n + 2)] for n in (1, 2, 3)] == [
+        [0, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3, 3]]
+    assert [cn.sigma_free(k, 3).space.table.depth for k in range(4)] == [0, 1, 2, 3]
+    assert [cn.delooping(A).table.depth for A in (_two(), _interval(), cn.sigma_free(1, 1))] \
+        == [1, 2, 2]
+    assert [cn.ck_monoidal(cn.z2_monoid(), k).table.depth for k in (1, 2)] == [1, 2]
+    assert [T.depth for T in (cn.nerve(cn.FiniteCategory.chain(2), 3).table,
+                              discrete(3, (0, 1)).table, point(0).table)] == [1, 0, 0]
+    A = cn.nerve(cn.FiniteCategory.iso_interval(), 2)
+    assert [T.depth for T in (cn.whitehead(A, 0, 1)[0].table, an.truncate(A, 1).table,
+                              ps.precat_from_dump(ps.dump_json(A, W2)).table)] == [
+        float("inf")] * 3
+
+
+def _reimported(P, window, path):
+    """P read back from its dump, written and read a block at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(ps.dump_chunks(P, window))
+    with open(path, encoding="utf-8") as fh:
+        return ps.precat_from_dump(fh)
+
+
+@pytest.mark.parametrize("entry", ["tower-n3", "tower-n4", "delooping"])
+def test_cut_search_agrees_with_the_search_on_reimported_dumps(entry, tmp_path):
+    """A dump's table makes no cut, so the solver searches every level of
+    its window: the suspension tower's questions at (n, B) = (3, 2) and (4,
+    2) and the delooping entry's at W2 find, on the sides read back from
+    their dumps, the bijections found on the sides built, which the solver
+    searches up to their depth, position for position on every level."""
+    if entry == "delooping":
+        pairs = [(cn.delooping(A), cn.suspension(A).precat)
+                 for A in (_two(), _interval(), cn.sigma_free(1, 1))]
+    else:
+        k = int(entry[-1]) - 2
+        pairs = [(cn.suspension(cn.sigma_free(k, k + 1)).precat,
+                  cn.sigma_free(k + 1, k + 2).space)]
+    assert any(max(P.table.depth, Q.table.depth) < P.n for P, Q in pairs)
+    for P, Q in pairs:
+        built = iso_windowed(P, Q, W2)
+        read = iso_windowed(_reimported(P, W2, tmp_path / "P.json"),
+                            _reimported(Q, W2, tmp_path / "Q.json"), W2)
+        assert built is not None and read is not None
+        assert all(built.at(M) == read.at(M) for M in W2.objects(P.n))
