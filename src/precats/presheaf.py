@@ -7,15 +7,17 @@ cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
 and every window check (the solver, functoriality, the Segal check) read
 it; a dump is joined as text from each level's encoded labels, and read
-back by module ``dumps`` an action at a time, with no JSON tree, as position
-lists checked in full.  Only outside callers (tests, the benchmark's
-tracer) give a presheaf cell by cell, ``Precat(n, eval_fn, act_fn)`` owning
-a ``CellTable``.  Nerves and constant presheaves own a ``FirstEntryTable``,
-sorted once per first entry from cells labelled by their builder (a nerve's
-chain labels are joined from its arrows' labels) and restricted a whole
-level per key; every other construction a table of module ``tables``, built
-from its parts' tables.  One union-find, ``join``, gives the classes of a
-pushout's levels and of ``analysis.tau_zero``.
+back by module ``dumps`` with no JSON tree, a run of actions (those of one
+level pair) at a time, as position lists checked in full: a run listing
+its pair's morphisms in order takes each form by its place.  Only outside
+callers (tests, the benchmark's tracer) give a presheaf cell by cell,
+``Precat(n, eval_fn, act_fn)`` owning a ``CellTable``.  Nerves and constant
+presheaves own a ``FirstEntryTable``, sorted once per first entry from
+cells labelled by their builder (a nerve's chain labels are joined from its
+arrows' labels) and restricted a whole level per key; every other
+construction a table of module ``tables``, built from its parts' tables.
+One union-find, ``join``, gives the classes of a pushout's levels and of
+``analysis.tau_zero``.
 
 Every table has a ``depth``, the leading entries its levels depend on, and
 reads each level and position list at ``theta.truncated(., depth)``: 0 for
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import theta
-from .theta import (ThetaMorphism, ThetaObject, collapse_to_zero, compose,
+from .theta import (_CUTS, ThetaMorphism, ThetaObject, collapse_to_zero, compose,
                     elementary_morphisms, enumerate_morphisms, identity,
                     object_of, truncated, vertex, window_objects, zero_object)
 
@@ -512,8 +514,9 @@ class WindowTable:
         raise PresheafError(f"{self._where} has no action entry for {f}")
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
-        if M.length > self.depth:
-            M = truncated(M, self.depth)
+        if M.length > self.depth:   # a truncation met before is one lookup
+            cut = _CUTS[self.depth].get(M)
+            M = truncated(M, self.depth) if cut is None else cut
         got = self._levels.get(M)
         if got is None:
             got = self._levels[M] = self._level(M)
@@ -521,7 +524,8 @@ class WindowTable:
 
     def act(self, f: ThetaMorphism) -> list[int]:
         if f.source.length > self.depth or f.target.length > self.depth:
-            f = truncated(f, self.depth)
+            cut = _CUTS[self.depth].get(f)
+            f = truncated(f, self.depth) if cut is None else cut
         got = self._acts.get(f)
         if got is None:
             got = self._acts[f] = self._act(f)
@@ -917,6 +921,8 @@ def dump_window(P: Precat, window: Window) -> dict:
 def precat_from_dump(data: str | dict | TextIO, name: str = "dump") -> Precat:
     """A canonical dump, its JSON text, an open text file (read a block at a
     time) or its dict, as a precat over a table of position lists, checked
-    in full by ``dumps.read`` (loaded on first use)."""
+    in full by ``dumps.read`` (loaded on first use), which takes the
+    actions of a canonical text by position, a run of one level pair at a
+    time, and decodes every other action in full."""
     from .dumps import read
     return read(data, name)

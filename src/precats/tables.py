@@ -38,7 +38,7 @@ import operator
 from typing import Callable
 
 from .presheaf import Positions, WindowTable, _label_key, _label_order, _within, join
-from .theta import (ThetaObject, collapse_to_zero, normalize_morphism, object_of,
+from .theta import (_CUTS, ThetaObject, collapse_to_zero, normalize_morphism, object_of,
                     prepend_prefix, tail_morphism, tail_object, truncated)
 
 
@@ -62,8 +62,9 @@ class CompiledTable(WindowTable):
         self._tabled: dict[ThetaObject, tuple[list, list, list]] = {}
 
     def _table(self, M: ThetaObject) -> tuple[list[int], list[int], list[str]]:
-        if M.length > self.depth:
-            M = truncated(M, self.depth)
+        if M.length > self.depth:   # a truncation met before is one lookup
+            cut = _CUTS[self.depth].get(M)
+            M = truncated(M, self.depth) if cut is None else cut
         got = self._tabled.get(M)
         if got is None:
             got = self._tabled[M] = self._tabulate(M)
@@ -215,8 +216,8 @@ class UpsilonTable(CompiledTable):
     def starts(self, M: ThetaObject) -> list[int]:
         """The first member of each path's block over ``M``, kept at the
         level ``M`` is read at."""
-        self._table(M)
-        return self._starts[truncated(M, self.depth) if M.length > self.depth else M]
+        self._table(M)      # which stored the truncation of a long ``M``
+        return self._starts[_CUTS[self.depth][M] if M.length > self.depth else M]
 
     def _tabulate(self, M):
         if M.length == 0:

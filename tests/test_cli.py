@@ -17,6 +17,7 @@ from precats import analysis
 from precats import constructions as cn
 from precats import dumps
 from precats import presheaf as ps
+from precats import theta
 from precats.cli import main, make_parser
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -596,22 +597,130 @@ def test_canonical_and_general_steps_import_alike(args, B, tmp_path, monkeypatch
     assert _imported(data) == want
 
 
-def test_canonical_parts_are_decoded_once(monkeypatch):
-    """Importing the Ibar n=2 W3 dump decodes each distinct text of a map,
-    of components and of a pair of ends once, under 4,000 texts for its
-    10,282 actions, and converts no action with ``dumps._entry``."""
+def test_canonical_parts_are_decoded_once(tmp_path, monkeypatch):
+    """Importing the Ibar n=2 W3 dump from its text or its file takes each
+    of its 10,282 actions by position: no ``ThetaMorphism(...)`` call, no
+    action converted by ``dumps._entry``, and no decode of a components
+    text; ``_SCAN`` runs at most once per distinct map (121) and pair of
+    ends (169), and 7 more times for the top-level keys and the values of
+    levels, n and window (the maps and lists of ints met together are
+    decoded in one call)."""
     text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
     actions = json.loads(text)["actions"]
     # a canonical dump writes equal values as equal texts
-    texts = sum(len(set(map(part, actions))) for part in (
+    maps, ends = (len(set(map(part, actions))) for part in (
         lambda e: tuple(e["map"].items()),
-        lambda e: tuple(map(tuple, e["morphism"]["components"])),
         lambda e: (tuple(e["morphism"]["source"]), tuple(e["morphism"]["target"]))))
-    scans, entries = _spy(monkeypatch, "_SCAN"), _spy(monkeypatch, "_entry")
-    ps.precat_from_dump(text)
-    assert entries == [] and len(actions) == 10_282
-    # the top-level keys and the values of levels, n and window: 7 more
-    assert len(scans) <= texts + 7 < 4_000, (len(scans), texts)
+    assert (len(actions), maps, ends) == (10_282, 121, 169)
+    path = tmp_path / "dump.json"
+    path.write_text(text)
+    forms, real = [], theta._HashConsed.__call__
+    monkeypatch.setattr(theta._HashConsed, "__call__",
+                        lambda cls, *a: forms.append(cls) or real(cls, *a))
+    for source in (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8")):
+        scans, entries = _spy(monkeypatch, "_SCAN"), _spy(monkeypatch, "_entry")
+        forms.clear()
+        with source() as fh:
+            ps.precat_from_dump(fh.read() if isinstance(fh, io.StringIO) else fh)
+        assert entries == [] and theta.ThetaMorphism not in forms
+        assert len(scans) <= maps + ends + 7, len(scans)
+
+
+def test_canonical_import_reads_any_block_size_alike(tmp_path, monkeypatch):
+    """A W2 catalogue dump file read at every block size from 1 to 400
+    characters, and the Ibar n=2 W3 dump file read in blocks whose first
+    ends inside a map, a components text or the ends of an action, import
+    to the levels and position lists of their texts with no action
+    converted by ``dumps._entry``."""
+    for args, B, cuts in ((["nerve", "--category", "Z2", "--n", "1"], 2, range(1, 401)),
+                          (["nerve", "--category", "Ibar", "--n", "2"], 3, None)):
+        path = tmp_path / f"w{B}.json"
+        assert main(["build", *args, "--window", str(B), "--out", str(path)]) == 0
+        text = path.read_text()
+        want = _imported(text)
+        if cuts is None:    # past the first 4 Ki characters, 3 characters into a part
+            at = text.rindex('{"map":', 0, text.index('"source":[1,', 5000))
+            starts = [text.index(key, at) + len(key) - 1
+                      for key in ('{"map":{', '"components":[[', '"source":[')]
+            ends = [text.index(close, k) for k, close in zip(starts, ("}", "]]", "]}"))]
+            cuts = [k + 3 for k in starts]
+            assert all(k < cut < end for k, cut, end in zip(starts, cuts, ends))
+        for block in cuts:
+            monkeypatch.setattr(dumps, "_BLOCK", block)
+            entries = _spy(monkeypatch, "_entry")
+            with open(path, encoding="utf-8") as fh:
+                assert _imported(fh) == want, block
+            assert entries == [], block
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fault", ["components", "ends", "image", "separator", "map"])
+def test_faults_late_in_a_large_dump_read_as_in_the_general_step(fault):
+    """A fault planted in an action of the 100th run of the Ibar n=2 W3
+    dump (a component whose values are out of order, the source of a
+    morphism changed to another listed level, an image that is no cell)
+    raises the type and message the same fault raises in that dump written
+    with a space after each separator, every action of which is decoded in
+    full; neither imports.  A ``;`` between two components, the separator
+    the reader joins a run's components texts with, and a map image that is
+    no JSON value are no JSON: each raises the error ``json.loads`` raises,
+    at its place."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
+    data = json.loads(text)
+    ends = [(e["morphism"]["source"], e["morphism"]["target"]) for e in data["actions"]]
+    runs = [k for k in range(1, len(ends)) if ends[k] != ends[k - 1]]
+    entry = data["actions"][runs[99] + 2]
+    action = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    assert text.count(action) == 1 and len(entry["map"]) > 1
+    if fault == "components":
+        comps = next(c for c in entry["morphism"]["components"] if c[0] != c[-1])
+        faulty = action.replace(json.dumps(comps, separators=(",", ":")),
+                                json.dumps(comps[::-1], separators=(",", ":")), 1)
+    elif fault == "ends":
+        source = json.dumps(entry["morphism"]["source"], separators=(",", ":"))
+        faulty = action.replace(f'"source":{source}', '"source":[3,3]')
+    elif fault == "image":
+        key, image = next(iter(entry["map"].items()))
+        faulty = action.replace(json.dumps({key: image})[1:-1].replace(": ", ":"),
+                                f'"{key}":"no cell"', 1)
+    elif fault == "separator":
+        comps = json.dumps(entry["morphism"]["components"], separators=(",", ":"))
+        assert "],[" in comps
+        faulty = action.replace(comps, comps.replace("],[", "];[", 1))
+    else:
+        faulty = action.replace('":"', '":*"', 1)
+    assert faulty != action
+    bad = text.replace(action, faulty)
+    got = _fault_outcome(bad)
+    if fault in ("separator", "map"):   # placed as json.loads places it by _fault_outcome
+        assert got[0] == "JSONDecodeError", got
+        return
+    spaced = json.dumps(json.loads(bad), separators=(", ", ": "))
+    assert got != "imported" and got == _fault_outcome(spaced), got
+
+
+def test_runs_out_of_order_import_as_in_the_general_step():
+    """A run of the Ibar n=2 W3 dump (the actions of one level pair) listed
+    in reverse order imports to the table of the dump; the run listed again
+    after the next one, one of its actions listed again, or one left out,
+    raises what the dump written with a space after each separator raises."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
+    actions = json.loads(text)["actions"]
+    ends = [(e["morphism"]["source"], e["morphism"]["target"]) for e in actions]
+    a, b, c = [k for k in range(1, len(ends)) if ends[k] != ends[k - 1]][50:53]
+
+    def listed(entries):
+        return ",".join(json.dumps(e, sort_keys=True, separators=(",", ":")) for e in entries)
+
+    run = listed(actions[a:b])
+    assert text.count(run) == 1
+    assert _imported(text.replace(run, listed(actions[a:b][::-1]))) == _imported(text)
+    for bad in (text.replace(listed(actions[b:c]), listed(actions[b:c] + actions[a:b])),
+                text.replace(run, listed(actions[a:b] + actions[a:a + 1])),
+                text.replace(run, listed(actions[a:a + 1] + actions[a + 2:b]))):
+        got = _fault_outcome(bad)
+        assert got != "imported" and got == _fault_outcome(
+            json.dumps(json.loads(bad), separators=(", ", ": "))), got
 
 
 def test_brace_labels_import_through_the_general_step(tmp_path, monkeypatch):
