@@ -18,7 +18,6 @@ scope here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -80,8 +79,12 @@ def _segal_entry(T: WindowTable, M: ThetaObject, d: int) -> SegalEntry:
     one = faces[0].source
     v0, v1 = (T.act(vertex(one, v, d)) for v in (0, 1))
     images = list(zip(*(T.act(f) for f in faces)))
-    target = [tup for tup in itertools.product(range(len(v0)), repeat=len(faces))
-              if all(v1[a] == v0[b] for a, b in zip(tup, tup[1:]))]
+    starts: dict = {}       # the cells of ``one`` by their vertex 0
+    for b, x in enumerate(v0):
+        starts.setdefault(x, []).append(b)
+    target = [(a,) for a in range(len(v0))]     # spine tuples, extended cell by cell
+    for _ in faces[1:]:
+        target = [(*tup, b) for tup in target for b in starts.get(v1[tup[-1]], ())]
     distinct = set(images)
     return SegalEntry(level=M, direction=d + 1, source_size=len(images),
                       target_size=len(target),

@@ -179,7 +179,8 @@ def cmd_check(args) -> int:
         violations = ps.check_functoriality(P, window)
         for v in violations[:10]:
             print("violation:", v)
-        print(f"functorial: {'fail' if violations else 'pass'}")
+        print(f"functorial: {'fail' if violations else 'pass'} (depth "
+              f"{violations.depth} of n={P.n} on window B={window.B})")
         return 1 if violations else 0
     if kind == "connected":
         _require(args.k is not None, "connected needs --k")

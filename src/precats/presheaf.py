@@ -617,22 +617,38 @@ def is_cofibration(u: PrecatMap, window: Window) -> bool:
                for M in window.objects(u.domain.n) if M.length < u.domain.n)
 
 
-def check_functoriality(P: Precat, window: Window) -> list:
+class Violations(list):
+    """A check's failures, and ``depth``, the depth it read the table at."""
+
+
+def check_functoriality(P: Precat, window: Window) -> Violations:
     """Failures of the identity law and of ``act(f∘e) == act(e)(act(f))``
-    for each window morphism ``f`` and generator ``e`` into its source; by
-    induction on generator factorisations these imply the full composition
-    law.  A level's cells are read only to name a failure there."""
-    T, out = P.table, []
-    for M in window.objects(P.n):
-        out += [("identity", M, T.level(M)[0][k])
-                for k, x in enumerate(T.act(identity(M))) if x != k]
+    for each morphism ``f`` and generator ``e`` into its source among the
+    window levels of length <= ``depth``: the least d <= n with ``size(M)
+    == size(tr M)`` at every window level and ``act(f) == act(tr f)`` for
+    every window morphism, ``tr = theta.truncated(., d)`` (the table's own
+    data, not its declared depth).  By induction on generator
+    factorisations, then by the depth lemma (``tr`` is a functor), these
+    give the full law on the window:
+      act(g∘f) = act(tr(g∘f)) = act(tr g ∘ tr f) = act(f)∘act(g),
+      act(id_M) = act(id_{tr M}) = id.
+    Every window action is read, so one leaving its level raises
+    ``ActionDomainError``; a level's cells only name a failure there."""
+    T, out, objs = P.table, Violations(), window.objects(P.n)
+    out.depth = next((d for d in range(P.n) if all(
+        T.size(M) == T.size(truncated(M, d)) for M in objs if M.length > d) and all(
+        T.act(f) == T.act(truncated(f, d)) for s, t, mors in window.morphisms(P.n)
+        if max(s.length, t.length) > d for f in mors)), P.n)
+    out += [("identity", M, T.level(M)[0][k]) for M in objs if M.length <= out.depth
+            for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
-        into.setdefault(e.target, []).append(e)
-    for _, t, mors in window.morphisms(P.n):
-        for f in mors:
+        if max(e.source.length, e.target.length) <= out.depth:
+            into.setdefault(e.target, []).append(e)
+    for s, t, mors in window.morphisms(P.n):
+        for f in mors if max(s.length, t.length) <= out.depth else ():
             act_f = T.act(f)
-            for e in into.get(f.source, ()):
+            for e in into.get(s, ()):
                 act_e = T.act(e)
                 out += [("composition", f, e, T.level(t)[0][k]) for k, (x, y)
                         in enumerate(zip(T.act(compose(f, e)), act_f))

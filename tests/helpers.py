@@ -556,6 +556,43 @@ def all_pairs_functoriality_violations(P, window):
     return out
 
 
+def generator_functoriality_violations(P, window):
+    """Failures of the identity law at every window level and of
+    ``act(f∘e) == act(e)(act(f))`` for every window morphism ``f`` and
+    generator ``e`` into its source: the full-window sweep, on the table,
+    that ``check_functoriality`` makes when the depth it measures is n."""
+    from precats.theta import compose, identity
+
+    T, out = P.table, []
+    for M in window.objects(P.n):
+        out += [("identity", M, T.level(M)[0][k])
+                for k, x in enumerate(T.act(identity(M))) if x != k]
+    into: dict = {}
+    for e in window.elementary(P.n):
+        into.setdefault(e.target, []).append(e)
+    for _, t, mors in window.morphisms(P.n):
+        for f in mors:
+            act_f = T.act(f)
+            for e in into.get(f.source, ()):
+                act_e = T.act(e)
+                out += [("composition", f, e, T.level(t)[0][k]) for k, (x, y)
+                        in enumerate(zip(T.act(compose(f, e)), act_f))
+                        if x != act_e[y]]
+    return out
+
+
+def functoriality_against_the_sweep(P, window):
+    """``check_functoriality(P, window)``, asserted to agree with the
+    full-window generator sweep: the same verdict, and the same failures
+    where it checked at depth n."""
+    from precats import check_functoriality
+
+    got, want = check_functoriality(P, window), generator_functoriality_violations(P, window)
+    assert bool(got) == bool(want), (P.name, got.depth, got[:3], want[:3])
+    assert got.depth < P.n or got == want, P.name
+    return got
+
+
 def all_morphism_naturality_violations(m, window):
     """Commuting failures of a map against every window morphism."""
     out = []

@@ -2,6 +2,7 @@
 connectivity and the dimension-0 minimal-dimension table."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from precats import (FiniteCategory, PointedPrecat, Window, category_from_nerve,
                      nerve, object_of, point, product, pushout_product,
                      segal_check, segal_faces, sigma_free, tau_zero, truncate,
                      upsilon, whitehead, z2_monoid, zero_object)
+from precats import analysis
 from precats.presheaf import dump_json
 from precats.theta import vertex
 from precats.analysis import (AnalysisError, NotStrictError,
@@ -85,6 +87,32 @@ def test_segal_entries_agree_with_object_level_oracle():
     assert ("incompatible", (2,), 2, 2, True, False) in seen
     assert any(name == "X(discrete(0, 1))" and entries == (2,)
                and (src, tgt) == (3, 4) for name, entries, src, tgt, _, _ in seen)
+
+
+def _filtered_entry(T, M, d):
+    """The comparison-map entry with its compatible spine tuples filtered
+    from all ``size ** p`` tuples of cells of the edge level."""
+    faces = segal_faces(M, d)
+    v0, v1 = (T.act(vertex(faces[0].source, v, d)) for v in (0, 1))
+    images = list(zip(*(T.act(f) for f in faces)))
+    target = [tup for tup in itertools.product(range(len(v0)), repeat=len(faces))
+              if all(v1[a] == v0[b] for a, b in zip(tup, tup[1:]))]
+    return analysis.SegalEntry(M, d + 1, len(images), len(target),
+                               len(set(images)) == len(images), set(target) <= set(images))
+
+
+def test_spine_tuples_by_extension_match_the_product_filter():
+    """Extending each spine prefix by the cells that start where it ends
+    gives every entry the product filter gives, on every level with an
+    entry >= 2, also at n = 2 and on incompatible spines."""
+    inputs = [*_segal_inputs(), (sigma_free(1, 2).space, W2),
+              (nerve(FiniteCategory.chain(2), 2), W3)]
+    for A, window in inputs:
+        T = A.table
+        for M in window.objects(A.n):
+            for d, p in enumerate(M.entries):
+                if p >= 2:
+                    assert analysis._segal_entry(T, M, d) == _filtered_entry(T, M, d), A.name
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,40 @@ def test_check_connected(capsys):
 
 
 def test_check_functorial_on_dump(tmp_path, capsys):
+    """The verdict names the depth the dump's data was checked at."""
     dump = tmp_path / "u.json"
     assert main(["build", "upsilon", "--inputs", "two_point",
                  "--window", "2", "--out", str(dump)]) == 0
     code, out, _ = run(["check", "functorial", "--in", str(dump),
                         "--window", "2"], capsys)
-    assert code == 0
+    assert (code, out) == (0, "functorial: pass (depth 1 of n=1 on window B=2)\n")
+
+
+@pytest.mark.parametrize("args, depth", [(["sigma", "--k", "1", "--n", "2"], "1 of n=2"),
+                                         (["boundary", "--k", "1", "--n", "1"], "0 of n=1")],
+                         ids=["sigma", "boundary"])
+def test_check_functorial_states_a_depth_below_n(args, depth, tmp_path, capsys):
+    """The free 1-generator at n = 2 depends on its first entry only, the
+    boundary of a 1-cell (two points) on none."""
+    dump = tmp_path / "d.json"
+    assert main(["build", *args, "--window", "2", "--out", str(dump)]) == 0
+    code, out, _ = run(["check", "functorial", "--in", str(dump), "--window", "2"], capsys)
+    assert (code, out) == (0, f"functorial: pass (depth {depth} on window B=2)\n")
+
+
+def test_check_functorial_fails_at_the_depth_of_a_long_fault(tmp_path, capsys):
+    """Two constant cells with one endomorphism of (2,) sending both to
+    "b": the data does not factor at depth 0, so the check reads the whole
+    window (depth 1 = n) and names the failures."""
+    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    entry = next(e for e in data["actions"] if e["morphism"]["source"] == [2]
+                 and e["morphism"]["target"] == [2] and e["morphism"]["components"] != [[0, 1, 2]])
+    entry["map"] = {"a": "b", "b": "b"}
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps(data))
+    code, out, _ = run(["check", "functorial", "--in", str(dump), "--window", "2"], capsys)
+    assert code == 1 and out.startswith("violation: ")
+    assert out.splitlines()[-1] == "functorial: fail (depth 1 of n=1 on window B=2)"
 
 
 def test_check_cofibration(capsys):

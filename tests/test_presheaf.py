@@ -27,7 +27,7 @@ from precats import presheaf as ps
 from precats import suite as suite_mod
 from precats.presheaf import (ActionDomainError, CellTable, PresheafError,
                               _certified, _natural_components)
-from precats.theta import enumerate_morphisms, identity
+from precats.theta import enumerate_morphisms, identity, normalize_morphism, truncated
 
 import helpers
 
@@ -821,6 +821,37 @@ def test_functoriality_agrees_with_all_pairs_on_acceptance_catalogue():
     for P in _acceptance_catalogue():
         assert not check_functoriality(P, W2), P.name
         assert not helpers.all_pairs_functoriality_violations(P, W2), P.name
+
+
+def _long_fault():
+    """The nerve of the interval at n = 2, given cell by cell, with one
+    action between levels of length 2 wrong: the constant 1 in direction 2
+    on (1, 1), whose truncation at depth 1 is the identity of (1,), sends
+    every cell to the first cell of its level.  Its sizes factor at depth
+    1, its actions at no depth below 2."""
+    N = nerve(FiniteCategory.interval(), 2)
+    bad = normalize_morphism(o(2, [1, 1]), o(2, [1, 1]), [(0, 1), (1, 1)])
+    assert truncated(bad, 1) is identity(o(2, [1]))
+    return bad, Precat(2, N.cells, lambda f, c: (next(iter(N.cells(f.source)))
+                                                 if f is bad else N.act(f, c)), "long")
+
+
+def test_functoriality_at_depth_agrees_with_the_generator_sweep():
+    """``check_functoriality`` gives the verdict of the full-window
+    generator sweep (``helpers.generator_functoriality_violations``) on
+    the acceptance catalogue and on corrupted tables, and its failures
+    where it measured depth n: at the depth of the catalogue's data, and
+    at n = 2 on a table whose one long action does not factor."""
+    depths = [helpers.functoriality_against_the_sweep(P, W2).depth
+              for P in _acceptance_catalogue()]
+    assert depths == [1, 1, 1, 1, 2, 1]
+    for bad_mor in (enumerate_morphisms(o(1, []), o(1, [1]))[0],
+                    enumerate_morphisms(o(1, [2]), o(1, [2]))[0]):
+        assert helpers.functoriality_against_the_sweep(_corrupted_table(bad_mor), W2)
+    bad, P = _long_fault()
+    assert P.size(o(2, [2, 1])) == P.size(o(2, [2])) != P.size(zero_object(2))
+    got = helpers.functoriality_against_the_sweep(P, W2)
+    assert got.depth == 2 and any(bad in v for v in got)
 
 
 @pytest.mark.parametrize("n, B", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3),

@@ -8,6 +8,7 @@ imported dumps; how the tables are shared and freed; and when module
 import gc
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import random
@@ -327,7 +328,7 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
               if truncated(g, T.depth) is read]
     assert ("act", f) in faulty and (build == "upsilon") == (faulty == [("act", f)])
     assert helpers.table_violations(T, oracles[T], W2) == faulty
-    assert ps.check_functoriality(P, W2)
+    assert helpers.functoriality_against_the_sweep(P, W2)
     assert ps.dump_window(P, W2) != good
 
 
@@ -873,6 +874,24 @@ def test_imported_dumps_redump_to_the_same_bytes(args, B):
     assert all(type(a) is list and set(map(type, a)) <= {int} for a in acts.values())
     assert len({id(a) for a in acts.values()}) == len({tuple(a) for a in acts.values()})
     assert ps.dump_json(back, Window(B)) == text
+
+
+@pytest.mark.parametrize("args, depth", [
+    (args, {"boundary-1-1": 0, "whitehead-Ibar-k0": 0}.get(name, 1))
+    for name, args, B in _REDUMPED if B == 2], ids=[
+    f"{name}@W{B}" for name, _, B in _REDUMPED if B == 2])
+def test_imported_dumps_check_functoriality_at_their_depth(args, depth):
+    """An imported dump's table has no declared depth; the functoriality
+    check measures the one its position lists have (the boundary and the
+    Whitehead row are constant: depth 0), and agrees with the full-window
+    generator sweep, as does the check of the table it was built from,
+    which tabulates no level longer than its own depth."""
+    P = _build(args, 2)
+    back = ps.precat_from_dump(ps.dump_json(P, W2))
+    assert back.table.depth == math.inf
+    assert helpers.functoriality_against_the_sweep(back, W2).depth == depth
+    assert helpers.functoriality_against_the_sweep(P, W2).depth == depth
+    assert all(M.length <= P.table.depth for M in P.table._levels)
 
 
 @pytest.mark.parametrize("args, maps", [

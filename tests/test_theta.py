@@ -3,6 +3,7 @@ quotient against an independent action oracle, composition and enumeration."""
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -546,6 +547,67 @@ def test_composites_are_their_normalized_composed_lifts(n, B):
     for f, g in pairs:
         assert compose(f, g) is normalize_morphism(
             g.source, f.target, helpers.raw_compose(lifts[f], lifts[g]))
+
+
+# ---------------------------------------------------------------------------
+# the depth lemma: truncation is a functor
+# ---------------------------------------------------------------------------
+
+def _truncation_failures(objs, pairs, n):
+    """Where ``truncated(., d)``, for a d <= n, breaks an identity of
+    ``objs`` or the composite ``g∘f`` of a pair ``(g, f)``."""
+    failures = [("identity", M, d) for M in objs for d in range(n + 1)
+                if th.truncated(identity(M), d) is not identity(th.truncated(M, d))]
+    composite = functools.cache(compose)    # truncated pairs repeat
+    for g, f in pairs:
+        gf = composite(g, f)
+        failures += [("composite", g, f, d) for d in range(n + 1)
+                     if th.truncated(gf, d)
+                     is not composite(th.truncated(g, d), th.truncated(f, d))]
+    return failures
+
+
+@pytest.mark.parametrize("n, B, pairs", [(2, 2, "all"), (3, 2, "generator"),
+                                         (2, 3, "generator")])
+def test_truncation_keeps_composites_and_identities(n, B, pairs):
+    """Certificate of the depth lemma that tables of a depth and the
+    functoriality check rest on: for every d <= n, ``truncated(., d)``
+    keeps identities and composites, on every composable pair of window
+    morphisms at (2, 2), and every pair ``f∘e`` with ``e`` a generator at
+    (3, 2) and (2, 3)."""
+    objs, mors = window_objects(n, B), _window_morphisms(n, B)
+    out = {}
+    for f in mors:
+        out.setdefault(f.source, []).append(f)
+    firsts = mors if pairs == "all" else th.elementary_morphisms(n, B)
+    chosen = [(g, f) for f in firsts for g in out[f.target]]
+    assert len(chosen) == {(2, 2): 55921, (3, 2): 59925, (2, 3): 89141}[n, B]
+    assert _truncation_failures(objs, chosen, n) == []
+
+
+@st.composite
+def _composable(draw, n, B):
+    """Two composable morphisms of the window (n, B), each the normal form
+    of a drawn lift: at each position a monotone map of the padded ends."""
+    a, b, c = (object_of(n, draw(st.lists(st.integers(1, B), max_size=n)))
+               for _ in range(3))
+
+    def morphism(s, t):
+        return normalize_morphism(s, t, [sorted(draw(st.lists(
+            st.integers(0, t.padded(i)), min_size=s.padded(i) + 1,
+            max_size=s.padded(i) + 1))) for i in range(n)])
+    f = morphism(a, b)
+    return morphism(b, c), f
+
+
+@pytest.mark.parametrize("n, B", [(4, 2), (4, 3)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncation_keeps_sampled_composites(n, B, data):
+    """The depth lemma on a derandomised sample of composable pairs of the
+    windows (4, 2) and (4, 3), too large to run in full."""
+    g, f = data.draw(_composable(n, B))
+    assert _truncation_failures([f.source, f.target, g.target], [(g, f)], n) == []
 
 
 # counts the calls of ``normalize_morphism`` and of the full check of
