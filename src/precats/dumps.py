@@ -9,33 +9,35 @@ the text is read, the actions held are split at their map texts by one
 pattern and cut between maps at ``_CUT`` by ``str.partition``; each map and
 tail is decoded the first time it is met, and a components text is only
 checked, never decoded (``_Parts``).  Once the levels are read, a run whose
-components texts equal its pair's morphisms' texts, in one comparison,
-takes each form by its place; any other run (reordered, listed twice, or
-cut by an action decoded in full) is decoded and looked up an action at a
-time.  An action that fails a check of the first phase, and every action
-of a dict, is decoded in full by ``_entry``, with the errors and places a
-JSON decode gives."""
+components texts equal its pair's ``presheaf.components_text``, in one
+comparison, is its pair's position lists, no form built; any other run
+(reordered, listed twice, or cut by an action decoded in full) is decoded
+and written an action at a time into its pair's lists, at the form's
+``theta.rank``.  An action that fails a check of the first phase, and
+every action of a dict, is decoded in full by ``_entry``, with the errors
+and places a JSON decode gives."""
 
 import json
 import re
 from functools import cache, partial
 from itertools import chain, groupby, repeat
-from operator import attrgetter
 from typing import Iterator, TextIO
 
 from . import theta
 from .presheaf import (ActionDomainError, Precat, PresheafError, TabledPrecat, Window,
-                       WindowTable, _label_order)
+                       WindowTable, _label_order, components_text)
 
 
-def _positions(f: theta.ThetaMorphism, image, target: dict, source: dict) -> list[int]:
-    """``image``, a dump's map of ``f``, as a position list, where ``target``
-    and ``source`` index the cells of ``f``'s ends; else its first fault."""
+def _positions(ends: list, k: int, image, target: dict, source: dict) -> list[int]:
+    """``image``, a dump's map of the morphism ``f`` of rank ``k`` between
+    ``ends``, as a position list, where ``target`` and ``source`` index the
+    cells of ``f``'s ends; else its first fault."""
     try:
         if len(image) == len(target):
             return [source[image[c]] for c in target]
     except (KeyError, TypeError):
         pass
+    f = theta.enumerate_morphisms(*ends)[k]
     what = f"malformed dump: the map of {f}"
     for k in image:
         if k not in target:
@@ -67,7 +69,6 @@ _ACTION = re.compile(r'\{"map":(\{[^}]*\}),"morphism":\{"components":\[([0-9,\[\
 _N = "(?:0|[1-9][0-9]*)"
 _INTS = re.compile(rf"(?:\[{_N}(?:,{_N})*\])?").fullmatch     # a list of ints, or nothing
 _TAIL = re.compile(rf'\[(?:{_N}(?:,{_N})*)?\],"target":\[(?:{_N}(?:,{_N})*)?\]\}}\}}').fullmatch
-_COMPONENTS = attrgetter("components")
 _BLOCK = 1 << 18    # characters read from a dump file at a time
 _AHEAD = 1 << 12    # characters held past a step's start, unless the text is run out
 _SPAN = 1 << 16     # the most characters split at a time
@@ -111,16 +112,15 @@ class _Parts:
     map (``{...}``, stored once in ``maps``) decoded into ``images``, a tail
     (``[...],"target":[...]}}``) matched by ``_TAIL`` and decoded into
     ``ends``, and a components' inner text (``[0,1],[2]``) cut into lists
-    of ints matched by ``_INTS`` (``units``, decoded into ``codes``, the
-    text of each list by its value) into ``comps``, not decoded.  The maps
-    met together are decoded in one call, and so are the lists.  An action
+    of ints matched by ``_INTS`` (``units``) into ``comps``, not decoded.
+    The maps met together are decoded in one call.  An action
     with a part that fails is decoded in full and converted by ``_entry``,
     which raises its fault where the text places it.  ``tuples`` holds the
     tuples stored once."""
 
     def __init__(self):
         self.maps, self.images, self.ends, self.tuples = {}, {}, {}, {}
-        self.comps, self.units, self.codes = set(), set(), {}
+        self.comps, self.units = set(), set()
         self.span = _SPAN       # after an action not taken, _AHEAD, doubled back
 
     def stored(self, value: tuple) -> tuple:
@@ -162,8 +162,7 @@ class _Parts:
     def _lists(self, texts) -> bool:
         """Whether each of ``texts`` is a components' inner text: none holds
         a ``;``, and each is empty or cut at each ``],[`` into lists of ints
-        (``units``, each checked once and kept by its value in ``codes``);
-        if so, they join ``comps``."""
+        (``units``, each checked once); if so, they join ``comps``."""
         joined = ";".join(texts)
         if joined.count(";") != len(texts) - 1:
             return False
@@ -171,21 +170,8 @@ class _Parts:
         if not all(map(_INTS, units)):
             return False
         self.units |= units
-        units.discard("")
-        if units:   # decoded at once: lists of ints, each whole
-            units = list(units)
-            self.codes.update(zip(map(tuple, _SCAN("[" + ",".join(units) + "]", 0)[0]), units))
         self.comps |= set(texts)
         return True
-
-    def texts(self, mors) -> str | None:
-        """The components' inner texts of ``mors``, joined as a run's are,
-        from the texts of the lists of ints met; ``None`` if one was not."""
-        try:
-            return ";".join(map(",".join, map(map, repeat(self.codes.__getitem__),
-                                              map(_COMPONENTS, mors))))
-        except KeyError:
-            return None
 
     def action(self, text: str, start: int) -> tuple[list | tuple, int]:
         """A step: the action at ``start`` and, when their parts check, those
@@ -303,18 +289,20 @@ def _members(data: str | TextIO, seen: _Parts) -> Iterator[tuple[str, object]]:
         raise PresheafError(f"malformed dump: a {type(got).__name__}, not an object")
 
 
-def _place(f: theta.ThetaMorphism, image: tuple, cells: tuple, shared: dict) -> list[int]:
-    """The position list of ``image``, a map's keys and images (keys ``None``
-    when it is no dict), where ``cells`` index the source's cells, list the
-    target's labels and index its cells; one equal to it stored in
-    ``shared`` if there is one."""
+def _place(ends: list, k: int, image: tuple, cells: tuple, shared: dict) -> list[int]:
+    """The position list of ``image``, the map of the morphism of rank ``k``
+    between ``ends``: its keys and images (keys ``None`` when it is no
+    dict), where ``cells`` index the source's cells, list the target's
+    labels and index its cells; one equal to it stored in ``shared`` if
+    there is one."""
     (keys, images), (source, order, target), got = image, cells, None
     try:    # a map listing the target's cells in order, onto source cells
         if keys == order:
             got = [source[x] for x in images]
     except (KeyError, TypeError):
         pass
-    got = got or _positions(f, images if keys is None else dict(zip(keys, images)), target, source)
+    got = got or _positions(ends, k, images if keys is None else dict(zip(keys, images)),
+                            target, source)
     return shared.setdefault(tuple(got), got)
 
 
@@ -389,7 +377,7 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
         window = size <= len(levels) and _window(n, B)[0]
         require(window and all(M in levels for M in window),
                 f"a level of window B={B} is not listed")
-        acts, shared, places, pairs, listed = {}, {}, {}, set(), 0
+        pairs, shared, places, listed = {}, {}, {}, 0     # each level pair's position lists
         image_of = seen.images.__getitem__
         for ends, parts, maps in runs:
             E = list(map(objects.get, ends))
@@ -398,17 +386,16 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
             listed += len(maps) if E[0] in window and E[1] in window else 0
             source = levels[E[0]][2]
             cells = source, orders[E[1]], levels[E[1]][2]
-            fresh = (pair := (E[0], E[1])) not in pairs
-            pairs.add(pair)
+            slots = pairs.get(pair := (E[0], E[1]))
             if type(parts[0]) is str:
-                parts, mors = ";".join(parts), fresh and theta.enumerate_morphisms(*E)
-                if mors and parts == seen.texts(mors):
-                    # the run lists the morphisms of its ends in order: each is the form at its place
+                parts = ";".join(parts)
+                if slots is None and parts == components_text(*E):
+                    # the run lists the morphisms of its ends in order: each is the one of its rank
                     got, placed = {}, places.setdefault(E[0], {})
                     for text in dict.fromkeys(maps):    # each distinct map of a run once
                         keys, images = image = image_of(text)
                         if keys is not cells[1]:
-                            got[text] = _place(mors[maps.index(text)], image, cells, shared)
+                            got[text] = _place(E, maps.index(text), image, cells, shared)
                         elif (place := placed.get(text)) is not None:
                             got[text] = place
                         else:   # placed by its images, once per source
@@ -416,26 +403,29 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
                                 place = [source[x] for x in images]
                                 place = shared.setdefault(tuple(place), place)
                             except (KeyError, TypeError):   # an image no cell: named
-                                place = _place(mors[maps.index(text)], image, cells, shared)
+                                place = _place(E, maps.index(text), image, cells, shared)
                             got[text] = placed[text] = place
-                    acts.update(zip(mors, map(got.__getitem__, maps)))
+                    pairs[pair] = list(map(got.__getitem__, maps))
                     continue
                 parts = list(map(seen.decoded, parts.split(";")))
+            if slots is None:
+                slots = pairs[pair] = [None] * theta.count_morphisms(*E)
             done, form = {}, theta.ThetaMorphism
             for comps, image in zip(parts, maps):
                 f = form(*E, comps)
-                if f in acts:
+                if slots[k := theta.rank(f)] is not None:
                     require(False, f"the action of {f} listed twice")
                 if (got := done.get(id(image))) is None:    # each distinct map of a run once
                     got = done[id(image)] = _place(
-                        f, image_of(image) if type(image) is str else image, cells, shared)
-                acts[f] = got
+                        E, k, image_of(image) if type(image) is str else image, cells, shared)
+                slots[k] = got
         # count the listed actions of the window against its morphisms: only
         # a shortfall lists them, to name the first one missing
         if listed < _window(n, B)[1]:
-            missing = next(f for _, _, mors in Window(B).morphisms(n) for f in mors
-                           if f not in acts)
-            require(False, f"the action of {missing} is not listed")
+            for pair in Window(B).pairs(n):
+                if None in (slots := pairs.get(pair, [None])):
+                    missing = theta.enumerate_morphisms(*pair)[slots.index(None)]
+                    require(False, f"the action of {missing} is not listed")
     except (KeyError, TypeError, AttributeError, theta.ThetaError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
-    return TabledPrecat(n, WindowTable(levels, acts, f"{name} of window B={B}"), name)
+    return TabledPrecat(n, WindowTable(levels, pairs, f"{name} of window B={B}"), name)

@@ -9,7 +9,9 @@ and every window check (the solver, functoriality, the Segal check) read
 it; a dump is joined as text from each level's encoded labels, and read
 back by module ``dumps`` with no JSON tree, a run of actions (those of one
 level pair) at a time, as position lists checked in full: a run listing
-its pair's morphisms in order takes each form by its place.  Only outside
+its pair's morphisms in order is the pair's lists, no form built.  Dumps
+and the functoriality check take a table's actions a level pair at a time
+(``WindowTable.acts``), in ``theta.pair_components`` order.  Only outside
 callers (tests, the benchmark's tracer) give a presheaf cell by cell,
 ``Precat(n, eval_fn, act_fn)`` owning a ``CellTable``.  Nerves and constant
 presheaves own a ``FirstEntryTable``, sorted once per first entry from
@@ -46,6 +48,7 @@ input, so no reference cycle keeps a table alive.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import weakref
@@ -55,8 +58,9 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import theta
 from .theta import (_CUTS, ThetaMorphism, ThetaObject, collapse_to_zero, compose,
-                    elementary_morphisms, enumerate_morphisms, identity,
-                    object_of, truncated, vertex, window_objects, zero_object)
+                    elementary_morphisms, enumerate_morphisms, identity, object_of,
+                    pair_components, rank, truncated, truncation_runs, vertex,
+                    window_objects, zero_object)
 
 
 class PresheafError(ValueError):
@@ -101,16 +105,19 @@ class Window:
     def elementary(self, n: int) -> tuple[ThetaMorphism, ...]:
         return elementary_morphisms(n, self.B)
 
+    def pairs(self, n: int) -> list[tuple[ThetaObject, ThetaObject]]:
+        """All (source, target) level pairs of the window, in dump order."""
+        return list(itertools.product(self.objects(n), repeat=2))
+
     def morphisms(self, n: int):
         """All (source, target, morphisms) triples of the window."""
-        objs = self.objects(n)
-        for s in objs:
-            for t in objs:
-                yield s, t, enumerate_morphisms(s, t)
+        for s, t in self.pairs(n):
+            yield s, t, enumerate_morphisms(s, t)
 
 
 _MISS = object()
 _CHUNK_MAPS = 64    # a chunk's pieces and text are alive together: bound them
+_MIDDLE = '},"morphism":{"components":['    # an action's text between its map and components
 _BASES: "weakref.WeakValueDictionary[object, Precat]" = weakref.WeakValueDictionary()
 
 
@@ -183,8 +190,7 @@ def derived(P: Precat, others: list, tag, build: Callable, n: int, name: str) ->
 
 class Positions(dict):
     """A map's position list per level, built by ``build(M)`` when first
-    asked for; ``build`` reads tables and other ``Positions``, never a map.
-    ``dump_json`` keeps its texts in one too, keyed by what they encode."""
+    asked for; ``build`` reads tables and other ``Positions``, never a map."""
 
     def __init__(self, build: Callable[[ThetaObject], list[int]]):
         self.build = build
@@ -491,8 +497,11 @@ class WindowTable:
     in ``cell_label`` order, their labels and each cell's position;
     ``labels(M)`` the labels alone and ``size(M)`` their number; ``act(f)``
     the position in ``f.source`` of the restriction of each cell of
-    ``f.target``, in that order.  A table given them in full (a dump's,
-    named by ``where``) has no other; a subclass builds a level in
+    ``f.target``, in that order, and ``acts(s, t)`` the position list of
+    each morphism ``s -> t`` in ``theta.enumerate_morphisms`` order.  A
+    table given them in full (a dump's, named by ``where``) holds its
+    levels and the lists of each level pair, and reads ``act(f)`` at
+    ``theta.rank(f)`` in its pair's; a subclass builds a level in
     ``_level`` and a position list in ``_act``, each once, when asked for.
 
     ``depth`` is the number of leading entries the table depends on: a
@@ -503,15 +512,19 @@ class WindowTable:
 
     depth = math.inf
 
-    def __init__(self, levels: Optional[dict] = None, acts: Optional[dict] = None,
+    def __init__(self, levels: Optional[dict] = None, pairs: Optional[dict] = None,
                  where: str = "table"):
-        self._levels, self._acts, self._where = levels or {}, acts or {}, where
+        self._levels, self._acts, self._pairs = levels or {}, {}, pairs or {}
+        self._where = where
 
     def _level(self, M):
         raise PresheafError(f"{self._where} has no level {M}")
 
     def _act(self, f):
-        raise PresheafError(f"{self._where} has no action entry for {f}")
+        got = self._pairs.get((f.source, f.target))
+        if got is None or (got := got[rank(f)]) is None:
+            raise PresheafError(f"{self._where} has no action entry for {f}")
+        return got
 
     def level(self, M: ThetaObject) -> tuple[list, list[str], dict]:
         if M.length > self.depth:   # a truncation met before is one lookup
@@ -531,11 +544,30 @@ class WindowTable:
             got = self._acts[f] = self._act(f)
         return got
 
+    def acts(self, s: ThetaObject, t: ThetaObject) -> list[list[int]]:
+        """The position list of each morphism ``s -> t``: within depth one
+        ``act`` per form, beyond it the lists of the truncated pair, each
+        repeated over its run (``theta.truncation_runs``)."""
+        got = self._pairs.get((s, t))
+        if got is None:
+            if max(s.length, t.length) > self.depth:
+                return _spread(self, s, t, self.depth)
+            got = list(map(self.act, enumerate_morphisms(s, t)))
+        return got
+
     def labels(self, M: ThetaObject) -> list[str]:
         return self.level(M)[1]
 
     def size(self, M: ThetaObject) -> int:
         return len(self.labels(M))
+
+
+def _spread(T: WindowTable, s: ThetaObject, t: ThetaObject, d: int) -> list[list[int]]:
+    """``T``'s lists of the pair ``s -> t`` truncated at depth ``d``, each
+    repeated over its run of ``theta.truncation_runs``."""
+    firsts, lengths = zip(*truncation_runs(s, t, d))
+    return list(itertools.chain.from_iterable(map(itertools.repeat, map(
+        T.acts(truncated(s, d), truncated(t, d)).__getitem__, firsts), lengths)))
 
 
 def _within(got: list[int], f: ThetaMorphism, cells: list, name: str = "") -> list[int]:
@@ -627,7 +659,9 @@ def check_functoriality(P: Precat, window: Window) -> Violations:
     window levels of length <= ``depth``: the least d <= n with ``size(M)
     == size(tr M)`` at every window level and ``act(f) == act(tr f)`` for
     every window morphism, ``tr = theta.truncated(., d)`` (the table's own
-    data, not its declared depth).  By induction on generator
+    data, not its declared depth), compared a level pair at a time: its
+    lists against the truncated pair's, repeated over the pair's
+    ``theta.truncation_runs``.  By induction on generator
     factorisations, then by the depth lemma (``tr`` is a functor), these
     give the full law on the window:
       act(g∘f) = act(tr(g∘f)) = act(tr g ∘ tr f) = act(f)∘act(g),
@@ -637,16 +671,16 @@ def check_functoriality(P: Precat, window: Window) -> Violations:
     T, out, objs = P.table, Violations(), window.objects(P.n)
     out.depth = next((d for d in range(P.n) if all(
         T.size(M) == T.size(truncated(M, d)) for M in objs if M.length > d) and all(
-        T.act(f) == T.act(truncated(f, d)) for s, t, mors in window.morphisms(P.n)
-        if max(s.length, t.length) > d for f in mors)), P.n)
+        T.acts(s, t) == _spread(T, s, t, d)
+        for s, t in window.pairs(P.n) if max(s.length, t.length) > d)), P.n)
     out += [("identity", M, T.level(M)[0][k]) for M in objs if M.length <= out.depth
             for k, x in enumerate(T.act(identity(M))) if x != k]
     into: dict = {}
     for e in window.elementary(P.n):
         if max(e.source.length, e.target.length) <= out.depth:
             into.setdefault(e.target, []).append(e)
-    for s, t, mors in window.morphisms(P.n):
-        for f in mors if max(s.length, t.length) <= out.depth else ():
+    for s, t in window.pairs(P.n):
+        for f in enumerate_morphisms(s, t) if max(s.length, t.length) <= out.depth else ():
             act_f = T.act(f)
             for e in into.get(s, ()):
                 act_e = T.act(e)
@@ -883,8 +917,30 @@ def _ints(xs) -> str:
     return "[" + ",".join(map(str, xs)) + "]"
 
 
-def _map_text(keys: list[str], source: list[str], act: tuple[int, ...]) -> str:
+def _map_text(keys: list[str], source: list[str], act: list[int]) -> str:
     return ",".join([k + source[i] for k, i in zip(keys, act)])
+
+
+def _map_texts(acts: list[list[int]], keys: list[str], source: list[str]) -> list[str]:
+    """The ``_map_text`` of each of ``acts``, built once per distinct list,
+    each list object read once."""
+    ids = list(map(id, acts))
+    lists, texts = dict(zip(ids, acts)), {}
+    for key, act in lists.items():
+        if (got := texts.get(tuple(act))) is None:
+            got = texts[tuple(act)] = _map_text(keys, source, act)
+        lists[key] = got
+    return list(map(lists.__getitem__, ids))
+
+
+@functools.cache    # once a process for each level pair: the writer's and the reader's
+def components_text(s: ThetaObject, t: ThetaObject) -> str:
+    """The components' inner text (``[0,1],[2]``) of each morphism ``s ->
+    t`` as a dump writes it, in ``theta.pair_components`` order, joined by
+    ``;``, each component's text built once."""
+    comps = pair_components(s, t)
+    texts = {c: _ints(c) for c in set(itertools.chain.from_iterable(comps))}
+    return ";".join([",".join(map(texts.__getitem__, f)) for f in comps])
 
 
 def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
@@ -893,10 +949,13 @@ def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
     levels at most, then the levels, joined from each level's encoded
     labels: its cells' keys, so a tie is a ``PresheafError``, in ``str``
     order, key order, so labels out of order are a fault of the table.
-    Every fault raises before the first chunk.  Each int tuple's text is
-    built once, each map's once per list and pair."""
-    T, encode, codes, ints = P.table, json.encoder.encode_basestring_ascii, {}, Positions(_ints)
-    for M in window.objects(P.n):
+    Every fault raises before the first chunk.  Each level pair's actions
+    are its ``acts`` lists in morphism order, written beside its
+    ``components_text``; each level's entries text is built once, and each
+    map text once per distinct list and pair (``_map_texts``)."""
+    T, encode, codes = P.table, json.encoder.encode_basestring_ascii, {}
+    entries = {M: _ints(M.entries) for M in window.objects(P.n)}
+    for M in entries:
         labels = T.labels(M)
         for a, b in zip(labels, labels[1:]):
             if a == b:
@@ -904,23 +963,21 @@ def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
             if a > b:
                 raise RuntimeError(f"cells of level {M} are not in label order at {b!r}")
         codes[M] = [encode(x) for x in labels]
-    # morphisms and position lists first: made between text pieces, they'd pin freed pools
-    pairs = [(s, t, mors, list(map(T.act, mors))) for s, t, mors in window.morphisms(P.n)]
+    # position lists first: made between text pieces, they'd pin freed pools
+    pairs = [(s, t, T.acts(s, t)) for s, t in window.pairs(P.n)]
 
     def chunks():
-        sep = '{"actions":['
-        for s, t, mors, acts in pairs:
-            maps = Positions(functools.partial(_map_text, [x + ":" for x in codes[t]], codes[s]))
-            ends = f'],"source":{ints[s.entries]},"target":{ints[t.entries]}}}}}'
-            for i in range(0, len(mors), _CHUNK_MAPS):
-                out = []
-                for f, act in zip(mors[i:i + _CHUNK_MAPS], acts[i:i + _CHUNK_MAPS]):
-                    out += (sep, '{"map":{', maps[tuple(act)], '},"morphism":{"components":[',
-                            ",".join(map(ints.__getitem__, f.components)), ends)
-                    sep = ","
-                yield "".join(out)
+        sep = '{"actions":[{"map":{'
+        for s, t, acts in pairs:
+            ends = f'],"source":{entries[s]},"target":{entries[t]}}}}}'
+            glue, texts = ends + ',{"map":{', components_text(s, t).split(";")
+            maps = _map_texts(acts, [x + ":" for x in codes[t]], codes[s])
+            for i in range(0, len(acts), _CHUNK_MAPS):
+                yield sep + glue.join(map(_MIDDLE.join, zip(
+                    maps[i:i + _CHUNK_MAPS], texts[i:i + _CHUNK_MAPS]))) + ends
+                sep = ',{"map":{'
         yield '],"levels":[' + ",".join(
-            '{"cells":[' + ",".join(cells) + f'],"object":{ints[M.entries]}}}'
+            '{"cells":[' + ",".join(cells) + f'],"object":{entries[M]}}}'
             for M, cells in codes.items()) + f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n'
     return chunks()
 

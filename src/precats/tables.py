@@ -38,8 +38,9 @@ import operator
 from typing import Callable
 
 from .presheaf import Positions, WindowTable, _label_key, _label_order, _within, join
-from .theta import (_CUTS, ThetaObject, collapse_to_zero, normalize_morphism, object_of,
-                    prepend_prefix, tail_morphism, tail_object, truncated)
+from .theta import (_CUTS, ThetaObject, collapse_to_zero, enumerate_morphisms,
+                    normalize_morphism, object_of, prepend_prefix, tail_morphism,
+                    tail_object, truncated)
 
 
 class CompiledTable(WindowTable):
@@ -433,7 +434,9 @@ class SubTable(WindowTable):
     level ``M`` with ``keep_at(M)(c)``: the kept positions of each level of
     ``TP``, in ``TP``'s order, so no cell is labelled or sorted again.  A
     restriction is ``TP``'s, read between kept positions; one onto a cell
-    that is not kept raises ``ActionDomainError``."""
+    that is not kept raises ``ActionDomainError``.  A level pair's lists
+    read each distinct list of ``TP``'s pair once, in morphism order, so
+    the first morphism that leaves the sub is the one named."""
 
     def __init__(self, TP: WindowTable, keep_at: Callable, name: str):
         super().__init__()
@@ -456,6 +459,17 @@ class SubTable(WindowTable):
         self.level(f.source)        # keeps the positions there
         rank = self._kept[f.source][1]
         return _within([rank[act[k]] for k in self._kept[f.target][0]], f, cells, self.name)
+
+    def acts(self, s, t):
+        cells, parent = self.level(t)[0], self.TP.acts(s, t)
+        self.level(s)
+        kept, rank, ids = self._kept[t][0], self._kept[s][1], list(map(id, parent))
+        lists = dict(zip(ids, parent))      # each distinct list, by its first place
+        for key, act in lists.items():
+            got = lists[key] = [rank[act[k]] for k in kept]
+            if -1 in got:       # named by the first morphism of that list
+                _within(got, enumerate_morphisms(s, t)[ids.index(key)], cells, self.name)
+        return list(map(lists.__getitem__, ids))
 
 
 class SliceTable(WindowTable):

@@ -22,8 +22,16 @@ runs no Python frame; ordering and repr stay content-based.  Each form keeps
 its own surgery results, filled on first use: an object its ``tail_object``,
 ``collapse_to_zero`` and ``identity``, a morphism its ``tail_morphism``.
 ``prepend_prefix`` keeps nothing: each slice's table keeps its own
-position lists.  ``truncated`` keeps each form's truncation per depth.  A well-formed component is validated by one comparison;
-only a rejected one runs the checks that name its fault.
+position lists.  ``truncated`` keeps each form's truncation per depth.  A
+well-formed component is validated by one comparison; only a rejected one
+runs the checks that name its fault.
+
+A level pair has one enumeration, ``pair_components``: the components of
+its morphisms, sorted, built once a process with no form.  Everything that
+lists a pair's morphisms reads it in that order: ``enumerate_morphisms``
+(the forms), ``rank`` (a form's index, by bisection), ``truncation_runs``
+(the runs of one truncation at a depth), the tables' ``acts`` and the
+dumps, whose actions are a pair's position lists in that order.
 
 Forms come in two ways.  ``ThetaObject(...)`` and ``ThetaMorphism(...)``
 take outside input (dump import, tests, users) and check it in full before
@@ -35,8 +43,9 @@ ints are ever stored.)  The site's own operations build from parts already
 checked, through ``_assembled``, each component checked once where it is
 made, and each result a normal form by construction:
 
-* ``enumerate_morphisms``: non-constant maps (each checked once per pool)
-  up to one constant map, or ``n`` non-constant ones;
+* ``enumerate_morphisms``: the components of ``pair_components``, non-constant
+  maps (each checked once per pool) up to one constant map, or ``n``
+  non-constant ones;
 * ``compose``: stored components composed in turn, up to the first
   constant composite, which a constant component of either factor forces;
 * ``tail_morphism``: a form's stored components after the first, a suffix
@@ -45,6 +54,7 @@ made, and each result a normal form by construction:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -356,13 +366,16 @@ def _nonconstant_maps(a: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[ThetaMorphism, ...]:
-    """The complete finite set of normal forms ``source -> target``."""
+def pair_components(source: ThetaObject, target: ThetaObject
+                    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The components of every normal form ``source -> target``, sorted:
+    the one enumeration of a level pair, which ``enumerate_morphisms``,
+    ``rank`` and ``truncation_runs`` read, built with no form."""
     if source.n != target.n:
         raise InvalidMorphismError("objects live in different ambient dimensions")
     n = source.n
     if n == 0:
-        return (_assembled(source, target, ()),)
+        return ((),)
     out = []
     # non-constant prefix of length j-1, then the first constant at position j
     for j in range(1, n + 1):
@@ -374,14 +387,27 @@ def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[Theta
         consts = [(v,) * arity for v in range(target.padded(j - 1) + 1)]
         for comp in consts:
             _check_component(source, target, j - 1, comp)
-        out += [_assembled(source, target, comps)
-                for comps in itertools.product(*prefix_pools, consts)]
+        out += itertools.product(*prefix_pools, consts)
     # no constant component at all: only possible with all n positions live
     pools = [_nonconstant_maps(source.padded(i), target.padded(i)) for i in range(n)]
     if all(pools):
-        out += [_assembled(source, target, comps) for comps in itertools.product(*pools)]
-    out.sort(key=operator.attrgetter("components"))     # the ends are fixed
+        out += itertools.product(*pools)
+    out.sort()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def enumerate_morphisms(source: ThetaObject, target: ThetaObject) -> tuple[ThetaMorphism, ...]:
+    """The complete finite set of normal forms ``source -> target``, in the
+    order of ``pair_components``."""
+    return tuple([_assembled(source, target, comps)
+                  for comps in pair_components(source, target)])
+
+
+def rank(f: ThetaMorphism) -> int:
+    """The index of ``f`` in ``enumerate_morphisms(f.source, f.target)``,
+    found by bisection in ``pair_components``."""
+    return bisect.bisect_left(pair_components(f.source, f.target), f.components)
 
 
 def count_morphisms(source: ThetaObject, target: ThetaObject) -> int:
@@ -482,6 +508,23 @@ def truncated(x: ThetaObject | ThetaMorphism, d: int) -> ThetaObject | ThetaMorp
             got = _assembled(truncated(x.source, d), truncated(x.target, d), comps)
         cuts[x] = got
     return got
+
+
+@lru_cache(maxsize=None)
+def truncation_runs(source: ThetaObject, target: ThetaObject, d: int
+                    ) -> tuple[tuple[int, int], ...]:
+    """The morphisms ``source -> target`` in ``pair_components`` order, cut
+    into runs of one ``truncated(., d)``: each run's index in the pair of
+    the truncated ends and its length, read off the components with no form
+    built.  Sorted components keep a truncation's morphisms together: those
+    storing more than ``d`` components share their first ``d``, which no
+    shorter normal form extends."""
+    index = {comps: i for i, comps in enumerate(
+        pair_components(truncated(source, d), truncated(target, d)))}
+    cut = ((0,),)
+    keys = [comps if len(comps) <= d else comps[:d] + cut
+            for comps in pair_components(source, target)]
+    return tuple((i, len(list(run))) for i, run in itertools.groupby(map(index.__getitem__, keys)))
 
 
 # ---------------------------------------------------------------------------

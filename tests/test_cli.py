@@ -590,10 +590,14 @@ def _spy(monkeypatch, name) -> list:
     return calls
 
 
+def _lists(T):
+    """The levels of a dump's table and the position lists of each pair of them."""
+    return T._levels, {(s, t): T.acts(s, t) for s in T._levels for t in T._levels}
+
+
 def _imported(dump):
-    """The levels and the position list of every morphism of an import."""
-    T = ps.precat_from_dump(dump).table
-    return T._levels, T._acts
+    """The levels and the position lists of every level pair of an import."""
+    return _lists(ps.precat_from_dump(dump).table)
 
 
 @pytest.mark.parametrize("args, B", _dump_catalogue())
@@ -612,7 +616,7 @@ def test_canonical_and_general_steps_import_alike(args, B, tmp_path, monkeypatch
     data = json.loads(text)
     entries = _spy(monkeypatch, "_entry")
     P = ps.precat_from_dump(text)
-    want = P.table._levels, P.table._acts
+    want = _lists(P.table)
     assert entries == [] and ps.dump_json(P, ps.Window(B)) == text
     for block in (7, 61, 4096) if B == 2 else (4096, 3 * 4096 + 5):
         monkeypatch.setattr(dumps, "_BLOCK", block)
@@ -631,8 +635,8 @@ def test_canonical_parts_are_decoded_once(tmp_path, monkeypatch):
     action converted by ``dumps._entry``, and no decode of a components
     text; ``_SCAN`` runs at most once per distinct map (121) and pair of
     ends (169), and 7 more times for the top-level keys and the values of
-    levels, n and window (the maps and lists of ints met together are
-    decoded in one call)."""
+    levels, n and window (the maps met together are decoded in one
+    call)."""
     text = ps.dump_json(cn.nerve(cn.FiniteCategory.iso_interval(), 2), ps.Window(3))
     actions = json.loads(text)["actions"]
     # a canonical dump writes equal values as equal texts
@@ -652,6 +656,33 @@ def test_canonical_parts_are_decoded_once(tmp_path, monkeypatch):
             ps.precat_from_dump(fh.read() if isinstance(fh, io.StringIO) else fh)
         assert entries == [] and theta.ThetaMorphism not in forms
         assert len(scans) <= maps + ends + 7, len(scans)
+
+
+_FORMS_MADE = """
+import sys
+from precats import theta
+from precats.cli import main
+before = len(theta.ThetaMorphism._forms)
+codes = [main(["build", "nerve", "--category", "Ibar", "--n", "2", "--window", "3",
+               "--out", sys.argv[1]]),
+         main(["check", "segal", "--in", sys.argv[1], "--window", "3"])]
+print(*codes, before, len(theta.ThetaMorphism._forms))
+"""
+
+
+def test_dump_path_builds_few_morphism_forms(tmp_path):
+    """In a fresh process, ``build`` of the Ibar n=2 W3 dump (10,282 window
+    morphisms) and ``check segal --in`` on it build fewer than 1,000
+    ``ThetaMorphism`` forms: the writer and the reader take a level pair's
+    actions as position lists in morphism order, and forms are built for
+    the pairs within the nerve's depth, generators and the Segal maps."""
+    done = subprocess.run([sys.executable, "-c", _FORMS_MADE, str(tmp_path / "d.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("segal: pass")
+    build, segal, before, after = map(int, done.stdout.splitlines()[-1].split())
+    assert (build, segal) == (0, 0) and after - before < 1_000
 
 
 def test_canonical_import_reads_any_block_size_alike(tmp_path, monkeypatch):

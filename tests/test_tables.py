@@ -7,6 +7,7 @@ imported dumps; how the tables are shared and freed; and when module
 
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from precats import constructions as cn
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
 from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
-from precats.theta import truncated
+from precats.theta import pair_components, truncated
 from precats.tables import (CompiledTable, DeloopingTable, MonoidalTable, ProductTable,
                             PushoutTable, SliceTable, SubTable, TruncationTable,
                             UpsilonTable)
@@ -307,8 +308,9 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
     entry it reads that morphism at (its truncation at the table's depth:
     the identity of level 0 for the product and the pushout of constant
     presheaves, the morphism itself for the edge complex), differs from its
-    oracle on exactly the morphisms read there; functoriality and dumps read
-    the table, so they see the fault too."""
+    oracle on exactly the morphisms read there, which are those whose entry
+    of their pair's ``acts`` is the corrupted list; functoriality and dumps
+    read the table, so they see the fault too."""
     D = discrete(1, ("a", "b"))
     P = {"product": lambda: product(D, D),
          "pushout": lambda: pushout(identity_map(D), identity_map(D)).precat,
@@ -327,6 +329,8 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
     faulty = [("act", g) for _, _, mors in W2.morphisms(P.n) for g in mors
               if truncated(g, T.depth) is read]
     assert ("act", f) in faulty and (build == "upsilon") == (faulty == [("act", f)])
+    assert [("act", g) for s, t, mors in W2.morphisms(P.n)
+            for g, act in zip(mors, T.acts(s, t)) if act is wrong] == faulty
     assert helpers.table_violations(T, oracles[T], W2) == faulty
     assert helpers.functoriality_against_the_sweep(P, W2)
     assert ps.dump_window(P, W2) != good
@@ -861,6 +865,29 @@ def _build(args, B):
     return cli.build_precat(cli.make_parser().parse_args(["build", *args, "--window", str(B)]))
 
 
+_PAIRED = ([(name, args, 2) for name, args, B, _ in _dump_catalog() if B == 2]
+           + [(name, args, 3) for name, args in (
+               ("nerve-Ibar-n2", ["nerve", "--category", "Ibar", "--n", "2"]),
+               ("delooping-two_point", ["delooping", "--of", "two_point", "--n", "1"]),
+               ("whitehead-Ibar-k1", ["whitehead", "--of", "nerve", "--category", "Ibar",
+                                      "--k", "1", "--n", "2"]))])
+
+
+@pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _PAIRED],
+                         ids=[f"{name}@W{B}" for name, _, B in _PAIRED])
+def test_pair_lists_are_the_actions_in_morphism_order(args, B):
+    """``acts(s, t)`` on every window pair is ``act`` of each morphism in
+    ``enumerate_morphisms`` order, for the built table of each dump of the
+    benchmark's catalogue at W2 (a nerve, a constant presheaf, an edge
+    complex, pushouts, a delooping, Whitehead subs) and of its three
+    10,282-action W3 rows, and for the tables their dumps import to."""
+    P, window = _build(args, B), Window(B)
+    back = ps.precat_from_dump(ps.dump_json(P, window))
+    for s, t, mors in window.morphisms(P.n):
+        for T in (P.table, back.table):
+            assert T.acts(s, t) == [T.act(f) for f in mors], (T, s, t)
+
+
 @pytest.mark.parametrize("args, B", [(args, B) for _, args, B in _REDUMPED],
                          ids=[f"{name}@W{B}" for name, _, B in _REDUMPED])
 def test_imported_dumps_redump_to_the_same_bytes(args, B):
@@ -869,10 +896,10 @@ def test_imported_dumps_redump_to_the_same_bytes(args, B):
     bytes."""
     text = ps.dump_json(_build(args, B), Window(B))
     back = ps.precat_from_dump(json.loads(text))
-    acts = back.table._acts
-    assert type(back.table) is WindowTable
-    assert all(type(a) is list and set(map(type, a)) <= {int} for a in acts.values())
-    assert len({id(a) for a in acts.values()}) == len({tuple(a) for a in acts.values()})
+    acts = [a for s, t in Window(B).pairs(back.n) for a in back.table.acts(s, t)]
+    assert type(back.table) is WindowTable and len(acts) == len(json.loads(text)["actions"])
+    assert all(type(a) is list and set(map(type, a)) <= {int} for a in acts)
+    assert len({id(a) for a in acts}) == len({tuple(a) for a in acts})
     assert ps.dump_json(back, Window(B)) == text
 
 
@@ -899,8 +926,9 @@ def test_imported_dumps_check_functoriality_at_their_depth(args, depth):
     (["delooping", "--of", "two_point", "--n", "1"], 1465)], ids=["Ibar-n2", "two_point"])
 def test_dump_encodes_each_text_once(args, maps, monkeypatch):
     """At W3 the writer builds one text per distinct position list of a pair
-    of levels, not one per morphism (10,282), and one per int tuple: the 69
-    distinct components and the object entries that are none of them."""
+    of levels, not one per morphism (10,282), and one per level's entries;
+    each pair's components text is built once a process, from one text per
+    distinct component of the pair: 69 components in all."""
     P, W3 = _build(args, 3), Window(3)
     text = ps.dump_json(P, W3)
     built = {"_map_text": [], "_ints": []}
@@ -910,10 +938,15 @@ def test_dump_encodes_each_text_once(args, maps, monkeypatch):
                             calls.append(a[-1]) or real(*a))
     assert ps.dump_json(P, W3) == text
     assert len(built["_map_text"]) == maps
-    comps = {c for _, _, mors in W3.morphisms(P.n) for f in mors for c in f.components}
-    assert len(comps) == 69
-    assert len(built["_ints"]) == len(set(built["_ints"]))
-    assert set(built["_ints"]) == comps | {M.entries for M in W3.objects(P.n)}
+    entries = [M.entries for M in W3.objects(P.n)]
+    assert built["_ints"] == entries
+    ps.components_text.cache_clear()
+    built["_ints"].clear()
+    assert ps.dump_json(P, W3) == text
+    per_pair = [c for s, t in W3.pairs(P.n)
+                for c in dict.fromkeys(itertools.chain(*pair_components(s, t)))]
+    assert sorted(built["_ints"]) == sorted(entries + per_pair)
+    assert len(set(per_pair)) == 69
 
 
 def test_import_counts_the_window_instead_of_listing_it(monkeypatch):
@@ -1221,7 +1254,9 @@ def test_slices_tabled_as_cell_by_cell(build, prefix):
 def test_sub_presheaf_not_closed_under_the_action_raises_a_typed_error():
     """Keeping "a" only at level 0 but both cells above it is no
     sub-presheaf: the vertex restriction of "b" is not kept.  The table,
-    ``act`` and the functoriality check all raise ``ActionDomainError``."""
+    ``act`` and the functoriality check all raise ``ActionDomainError``, and
+    so do a level pair's ``acts``, here and on a sub of a nerve, with the
+    message ``act`` gives the pair's first morphism that leaves the sub."""
     D = discrete(1, ("a", "b"))
     S, _ = ps.sub_precat(D, lambda M: (lambda c: c == "a" or M.length > 0))
     f = ps.vertex(ps.object_of(1, [1]), 0)
@@ -1232,6 +1267,24 @@ def test_sub_presheaf_not_closed_under_the_action_raises_a_typed_error():
         S.act(f, "a")
     with pytest.raises(ps.ActionDomainError):
         ps.check_functoriality(S, W2)
+    chain = cn.nerve(cn.FiniteCategory.chain(3), 1)
+    for sub in (S, ps.sub_precat(chain, lambda M: (lambda c: c == 0 or M.length > 0))[0]):
+        failed = 0
+        for s, t, mors in W2.morphisms(1):  # a pair's lists fail where its first morphism does
+            errors = []
+            for g in mors:
+                try:
+                    sub.table.act(g)
+                except ps.ActionDomainError as exc:
+                    errors.append(str(exc))
+            if not errors:
+                assert sub.table.acts(s, t) == list(map(sub.table.act, mors))
+                continue
+            failed += 1
+            with pytest.raises(ps.ActionDomainError) as got:
+                sub.table.acts(s, t)
+            assert str(got.value) == errors[0]
+        assert failed
 
 
 def test_subs_slices_and_truncations_are_freed_without_the_cycle_collector():

@@ -420,17 +420,21 @@ def test_composites_and_tails_are_the_interned_forms(n):
         assert th.tail_morphism(f).target is o(n - 1, f.target.entries[1:])
 
 
-def test_dump_import_rebuilds_the_interned_morphisms():
+def test_dump_import_reads_each_interned_morphism_at_its_rank():
+    """An imported table keeps the interned levels and one position list per
+    window morphism, in its pair's ``enumerate_morphisms`` order, and answers
+    ``act`` for each interned morphism with the list at its rank."""
     window = Window(2)
-    data = dump_window(nerve(FiniteCategory.chain(2), 2), window)
-    table = ps.precat_from_dump(data).table
+    P = nerve(FiniteCategory.chain(2), 2)
+    table = ps.precat_from_dump(dump_window(P, window)).table
     objs = window.objects(2)
     assert [M for M in objs if M in table._levels] == objs
     assert all(any(M is N for N in objs) for M in table._levels)
-    rebuilt = set(table._acts)
-    assert len(rebuilt) == sum(len(m) for _, _, m in window.morphisms(2))
-    for f in rebuilt:
-        assert any(f is g for g in enumerate_morphisms(f.source, f.target))
+    assert sum(len(table.acts(s, t)) for s, t in window.pairs(2)) == \
+        sum(len(m) for _, _, m in window.morphisms(2)) == 515
+    for s, t, mors in window.morphisms(2):
+        assert table.acts(s, t) == [P.table.act(f) for f in mors]
+        assert all(table.act(f) is table.acts(s, t)[th.rank(f)] for f in mors)
 
 
 def test_invalid_forms_raise_every_time_and_are_not_stored():
@@ -583,6 +587,25 @@ def test_truncation_keeps_composites_and_identities(n, B, pairs):
     chosen = [(g, f) for f in firsts for g in out[f.target]]
     assert len(chosen) == {(2, 2): 55921, (3, 2): 59925, (2, 3): 89141}[n, B]
     assert _truncation_failures(objs, chosen, n) == []
+
+
+@pytest.mark.parametrize("n, B", [(2, 2), (3, 2), (2, 3)])
+def test_pair_components_ranks_and_truncation_runs_agree_with_the_forms(n, B):
+    """On every pair of the window, ``pair_components`` lists the components
+    of ``enumerate_morphisms`` in turn, ``rank`` gives each morphism its
+    index there, and for every d <= n the truncation runs, each index
+    repeated over its run, are ``truncated(., d)`` of the morphisms in turn."""
+    objs = window_objects(n, B)
+    for s, t in itertools.product(objs, objs):
+        mors = enumerate_morphisms(s, t)
+        assert th.pair_components(s, t) == tuple(f.components for f in mors)
+        assert list(map(th.rank, mors)) == list(range(len(mors)))
+        for d in range(n + 1):
+            cut = enumerate_morphisms(th.truncated(s, d), th.truncated(t, d))
+            runs = th.truncation_runs(s, t, d)
+            assert all(k > 0 for _, k in runs)
+            assert [cut[i] for i, k in runs for _ in range(k)] == \
+                [th.truncated(f, d) for f in mors], (s, t, d)
 
 
 @st.composite
