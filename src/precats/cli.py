@@ -70,6 +70,10 @@ def build_precat(args) -> ps.Precat:
     name = args.construction
     params = json.loads(args.params) if args.params else {}
     _require(isinstance(params, dict), "--params must be a JSON object")
+    stray = set(params) - ({"legacy"} if name == "upsilon" else set())
+    _require(not stray, f"--params keys {sorted(stray)} are not read by {name}")
+    _require(type(params.get("legacy", False)) is bool,
+             f"--params legacy is {params.get('legacy')!r}, not true or false")
     if name == "nerve":
         _require(args.category in _CATEGORIES,
                  f"unknown category {args.category!r}; known: {sorted(_CATEGORIES)}")
@@ -84,7 +88,7 @@ def build_precat(args) -> ps.Precat:
             _require(nm in _BASIC_INPUTS,
                      f"unknown input {nm!r}; known: {sorted(_BASIC_INPUTS)}")
             ins.append(_BASIC_INPUTS[nm](dim))
-        return cn.upsilon(ins, legacy=bool(params.get("legacy")))
+        return cn.upsilon(ins, legacy=params.get("legacy", False))
     if name == "sigma":
         _require(args.k is not None and args.n is not None, "sigma needs --k and --n")
         return cn.sigma_free(args.k, args.n).space

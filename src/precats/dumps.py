@@ -3,19 +3,21 @@ from their text or file a block and a member at a time, with no JSON tree.
 Loaded by the first ``presheaf.precat_from_dump``.
 
 A canonical dump lists the actions of each level pair (a run) together, in
-the order ``theta.enumerate_morphisms`` gives the pair's morphisms, and its
+the order ``theta.pair_components`` gives the pair's morphisms, and its
 levels, ``n`` and window after them.  Actions are read in two phases.  As
 the text is read, the actions held are split at their map texts by one
 pattern and cut between maps at ``_CUT`` by ``str.partition``; each map and
 tail is decoded the first time it is met, and a components text is only
-checked, never decoded (``_Parts``).  Once the levels are read, a run whose
-components texts equal its pair's ``presheaf.components_text``, in one
-comparison, is its pair's position lists, no form built; any other run
-(reordered, listed twice, or cut by an action decoded in full) is decoded
-and written an action at a time into its pair's lists, at the form's
-``theta.rank``.  An action that fails a check of the first phase, and
-every action of a dict, is decoded in full by ``_entry``, with the errors
-and places a JSON decode gives."""
+checked, never decoded (``_Parts``).  Once the levels are read, each run
+takes one path into its pair's list: its ranks are its positions when the
+pair is new and its components texts, joined, equal its pair's
+``presheaf.components_text`` (one comparison, no form built), else the
+``theta.rank`` of each decoded form; a place already filled is a morphism
+listed twice, and each distinct map becomes a position list once
+(``_place``).  A window pair with no list, or a gap in its list, is a
+morphism not listed.  An action that fails a check of the first phase,
+and every action of a dict, is decoded in full by ``_entry``, with the
+errors and places a JSON decode gives."""
 
 import json
 import re
@@ -26,28 +28,6 @@ from typing import Iterator, TextIO
 from . import theta
 from .presheaf import (ActionDomainError, Precat, PresheafError, TabledPrecat, Window,
                        WindowTable, _label_order, components_text)
-
-
-def _positions(ends: list, k: int, image, target: dict, source: dict) -> list[int]:
-    """``image``, a dump's map of the morphism ``f`` of rank ``k`` between
-    ``ends``, as a position list, where ``target`` and ``source`` index the
-    cells of ``f``'s ends; else its first fault."""
-    try:
-        if len(image) == len(target):
-            return [source[image[c]] for c in target]
-    except (KeyError, TypeError):
-        pass
-    f = theta.enumerate_morphisms(*ends)[k]
-    what = f"malformed dump: the map of {f}"
-    for k in image:
-        if k not in target:
-            raise PresheafError(f"{what} has the key {k!r}, no cell of level {f.target}")
-    for c in target:
-        if c not in image:
-            raise PresheafError(f"{what} gives the cell {c!r} no image")
-    x = next(x for x in image.values() if type(x) is not str or x not in source)
-    raise (ActionDomainError if type(x) is str else PresheafError)(
-        f"{what} has the image {x!r}, no cell of level {f.source}")
 
 
 def _no_float(number: str):
@@ -75,16 +55,17 @@ _SPAN = 1 << 16     # the most characters split at a time
 _PAST = 12          # the most the decoder reads past a fault's place: ``\\uXXXX\\uXXXX``
 
 
-def _entry(entry, seen: dict) -> tuple:     # a decoded action's ends, components and map
+def _entry(entry, seen: "_Parts") -> tuple:    # a decoded action's ends, components and map key
     m, image = entry["morphism"], entry["map"]
     ends, comps = (tuple(m["source"]), tuple(m["target"])), tuple(map(tuple, m["components"]))
     if not set(map(type, chain(*ends, *comps))) <= {int}:
         raise theta.InvalidMorphismError(f"morphism values must be ints: {m!r}")
-    try:    # a map that is no dict or has an unhashable image: _positions names it
-        image = seen.setdefault(pair := (tuple(image), tuple(image.values())), pair)
+    try:    # a map that is no dict or has an unhashable image: _place names it
+        image = seen.stored((seen.stored(tuple(image)), tuple(image.values())))
     except (TypeError, AttributeError):
         image = None, image
-    return seen.setdefault(ends, ends), seen.setdefault(comps, comps), image
+    seen.images[id(image)] = image
+    return seen.stored(ends), seen.stored(comps), id(image)
 
 
 def _at_once(texts: list[str]):
@@ -115,8 +96,8 @@ class _Parts:
     of ints matched by ``_INTS`` (``units``) into ``comps``, not decoded.
     The maps met together are decoded in one call.  An action
     with a part that fails is decoded in full and converted by ``_entry``,
-    which raises its fault where the text places it.  ``tuples`` holds the
-    tuples stored once."""
+    which raises its fault where the text places it and keeps its map in
+    ``images`` by its identity.  ``tuples`` holds the tuples stored once."""
 
     def __init__(self):
         self.maps, self.images, self.ends, self.tuples = {}, {}, {}, {}
@@ -186,7 +167,7 @@ class _Parts:
             if runs := self._take((m[1],), (m[2],), (m[3],))[0]:     # that one alone
                 return runs, m.end()
         got, end = _SCAN(text, start)
-        return _entry(got, self.tuples), end
+        return _entry(got, self), end
 
     def _run(self, text: str, start: int) -> tuple[list, int]:
         """The actions from ``start`` that ``self.span`` characters hold
@@ -289,27 +270,39 @@ def _members(data: str | TextIO, seen: _Parts) -> Iterator[tuple[str, object]]:
         raise PresheafError(f"malformed dump: a {type(got).__name__}, not an object")
 
 
-def _place(ends: list, k: int, image: tuple, cells: tuple, shared: dict) -> list[int]:
+def _place(E: tuple, k: int, image: tuple, cells: tuple, shared: dict) -> list[int]:
     """The position list of ``image``, the map of the morphism of rank ``k``
-    between ``ends``: its keys and images (keys ``None`` when it is no
-    dict), where ``cells`` index the source's cells, list the target's
+    between the levels ``E``: its keys and images (keys ``None`` when it is
+    no dict), where ``cells`` index the source's cells, list the target's
     labels and index its cells; one equal to it stored in ``shared`` if
-    there is one."""
+    there is one; else its first fault."""
     (keys, images), (source, order, target), got = image, cells, None
-    try:    # a map listing the target's cells in order, onto source cells
-        if keys == order:
+    try:
+        if keys is order:       # the target's cells in order, onto source cells
             got = [source[x] for x in images]
+        elif len(image := images if keys is None else dict(zip(keys, images))) == len(target):
+            got = [source[image[c]] for c in target]
     except (KeyError, TypeError):
         pass
-    got = got or _positions(ends, k, images if keys is None else dict(zip(keys, images)),
-                            target, source)
-    return shared.setdefault(tuple(got), got)
+    if got is not None:
+        return shared.setdefault(tuple(got), got)
+    image = images if keys is None else dict(zip(keys, images))
+    f = theta.enumerate_morphisms(*E)[k]
+    what = f"malformed dump: the map of {f}"
+    for x in image:
+        if x not in target:
+            raise PresheafError(f"{what} has the key {x!r}, no cell of level {f.target}")
+    for c in target:
+        if c not in image:
+            raise PresheafError(f"{what} gives the cell {c!r} no image")
+    x = next(x for x in image.values() if type(x) is not str or x not in source)
+    raise (ActionDomainError if type(x) is str else PresheafError)(
+        f"{what} has the image {x!r}, no cell of level {f.source}")
 
 
-@cache      # every import of a window checks its levels and counts its morphisms
-def _window(n: int, B: int) -> tuple[frozenset, int]:
-    window = theta.window_objects(n, B)
-    return frozenset(window), sum(theta.count_morphisms(s, t) for s in window for t in window)
+@cache      # every import of a window checks its levels and its level pairs
+def _window(n: int, B: int) -> tuple[list, list]:
+    return theta.window_objects(n, B), Window(B).pairs(n)
 
 
 def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
@@ -339,7 +332,7 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
                 continue
             require(isinstance(value, (list, Iterator)), f"actions is a {type(value).__name__}")
             if isinstance(data, dict):
-                value = (_entry(entry, seen.tuples) for entry in value)
+                value = (_entry(entry, seen) for entry in value)
             # kept in runs of equal ends: their maps, and the texts their
             # components were checked as, joined, or those decoded
             for got in value:
@@ -374,58 +367,35 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
         require(type(B) is int and B >= 1, f"window B is {B!r}, not an int >= 1")
         # count the window's levels first, so a huge B or n lists no objects
         size = sum(B ** k for k in range(min(n, len(levels)) + 1))
-        window = size <= len(levels) and _window(n, B)[0]
-        require(window and all(M in levels for M in window),
+        window = size <= len(levels) and _window(n, B)
+        require(window and all(M in levels for M in window[0]),
                 f"a level of window B={B} is not listed")
-        pairs, shared, places, listed = {}, {}, {}, 0     # each level pair's position lists
-        image_of = seen.images.__getitem__
+        pairs, shared, places = {}, {}, {}     # each level pair's position lists
         for ends, parts, maps in runs:
-            E = list(map(objects.get, ends))
+            E = s, t = tuple(map(objects.get, ends))
             if None in E:
                 require(False, f"an end of the morphism {ends} is not a listed level")
-            listed += len(maps) if E[0] in window and E[1] in window else 0
-            source = levels[E[0]][2]
-            cells = source, orders[E[1]], levels[E[1]][2]
-            slots = pairs.get(pair := (E[0], E[1]))
-            if type(parts[0]) is str:
+            if type(parts[0]) is str:   # the texts its components were checked as
                 parts = ";".join(parts)
-                if slots is None and parts == components_text(*E):
-                    # the run lists the morphisms of its ends in order: each is the one of its rank
-                    got, placed = {}, places.setdefault(E[0], {})
-                    for text in dict.fromkeys(maps):    # each distinct map of a run once
-                        keys, images = image = image_of(text)
-                        if keys is not cells[1]:
-                            got[text] = _place(E, maps.index(text), image, cells, shared)
-                        elif (place := placed.get(text)) is not None:
-                            got[text] = place
-                        else:   # placed by its images, once per source
-                            try:
-                                place = [source[x] for x in images]
-                                place = shared.setdefault(tuple(place), place)
-                            except (KeyError, TypeError):   # an image no cell: named
-                                place = _place(E, maps.index(text), image, cells, shared)
-                            got[text] = placed[text] = place
-                    pairs[pair] = list(map(got.__getitem__, maps))
-                    continue
-                parts = list(map(seen.decoded, parts.split(";")))
-            if slots is None:
-                slots = pairs[pair] = [None] * theta.count_morphisms(*E)
-            done, form = {}, theta.ThetaMorphism
-            for comps, image in zip(parts, maps):
-                f = form(*E, comps)
-                if slots[k := theta.rank(f)] is not None:
-                    require(False, f"the action of {f} listed twice")
-                if (got := done.get(id(image))) is None:    # each distinct map of a run once
-                    got = done[id(image)] = _place(
-                        E, k, image_of(image) if type(image) is str else image, cells, shared)
-                slots[k] = got
-        # count the listed actions of the window against its morphisms: only
-        # a shortfall lists them, to name the first one missing
-        if listed < _window(n, B)[1]:
-            for pair in Window(B).pairs(n):
-                if None in (slots := pairs.get(pair, [None])):
-                    missing = theta.enumerate_morphisms(*pair)[slots.index(None)]
-                    require(False, f"the action of {missing} is not listed")
+                parts = None if E not in pairs and parts == components_text(s, t) else \
+                    list(map(seen.decoded, parts.split(";")))
+            # a new pair's morphisms in order are at their positions, else each form at its rank
+            ranks = range(len(maps)) if parts is None else map(
+                theta.rank, map(theta.ThetaMorphism, repeat(s), repeat(t), parts))
+            slots = pairs.setdefault(E, [None] * len(theta.pair_components(s, t)))
+            cells = levels[s][2], orders[t], levels[t][2]
+            # a map's list depends on its source and its target's labels alone
+            placed = places.setdefault((s, cells[1]), {})
+            for k, key in zip(ranks, maps):
+                if slots[k] is not None:
+                    require(False, f"the action of {theta.enumerate_morphisms(*E)[k]} listed twice")
+                if (place := placed.get(key)) is None:      # each distinct map placed once
+                    place = placed[key] = _place(E, k, seen.images[key], cells, shared)
+                slots[k] = place
+        for pair in window[1]:      # each window pair listed, with no gap: else the first gap
+            if None in (slots := pairs.get(pair, (None,))):
+                missing = theta.enumerate_morphisms(*pair)[slots.index(None)]
+                require(False, f"the action of {missing} is not listed")
     except (KeyError, TypeError, AttributeError, theta.ThetaError) as exc:
         raise PresheafError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
     return TabledPrecat(n, WindowTable(levels, pairs, f"{name} of window B={B}"), name)

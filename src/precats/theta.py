@@ -28,10 +28,11 @@ runs the checks that name its fault.
 
 A level pair has one enumeration, ``pair_components``: the components of
 its morphisms, sorted, built once a process with no form.  Everything that
-lists a pair's morphisms reads it in that order: ``enumerate_morphisms``
-(the forms), ``rank`` (a form's index, by bisection), ``truncation_runs``
-(the runs of one truncation at a depth), the tables' ``acts`` and the
-dumps, whose actions are a pair's position lists in that order.
+lists or counts a pair's morphisms reads it, in that order:
+``enumerate_morphisms`` (the forms), ``rank`` (a form's index, by
+bisection), ``truncation_runs`` (the runs of one truncation at a depth),
+the tables' ``acts`` and the dumps, whose actions fill a list of its
+length with the pair's position lists in that order.
 
 Forms come in two ways.  ``ThetaObject(...)`` and ``ThetaMorphism(...)``
 take outside input (dump import, tests, users) and check it in full before
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -408,20 +408,6 @@ def rank(f: ThetaMorphism) -> int:
     """The index of ``f`` in ``enumerate_morphisms(f.source, f.target)``,
     found by bisection in ``pair_components``."""
     return bisect.bisect_left(pair_components(f.source, f.target), f.components)
-
-
-def count_morphisms(source: ThetaObject, target: ThetaObject) -> int:
-    """``len(enumerate_morphisms(source, target))``, by the same case split,
-    with no form built: ``comb(a + b + 1, a + 1) - (b + 1)`` non-constant
-    maps ``[a] -> [b]`` per prefix position, times ``b + 1`` constants."""
-    if source.n != target.n:
-        raise InvalidMorphismError("objects live in different ambient dimensions")
-    ends = [(source.padded(i), target.padded(i)) for i in range(source.n)]
-    total, prefix = 0, 1
-    for a, b in ends:
-        total += prefix * (b + 1)
-        prefix *= math.comb(a + b + 1, a + 1) - (b + 1)
-    return total + prefix
 
 
 def segal_faces(M: ThetaObject, d: int = 0) -> list[ThetaMorphism]:

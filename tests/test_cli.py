@@ -234,6 +234,24 @@ def test_build_legacy_indexing_flag(capsys):
     assert code == 0
     assert levels_of(good)[(1,)] == 8
     assert levels_of(bad)[(1,)] == 9
+    assert run(["build", "upsilon", "--inputs", "two_point", "point", "--window", "2",
+                "--params", '{"legacy": false}'], capsys) == (0, good, "")
+
+
+@pytest.mark.parametrize("args, params, what", [
+    (["upsilon", "--inputs", "point", "point"], '{"legacy": "false"}',
+     "--params legacy is 'false', not true or false"),
+    (["upsilon", "--inputs", "point", "point"], '{"legacy": 1}',
+     "--params legacy is 1, not true or false"),
+    (["upsilon", "--inputs", "point", "point"], '{"legcy": true}',
+     "--params keys ['legcy'] are not read by upsilon"),
+    (["nerve", "--category", "I"], '{"legacy": true}',
+     "--params keys ['legacy'] are not read by nerve")])
+def test_build_params_are_checked(args, params, what, capsys):
+    """``--params`` holds only ``legacy``, a JSON bool read by ``upsilon``:
+    any other value, key or use is a usage error."""
+    code, out, err = run(["build", *args, "--window", "2", "--params", params], capsys)
+    assert (code, out, err) == (2, "", f"error: {what}\n")
 
 
 def test_dump_schema_keys(capsys):
@@ -780,6 +798,47 @@ def test_runs_out_of_order_import_as_in_the_general_step():
         got = _fault_outcome(bad)
         assert got != "imported" and got == _fault_outcome(
             json.dumps(json.loads(bad), separators=(", ", ": "))), got
+
+
+def _form(entry, n):
+    """The morphism of a dump entry, built from its JSON."""
+    m = entry["morphism"]
+    return theta.ThetaMorphism(*[theta.object_of(n, m[end]) for end in ("source", "target")],
+                               tuple(map(tuple, m["components"])))
+
+
+@pytest.mark.parametrize("fault, k, what", [
+    ("last cut", -1, "is not listed"), ("run cut", 0, "is not listed"),
+    ("run twice", 0, "listed twice"), ("split, last cut", -1, "is not listed")])
+def test_each_window_pair_is_listed_in_full_and_once(fault, k, what, tmp_path, capsys,
+                                                     monkeypatch):
+    """Import reads completeness off each level pair's list: in the chain3
+    nerve's W3 dump, a run (the actions of the pair (1,)->(2,)) with its last
+    action cut out, or cut out whole, names the first morphism missing; the
+    run listed a second time in full names its first morphism listed twice;
+    the run split by an action that takes the general step imports as the
+    dump does, and with its last action cut out names that one.  The text
+    and the file ``check --in`` reads raise the same."""
+    text = ps.dump_json(cn.nerve(cn.FiniteCategory.chain(3), 1), ps.Window(3))
+    entries = [e for e in json.loads(text)["actions"]
+               if (e["morphism"]["source"], e["morphism"]["target"]) == ([1], [2])]
+    texts = [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in entries]
+    pair = ",".join(texts)
+    assert text.count(pair) == 1 and len(texts) > 3
+    split, entry = texts[:2] + ["{ " + texts[2][1:]] + texts[3:], _spy(monkeypatch, "_entry")
+    assert _imported(text.replace(pair, ",".join(split))) == _imported(text) and len(entry) == 1
+    bad = {"last cut": text.replace(pair, ",".join(texts[:-1])),
+           "run cut": text.replace("," + pair, ""),
+           "run twice": text.replace(pair, pair + "," + pair),
+           "split, last cut": text.replace(pair, ",".join(split[:-1]))}[fault]
+    message = f"malformed dump: the action of {_form(entries[k], 1)} {what}"
+    with pytest.raises(ps.PresheafError) as got:
+        ps.precat_from_dump(bad)
+    assert str(got.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    code, _, err = run(["check", "segal", "--in", str(path), "--window", "3"], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
 
 
 def test_brace_labels_import_through_the_general_step(tmp_path, monkeypatch):

@@ -950,8 +950,9 @@ def test_dump_encodes_each_text_once(args, maps, monkeypatch):
 
 
 def test_import_counts_the_window_instead_of_listing_it(monkeypatch):
-    """Import checks that every window morphism is listed by counting them
-    per pair of levels: the Ibar n = 2 dump at W3 lists no morphism."""
+    """Import checks that every window morphism is listed by the gaps in
+    each pair's list, sized by ``theta.pair_components``: the Ibar n = 2
+    dump at W3 lists no morphism, and a gap names the one missing."""
     text = ps.dump_json(_build(["nerve", "--category", "Ibar", "--n", "2"], 3), Window(3))
     data, calls = json.loads(text), []
     for module in (ps, ps.theta):

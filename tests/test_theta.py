@@ -197,18 +197,6 @@ def test_enumeration_counts():
     assert len(enumerate_morphisms(o(2, [1]), o(2, [1, 1]))) == 4
 
 
-@pytest.mark.parametrize("n, B", [(0, 1), (1, 3), (2, 3), (3, 2), (4, 2)])
-def test_count_morphisms_matches_enumeration(n, B):
-    """``count_morphisms`` counts the normal forms of every pair of window
-    levels without building them."""
-    objs = window_objects(n, B)
-    for s in objs:
-        for t in objs:
-            assert th.count_morphisms(s, t) == len(enumerate_morphisms(s, t))
-    with pytest.raises(InvalidMorphismError):
-        th.count_morphisms(o(1, [1]), o(2, [1]))
-
-
 def test_dimension_one_is_the_simplex_category():
     for m in range(4):
         for mp in range(4):
@@ -594,7 +582,11 @@ def test_pair_components_ranks_and_truncation_runs_agree_with_the_forms(n, B):
     """On every pair of the window, ``pair_components`` lists the components
     of ``enumerate_morphisms`` in turn, ``rank`` gives each morphism its
     index there, and for every d <= n the truncation runs, each index
-    repeated over its run, are ``truncated(., d)`` of the morphisms in turn."""
+    repeated over its run, are ``truncated(., d)`` of the morphisms in turn.
+    Objects of two ambient dimensions make no pair."""
+    for listing in (th.pair_components, enumerate_morphisms):
+        with pytest.raises(InvalidMorphismError, match="different ambient dimensions"):
+            listing(o(1, [1]), o(2, [1]))
     objs = window_objects(n, B)
     for s, t in itertools.product(objs, objs):
         mors = enumerate_morphisms(s, t)
