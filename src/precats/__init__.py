@@ -9,7 +9,7 @@ from .theta import (CompositionError, InvalidMorphismError, InvalidObjectError,
                     object_of, segal_faces, window_objects, zero_object)
 from .presheaf import (ActionDomainError, Precat, PrecatMap, PresheafError,
                        PushoutData, Window, cell_label, check_functoriality,
-                       coproduct, discrete, dump_json, dump_window, empty,
+                       coproduct, discrete, dump_json, empty,
                        enumerate_natural_maps, hom_precat, identity_map,
                        is_cofibration, iso_windowed, point, point_map,
                        precat_from_dump, product, pushout, slice_precat,

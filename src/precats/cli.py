@@ -5,7 +5,8 @@ Three subcommands:
 * ``build``  — construct a named presheaf and write its canonical windowed
   JSON dump (stdout or ``--out``);
 * ``check``  — run a verdict (segal / functorial / cofibration / connected)
-  on a named build or an imported dump; exit 0 pass, 1 fail.  Functoriality
+  on a named build or an imported dump (``--in``, beside which a build option
+  the check does not read is a usage error); exit 0 pass, 1 fail.  Functoriality
   is checked through the window's generators: exact on the windows the tests
   certify to be generated by them, resting on that claim on larger ones.
   ``connected`` reads the fixed levels it needs and no ``--window``, and
@@ -82,7 +83,7 @@ def build_precat(args) -> ps.Precat:
         return _BASIC_INPUTS[name](args.n if args.n is not None else 0)
     if name == "upsilon":
         _require(bool(args.inputs), "upsilon needs --inputs")
-        dim = args.input_n
+        dim = args.input_n or 0
         ins = []
         for nm in args.inputs:
             _require(nm in _BASIC_INPUTS,
@@ -144,14 +145,23 @@ _NAMED_MAPS = {
 
 def cmd_build(args) -> int:
     P = build_precat(args)
-    chunks = ps.dump_chunks(P, ps.Window(args.window))      # never the whole text at once
+    from .dumps import dump_chunks
+    chunks = dump_chunks(P, ps.Window(args.window))     # never the whole text at once
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
     return 0
 
 
+_BUILD_OPTIONS = {"construction": "construction name", "category": "--category",
+                  "inputs": "--inputs", "input_n": "--input-n", "of": "--of", "n": "--n",
+                  "k": "--k", "params": "--params"}
+
+
 def _load_target(args) -> ps.Precat:
     if args.infile:
+        given = [flag for key, flag in _BUILD_OPTIONS.items() if getattr(args, key) is not None
+                 and (key, args.kind) != ("k", "connected")]     # connected reads --k
+        _require(not given, f"check {args.kind} --in reads no {', '.join(given)}")
         with open(args.infile, encoding="utf-8") as fh:
             return ps.precat_from_dump(fh)      # read a block at a time
     _require(args.construction, "check needs a construction name or --in")
@@ -162,6 +172,7 @@ def cmd_check(args) -> int:
     window = ps.Window(args.window)
     kind = args.kind
     if kind == "cofibration":
+        _require(not args.infile, "check cofibration reads no --in")
         _require(args.map in _NAMED_MAPS,
                  f"cofibration needs --map from {sorted(_NAMED_MAPS)}")
         _require(args.map != "boundary_inclusion" or None not in (args.k, args.n),
@@ -227,8 +238,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help=f"construction name ({', '.join(_CONSTRUCTIONS)})")
         p.add_argument("--category", help="finite category name for nerves")
         p.add_argument("--inputs", nargs="*", help="morphism objects for upsilon")
-        p.add_argument("--input-n", type=int, default=0,
-                       help="dimension of the upsilon inputs")
+        p.add_argument("--input-n", type=int,
+                       help="dimension of the upsilon inputs (default 0)")
         p.add_argument("--of", help="pointed input for suspension/delooping/whitehead")
         p.add_argument("--k", type=int)
         p.add_argument("--n", type=int)

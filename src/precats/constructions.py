@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import presheaf
-from .presheaf import (FirstEntryTable, Precat, PrecatMap, PushoutData,
+from .presheaf import (CellTable, Precat, PrecatMap, PushoutData,
                        TabledPrecat, Window, cell_label, degeneracy_map, discrete, empty,
                        hom_precat, identity_map, point, point_map,
                        derived, product, product_map, pushout, sub_precat, swap_map,
@@ -148,12 +148,13 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
     Level 0 holds the objects; a level whose first entry is ``p`` holds the
     composable p-chains, independently of the remaining directions, each
     (p-1)-chain extended along the out-arrows of its last target, in
-    ``arrows`` order.  The table (``presheaf.FirstEntryTable``) is built once
-    from a copy of ``C``, interned at its first composite by all it reads,
-    typed by label.  Each object and arrow is labelled by ``cell_label``
-    once, and a chain's label is ``"(" + ",".join(its arrows' labels) +
-    ")"``, which is ``cell_label`` of the chain by definition.  A restriction
-    reads only the first component ``comp0`` of a morphism and restricts a
+    ``arrows`` order.  The table (``presheaf.CellTable`` of depth 1) is
+    built once from a copy of ``C``, interned at its first composite by all
+    it reads, typed by label.  Each object and arrow is labelled by
+    ``cell_label`` once, and a chain's label is ``"(" + ",".join(its
+    arrows' labels) + ")"``, which is ``cell_label`` of the chain by
+    definition.  A restriction reads only the first entries ``p`` and ``q``
+    of a morphism's ends and its first component ``comp0``, and restricts a
     whole level at a time: a constant ``comp0`` reads each chain's vertex,
     and otherwise each pair of consecutive entries of ``comp0`` is a run of
     the chain, whose column is the vertex identity if it is empty, the arrow
@@ -184,12 +185,12 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
         return (list(map(src.__getitem__, map(itemgetter(0), cells))) if v == 0
                 else list(map(tgt.__getitem__, map(itemgetter(v - 1), cells))))
 
-    def restrict(p, q, comp0, cells):
-        """The restrictions of ``cells`` over first entry ``q`` to first
-        entry ``p`` along the first component ``comp0``."""
-        if q is None:
+    def restrict(f, cells):
+        """The restrictions of ``cells`` along ``f``, cut to depth 1."""
+        p = f.source.entries
+        if not f.target.length:
             xs = cells
-        elif len(set(comp0)) == 1:
+        elif len(set(comp0 := f.components[0])) == 1:
             xs = vertices(cells, comp0[0])
         else:
             runs = []
@@ -202,10 +203,11 @@ def nerve(C: FiniteCategory, n: int = 1) -> Precat:
                     run = list(map(table.__getitem__, zip(run, map(itemgetter(j), cells))))
                 runs.append(run)
             return list(zip(*runs))
-        return xs if p is None else [(ident[x],) * p for x in xs]
+        return [(ident[x],) * p[0] for x in xs] if p else xs
 
-    return TabledPrecat(n, FirstEntryTable(
-        lambda p: (objects, names) if p is None else chains(p), restrict, 1), f"N({C.name})@{n}",
+    return TabledPrecat(n, CellTable(
+        lambda M: chains(M.entries[0]) if M.length else (objects, names), restrict, 1),
+        f"N({C.name})@{n}",
         lambda: (n, tuple(zip(objects, names)),      # all of C the table reads, typed
                  *(tuple(d.items()) for d in (label, src, tgt, ident, table))))
 

@@ -1,21 +1,23 @@
-"""Canonical dumps read back as tables of position lists, checked in full,
-from their text or file a block and a member at a time, with no JSON tree.
-Loaded by the first ``presheaf.precat_from_dump``.
+"""Canonical dumps, written a chunk at a time (``dump_chunks``) and read
+back (``read``) as tables of position lists, checked in full, from their
+text or file a block and a member at a time, with no JSON tree.  Loaded by
+the first dump written or read.
 
 A canonical dump lists the actions of each level pair (a run) together, in
 the order ``theta.pair_components`` gives the pair's morphisms, and its
-levels, ``n`` and window after them.  Actions are read in two phases.  As
-the text is read, the actions held are split at their map texts by one
-pattern and cut between maps at ``_CUT`` by ``str.partition``; each map and
-tail is decoded the first time it is met, and a components text is only
-checked, never decoded (``_Parts``).  Once the levels are read, each run
-takes one path into its pair's list: its ranks are its positions when the
-pair is new and its components texts, joined, equal its pair's
-``presheaf.components_text`` (one comparison, no form built), else the
-``theta.rank`` of each decoded form; a place already filled is a morphism
-listed twice, and each distinct map becomes a position list once
-(``_place``).  A window pair with no list, or a gap in its list, is a
-morphism not listed.  An action that fails a check of the first phase,
+levels, ``n`` and window (``_window``) after them.  Writer and reader share
+an action's text pieces: ``_OPEN``, ``_MIDDLE``, ``_CUT`` and ``_TARGET``.
+Actions are read in two phases.  As the text is read, the actions held are
+split at their map texts by one pattern and cut between maps at ``_CUT`` by
+``str.partition``; each map and tail is decoded the first time it is met,
+and a components text is only checked, never decoded (``_Parts``).  Once
+the levels are read, each run takes one path into its pair's list: its
+ranks are its positions when the pair is new and its components texts,
+joined, equal its pair's ``components_text`` (one comparison, no form
+built), else the ``theta.rank`` of each decoded form; a place already
+filled is a morphism listed twice, and each distinct map becomes a position
+list once (``_place``).  A window pair with no list, or a gap in its list,
+is a morphism not listed.  An action that fails a check of the first phase,
 and every action of a dict, is decoded in full by ``_entry``, with the
 errors and places a JSON decode gives."""
 
@@ -27,7 +29,89 @@ from typing import Iterator, TextIO
 
 from . import theta
 from .presheaf import (ActionDomainError, Precat, PresheafError, TabledPrecat, Window,
-                       WindowTable, _label_order, components_text)
+                       WindowTable, _label_order)
+
+# An action's text: _OPEN, its map {...}, _MIDDLE, its components' inner text,
+# _CUT, its source, _TARGET, its target and }}.
+_OPEN, _MIDDLE = '{"map":', ',"morphism":{"components":['
+_SOURCE, _TARGET = '"source":', ',"target":'
+_CUT = "]," + _SOURCE
+_CHUNK_MAPS = 64    # a chunk's pieces and text are alive together: bound them
+
+
+def _ints(xs) -> str:
+    return "[" + ",".join(map(str, xs)) + "]"
+
+
+def _map_text(keys: list[str], source: list[str], act: list[int]) -> str:
+    return ",".join([k + source[i] for k, i in zip(keys, act)])
+
+
+def _map_texts(acts: list[list[int]], keys: list[str], source: list[str]) -> list[str]:
+    """The ``_map_text`` of each of ``acts``, built once per distinct list,
+    each list object read once."""
+    ids = list(map(id, acts))
+    lists, texts = dict(zip(ids, acts)), {}
+    for key, act in lists.items():
+        if (got := texts.get(tuple(act))) is None:
+            got = texts[tuple(act)] = _map_text(keys, source, act)
+        lists[key] = got
+    return list(map(lists.__getitem__, ids))
+
+
+@cache      # once a process for each level pair: the writer's and the reader's
+def components_text(s: theta.ThetaObject, t: theta.ThetaObject) -> str:
+    """The components' inner text (``[0,1],[2]``) of each morphism ``s ->
+    t`` as a dump writes it, in ``theta.pair_components`` order, joined by
+    ``;``, each component's text built once."""
+    comps = theta.pair_components(s, t)
+    texts = {c: _ints(c) for c in set(chain.from_iterable(comps))}
+    return ";".join([",".join(map(texts.__getitem__, f)) for f in comps])
+
+
+@cache      # every dump of a window writes or checks its levels and its level pairs
+def _window(n: int, B: int) -> tuple[list, list]:
+    return theta.window_objects(n, B), Window(B).pairs(n)
+
+
+def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
+    """The text ``json.dumps`` gives the window's dump with sorted keys, no
+    spaces and ASCII escapes, chunks of ``_CHUNK_MAPS`` maps of a pair of
+    levels at most, then the levels, joined from each level's encoded
+    labels: its cells' keys, so a tie is a ``PresheafError``, in ``str``
+    order, key order, so labels out of order are a fault of the table.
+    Every fault raises before the first chunk.  Each level pair's actions
+    are its ``acts`` lists in morphism order, written beside its
+    ``components_text``; each level's entries text is built once, and each
+    map text once per distinct list and pair (``_map_texts``)."""
+    T, encode, codes = P.table, json.encoder.encode_basestring_ascii, {}
+    objects, pairs = _window(P.n, window.B)
+    entries = {M: _ints(M.entries) for M in objects}
+    for M in entries:
+        labels = T.labels(M)
+        for a, b in zip(labels, labels[1:]):
+            if a == b:
+                raise PresheafError(f"cells of level {M} share the label {a!r}")
+            if a > b:
+                raise RuntimeError(f"cells of level {M} are not in label order at {b!r}")
+        codes[M] = [encode(x) for x in labels]
+    # position lists first: made between text pieces, they'd pin freed pools
+    acts = [(s, t, T.acts(s, t)) for s, t in pairs]
+
+    def chunks():
+        sep, after, middle = '{"actions":[' + _OPEN + "{", "," + _OPEN + "{", "}" + _MIDDLE
+        for s, t, lists in acts:
+            ends = f"{_CUT}{entries[s]}{_TARGET}{entries[t]}}}}}"
+            glue, texts = ends + after, components_text(s, t).split(";")
+            maps = _map_texts(lists, [x + ":" for x in codes[t]], codes[s])
+            for i in range(0, len(lists), _CHUNK_MAPS):
+                yield sep + glue.join(map(middle.join, zip(
+                    maps[i:i + _CHUNK_MAPS], texts[i:i + _CHUNK_MAPS]))) + ends
+                sep = after
+        yield '],"levels":[' + ",".join(
+            '{"cells":[' + ",".join(cells) + f'],"object":{entries[M]}}}'
+            for M, cells in codes.items()) + f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n'
+    return chunks()
 
 
 def _no_float(number: str):
@@ -37,18 +121,20 @@ def _no_float(number: str):
 _DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
 _SCAN = _DECODER.scan_once
 _SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match    # whitespace, at most one separator
-# As ``presheaf.dump_chunks`` writes an action after another: from the ``,``
-# before it to its components' inner text, its map (holding no ``}``) the one
-# group; then that inner text, ``_CUT``, and its tail, the ends' values, and
-# ``}}``.  ``_ACTION`` is one such action, from its ``{``, its parts grouped.
-_MAPS = re.compile(r',\{"map":(\{[^}]*\}),"morphism":\{"components":\[')
-_STEM = len(',{"map":,"morphism":{"components":[')      # that text, less its map
-_CUT = '],"source":'
-_ACTION = re.compile(r'\{"map":(\{[^}]*\}),"morphism":\{"components":\[([0-9,\[\]]*?)'
-                     r'\],"source":(\[[0-9,]*\],"target":\[[0-9,]*\]\}\})').match
+# ``_MAPS``: an action after another, from the ``,`` before it to its
+# components' inner text, its map (holding no ``}`` but its last) the one
+# group, ``_STEM`` characters but for it; ``_TAIL``: its text after ``_CUT``;
+# ``_ACTION``: one action, from its ``{``, its map, components and tail grouped.
+_MAP = r"(\{[^}]*\})"
+_MAPS = re.compile(re.escape("," + _OPEN) + _MAP + re.escape(_MIDDLE))
+_STEM = len("," + _OPEN + _MIDDLE)
+_ACTION = re.compile(re.escape(_OPEN) + _MAP + re.escape(_MIDDLE) + r"([0-9,\[\]]*?)"
+                     + re.escape(_CUT) + r"(\[[0-9,]*\]" + re.escape(_TARGET)
+                     + r"\[[0-9,]*\]\}\})").match
 _N = "(?:0|[1-9][0-9]*)"
 _INTS = re.compile(rf"(?:\[{_N}(?:,{_N})*\])?").fullmatch     # a list of ints, or nothing
-_TAIL = re.compile(rf'\[(?:{_N}(?:,{_N})*)?\],"target":\[(?:{_N}(?:,{_N})*)?\]\}}\}}').fullmatch
+_LIST = rf"\[(?:{_N}(?:,{_N})*)?\]"     # a list of ints, maybe empty
+_TAIL = re.compile(_LIST + re.escape(_TARGET) + _LIST + r"\}\}").fullmatch
 _BLOCK = 1 << 18    # characters read from a dump file at a time
 _AHEAD = 1 << 12    # characters held past a step's start, unless the text is run out
 _SPAN = 1 << 16     # the most characters split at a time
@@ -78,17 +164,8 @@ def _at_once(texts: list[str]):
     return values if end == len(text) and len(values) == len(texts) else None
 
 
-def _whole(text: str):
-    """``text``, a JSON value decoded whole, else ``None``."""
-    try:
-        value, end = _SCAN(text, 0)
-    except (ValueError, StopIteration):
-        return None
-    return value if end == len(text) else None
-
-
 class _Parts:
-    """An import's actions, taken as ``presheaf.dump_chunks`` writes them,
+    """An import's actions, taken as ``dump_chunks`` writes them,
     by the texts of their parts, each checked the first time it is met: a
     map (``{...}``, stored once in ``maps``) decoded into ``images``, a tail
     (``[...],"target":[...]}}``) matched by ``_TAIL`` and decoded into
@@ -116,8 +193,9 @@ class _Parts:
         by ``;``, each map stored once), and their number."""
         first = len(maps)
         if fresh := list(set(maps).difference(self.maps)):
-            # decoded at once, each whole, as none holds a ``}`` but its last
-            for text, value in zip(fresh, _at_once(fresh) or map(_whole, fresh)):
+            # decoded at once, else each alone, as none holds a ``}`` but its last
+            values = _at_once(fresh) or [(_at_once([text]) or (None,))[0] for text in fresh]
+            for text, value in zip(fresh, values):
                 try:    # an object
                     keys = tuple(value)
                     self.images[text] = self.tuples.setdefault(keys, keys), tuple(value.values())
@@ -133,7 +211,7 @@ class _Parts:
             if (ends := self.ends.get(tail)) is None:
                 if not _TAIL(tail):
                     return runs, at
-                ends = tuple(map(tuple, _SCAN('{"source":' + tail[:-1], 0)[0].values()))
+                ends = tuple(map(tuple, _SCAN("{" + _SOURCE + tail[:-1], 0)[0].values()))
                 ends = self.ends[tail] = self.stored(ends)
             end = at + len(list(group))
             runs.append((ends, ";".join(comps[at:end]), list(map(self.maps.__getitem__, maps[at:end]))))
@@ -300,11 +378,6 @@ def _place(E: tuple, k: int, image: tuple, cells: tuple, shared: dict) -> list[i
         f"{what} has the image {x!r}, no cell of level {f.source}")
 
 
-@cache      # every import of a window checks its levels and its level pairs
-def _window(n: int, B: int) -> tuple[list, list]:
-    return theta.window_objects(n, B), Window(B).pairs(n)
-
-
 def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
     """A canonical dump, its JSON text, an open text file or a dict, as a
     ``WindowTable`` of position lists, equal lists stored once, checked in
@@ -317,7 +390,7 @@ def read(data: str | dict | TextIO, name: str = "dump") -> Precat:
     cell (else ``ActionDomainError``).  No level or morphism may be listed
     twice.  Whatever forms the process holds, a float is refused, and so is
     a bool among the ends and components: every action of a dict, and every
-    action of a text not written as ``presheaf.dump_chunks`` writes one,
+    action of a text not written as ``dump_chunks`` writes one,
     goes through ``_entry``'s type check, and the grammar of a text written
     so admits ints only."""
     def require(ok: bool, what: str):

@@ -6,25 +6,20 @@ A presheaf sends a site object to a finite set of cells and a morphism
 cells in label order with their labels and positions, and each morphism as
 a position list, built when first asked for and kept.  ``cells``, ``act``
 and every window check (the solver, functoriality, the Segal check) read
-it; a dump is joined as text from each level's encoded labels, and read
-back by module ``dumps`` with no JSON tree, a run of actions (those of one
-level pair) at a time, as position lists checked in full: a run listing
-its pair's morphisms in order is the pair's lists, no form built.  Dumps
-and the functoriality check take a table's actions a level pair at a time
-(``WindowTable.acts``), in ``theta.pair_components`` order.  Only outside
-callers (tests, the benchmark's tracer) give a presheaf cell by cell,
-``Precat(n, eval_fn, act_fn)`` owning a ``CellTable``.  Nerves and constant
-presheaves own a ``FirstEntryTable``, sorted once per first entry from
-cells labelled by their builder (a nerve's chain labels are joined from its
-arrows' labels) and restricted a whole level per key; every other
-construction a table of module ``tables``, built from its parts' tables.
-One union-find, ``join``, gives the classes of a pushout's levels and of
-``analysis.tau_zero``.
+it; dumps (module ``dumps``, loaded on first use) and the functoriality
+check take a table's actions a level pair at a time (``WindowTable.acts``),
+in ``theta.pair_components`` order.  Nerves, constant presheaves and, for
+outside callers (tests, the benchmark's tracer), ``Precat(n, eval_fn,
+act_fn)`` are given by functions and own a ``CellTable``, which sorts each
+level from cells their builder may label and restricts a whole level per
+truncated morphism; every other construction owns a table of module
+``tables``, built from its parts' tables.  One union-find, ``join``, gives
+the classes of a pushout's levels and of ``analysis.tau_zero``.
 
 Every table has a ``depth``, the leading entries its levels depend on, and
 reads each level and position list at ``theta.truncated(., depth)``: 0 for
-a constant presheaf, 1 for a nerve; module ``tables`` gives the rest.  A
-``CellTable``, a dump's table, a sub and a truncation make no cut.
+a constant presheaf, 1 for a nerve; module ``tables`` gives the rest.
+``Precat(n, eval_fn, act_fn)``, a dump, a sub and a truncation make no cut.
 
 Extensional checks (naturality, isomorphism, functoriality) run on a finite
 window of levels, only through the window's face/degeneracy generators.  This
@@ -49,18 +44,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from . import theta
 from .theta import (_CUTS, ThetaMorphism, ThetaObject, collapse_to_zero, compose,
                     elementary_morphisms, enumerate_morphisms, identity, object_of,
-                    pair_components, rank, truncated, truncation_runs, vertex,
-                    window_objects, zero_object)
+                    rank, truncated, truncation_runs, vertex, window_objects,
+                    zero_object)
 
 
 class PresheafError(ValueError):
@@ -116,14 +110,12 @@ class Window:
 
 
 _MISS = object()
-_CHUNK_MAPS = 64    # a chunk's pieces and text are alive together: bound them
-_MIDDLE = '},"morphism":{"components":['    # an action's text between its map and components
 _BASES: "weakref.WeakValueDictionary[object, Precat]" = weakref.WeakValueDictionary()
 
 
 class Precat:
-    """A finite presheaf on the site, read off its window table (a private
-    ``CellTable`` of ``eval_fn`` and ``act_fn`` only for outside callers).
+    """A finite presheaf on the site, read off its window table (a
+    ``CellTable`` of ``eval_fn`` and ``act_fn``, only for outside callers).
     ``cells(M)`` is the level's cells in label order, as a set-like view.
     ``memo`` keeps the tables derived from its table for all precats over it."""
     content = None      # a base's intern key: a function of it until ``interned``
@@ -131,7 +123,9 @@ class Precat:
     def __init__(self, n: int, eval_fn: Callable[[ThetaObject], Iterable],
                  act_fn: Callable[[ThetaMorphism, object], object],
                  name: str = "precat"):
-        self.n, self.name, self.table, self.memo = n, name, CellTable(eval_fn, act_fn, name), {}
+        self.n, self.name, self.memo = n, name, {}
+        self.table = CellTable(lambda M: (frozenset(eval_fn(M)), None),
+                               lambda f, cells: [act_fn(f, c) for c in cells], name=name)
 
     def cells(self, M: ThetaObject):
         if M.n != self.n:
@@ -157,7 +151,7 @@ class Precat:
 
 
 class TabledPrecat(Precat):
-    """A precat defined by a table (``FirstEntryTable``, module ``tables``)."""
+    """A precat over a given table (a ``CellTable``, a dump's, module ``tables``)."""
 
     def __init__(self, n: int, table, name: str, content: Optional[Callable] = None,
                  memo: Optional[dict] = None):
@@ -272,8 +266,7 @@ def discrete(n: int, labels: Iterable, name: Optional[str] = None) -> Precat:
     labels = tuple(labels)
     cells = list(frozenset(labels))
     names = list(map(cell_label, cells))
-    return TabledPrecat(n, FirstEntryTable(lambda p: (cells, names),
-                                           lambda p, q, c, cells: cells, 0),
+    return TabledPrecat(n, CellTable(lambda M: (cells, names), lambda f, cells: cells, 0),
                         name or f"discrete{labels}",
                         lambda: ("discrete", n, labels, repr(labels)))  # repr: 1, True, 1.0 differ
 
@@ -507,8 +500,8 @@ class WindowTable:
     ``depth`` is the number of leading entries the table depends on: a
     level and a position list are read at ``theta.truncated(., depth)``,
     so only those are built and kept.  A subclass computes it from its
-    input tables; a table that makes no cut (a dump's, a ``CellTable``)
-    keeps ``math.inf``."""
+    input tables or is given it; a table that makes no cut (a dump's, the
+    ``CellTable`` of ``Precat(n, eval_fn, act_fn)``) keeps ``math.inf``."""
 
     depth = math.inf
 
@@ -592,48 +585,26 @@ def _label_order(cells: Iterable, labels: Optional[list[str]] = None
 
 
 class CellTable(WindowTable):
-    """The table of a presheaf given cell by cell: ``eval_fn(M)`` lists the
-    cells over ``M`` and ``act_fn(f, c)`` restricts the cell ``c`` along
-    ``f``.  Each is called once per level, and once per morphism and cell."""
+    """The table of a presheaf given by functions, of depth ``depth``:
+    ``level(M)`` gives the distinct cells over the level ``M``, already cut
+    to ``depth``, and their ``cell_label``s listed alike if its builder has
+    them, else ``None``; ``restrict(f, cells)`` the restrictions along the
+    truncated morphism ``f`` of ``cells``, the cells over ``f.target``, in
+    their order.  So each level is sorted once per truncated level, and
+    each position list computed by one call per truncated morphism (for a
+    nerve, per first entries and first component), for a whole level."""
 
-    def __init__(self, eval_fn: Callable, act_fn: Callable, name: str):
+    def __init__(self, level: Callable[[ThetaObject], tuple], restrict: Callable[..., list],
+                 depth: float = math.inf, name: str = ""):
         super().__init__()
-        self._eval_fn, self._act_fn, self.name = eval_fn, act_fn, name
+        self._labelled, self._restrict, self.depth, self.name = level, restrict, depth, name
 
     def _level(self, M):
-        return _label_order(frozenset(self._eval_fn(M)))
+        return _label_order(*self._labelled(M))
 
     def _act(self, f):
-        index, cells, act_fn = self.level(f.source)[2], self.level(f.target)[0], self._act_fn
-        return _within([index.get(act_fn(f, c), -1) for c in cells], f, cells, self.name)
-
-
-class FirstEntryTable(WindowTable):
-    """The table of a presheaf of depth 1 or 0 (``depth``): nerves padded
-    constantly and constant presheaves.  ``level(p)`` gives the distinct
-    cells over a level of first entry ``p`` (``None`` at length 0) and
-    their ``cell_label``s, listed alike in any order, and ``restrict(p,
-    p', comp0, cells)`` the restrictions along ``f: M -> M'`` of the cells
-    ``cells`` over ``M'``, in their order, where ``comp0`` is
-    ``f.components[0]`` (``None`` when ``M'`` has length 0).  A morphism
-    truncated at depth 1 is its key ``(p, p', comp0)``, so each level is
-    sorted once per first entry, and each position list computed by one
-    call per key, for a whole level."""
-
-    def __init__(self, level: Callable[[Optional[int]], tuple[list, list[str]]],
-                 restrict: Callable[..., list], depth: int):
-        super().__init__()
-        self._labelled, self._restrict, self.depth = level, restrict, depth
-
-    def _level(self, M):
-        return _label_order(*self._labelled(M.entries[0] if M.entries else None))
-
-    def _act(self, f):
-        source, target = f.source.entries, f.target.entries
         index, cells = self.level(f.source)[2], self.level(f.target)[0]
-        return _within([index.get(c, -1) for c in self._restrict(
-            source[0] if source else None, target[0] if target else None,
-            f.components[0] if target else None, cells)], f, cells)
+        return _within([index.get(c, -1) for c in self._restrict(f, cells)], f, cells, self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -910,92 +881,17 @@ def enumerate_natural_maps(P: Precat, Q: Precat, window: Window) -> list[PrecatM
 
 
 # ---------------------------------------------------------------------------
-# canonical windowed dumps
+# canonical windowed dumps: module ``dumps``, loaded on first use
 # ---------------------------------------------------------------------------
 
-def _ints(xs) -> str:
-    return "[" + ",".join(map(str, xs)) + "]"
-
-
-def _map_text(keys: list[str], source: list[str], act: list[int]) -> str:
-    return ",".join([k + source[i] for k, i in zip(keys, act)])
-
-
-def _map_texts(acts: list[list[int]], keys: list[str], source: list[str]) -> list[str]:
-    """The ``_map_text`` of each of ``acts``, built once per distinct list,
-    each list object read once."""
-    ids = list(map(id, acts))
-    lists, texts = dict(zip(ids, acts)), {}
-    for key, act in lists.items():
-        if (got := texts.get(tuple(act))) is None:
-            got = texts[tuple(act)] = _map_text(keys, source, act)
-        lists[key] = got
-    return list(map(lists.__getitem__, ids))
-
-
-@functools.cache    # once a process for each level pair: the writer's and the reader's
-def components_text(s: ThetaObject, t: ThetaObject) -> str:
-    """The components' inner text (``[0,1],[2]``) of each morphism ``s ->
-    t`` as a dump writes it, in ``theta.pair_components`` order, joined by
-    ``;``, each component's text built once."""
-    comps = pair_components(s, t)
-    texts = {c: _ints(c) for c in set(itertools.chain.from_iterable(comps))}
-    return ";".join([",".join(map(texts.__getitem__, f)) for f in comps])
-
-
-def dump_chunks(P: Precat, window: Window) -> Iterator[str]:
-    """The text ``json.dumps`` gives the window's dump with sorted keys, no
-    spaces and ASCII escapes, chunks of ``_CHUNK_MAPS`` maps of a pair of
-    levels at most, then the levels, joined from each level's encoded
-    labels: its cells' keys, so a tie is a ``PresheafError``, in ``str``
-    order, key order, so labels out of order are a fault of the table.
-    Every fault raises before the first chunk.  Each level pair's actions
-    are its ``acts`` lists in morphism order, written beside its
-    ``components_text``; each level's entries text is built once, and each
-    map text once per distinct list and pair (``_map_texts``)."""
-    T, encode, codes = P.table, json.encoder.encode_basestring_ascii, {}
-    entries = {M: _ints(M.entries) for M in window.objects(P.n)}
-    for M in entries:
-        labels = T.labels(M)
-        for a, b in zip(labels, labels[1:]):
-            if a == b:
-                raise PresheafError(f"cells of level {M} share the label {a!r}")
-            if a > b:
-                raise RuntimeError(f"cells of level {M} are not in label order at {b!r}")
-        codes[M] = [encode(x) for x in labels]
-    # position lists first: made between text pieces, they'd pin freed pools
-    pairs = [(s, t, T.acts(s, t)) for s, t in window.pairs(P.n)]
-
-    def chunks():
-        sep = '{"actions":[{"map":{'
-        for s, t, acts in pairs:
-            ends = f'],"source":{entries[s]},"target":{entries[t]}}}}}'
-            glue, texts = ends + ',{"map":{', components_text(s, t).split(";")
-            maps = _map_texts(acts, [x + ":" for x in codes[t]], codes[s])
-            for i in range(0, len(acts), _CHUNK_MAPS):
-                yield sep + glue.join(map(_MIDDLE.join, zip(
-                    maps[i:i + _CHUNK_MAPS], texts[i:i + _CHUNK_MAPS]))) + ends
-                sep = ',{"map":{'
-        yield '],"levels":[' + ",".join(
-            '{"cells":[' + ",".join(cells) + f'],"object":{entries[M]}}}'
-            for M, cells in codes.items()) + f'],"n":{P.n},"window":{{"B":{window.B}}}}}\n'
-    return chunks()
-
-
 def dump_json(P: Precat, window: Window) -> str:
+    """The canonical dump of the window, joined from ``dumps.dump_chunks``."""
+    from .dumps import dump_chunks
     return "".join(dump_chunks(P, window))
-
-
-def dump_window(P: Precat, window: Window) -> dict:
-    """The dump of the window as a dict, read back from ``dump_json``."""
-    return json.loads(dump_json(P, window))
 
 
 def precat_from_dump(data: str | dict | TextIO, name: str = "dump") -> Precat:
     """A canonical dump, its JSON text, an open text file (read a block at a
-    time) or its dict, as a precat over a table of position lists, checked
-    in full by ``dumps.read`` (loaded on first use), which takes the
-    actions of a canonical text by position, a run of one level pair at a
-    time, and decodes every other action in full."""
+    time) or its dict, as a precat checked in full by ``dumps.read``."""
     from .dumps import read
     return read(data, name)

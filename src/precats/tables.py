@@ -2,9 +2,11 @@
 
 ``product``, ``PushoutData``, ``constructions.upsilon``, ``delooping`` and
 ``ck_monoidal`` each return a ``presheaf.TabledPrecat`` over one of these
-tables, built from its parts' tables.  A product's cell is a pair of
-positions, a pushout's a class of the positions of its two sides, joined
-along its legs' position lists by ``presheaf.join`` on their ranks in
+tables, built from its parts' tables; the parts' tables bottom out in a
+``presheaf.CellTable`` (a nerve's of depth 1, a constant presheaf's of
+depth 0) or a dump's.  A product's cell is a pair of positions, a
+pushout's a class of the positions of its two sides, joined along its
+legs' position lists by ``presheaf.join`` on their ranks in
 label order, an edge complex's a vertex path with a position for each covered
 input, a delooping's a copy with a position of its input, a monoidal
 tower's a grid of positions of its carrier.  Labels are composed from the

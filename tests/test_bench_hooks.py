@@ -32,3 +32,27 @@ def test_tracer_reads_the_morphism_cache_and_wraps_precat_init():
     assert callable(theta.enumerate_morphisms.cache_info)
     P = Precat(1, lambda M: ("c",), lambda f, c: c, name="hooked")
     assert P.name == "hooked"
+
+
+def test_check_in_reads_its_dump_through_the_hooked_reader(tmp_path, capsys):
+    """``check segal --in`` imports its dump by exactly one call of
+    ``presheaf.precat_from_dump``, rebound as the tracer rebinds its hooks,
+    so a traced ``dump-check`` run bills each import to that name."""
+    from precats import cli, presheaf
+
+    dump = tmp_path / "z2.json"
+    assert cli.main(["build", "nerve", "--category", "Z2", "--window", "2",
+                     "--out", str(dump)]) == 0
+    calls, real = [], presheaf.precat_from_dump
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    rebind = _tracer().Tracer._rebind
+    rebind(real, counted)
+    try:
+        assert cli.main(["check", "segal", "--in", str(dump), "--window", "2"]) == 0
+    finally:
+        rebind(counted, real)
+    assert len(calls) == 1 and presheaf.precat_from_dump is real
+    assert capsys.readouterr().out.startswith("segal: pass")

@@ -165,7 +165,7 @@ def test_check_functorial_fails_at_the_depth_of_a_long_fault(tmp_path, capsys):
     """Two constant cells with one endomorphism of (2,) sending both to
     "b": the data does not factor at depth 0, so the check reads the whole
     window (depth 1 = n) and names the failures."""
-    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    data = json.loads(ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2)))
     entry = next(e for e in data["actions"] if e["morphism"]["source"] == [2]
                  and e["morphism"]["target"] == [2] and e["morphism"]["components"] != [[0, 1, 2]])
     entry["map"] = {"a": "b", "b": "b"}
@@ -174,6 +174,48 @@ def test_check_functorial_fails_at_the_depth_of_a_long_fault(tmp_path, capsys):
     code, out, _ = run(["check", "functorial", "--in", str(dump), "--window", "2"], capsys)
     assert code == 1 and out.startswith("violation: ")
     assert out.splitlines()[-1] == "functorial: fail (depth 1 of n=1 on window B=2)"
+
+
+@pytest.mark.parametrize("kind, given, named", [
+    ("segal", ["nerve"], "construction name"),
+    ("segal", ["--category", "Z2"], "--category"),
+    ("segal", ["--inputs", "point"], "--inputs"),
+    ("functorial", ["--inputs"], "--inputs"),
+    ("segal", ["--input-n", "0"], "--input-n"),
+    ("functorial", ["--of", "two_point"], "--of"),
+    ("segal", ["--n", "1"], "--n"),
+    ("functorial", ["--k", "1"], "--k"),
+    ("segal", ["--params", '{"legacy": "x"}'], "--params"),
+    ("connected", ["--k", "0", "--n", "1"], "--n")],
+    ids=["name", "category", "inputs", "inputs-empty", "input-n", "of", "n", "k", "params",
+         "connected-n"])
+def test_check_in_refuses_the_build_options_it_does_not_read(kind, given, named, tmp_path,
+                                                             capsys):
+    """A dump check reads its precat from the dump alone: a construction
+    name or build option beside ``--in`` is a usage error naming it, where
+    it used to be ignored; of them, ``connected`` reads ``--k`` only."""
+    dump = tmp_path / "z2.json"
+    assert main(["build", "nerve", "--category", "Z2", "--window", "3", "--out", str(dump)]) == 0
+    code, out, err = run(["check", kind, *given, "--in", str(dump), "--window", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: check {kind} --in reads no {named}\n"
+
+
+def test_check_in_reads_the_options_of_its_check(tmp_path, capsys):
+    """``connected`` reads ``--k`` beside ``--in``; ``cofibration`` checks
+    a named map and reads no dump, so ``--in`` is refused there.  An
+    ``--input-n`` not given is ``None``, read as 0 by ``build_precat``."""
+    dump = tmp_path / "z2.json"
+    assert main(["build", "nerve", "--category", "Z2", "--window", "3", "--out", str(dump)]) == 0
+    code, out, _ = run(["check", "connected", "--in", str(dump), "--k", "0"], capsys)
+    assert (code, out) == (0, "connected (k=0): pass\n")
+    code, out, err = run(["check", "cofibration", "--map", "collapse_two", "--in", str(dump)],
+                         capsys)
+    assert (code, out, err) == (2, "", "error: check cofibration reads no --in\n")
+    assert make_parser().parse_args(["check", "segal", "upsilon"]).input_n is None
+    code, out, _ = run(["check", "segal", "upsilon", "--inputs", "point", "--window", "2"],
+                       capsys)
+    assert code == 0 and out.startswith("segal: pass")
 
 
 def test_check_cofibration(capsys):
@@ -292,7 +334,7 @@ def test_domain_and_io_errors_exit_2(tmp_path, capsys):
         code, _, err = run(["check", "segal", "--in", str(bad)], capsys)
         assert code == 2 and err.startswith("error: malformed dump")
     # a level, or the action of the identity on (), listed a second time
-    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    data = json.loads(ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2)))
     ident = next(e for e in data["actions"]
                  if e["morphism"]["source"] == e["morphism"]["target"] == [])
     for i, twice in enumerate([
@@ -330,7 +372,7 @@ def test_dump_maps_are_checked_in_full_at_import(fault, error, what, tmp_path, c
     it to a cell of its source level, and every window morphism is listed;
     a fault in one non-identity map is found at import, before any check
     reads it, and the command line exits 2 on it."""
-    data = ps.dump_window(ps.discrete(1, ("a", "b")), ps.Window(2))
+    data = json.loads(ps.dump_json(ps.discrete(1, ("a", "b")), ps.Window(2)))
     entry = next(e for e in data["actions"] if e["morphism"]["target"] == [2]
                  and e["morphism"]["source"] == [1])
     if fault == "unlisted":
@@ -358,7 +400,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(P, window):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(ps, "dump_chunks", broken)
+    monkeypatch.setattr(dumps, "dump_chunks", broken)
     code, _, err = run(["build", "point", "--window", "2"], capsys)
     assert code == 3
     assert err.strip() == "internal error: RuntimeError: boom"
@@ -938,9 +980,9 @@ def test_dump_chunks_hold_at_most_their_cap_of_maps():
     maps, though one pair of its levels has 1,089; the chunks joined are
     the seed's text."""
     P = cn.nerve(cn.FiniteCategory.iso_interval(), 2)
-    chunks = list(ps.dump_chunks(P, ps.Window(3)))
+    chunks = list(dumps.dump_chunks(P, ps.Window(3)))
     counts = [chunk.count('{"map":{') for chunk in chunks]
-    assert max(counts) == ps._CHUNK_MAPS < 1089 and sum(counts) == 10282
+    assert max(counts) == dumps._CHUNK_MAPS < 1089 and sum(counts) == 10282
     assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
         "340d0dde51659dfe18fa11f93bfdfc5efc3e3da5c24ed2de7c1adde0e88ee370")
 

@@ -25,9 +25,10 @@ from precats import (IDENTITIES, PrecatMap, Window, cli, coproduct, discrete,
                      run_suite, terminal_map, upsilon)
 from precats import analysis as an
 from precats import constructions as cn
+from precats import dumps
 from precats import presheaf as ps
 from precats.constructions import cell, pushout_product, square_decomposition
-from precats.presheaf import FirstEntryTable, TabledPrecat, WindowTable
+from precats.presheaf import CellTable, TabledPrecat, WindowTable
 from precats.theta import pair_components, truncated
 from precats.tables import (CompiledTable, DeloopingTable, MonoidalTable, ProductTable,
                             PushoutTable, SliceTable, SubTable, TruncationTable,
@@ -146,7 +147,7 @@ def test_suite_iso_questions_tabled_as_cell_by_cell(monkeypatch, oracles):
                             (entry, i, X.name)
     assert count > 60
     assert kinds == {ProductTable, PushoutTable, UpsilonTable, DeloopingTable,
-                     FirstEntryTable}
+                     CellTable}
 
 
 @pytest.mark.parametrize("build", [
@@ -319,7 +320,7 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
     assert T.depth == {"product": 0, "pushout": 0, "upsilon": 1}[build]
     assert helpers.table_violations(T, oracles[T], W2) == []
     assert ps.check_functoriality(P, W2) == []
-    good = ps.dump_window(P, W2)
+    good = json.loads(ps.dump_json(P, W2))
     f = next(f for s, t, mors in W2.morphisms(P.n) for f in mors
              if f not in gens and s != t and T.size(s) > 1 and T.size(t))
     read = truncated(f, T.depth)
@@ -333,7 +334,7 @@ def test_differential_check_flags_a_corrupted_composite_table(build, oracles):
             for g, act in zip(mors, T.acts(s, t)) if act is wrong] == faulty
     assert helpers.table_violations(T, oracles[T], W2) == faulty
     assert helpers.functoriality_against_the_sweep(P, W2)
-    assert ps.dump_window(P, W2) != good
+    assert json.loads(ps.dump_json(P, W2)) != good
 
 
 def _poset6():
@@ -351,7 +352,7 @@ def test_nerves_tabled_as_cell_by_cell(category, n, B):
     and the morphisms of one first-direction key share one position list."""
     C = _poset6() if category == "P6" else cli._CATEGORIES[category]()
     T = cn.nerve(C, n).table
-    assert isinstance(T, FirstEntryTable)
+    assert isinstance(T, CellTable)
     window = Window(B)
     assert helpers.table_violations(T, helpers.nerve_oracle(C, n), window) == []
     shared = {}
@@ -407,7 +408,8 @@ def test_nerves_of_category_families_tabled_as_cell_by_cell(family):
 def test_nerve_labels_each_arrow_once_and_restricts_a_level_per_key(monkeypatch):
     """A nerve calls ``cell_label`` once per object and arrow of its
     category, however many chains its levels hold, and ``restrict`` once
-    per key, for the whole level."""
+    per key: the morphism truncated at depth 1, its first entries and
+    first component, for the whole level."""
     labelled = []
 
     def counted(cell, label=ps.cell_label):
@@ -419,20 +421,20 @@ def test_nerve_labels_each_arrow_once_and_restricts_a_level_per_key(monkeypatch)
     T = cn.nerve(C, 2).table
     restricted, restrict = [], T._restrict
 
-    def spied(*key_and_cells):
-        restricted.append(key_and_cells[:3])
-        return restrict(*key_and_cells)
+    def spied(f, cells):
+        restricted.append(f)
+        return restrict(f, cells)
     T._restrict = spied
     chains = sum(T.size(M) for M in window.objects(2))
     assert sorted(labelled, key=repr) == sorted(C.objects + C.arrows, key=repr)
     assert chains > 10 * len(labelled)
-    keys = set()
+    cut = set()
     for s, t, mors in window.morphisms(2):
         for f in mors:
             T.act(f)
-            keys.add((s.entries[0] if s.length else None, t.entries[0] if t.length else None,
-                      f.components[0] if t.length else None))
-    assert len(restricted) == len(keys) and set(restricted) == keys
+            cut.add(truncated(f, 1))
+    keys = {(f.source.entries, f.target.entries, f.components[:1]) for f in cut}
+    assert len(restricted) == len(cut) == len(keys) and set(restricted) == cut
 
 
 def test_nerves_are_freed_without_the_cycle_collector():
@@ -460,7 +462,7 @@ def test_nerves_are_freed_without_the_cycle_collector():
 ], ids=["discrete-tie", "discrete-2", "empty-2", "point-3"])
 def test_constant_presheaves_tabled_as_cell_by_cell(build, n, labels):
     T = build(n, labels).table
-    assert isinstance(T, FirstEntryTable)
+    assert isinstance(T, CellTable)
     assert helpers.table_violations(T, helpers.discrete_oracle(n, labels), W2) == []
 
 
@@ -482,7 +484,7 @@ def test_corrupted_category_raises_a_typed_error(monkeypatch, capsys):
         cn.nerve(_corrupted_iso_interval(), 1).table.act(f)
     with pytest.raises(ps.ActionDomainError):
         cn.nerve(_corrupted_iso_interval(), 1).act(f, ("u", "v"))
-    for check in (ps.dump_window, ps.check_functoriality):
+    for check in (ps.dump_json, ps.check_functoriality):
         with pytest.raises(ps.PresheafError):
             check(cn.nerve(_corrupted_iso_interval(), 1), W2)
     monkeypatch.setitem(cli._CATEGORIES, "Ibar", _corrupted_iso_interval)
@@ -503,7 +505,7 @@ def test_tables_share_the_parts_of_one_check():
     assert po.F is f.positions and po.G is g.positions      # the legs' lists only
     for D in (discrete(1, ("a",)), point(1), ps.empty(1),
               cn.nerve(cn.FiniteCategory.interval(), 1)):
-        assert isinstance(D.table, FirstEntryTable)
+        assert isinstance(D.table, CellTable)
         assert product(D, D).table.TA is D.table
     D = discrete(1, ("a", "b"))
     S, _ = ps.sub_precat(D, lambda M: lambda c: c == "a")
@@ -525,7 +527,7 @@ def test_edge_complexes_on_the_same_input_tables_share_one_table():
     legacy = upsilon([A, D], legacy=True)
     assert legacy.table is not X.table
     assert upsilon([A, D], legacy=True).table is legacy.table
-    assert ps.dump_window(legacy, W2) != ps.dump_window(X, W2)
+    assert json.loads(ps.dump_json(legacy, W2)) != json.loads(ps.dump_json(X, W2))
     again = upsilon([discrete(1, (0, 1)), cn.nerve(cn.FiniteCategory.interval(), 1)])
     assert again.table is X.table and again.memo is X.memo
     others = [upsilon([A, discrete(1, (0, 1))]), upsilon([D, A]), upsilon([A]),
@@ -642,7 +644,7 @@ def test_a_category_changed_after_its_nerve_leaves_the_nerve_as_it_was():
     assert fresh.table is N.table
     assert ps.check_functoriality(N, W2) == ps.check_functoriality(fresh, W2) == []
     with pytest.raises(ps.PresheafError):
-        ps.dump_window(cn.nerve(C, 1), W2)
+        json.loads(ps.dump_json(cn.nerve(C, 1), W2))
 
 
 def test_base_and_derived_tables_die_with_the_last_precat_over_the_base():
@@ -816,6 +818,35 @@ def test_tables_module_is_imported_by_the_first_composite():
     assert done.stdout.split() == ["False", "True"]
 
 
+
+_DUMPS_LAZY = """
+import sys
+import precats
+from precats import cli, suite
+from precats.constructions import FiniteCategory, nerve
+from precats.presheaf import Window, dump_json, iso_windowed, product
+A = nerve(FiniteCategory.chain(2), 1)
+B = nerve(FiniteCategory.chain(2), 1)
+assert iso_windowed(A, B, Window(2)) is not None
+product(A, B)
+print("precats.dumps" in sys.modules)
+dump_json(A, Window(2))
+print("precats.dumps" in sys.modules)
+"""
+
+
+def test_dumps_module_is_imported_by_the_first_dump():
+    """An iso question and a product (the refute and verify-w3 benchmarks'
+    paths), with the CLI and the suite imported, do not import
+    ``precats.dumps``; writing a dump does."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    done = subprocess.run([sys.executable, "-c", _DUMPS_LAZY],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
 # ---------------------------------------------------------------------------
 # deloopings and imported dumps
 # ---------------------------------------------------------------------------
@@ -933,14 +964,14 @@ def test_dump_encodes_each_text_once(args, maps, monkeypatch):
     text = ps.dump_json(P, W3)
     built = {"_map_text": [], "_ints": []}
     for name, calls in built.items():
-        real = getattr(ps, name)
-        monkeypatch.setattr(ps, name, lambda *a, real=real, calls=calls:
+        real = getattr(dumps, name)
+        monkeypatch.setattr(dumps, name, lambda *a, real=real, calls=calls:
                             calls.append(a[-1]) or real(*a))
     assert ps.dump_json(P, W3) == text
     assert len(built["_map_text"]) == maps
     entries = [M.entries for M in W3.objects(P.n)]
     assert built["_ints"] == entries
-    ps.components_text.cache_clear()
+    dumps.components_text.cache_clear()
     built["_ints"].clear()
     assert ps.dump_json(P, W3) == text
     per_pair = [c for s, t in W3.pairs(P.n)
@@ -990,12 +1021,12 @@ _DUMP_ORACLE_CASES = _dump_oracle_cases()
 @pytest.mark.parametrize("name", list(_DUMP_ORACLE_CASES))
 def test_dump_text_is_the_oracle_dict_dumped(name):
     """``dump_json`` writes the text ``json.dumps`` gives the dict built one
-    action at a time, and ``dump_window`` reads that dict back."""
+    action at a time, which ``json.loads`` reads back."""
     P = _DUMP_ORACLE_CASES[name]()
     oracle = helpers.dump_window_oracle(P, W2)
     text = ps.dump_json(P, W2)
     assert text == json.dumps(oracle, sort_keys=True, separators=(",", ":")) + "\n"
-    assert ps.dump_window(P, W2) == oracle
+    assert json.loads(ps.dump_json(P, W2)) == oracle
     if name == "imported":
         assert type(P.table) is WindowTable
     if name == "escaped":
@@ -1032,7 +1063,7 @@ def _broken_dump(fault):
     """The W2 dump of a two-cell discrete precat with one fault in the map
     of a non-identity morphism ``f``: the map left out, a cell left out of
     it, or an image outside ``f.source``."""
-    data = ps.dump_window(discrete(1, ("a", "b")), W2)
+    data = json.loads(ps.dump_json(discrete(1, ("a", "b")), W2))
     f = next(f for s, t, mors in W2.morphisms(1) for f in mors if s != t)
     entry = next(e for e in data["actions"] if e["morphism"] == helpers.morphism_dict(f))
     if fault == "morphism":
@@ -1066,7 +1097,7 @@ def test_dump_levels_outside_its_window_name_the_window(tmp_path, capsys):
     the level or morphism; a window bound that is not an int >= 1 is a
     malformed dump."""
     P = discrete(1, ("a", "b"))
-    data = ps.dump_window(P, W2)
+    data = json.loads(ps.dump_json(P, W2))
     with pytest.raises(ps.PresheafError, match=r"B=2.*\(3,\)"):
         ps.precat_from_dump(data).table.level(ps.object_of(1, [3]))
     f = Window(3).elementary(1)[-1]
@@ -1188,7 +1219,7 @@ def test_deloopings_and_dumps_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         X = cn.delooping(_interval())
-        D = ps.precat_from_dump(ps.dump_window(X, W2))
+        D = ps.precat_from_dump(json.loads(ps.dump_json(X, W2)))
         assert ps.check_functoriality(X, W2) == ps.check_functoriality(D, W2) == []
         assert ps.iso_windowed(X, D, W2) is not None
         refs = [weakref.ref(x) for x in (X, X.table, X.table.TX, D, D.table)]
@@ -1416,7 +1447,7 @@ def test_tables_that_cut_are_their_oracles_and_depths_are_pinned():
 def _reimported(P, window, path):
     """P read back from its dump, written and read a block at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(ps.dump_chunks(P, window))
+        fh.writelines(dumps.dump_chunks(P, window))
     with open(path, encoding="utf-8") as fh:
         return ps.precat_from_dump(fh)
 

@@ -16,7 +16,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precats import FiniteCategory, Window, dump_window, nerve
+from precats import FiniteCategory, Window, nerve
 from precats import presheaf as ps
 from precats import theta as th
 from precats.theta import (InvalidMorphismError, InvalidObjectError,
@@ -354,7 +354,7 @@ def test_vertex_rejects_points_outside_the_object():
 def test_serialization_roundtrip():
     """The morphism entries of a dump rebuild the window's morphisms, in order."""
     window = Window(2)
-    data = dump_window(nerve(FiniteCategory.chain(2), 2), window)
+    data = json.loads(ps.dump_json(nerve(FiniteCategory.chain(2), 2), window))
     rebuilt = [ThetaMorphism(o(2, m["source"]), o(2, m["target"]),
                              tuple(tuple(c) for c in m["components"]))
                for m in (entry["morphism"] for entry in data["actions"])]
@@ -414,7 +414,7 @@ def test_dump_import_reads_each_interned_morphism_at_its_rank():
     ``act`` for each interned morphism with the list at its rank."""
     window = Window(2)
     P = nerve(FiniteCategory.chain(2), 2)
-    table = ps.precat_from_dump(dump_window(P, window)).table
+    table = ps.precat_from_dump(json.loads(ps.dump_json(P, window))).table
     objs = window.objects(2)
     assert [M for M in objs if M in table._levels] == objs
     assert all(any(M is N for N in objs) for M in table._levels)
